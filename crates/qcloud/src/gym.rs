@@ -111,20 +111,10 @@ pub struct QueueFeatures {
 }
 
 /// Encodes the §4.1 state vector from a job's qubit demand and a fleet
-/// view. Shared by the training env and the deployed
-/// [`crate::policies::RlBroker`]. Under a queue-aware config the deployed
-/// broker has no queue context and encodes [`QueueFeatures::default`]
-/// (an empty queue); use [`encode_observation_into`] to supply real
-/// features.
-pub fn encode_observation(job_qubits: u64, view: &CloudView, cfg: &GymConfig) -> Vec<f32> {
-    let mut obs = vec![0.0f32; cfg.obs_dim()];
-    encode_observation_into(&mut obs, job_qubits, view, &QueueFeatures::default(), cfg);
-    obs
-}
-
-/// Allocation-free observation encoding: writes into `out` (length
-/// [`GymConfig::obs_dim`]). `queue` is ignored unless
-/// [`GymConfig::queue_aware`] is set.
+/// view into `out` (length [`GymConfig::obs_dim`]). Shared by the training
+/// env and the deployed [`crate::policies::RlBroker`]. `queue` is ignored
+/// unless [`GymConfig::queue_aware`] is set; the deployed broker has no
+/// queue context and passes [`QueueFeatures::default`] (an empty queue).
 pub fn encode_observation_into(
     out: &mut [f32],
     job_qubits: u64,
@@ -672,7 +662,8 @@ mod tests {
                 qv_layers: 7.0,
             }],
         };
-        let obs = encode_observation(190, &view, &cfg);
+        let mut obs = vec![f32::NAN; cfg.obs_dim()];
+        encode_observation_into(&mut obs, 190, &view, &QueueFeatures::default(), &cfg);
         assert_eq!(obs.len(), 16);
         assert!(obs[4..].iter().all(|&x| x == 0.0), "slots 2–5 zero-padded");
     }

@@ -3,7 +3,7 @@
 //! normalised and rounded into a qubit partition (§4.1).
 
 use crate::broker::{AllocationPlan, Broker, CloudView};
-use crate::gym::{encode_observation, GymConfig};
+use crate::gym::{encode_observation_into, GymConfig, QueueFeatures};
 use crate::job::QJob;
 use crate::partition::{free_limits, weights_to_parts};
 use qcs_rl::policy::{ActScratch, ActorCritic};
@@ -15,6 +15,8 @@ pub struct RlBroker {
     policy: ActorCritic,
     cfg: GymConfig,
     scratch: ActScratch,
+    obs: Vec<f32>,
+    weights: Vec<f32>,
 }
 
 impl RlBroker {
@@ -32,6 +34,8 @@ impl RlBroker {
             "policy was trained with a different device count"
         );
         RlBroker {
+            obs: vec![0.0; cfg.obs_dim()],
+            weights: vec![0.0; cfg.max_devices],
             policy,
             cfg,
             scratch: ActScratch::new(),
@@ -47,10 +51,13 @@ impl RlBroker {
 
 impl Broker for RlBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
-        let obs = encode_observation(job.num_qubits, view, &self.cfg);
-        let weights = self.policy.act_deterministic(&obs, &mut self.scratch);
+        // The deployed broker has no queue context: an empty queue.
+        let queue = QueueFeatures::default();
+        encode_observation_into(&mut self.obs, job.num_qubits, view, &queue, &self.cfg);
+        self.policy
+            .act_deterministic_into(&self.obs, &mut self.scratch, &mut self.weights);
         let limits = free_limits(view);
-        match weights_to_parts(&weights[..view.devices.len()], job.num_qubits, &limits) {
+        match weights_to_parts(&self.weights[..view.devices.len()], job.num_qubits, &limits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }

@@ -113,6 +113,7 @@ pub struct RlSchedScheduler {
     cfg: SchedObsConfig,
     broker: Box<dyn Broker>,
     obs: Vec<f32>,
+    action: Vec<f32>,
     scratch: ActScratch,
     view: CloudView,
     name: String,
@@ -137,12 +138,12 @@ impl RlSchedScheduler {
             ck.obs.action_dim(),
             "checkpoint policy/action dimension mismatch"
         );
-        let obs = vec![0.0f32; ck.obs.obs_dim()];
         RlSchedScheduler {
+            obs: vec![0.0; ck.obs.obs_dim()],
+            action: vec![0.0; ck.obs.action_dim()],
             policy: ck.policy,
             cfg: ck.obs,
             broker: placement.build(seed),
-            obs,
             scratch: ActScratch::new(),
             view: CloudView {
                 devices: Vec::new(),
@@ -202,8 +203,9 @@ impl RlSchedScheduler {
 impl Scheduler for RlSchedScheduler {
     fn decide(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
         encode_sched_observation_into(&mut self.obs, queue, state, &self.cfg);
-        let action = self.policy.act_deterministic(&self.obs, &mut self.scratch);
-        let pick = argmax(&action);
+        self.policy
+            .act_deterministic_into(&self.obs, &mut self.scratch, &mut self.action);
+        let pick = argmax(&self.action);
         if pick >= self.cfg.queue_slots || pick >= queue.len() {
             return self.hold_or_fallback(queue, state);
         }

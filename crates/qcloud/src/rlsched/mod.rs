@@ -24,6 +24,16 @@
 //! encodings; the lease-lookahead tail is what the incremental
 //! [`CloudState`] lease table gives us for free.
 //!
+//! **Cost.** One observation costs O(K + D + leases + saturating prefix),
+//! not O(backlog). The two pooled sums (queued demand and mean wait) walk
+//! the queue only until their prefix proves the feature is pinned at 1.0,
+//! which on a deep backlog takes a few hundred jobs however long the queue
+//! is. The mean-wait shortcut relies on the release precondition of the
+//! [`Scheduler`] contract: no queued job arrives later than
+//! `state.now() + RELEASE_SLACK_S`. When no prefix saturates, the walk
+//! finishes the full reference sum, in the same order, so the features are
+//! bit-identical to summing the whole queue either way.
+//!
 //! ## Action contract
 //!
 //! A continuous vector of length `K + 1` ([`SchedObsConfig::action_dim`]);
@@ -68,7 +78,7 @@ pub use env::{SchedEnvConfig, SchedulerEnv};
 
 use crate::job::QJob;
 use crate::records::JobRecord;
-use crate::sched::CloudState;
+use crate::sched::{CloudState, RELEASE_SLACK_S};
 use crate::sla::{DeadlinePolicy, QosReport};
 use serde::{Deserialize, Serialize};
 
@@ -201,10 +211,76 @@ fn unit(x: f64) -> f32 {
     x.clamp(0.0, 1.0) as f32
 }
 
+/// Pooled queue demand over fleet capacity, `unit(Σ qubits / capacity)`.
+///
+/// The `u64` prefix sum never decreases, so once it reaches the capacity
+/// the feature is 1.0 whatever the rest of the queue holds (rounding to
+/// `f64` and dividing are monotone, so the quotient is at least 1 and
+/// clamps to exactly 1.0). The walk stops there.
+fn pooled_demand(queue: &[QJob], total_capacity: u64) -> f32 {
+    let cap = total_capacity.max(1);
+    let mut demand = 0u64;
+    for job in queue {
+        demand += job.num_qubits;
+        if demand >= cap {
+            return 1.0;
+        }
+    }
+    unit(demand as f64 / cap as f64)
+}
+
+/// Pooled mean wait over the wait normaliser, `unit(Σ (now − arrival) / n
+/// / wait_norm)`, summed in queue order from `-0.0` as `Iterator::sum`
+/// does, so every bit matches the plain two-pass formula.
+///
+/// The walk returns 1.0 as soon as the prefix sum `S` reaches
+/// `T = n·w·(1 + 1e-6) + n·1e-11` (`w` = `wait_norm`, `n` = queue length).
+/// Why the full sum would also saturate:
+///
+/// * Every queued job satisfies the release contract `arrival <= fl(now +
+///   s)` with `s` = [`RELEASE_SLACK_S`]. `fl(now + s)` is at least as close
+///   to `now + s` as `now` is, so `arrival - now <= 2s` and every remaining
+///   term is at least `-δ`, `δ = 2s·(1 + 2⁻⁵³) < 2.1e-12`.
+/// * Each later addition gives at least `(S − δ)(1 − u)`, `u = 2⁻⁵³`, so
+///   after at most `n` of them the sum is at least `S(1 − u)ⁿ − nδ`. With
+///   `n ≤ 2³⁰`, `(1 − u)ⁿ⁺⁴ ≥ 1 − 1.2e-7` also covers the rounding of `T`
+///   itself, leaving a sum above `n·w·(1 + 8.7e-7) + n·7.8e-12`.
+/// * Dividing by `n` and then by `w` loses at most two more roundings, so
+///   the quotient is above 1 (`w > 0`) or `+∞` (`w = +0`, the mean being
+///   positive); a sum that reached `+∞` stays there and reads `+∞` or NaN.
+///   All of these clamp to 1.0.
+///
+/// The shortcut is off (the threshold is NaN, which never compares true)
+/// when `w` is negative, `-0.0` or NaN, or the queue is longer than 2³⁰;
+/// when no prefix reaches `T`, the loop has computed the reference sum.
+fn pooled_mean_wait(queue: &[QJob], now: f64, wait_norm: f64) -> f32 {
+    if queue.is_empty() {
+        return unit(0.0 / wait_norm);
+    }
+    let n = queue.len() as f64;
+    let saturated_at = if wait_norm.is_sign_positive() && queue.len() <= 1 << 30 {
+        n * wait_norm * (1.0 + 1e-6) + n * 1e-11
+    } else {
+        f64::NAN
+    };
+    let mut sum = -0.0f64;
+    for job in queue {
+        sum += now - job.arrival_time;
+        if sum >= saturated_at {
+            return 1.0;
+        }
+    }
+    unit(sum / n / wait_norm)
+}
+
 /// Writes the scheduler observation for `queue` against `state` into `out`
 /// (length [`SchedObsConfig::obs_dim`]). Shared verbatim by the training
 /// environment and the deployed [`RlSchedScheduler`], so train-time and
 /// inference-time encodings cannot drift.
+///
+/// `queue` must honour the [`Scheduler`](crate::sched::Scheduler) release
+/// contract (`arrival_time <= state.now() + RELEASE_SLACK_S`); debug builds
+/// check it. See the module docs' "Cost" paragraph.
 pub fn encode_sched_observation_into(
     out: &mut [f32],
     queue: &[QJob],
@@ -213,6 +289,12 @@ pub fn encode_sched_observation_into(
 ) {
     assert_eq!(out.len(), cfg.obs_dim(), "observation buffer size mismatch");
     let now = state.now();
+    debug_assert!(
+        queue
+            .iter()
+            .all(|j| j.arrival_time <= now + RELEASE_SLACK_S),
+        "a queued job arrives after state.now() + RELEASE_SLACK_S"
+    );
     let view = state.view();
     let total_capacity: u64 = view.devices.iter().map(|d| d.capacity).sum();
     let cap = total_capacity.max(1) as f64;
@@ -233,15 +315,9 @@ pub fn encode_sched_observation_into(
 
     // Pooled queue aggregates (the jobs past the window still count here).
     let pbase = 3 * cfg.queue_slots;
-    let demand: u64 = queue.iter().map(|j| j.num_qubits).sum();
-    let mean_wait = if queue.is_empty() {
-        0.0
-    } else {
-        queue.iter().map(|j| now - j.arrival_time).sum::<f64>() / queue.len() as f64
-    };
     out[pbase] = unit(queue.len() as f64 / cfg.queue_len_norm);
-    out[pbase + 1] = unit(demand as f64 / cap);
-    out[pbase + 2] = unit(mean_wait / cfg.wait_norm);
+    out[pbase + 1] = pooled_demand(queue, total_capacity);
+    out[pbase + 2] = pooled_mean_wait(queue, now, cfg.wait_norm);
 
     // Per-device summaries (offline devices advertise zero free in the
     // view; the explicit flag tells "busy" from "dark").

@@ -118,12 +118,27 @@ impl SchedulingDecision {
     }
 }
 
+/// How far past the current instant a job's arrival time may lie and still
+/// be released into the pending queue. Every arrival process (batch,
+/// service router, parallel intake) releases a job once
+/// `arrival_time <= now + RELEASE_SLACK_S`, which absorbs the rounding of
+/// the `Timeout(arrival - now)` it sleeps for.
+pub const RELEASE_SLACK_S: f64 = 1e-12;
+
 /// A queue-aware scheduling discipline.
 ///
 /// `decide` is called whenever the pending queue is non-empty and an event
 /// (arrival, release, maintenance edge) may have changed what is possible.
-/// The queue is in arrival (FIFO) order; `state` reflects all reservations
-/// and releases up to the current instant (`state.now()`).
+/// The queue is in enqueue order, which is arrival order except that a job
+/// re-queued after a fault rejoins at the tail with its original
+/// `arrival_time`. `state` reflects all reservations and releases up to the
+/// current instant (`state.now()`).
+///
+/// Release contract: every queued job satisfies
+/// `arrival_time <= state.now() + RELEASE_SLACK_S`, so no job's wait
+/// `state.now() - arrival_time` is below `-2 · RELEASE_SLACK_S` (the factor
+/// covers the rounding of `now + RELEASE_SLACK_S`). The RL scheduler's
+/// observation encoder relies on it to stop its pooled mean-wait sum early.
 ///
 /// Contract: every returned [`Dispatch`] must be satisfiable against the
 /// state at application time — parts sum to the job's qubit demand, no

@@ -28,7 +28,7 @@ use crate::config::SimParams;
 use crate::faults::{FaultScript, RetryPolicy};
 use crate::job::QJob;
 use crate::records::{JobRecord, SummaryStats};
-use crate::sched::Scheduler;
+use crate::sched::{Scheduler, RELEASE_SLACK_S};
 use crate::simenv::{spawn_shard, RunResult, ShardParts, Shared};
 use qcs_calibration::DeviceProfile;
 use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
@@ -194,7 +194,9 @@ impl Coroutine for RouterProc {
     fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
         let now = cx.now();
         let mut wake = vec![false; self.shards.len()];
-        while self.next < self.jobs.len() && self.jobs[self.next].arrival_time <= now + 1e-12 {
+        while self.next < self.jobs.len()
+            && self.jobs[self.next].arrival_time <= now + RELEASE_SLACK_S
+        {
             let job = self.jobs[self.next].clone();
             self.next += 1;
             self.telemetry.lock().submitted += 1;

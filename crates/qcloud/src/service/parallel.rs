@@ -87,7 +87,7 @@ use parking_lot::Mutex;
 use crate::config::SimParams;
 use crate::faults::{FaultScript, RetryPolicy};
 use crate::job::QJob;
-use crate::sched::Scheduler;
+use crate::sched::{Scheduler, RELEASE_SLACK_S};
 use crate::simenv::{arm_shard_faults, spawn_shard, ShardParts};
 use qcs_calibration::DeviceProfile;
 use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, SimTime, Simulation, Step};
@@ -122,7 +122,9 @@ impl Coroutine for ShardIntakeProc {
     fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
         let now = cx.now();
         let mut wake_me = false;
-        while self.next < self.jobs.len() && self.jobs[self.next].arrival_time <= now + 1e-12 {
+        while self.next < self.jobs.len()
+            && self.jobs[self.next].arrival_time <= now + RELEASE_SLACK_S
+        {
             let i = self.next;
             self.next += 1;
             if self.targets[i] != self.region {
@@ -348,7 +350,7 @@ fn run_epoch_coordinator(
             CoordEvent::Arrivals => {
                 let now = t.seconds();
                 let mut wake = vec![false; shards.len()];
-                while next < jobs.len() && jobs[next].arrival_time <= now + 1e-12 {
+                while next < jobs.len() && jobs[next].arrival_time <= now + RELEASE_SLACK_S {
                     let job = jobs[next].clone();
                     next += 1;
                     telemetry.lock().submitted += 1;

@@ -69,7 +69,9 @@ use crate::faults::{AvoidSet, FaultInjector, FaultScript, RetryPolicy};
 use crate::job::{JobId, QJob};
 use crate::model::fidelity::DeviceErrorRates;
 use crate::records::{JobRecord, JobRecordsManager, SummaryStats};
-use crate::sched::{CloudState, DeviceSpec, FifoAdapter, SchedTelemetry, Scheduler};
+use crate::sched::{
+    CloudState, DeviceSpec, FifoAdapter, SchedTelemetry, Scheduler, RELEASE_SLACK_S,
+};
 use qcs_calibration::DeviceProfile;
 use qcs_desim::{ContainerId, Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
 
@@ -210,7 +212,9 @@ impl Coroutine for Generator {
         let mut released = false;
         {
             let mut st = self.shared.lock();
-            while self.next < self.jobs.len() && self.jobs[self.next].arrival_time <= now + 1e-12 {
+            while self.next < self.jobs.len()
+                && self.jobs[self.next].arrival_time <= now + RELEASE_SLACK_S
+            {
                 let job = self.jobs[self.next].clone();
                 st.records.record_arrival(&job);
                 st.pending.push_back(job);

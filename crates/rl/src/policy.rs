@@ -132,9 +132,22 @@ impl ActorCritic {
 
     /// Deterministic (mean) action for deployment.
     pub fn act_deterministic(&self, obs: &[f32], scratch: &mut ActScratch) -> Vec<f32> {
+        let mut action = vec![0.0; self.action_dim()];
+        self.act_deterministic_into(obs, scratch, &mut action);
+        action
+    }
+
+    /// Allocation-free [`ActorCritic::act_deterministic`]: writes the mean
+    /// action into `action_out` (length [`ActorCritic::action_dim`]).
+    pub fn act_deterministic_into(
+        &self,
+        obs: &[f32],
+        scratch: &mut ActScratch,
+        action_out: &mut [f32],
+    ) {
         scratch.load_obs_row(obs);
         let mean = self.pi.forward(&scratch.obs_mat, &mut scratch.pi_cache);
-        mean.row(0).to_vec()
+        action_out.copy_from_slice(mean.row(0));
     }
 
     /// State value estimate.
@@ -274,6 +287,31 @@ mod tests {
         let a1 = ac.act_deterministic(&obs, &mut scratch);
         let a2 = ac.act_deterministic(&obs, &mut scratch);
         assert_eq!(a1, a2);
+    }
+
+    #[test]
+    fn act_deterministic_into_matches_act_deterministic_bitwise() {
+        // The deployed scheduler's shape: 60 observations, 9 action slots.
+        let mut rng = Xoshiro256StarStar::new(6);
+        let ac = ActorCritic::new(60, 9, &mut rng);
+        let obs: Vec<f32> = (0..4 * 60)
+            .map(|i| ((i * 7) % 17) as f32 / 17.0 - 0.3)
+            .collect();
+        // A four-row batch runs the GEMM's full row blocks; one row at a
+        // time runs its row tail. Both must give the same bits.
+        let batch = Matrix::from_vec(4, 60, obs.clone());
+        let mut cache = MlpCache::new();
+        let means = ac.pi.forward(&batch, &mut cache);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut s1 = ActScratch::new();
+        let mut s2 = ActScratch::new();
+        let mut action = vec![f32::NAN; 9];
+        for (r, row) in obs.chunks_exact(60).enumerate() {
+            let reference = ac.act_deterministic(row, &mut s1);
+            ac.act_deterministic_into(row, &mut s2, &mut action);
+            assert_eq!(bits(&action), bits(&reference), "row {r}");
+            assert_eq!(bits(&action), bits(means.row(r)), "row {r} vs batch");
+        }
     }
 
     #[test]
