@@ -21,18 +21,11 @@ pub struct RlBroker {
 
 impl RlBroker {
     /// Wraps a trained policy. `cfg` must match the training configuration
-    /// (normalisers and device-slot count).
+    /// (normalisers and device-slot count); panics otherwise.
     pub fn new(policy: ActorCritic, cfg: GymConfig) -> Self {
-        assert_eq!(
-            policy.obs_dim(),
-            cfg.obs_dim(),
-            "policy was trained with a different observation layout"
-        );
-        assert_eq!(
-            policy.action_dim(),
-            cfg.max_devices,
-            "policy was trained with a different device count"
-        );
+        if let Err(e) = check_layout(&policy, &cfg) {
+            panic!("{e}");
+        }
         RlBroker {
             obs: vec![0.0; cfg.obs_dim()],
             weights: vec![0.0; cfg.max_devices],
@@ -43,10 +36,33 @@ impl RlBroker {
     }
 
     /// Loads a policy previously saved with
-    /// [`ActorCritic::to_json`].
+    /// [`ActorCritic::to_json`]. A malformed policy, or one whose widths do
+    /// not match `cfg`, is an `Err`.
     pub fn from_json(json: &str, cfg: GymConfig) -> Result<Self, String> {
-        Ok(Self::new(ActorCritic::from_json(json)?, cfg))
+        let policy = ActorCritic::from_json(json)?;
+        check_layout(&policy, &cfg)?;
+        Ok(Self::new(policy, cfg))
     }
+}
+
+/// `Err` unless `policy` reads `cfg`'s observation layout and emits one
+/// weight per device slot.
+fn check_layout(policy: &ActorCritic, cfg: &GymConfig) -> Result<(), String> {
+    if policy.obs_dim() != cfg.obs_dim() {
+        return Err(format!(
+            "policy was trained with a different observation layout: {} inputs, config has {}",
+            policy.obs_dim(),
+            cfg.obs_dim()
+        ));
+    }
+    if policy.action_dim() != cfg.max_devices {
+        return Err(format!(
+            "policy was trained with a different device count: {} outputs, config has {}",
+            policy.action_dim(),
+            cfg.max_devices
+        ));
+    }
+    Ok(())
 }
 
 impl Broker for RlBroker {
@@ -105,6 +121,25 @@ mod tests {
         let view = test_view(&[127, 90, 127, 60, 127]);
         let job = test_job(210);
         assert_eq!(b1.select(&job, &view), b2.select(&job, &view));
+    }
+
+    #[test]
+    fn from_json_rejects_width_mismatches_with_the_config() {
+        let cfg = GymConfig::default();
+        let mut rng = Xoshiro256StarStar::new(3);
+        let wide_obs = ActorCritic::new(cfg.obs_dim() + 1, cfg.max_devices, &mut rng);
+        let err = RlBroker::from_json(&wide_obs.to_json(), cfg.clone())
+            .err()
+            .expect("obs width mismatch must not load");
+        assert!(err.contains("different observation layout"), "{err}");
+        let extra_device = ActorCritic::new(cfg.obs_dim(), cfg.max_devices + 1, &mut rng);
+        let err = RlBroker::from_json(&extra_device.to_json(), cfg.clone())
+            .err()
+            .expect("action width mismatch must not load");
+        assert!(err.contains("different device count"), "{err}");
+        let mut malformed = ActorCritic::new(cfg.obs_dim(), cfg.max_devices, &mut rng);
+        malformed.log_std.pop();
+        assert!(RlBroker::from_json(&malformed.to_json(), cfg).is_err());
     }
 
     #[test]

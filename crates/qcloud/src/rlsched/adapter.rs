@@ -55,7 +55,9 @@ impl SchedCheckpoint {
         serde_json::to_string(self).expect("checkpoint serialisation cannot fail")
     }
 
-    /// Parses from JSON.
+    /// Parses from JSON. A checkpoint of another kind, a malformed policy
+    /// (see [`ActorCritic::check_shapes`]), a policy whose widths do not
+    /// match `obs`, or a placement token that does not parse is an `Err`.
     pub fn from_json(s: &str) -> Result<Self, String> {
         let ck: SchedCheckpoint = serde_json::from_str(s).map_err(|e| e.to_string())?;
         if ck.kind != SCHED_CHECKPOINT_KIND {
@@ -64,7 +66,31 @@ impl SchedCheckpoint {
                 ck.kind
             ));
         }
+        ck.policy.check_shapes()?;
+        ck.check()?;
         Ok(ck)
+    }
+
+    /// The placement the agent's picks run through, or `Err` when the
+    /// token does not parse or the policy's widths do not match `obs`.
+    fn check(&self) -> Result<Placement, String> {
+        if self.policy.obs_dim() != self.obs.obs_dim() {
+            return Err(format!(
+                "policy reads {} observations, obs config has {}",
+                self.policy.obs_dim(),
+                self.obs.obs_dim()
+            ));
+        }
+        if self.policy.action_dim() != self.obs.action_dim() {
+            return Err(format!(
+                "policy emits {} actions, obs config has {}",
+                self.policy.action_dim(),
+                self.obs.action_dim()
+            ));
+        }
+        self.placement
+            .parse()
+            .map_err(|e| format!("checkpoint placement '{}': {e}", self.placement))
     }
 
     /// Writes the checkpoint atomically (temp file + rename), creating
@@ -122,22 +148,12 @@ pub struct RlSchedScheduler {
 impl RlSchedScheduler {
     /// Instantiates the adapter from a parsed checkpoint. `seed` feeds the
     /// placement (only the stochastic baselines use it). Panics when the
-    /// checkpoint's placement token or network dimensions are invalid.
+    /// checkpoint's placement token or network dimensions are invalid
+    /// (a checkpoint from [`SchedCheckpoint::from_json`] never is).
     pub fn from_checkpoint(ck: SchedCheckpoint, seed: u64) -> Self {
-        let placement: Placement = ck
-            .placement
-            .parse()
-            .unwrap_or_else(|e| panic!("checkpoint placement '{}': {e}", ck.placement));
-        assert_eq!(
-            ck.policy.obs_dim(),
-            ck.obs.obs_dim(),
-            "checkpoint policy/obs dimension mismatch"
-        );
-        assert_eq!(
-            ck.policy.action_dim(),
-            ck.obs.action_dim(),
-            "checkpoint policy/action dimension mismatch"
-        );
+        let placement = ck
+            .check()
+            .unwrap_or_else(|e| panic!("invalid scheduler checkpoint: {e}"));
         RlSchedScheduler {
             obs: vec![0.0; ck.obs.obs_dim()],
             action: vec![0.0; ck.obs.action_dim()],
@@ -275,6 +291,47 @@ mod tests {
         assert_eq!(back.kind, SCHED_CHECKPOINT_KIND);
         assert_eq!(back.obs, ck.obs);
         assert_eq!(back.placement, "speed");
+    }
+
+    /// `checkpoint()` after `edit`, through JSON and back.
+    fn reload_edited(edit: impl FnOnce(&mut SchedCheckpoint)) -> Result<SchedCheckpoint, String> {
+        let mut ck = checkpoint();
+        edit(&mut ck);
+        SchedCheckpoint::from_json(&ck.to_json())
+    }
+
+    #[test]
+    fn from_json_rejects_policy_obs_width_mismatch() {
+        let obs = SchedObsConfig::default();
+        let mut rng = Xoshiro256StarStar::new(4);
+        let policy = ActorCritic::new(obs.obs_dim() - 1, obs.action_dim(), &mut rng);
+        let err = reload_edited(|ck| ck.policy = policy).expect_err("must not load");
+        assert!(err.contains("observations"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_policy_action_width_mismatch() {
+        let obs = SchedObsConfig::default();
+        let mut rng = Xoshiro256StarStar::new(4);
+        let policy = ActorCritic::new(obs.obs_dim(), obs.action_dim() + 1, &mut rng);
+        let err = reload_edited(|ck| ck.policy = policy).expect_err("must not load");
+        assert!(err.contains("actions"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_unparseable_placement() {
+        let err =
+            reload_edited(|ck| ck.placement = "teleport".to_string()).expect_err("must not load");
+        assert!(err.contains("checkpoint placement 'teleport'"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_malformed_policy() {
+        let err = reload_edited(|ck| {
+            ck.policy.log_std.push(0.0);
+        })
+        .expect_err("must not load");
+        assert!(err.contains("log_std"), "{err}");
     }
 
     #[test]

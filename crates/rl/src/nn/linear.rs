@@ -123,7 +123,7 @@ impl Linear {
             d_out,
             &mut self.grad_w,
             &mut self.grad_b,
-            d_in,
+            Some(d_in),
         );
     }
 
@@ -139,21 +139,42 @@ impl Linear {
         grads: &mut LayerGrads,
         d_in: &mut Matrix,
     ) {
-        Self::backward_impl(&self.w_t, x, d_out, &mut grads.w, &mut grads.b, d_in);
+        Self::backward_impl(&self.w_t, x, d_out, &mut grads.w, &mut grads.b, Some(d_in));
+    }
+
+    /// [`Linear::backward`] without the input gradient: only `grad_w` and
+    /// `grad_b` accumulate. For a network's first layer, whose `d_x` (the
+    /// gradient with respect to the observations) nobody reads.
+    pub(crate) fn backward_params(&mut self, x: &Matrix, d_out: &Matrix) {
+        Self::backward_impl(
+            &self.w_t,
+            x,
+            d_out,
+            &mut self.grad_w,
+            &mut self.grad_b,
+            None,
+        );
+    }
+
+    /// [`Linear::backward_into`] without the input gradient (see
+    /// [`Linear::backward_params`]).
+    pub(crate) fn backward_params_into(&self, x: &Matrix, d_out: &Matrix, grads: &mut LayerGrads) {
+        Self::backward_impl(&self.w_t, x, d_out, &mut grads.w, &mut grads.b, None);
     }
 
     /// Shared backward body: `grad_w += xᵀ·d_out`, `grad_b += Σ_rows d_out`,
-    /// `d_in = d_out · Wᵀ` (via the packed transpose, so the product runs
-    /// through the blocked GEMM with unit-stride rows). Accumulation over
-    /// batch rows is ascending for every gradient element — the order the
-    /// shard-reduction in `update::MinibatchExecutor` relies on.
+    /// and, when `d_in` is given, `d_in = d_out · Wᵀ` (via the packed
+    /// transpose, so the product runs through the blocked GEMM with
+    /// unit-stride rows). Accumulation over batch rows is ascending for
+    /// every gradient element — the order the shard-reduction in
+    /// `update::MinibatchExecutor` relies on.
     fn backward_impl(
         w_t: &Matrix,
         x: &Matrix,
         d_out: &Matrix,
         grad_w: &mut Matrix,
         grad_b: &mut [f32],
-        d_in: &mut Matrix,
+        d_in: Option<&mut Matrix>,
     ) {
         debug_assert_eq!(d_out.cols(), w_t.rows());
         debug_assert_eq!(x.cols(), w_t.cols());
@@ -163,7 +184,9 @@ impl Linear {
                 *gb += g;
             }
         }
-        d_out.matmul_into(w_t, d_in);
+        if let Some(d_in) = d_in {
+            d_out.matmul_into(w_t, d_in);
+        }
     }
 }
 

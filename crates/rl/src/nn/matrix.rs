@@ -32,8 +32,42 @@
 //! For the backward-pass product `d_out · Wᵀ`, `nn::linear` keeps a packed
 //! transpose of `W` so the product runs through this blocked kernel instead
 //! of a strided dot-product loop (see [`super::linear::Linear`]).
+//!
+//! # The weight-gradient kernel
+//!
+//! The other backward product, `grad_W += xᵀ·dY`
+//! ([`Matrix::matmul_transpose_a_accum`]), has its own register-blocked
+//! body ([`weight_grad_with`]), picked by the same [`select_kernel`]: a
+//! 4×16 tile inside an AVX2 region, or the 4×8 baseline tile. A tile is an
+//! `MR × NR` block of `grad_W` (inputs × outputs). It is loaded from
+//! `grad_W` once, gets one rank-1 update per batch row in ascending row
+//! order, and is stored once, so the accumulators stay in registers for
+//! the whole batch instead of a whole output row being loaded and stored
+//! per (row, input) pair.
+//!
+//! **Zero-skip contract.** Element `(kk, j)` must end as
+//! `grad_W[kk][j] + Σ x[i][kk]·dY[i][j]`, summed over ascending `i` and
+//! *skipping every row whose `x[i][kk]` is an exact zero* (either sign).
+//! The skip is observable: `0·dY` is NaN when `dY` is infinite or NaN, and
+//! adding `+0.0` turns a `-0.0` accumulator into `+0.0`. Each tile first
+//! checks its `x` block: a block without exact zeros (hidden-layer inputs
+//! are tanh outputs, which have none) runs a branch-free loop; a block
+//! with one (the scheduler environment's empty queue slots are exact
+//! zeros) keeps the skip per row and input.
+//!
+//! **Narrow outputs.** The policy and value heads are 9, 5 or 1 outputs
+//! wide, less than one tile of `NR`, so with the outputs in the lanes most
+//! of each vector would be empty. Columns left over after the whole `NR`
+//! tiles therefore run transposed: `NR` inputs in the lanes and up to `MR`
+//! outputs broadcast, with the block loaded and stored transposed once per
+//! tile. Input blocks that do not fill a tile, and narrow-column blocks
+//! that hold a zero, run one element at a time. Every path sums each
+//! element in the same order with separate multiply and add, so all
+//! kernels give the same bits as the row-at-a-time reference (pinned by
+//! `tests/grad_kernel_parity.rs`).
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -205,24 +239,36 @@ impl Matrix {
     }
 
     /// `out += selfᵀ · b`. Shapes: `([m,k])ᵀ · [m,n] → [k,n]`. Accumulates
-    /// (used for gradient accumulation across minibatches).
+    /// (the weight gradient `xᵀ·dY` of a linear layer), through the
+    /// register-blocked kernel [`select_kernel`] picks; see the module docs
+    /// for its tiles and zero-skip contract.
     pub fn matmul_transpose_a_accum(&self, b: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, b.rows, "matmul_ta shape mismatch");
         assert_eq!(out.rows, self.cols, "matmul_ta out rows mismatch");
         assert_eq!(out.cols, b.cols, "matmul_ta out cols mismatch");
-        let (m, k, n) = (self.rows, self.cols, b.cols);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let b_row = &b.data[i * n..(i + 1) * n];
-            for (kk, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * bv;
-                }
-            }
+        weight_grad_with(
+            select_kernel(self.rows),
+            self.rows,
+            self.cols,
+            b.cols,
+            &self.data,
+            &b.data,
+            &mut out.data,
+        );
+    }
+
+    /// `Err` naming the mismatch unless `data` holds exactly `rows × cols`
+    /// values — the invariant every product here indexes by. Deserialised
+    /// matrices bypass [`Matrix::from_vec`]'s check, so loaders call this.
+    pub(crate) fn check_shape(&self, what: &str) -> Result<(), String> {
+        match self.rows.checked_mul(self.cols) {
+            Some(len) if len == self.data.len() => Ok(()),
+            _ => Err(format!(
+                "{what}: {} values for a {}x{} matrix",
+                self.data.len(),
+                self.rows,
+                self.cols
+            )),
         }
     }
 
@@ -498,6 +544,227 @@ fn gemm_bias_tiled<const MR: usize, const NR: usize>(
 
 /// Column tiles of `NR` that one k loop of the row tail feeds together.
 const ROW_TILES: usize = 4;
+
+/// The kernels [`weight_grad_with`] runs on this machine, baseline first:
+/// the 4×8 tile and, with AVX2, the 4×16 tile. The weight gradient has no
+/// 8×8 form.
+pub fn weight_grad_kernels() -> Vec<GemmKernel> {
+    available_kernels()
+        .into_iter()
+        .filter(|&k| k != GemmKernel::Tile8x8)
+        .collect()
+}
+
+/// The weight-gradient product `out += xᵀ·dy` (`x: [m,k]`, `dy: [m,n]`,
+/// `out: [k,n]`, all row-major) with an explicit micro-kernel — the body
+/// of [`Matrix::matmul_transpose_a_accum`], exposed for benches and parity
+/// tests. Every kernel gives the same bits (see the module docs). Panics
+/// if a slice length does not match its shape, or if `kernel` is not in
+/// [`weight_grad_kernels`] on this machine.
+pub fn weight_grad_with(
+    kernel: GemmKernel,
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f32],
+    dy: &[f32],
+    out: &mut [f32],
+) {
+    assert_eq!(x.len(), m * k, "weight_grad x shape mismatch");
+    assert_eq!(dy.len(), m * n, "weight_grad dy shape mismatch");
+    assert_eq!(out.len(), k * n, "weight_grad out shape mismatch");
+    match kernel {
+        GemmKernel::Tile4x8 => weight_grad_tiled::<4, 8>(m, k, n, x, dy, out),
+        GemmKernel::Tile8x8 => panic!("the weight gradient has no 8x8 tile"),
+        #[cfg(target_arch = "x86_64")]
+        GemmKernel::Tile4x16 => {
+            assert!(avx2_available(), "AVX2 kernel forced on non-AVX2 machine");
+            // SAFETY: the target_feature fn only requires AVX2, checked above.
+            unsafe { weight_grad_avx2_4x16(m, k, n, x, dy, out) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        GemmKernel::Tile4x16 => panic!("AVX2 kernels are only compiled on x86_64"),
+    }
+}
+
+/// The 4×16 weight-gradient tile instantiated inside an AVX2 region.
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn weight_grad_avx2_4x16(
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f32],
+    dy: &[f32],
+    out: &mut [f32],
+) {
+    weight_grad_tiled::<4, 16>(m, k, n, x, dy, out);
+}
+
+/// The generic weight-gradient body: `out[kk][j] += Σ_i x[i][kk]·dy[i][j]`,
+/// each element over ascending `i`, skipping rows where `x[i][kk]` is an
+/// exact zero (the contract the module docs state).
+///
+/// Columns covered by whole `NR` tiles run as `MR` inputs × `NR` outputs
+/// with the outputs in the lanes; the remaining (fewer than `NR`) columns
+/// run as `NR` inputs in the lanes × up to `MR` broadcast outputs. Inputs
+/// past the last whole block of either run element by element (the
+/// layer shapes PPO trains have none on the wide side).
+#[inline(always)]
+fn weight_grad_tiled<const MR: usize, const NR: usize>(
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f32],
+    dy: &[f32],
+    out: &mut [f32],
+) {
+    let g = GradOperands { m, k, n, x, dy };
+    let n_wide = n - n % NR;
+    if n_wide > 0 {
+        let k_blocks = k - k % MR;
+        for kk in (0..k_blocks).step_by(MR) {
+            let skip = g.inputs_have_zero(kk, MR);
+            for j in (0..n_wide).step_by(NR) {
+                if skip {
+                    g.wide_tile::<MR, NR, true>(kk, j, out);
+                } else {
+                    g.wide_tile::<MR, NR, false>(kk, j, out);
+                }
+            }
+        }
+        g.scalar_block(k_blocks..k, 0..n_wide, out);
+    }
+    if n_wide < n {
+        let k_lanes = k - k % NR;
+        for kk in (0..k_lanes).step_by(NR) {
+            if g.inputs_have_zero(kk, NR) {
+                g.scalar_block(kk..kk + NR, n_wide..n, out);
+                continue;
+            }
+            let mut j = n_wide;
+            while j + MR <= n {
+                g.narrow_tile::<MR, NR>(kk, j, out);
+                j += MR;
+            }
+            while j < n {
+                g.narrow_tile::<1, NR>(kk, j, out);
+                j += 1;
+            }
+        }
+        g.scalar_block(k_lanes..k, n_wide..n, out);
+    }
+}
+
+/// The operands of one weight-gradient product (`x: [m,k]`, `dy: [m,n]`).
+struct GradOperands<'a> {
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &'a [f32],
+    dy: &'a [f32],
+}
+
+impl GradOperands<'_> {
+    /// Whether any row has an exact zero among inputs `kk..kk + w`.
+    #[inline(always)]
+    fn inputs_have_zero(&self, kk: usize, w: usize) -> bool {
+        let mut zero = false;
+        for i in 0..self.m {
+            for &v in &self.x[i * self.k + kk..][..w] {
+                zero |= v == 0.0;
+            }
+        }
+        zero
+    }
+
+    /// One `R × L` block of `out` at inputs `kk..kk + R`, outputs
+    /// `j..j + L`: loaded once, one rank-1 update per batch row (inputs
+    /// broadcast, outputs in the lanes), stored once. With `SKIP`, an input
+    /// that is an exact zero in a row adds nothing for that row.
+    #[inline(always)]
+    fn wide_tile<const R: usize, const L: usize, const SKIP: bool>(
+        &self,
+        kk: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        let (k, n) = (self.k, self.n);
+        let mut acc = [[0.0f32; L]; R];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(&out[(kk + r) * n + j..][..L]);
+        }
+        for i in 0..self.m {
+            let xs = &self.x[i * k + kk..][..R];
+            let ds = &self.dy[i * n + j..][..L];
+            for (acc_row, &a) in acc.iter_mut().zip(xs) {
+                // A select, not a `continue`: with an early exit here the
+                // compiler keeps `acc` in memory and the loop goes scalar.
+                let keep = SKIP && a == 0.0;
+                for (v, &d) in acc_row.iter_mut().zip(ds) {
+                    let sum = *v + a * d;
+                    *v = if keep { *v } else { sum };
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            out[(kk + r) * n + j..][..L].copy_from_slice(acc_row);
+        }
+    }
+
+    /// One block of `out` at inputs `kk..kk + L`, outputs `j..j + R`, held
+    /// transposed: the inputs are in the lanes and each output is
+    /// broadcast, so a narrow output (fewer columns than a vector) still
+    /// fills whole vectors. Only for input blocks with no exact zero.
+    #[inline(always)]
+    fn narrow_tile<const R: usize, const L: usize>(&self, kk: usize, j: usize, out: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        let mut acc = [[0.0f32; L]; R];
+        for lane in 0..L {
+            let out_row = &out[(kk + lane) * n + j..][..R];
+            for (acc_row, &v) in acc.iter_mut().zip(out_row) {
+                acc_row[lane] = v;
+            }
+        }
+        for i in 0..self.m {
+            let xs = &self.x[i * k + kk..][..L];
+            let ds = &self.dy[i * n + j..][..R];
+            for (acc_row, &d) in acc.iter_mut().zip(ds) {
+                for (v, &a) in acc_row.iter_mut().zip(xs) {
+                    *v += a * d;
+                }
+            }
+        }
+        for lane in 0..L {
+            let out_row = &mut out[(kk + lane) * n + j..][..R];
+            for (v, acc_row) in out_row.iter_mut().zip(&acc) {
+                *v = acc_row[lane];
+            }
+        }
+    }
+
+    /// Inputs `ks` × outputs `js`, one element at a time with the
+    /// zero-skip: the fallback for input blocks that do not fill a tile,
+    /// and for narrow-column blocks that hold a zero.
+    fn scalar_block(&self, ks: Range<usize>, js: Range<usize>, out: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        for kk in ks {
+            for j in js.clone() {
+                let mut v = out[kk * n + j];
+                for i in 0..self.m {
+                    let a = self.x[i * k + kk];
+                    if a != 0.0 {
+                        v += a * self.dy[i * n + j];
+                    }
+                }
+                out[kk * n + j] = v;
+            }
+        }
+    }
+}
 
 /// One output row's columns `j..j + T·W`: a single ascending-`k` pass
 /// updates all `T` tiles of `W` accumulators, each starting from its bias,

@@ -166,6 +166,34 @@ impl Mlp {
         &self.layers
     }
 
+    /// `Err` naming the first shape mismatch of a deserialised network
+    /// called `name`: no layers, a weight matrix whose data does not fill
+    /// its shape, a bias whose length is not its layer's output width, or
+    /// a layer whose input width is not the previous layer's output width.
+    pub(crate) fn check_shapes(&self, name: &str) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err(format!("{name}: no layers"));
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.w.check_shape(&format!("{name} layer {i} weights"))?;
+            if layer.b.len() != layer.out_dim() {
+                return Err(format!(
+                    "{name} layer {i}: {} biases for output width {}",
+                    layer.b.len(),
+                    layer.out_dim()
+                ));
+            }
+            if i > 0 && layer.in_dim() != self.layers[i - 1].out_dim() {
+                return Err(format!(
+                    "{name} layer {i}: input width {} after output width {}",
+                    layer.in_dim(),
+                    self.layers[i - 1].out_dim()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Zeroes all parameter gradients.
     pub fn zero_grad(&mut self) {
         for l in &mut self.layers {
@@ -207,7 +235,10 @@ impl Mlp {
 
     /// Backward pass: `d_out` is the loss gradient w.r.t. the network
     /// output; parameter gradients accumulate into the layers. Returns
-    /// nothing — input gradients are not needed for policy training.
+    /// nothing — input gradients are not needed for policy training, so
+    /// layer 0's input gradient `d · W₀ᵀ` is not computed at all: layer 0
+    /// only accumulates its parameter gradients, which are the same bits
+    /// as chaining [`Linear::backward`] over every layer.
     pub fn backward(&mut self, cache: &mut MlpCache, d_out: &Matrix) {
         assert_eq!(
             cache.activations.len(),
@@ -228,8 +259,12 @@ impl Mlp {
                 }
             }
             let input = &cache.activations[i];
-            self.layers[i].backward(input, &cache.d_a, &mut cache.d_b);
-            std::mem::swap(&mut cache.d_a, &mut cache.d_b);
+            if i == 0 {
+                self.layers[0].backward_params(input, &cache.d_a);
+            } else {
+                self.layers[i].backward(input, &cache.d_a, &mut cache.d_b);
+                std::mem::swap(&mut cache.d_a, &mut cache.d_b);
+            }
         }
     }
 
@@ -239,7 +274,8 @@ impl Mlp {
     /// minibatch update can run this concurrently against shard-local
     /// caches and slabs. `grads` must be shaped by
     /// [`LayerGrads::zero_for`]; the packed transposes must be fresh (see
-    /// [`Mlp::zero_grad`]).
+    /// [`Mlp::zero_grad`]). As in [`Mlp::backward`], layer 0's input
+    /// gradient is not computed.
     pub fn backward_into(&self, cache: &mut MlpCache, d_out: &Matrix, grads: &mut [LayerGrads]) {
         assert_eq!(
             cache.activations.len(),
@@ -259,8 +295,12 @@ impl Mlp {
                 }
             }
             let input = &cache.activations[i];
-            self.layers[i].backward_into(input, &cache.d_a, &mut grads[i], &mut cache.d_b);
-            std::mem::swap(&mut cache.d_a, &mut cache.d_b);
+            if i == 0 {
+                self.layers[0].backward_params_into(input, &cache.d_a, &mut grads[0]);
+            } else {
+                self.layers[i].backward_into(input, &cache.d_a, &mut grads[i], &mut cache.d_b);
+                std::mem::swap(&mut cache.d_a, &mut cache.d_b);
+            }
         }
     }
 }
@@ -313,6 +353,83 @@ mod tests {
         let y = m.forward(&x, &mut cache);
         assert!((y.get(0, 0) - 0.7).abs() < 1e-6);
         assert!((y.get(0, 1) + 0.3).abs() < 1e-6);
+    }
+
+    /// Skipping layer 0's input gradient changes no parameter gradient:
+    /// `backward_into` and `backward` give the bits of chaining
+    /// `Linear::backward_into` over every layer, input gradient included.
+    #[test]
+    fn backward_param_grads_match_full_layer_chain() {
+        let mut rng = Xoshiro256StarStar::new(8);
+        let mut m = Mlp::sb3_default(60, 9, 0.01, &mut rng);
+        m.zero_grad();
+        let rows = 16;
+        let x = Matrix::from_vec(
+            rows,
+            60,
+            (0..rows * 60)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        rng.range_f64(-1.0, 1.0) as f32
+                    }
+                })
+                .collect(),
+        );
+        let d_out = Matrix::from_vec(
+            rows,
+            9,
+            (0..rows * 9)
+                .map(|_| rng.range_f64(-1.0, 1.0) as f32)
+                .collect(),
+        );
+        let mut cache = MlpCache::new();
+        m.forward(&x, &mut cache);
+
+        let mut chained: Vec<LayerGrads> = Vec::new();
+        let mut d_a = d_out.clone();
+        let mut d_b = Matrix::zeros(0, 0);
+        for i in (0..m.layers.len()).rev() {
+            if i + 1 < m.layers.len() {
+                for (g, &y) in d_a
+                    .data_mut()
+                    .iter_mut()
+                    .zip(cache.activations[i + 1].data())
+                {
+                    *g *= m.activation.derivative_from_output(y);
+                }
+            }
+            let mut grads = LayerGrads::default();
+            grads.zero_for(&m.layers[i]);
+            m.layers[i].backward_into(&cache.activations[i], &d_a, &mut grads, &mut d_b);
+            std::mem::swap(&mut d_a, &mut d_b);
+            chained.insert(0, grads);
+        }
+
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let mut grads: Vec<LayerGrads> = m
+            .layers
+            .iter()
+            .map(|l| {
+                let mut g = LayerGrads::default();
+                g.zero_for(l);
+                g
+            })
+            .collect();
+        m.backward_into(&mut cache, &d_out, &mut grads);
+        m.backward(&mut cache, &d_out);
+        for (li, (got, want)) in grads.iter().zip(&chained).enumerate() {
+            assert_eq!(bits(got.w.data()), bits(want.w.data()), "layer {li} w");
+            assert_eq!(bits(&got.b), bits(&want.b), "layer {li} b");
+            let own = &m.layers[li];
+            assert_eq!(
+                bits(own.grad_w.data()),
+                bits(want.w.data()),
+                "layer {li} own w"
+            );
+            assert_eq!(bits(&own.grad_b), bits(&want.b), "layer {li} own b");
+        }
     }
 
     /// Finite-difference gradient check on a scalar loss L = sum(output).

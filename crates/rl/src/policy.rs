@@ -213,11 +213,42 @@ impl ActorCritic {
         serde_json::to_string(self).expect("ActorCritic serialisation cannot fail")
     }
 
-    /// Deserialises from JSON.
+    /// Deserialises from JSON. A model whose shapes do not fit together
+    /// (see [`ActorCritic::check_shapes`]) is an `Err`, not a later panic.
     pub fn from_json(s: &str) -> Result<Self, String> {
         let mut ac: ActorCritic = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        ac.check_shapes()?;
         ac.zero_grad(); // rebuild skipped gradient buffers
         Ok(ac)
+    }
+
+    /// `Err` naming the first shape mismatch: inside `pi` or `vf` (a
+    /// weight matrix whose data does not fill it, a bias of the wrong
+    /// length, layers that do not chain), `pi` and `vf` reading different
+    /// input widths, `vf` without exactly one output, or `log_std` without
+    /// one entry per action. Loaders of deserialised models call this
+    /// before anything indexes by those shapes.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        self.pi.check_shapes("pi")?;
+        self.vf.check_shapes("vf")?;
+        if self.vf.in_dim() != self.pi.in_dim() {
+            return Err(format!(
+                "vf input width {} differs from pi input width {}",
+                self.vf.in_dim(),
+                self.pi.in_dim()
+            ));
+        }
+        if self.vf.out_dim() != 1 {
+            return Err(format!("vf has {} outputs, expected 1", self.vf.out_dim()));
+        }
+        if self.log_std.len() != self.pi.out_dim() {
+            return Err(format!(
+                "log_std has {} entries for pi output width {}",
+                self.log_std.len(),
+                self.pi.out_dim()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -326,6 +357,80 @@ mod tests {
         assert_eq!(
             ac.act_deterministic(&obs, &mut s1),
             ac2.act_deterministic(&obs, &mut s2)
+        );
+    }
+
+    /// A JSON checkpoint of a small model after `edit`, loaded back.
+    fn reload_edited(edit: impl FnOnce(&mut ActorCritic)) -> Result<ActorCritic, String> {
+        let mut rng = Xoshiro256StarStar::new(9);
+        let mut ac = ActorCritic::new(4, 2, &mut rng);
+        edit(&mut ac);
+        ActorCritic::from_json(&ac.to_json())
+    }
+
+    fn assert_rejected(edit: impl FnOnce(&mut ActorCritic), expected: &str) {
+        let err = reload_edited(edit).expect_err("malformed checkpoint must not load");
+        assert!(err.contains(expected), "error '{err}' lacks '{expected}'");
+    }
+
+    #[test]
+    fn from_json_rejects_weight_data_one_short() {
+        let short: Vec<String> = (0..255).map(|i| format!("{}", i as f32 * 1e-3)).collect();
+        let json = format!(r#"{{"rows":4,"cols":64,"data":[{}]}}"#, short.join(","));
+        assert_rejected(
+            |ac| ac.pi.layers_mut()[0].w = serde_json::from_str(&json).unwrap(),
+            "pi layer 0 weights: 255 values for a 4x64 matrix",
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_bias_length_mismatch() {
+        assert_rejected(
+            |ac| {
+                ac.pi.layers_mut()[1].b.pop();
+            },
+            "pi layer 1: 63 biases for output width 64",
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_layers_that_do_not_chain() {
+        let mut rng = Xoshiro256StarStar::new(10);
+        let narrow = crate::nn::Linear::new(32, 64, 1.0, &mut rng);
+        assert_rejected(
+            |ac| ac.vf.layers_mut()[1] = narrow,
+            "vf layer 1: input width 32 after output width 64",
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_empty_network() {
+        let empty = serde_json::from_str(r#"{"layers":[],"activation":"Tanh"}"#).unwrap();
+        assert_rejected(|ac| ac.vf = empty, "vf: no layers");
+    }
+
+    #[test]
+    fn from_json_rejects_pi_vf_input_mismatch() {
+        let mut rng = Xoshiro256StarStar::new(11);
+        let vf = Mlp::sb3_default(5, 1, 1.0, &mut rng);
+        assert_rejected(
+            |ac| ac.vf = vf,
+            "vf input width 5 differs from pi input width 4",
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_multi_output_value_head() {
+        let mut rng = Xoshiro256StarStar::new(12);
+        let vf = Mlp::sb3_default(4, 2, 1.0, &mut rng);
+        assert_rejected(|ac| ac.vf = vf, "vf has 2 outputs, expected 1");
+    }
+
+    #[test]
+    fn from_json_rejects_log_std_length_mismatch() {
+        assert_rejected(
+            |ac| ac.log_std.push(0.0),
+            "log_std has 3 entries for pi output width 2",
         );
     }
 
