@@ -6,32 +6,24 @@
 //!
 //! ## Model
 //!
-//! * A [`Simulation`] owns a monotone event heap, a set of *processes*
-//!   (cooperative coroutines implementing [`Coroutine`]), and a set of
-//!   [`Container`]s (counted resources with FIFO blocking semantics).
-//! * Processes advance by returning [`Step::Wait`] with an [`Effect`] —
-//!   a timeout, a (multi-)container get/put, or a suspension. The kernel
-//!   resumes them when the effect completes.
-//! * Multi-container requests ([`Effect::GetAll`]) are **atomic and
-//!   all-or-nothing**: a job reserving qubits on several quantum devices
-//!   either acquires every partition or keeps waiting, which makes
-//!   cross-device reservation deadlock-free by construction.
-//! * Requests carry an optional **priority** ([`Effect::GetPri`],
-//!   [`Effect::GetAllPri`]): lower values are served first and may overtake
-//!   queued lower-priority requests (non-preemptive priority service);
-//!   equal priorities stay strictly FIFO. The service key `(priority,
-//!   submission order)` is global across containers, so multi-container
-//!   priority requests inherit the FIFO deadlock-freedom argument.
-//! * Processes can be **interrupted** ([`Simulation::interrupt`]): a
-//!   pending timeout, container request or suspension is cancelled and the
-//!   process resumes immediately with a flag it reads via
-//!   [`process::Ctx::take_interrupted`] — the building block for reneging
-//!   (give up after waiting too long), watchdogs, and preemptive failure
-//!   injection.
-//! * Everything is deterministic: events are ordered by `(time, seq)`,
-//!   requests by `(priority, ticket)`, and all randomness flows from
-//!   explicit seeds through the bundled [`rng::Xoshiro256StarStar`]
-//!   generator.
+//! * A [`Simulation`] owns a monotone event heap and a set of *processes*
+//!   (cooperative coroutines implementing [`Coroutine`]). Nothing else:
+//!   the world the processes act on — queues, capacity ledgers, records —
+//!   lives outside the kernel, in state the coroutines share.
+//! * Processes advance by returning [`Step::Wait`] with an [`Effect`]:
+//!   [`Effect::Timeout`] (resume after a delay) or [`Effect::Suspend`]
+//!   (park until another component calls [`Simulation::wake`]).
+//! * Processes can spawn others (now or after a delay), wake parked ones,
+//!   and [`Simulation::kill`] any of them mid-wait — the primitive behind
+//!   crash injection, where the killer cleans up the victim's shared
+//!   state itself.
+//! * Everything is deterministic: events are ordered by `(time, seq)`, so
+//!   simultaneous events fire in the order they were scheduled, and all
+//!   randomness flows from explicit seeds through the bundled
+//!   [`rng::Xoshiro256StarStar`] generator.
+//! * [`Simulation::run_epoch`] pauses a run at a barrier instant with the
+//!   clock pinned to it, so several kernels can advance in lock-step on
+//!   separate threads.
 //!
 //! ## Slab allocation and handles
 //!
@@ -41,23 +33,22 @@
 //! slot, so long runs (100k+ jobs) recycle a bounded set of allocations
 //! instead of growing without bound.
 //!
-//! Handles ([`ProcessId`], [`kernel::EventId`]) are `(index, generation)`
-//! pairs. Freeing a slot bumps its generation, so a handle from a previous
-//! occupant can never resolve to the new one:
+//! Handles ([`ProcessId`], and the kernel's internal event handles) are
+//! `(index, generation)` pairs. Freeing a slot bumps its generation, so a
+//! handle from a previous occupant can never resolve to the new one:
 //!
-//! * [`Simulation::wake`] / [`Simulation::interrupt`] /
-//!   [`Simulation::kill`] through a stale handle return `false` and do
-//!   nothing — holding a pid of a finished process is always safe, even
-//!   after its slot was reused;
+//! * [`Simulation::wake`] / [`Simulation::kill`] through a stale handle
+//!   return `false` and do nothing — holding a pid of a finished process
+//!   is always safe, even after its slot was reused;
 //! * [`Simulation::is_done`] answers `true` for a stale handle (that
 //!   incarnation is gone);
 //! * [`ProcessId::as_raw`] packs `(index, generation)` into a `u64` for
 //!   storage in atomics/registries, and [`ProcessId::from_raw`] restores
 //!   the full handle — staleness checks survive the round-trip.
 //!
-//! Cancelling a pending wait (interrupt, kill) frees the event slot and
-//! leaves the heap entry behind; the kernel recognises it as stale by its
-//! generation when popped and discards it without advancing the clock.
+//! Killing a sleeping process frees its event slot and leaves the heap
+//! entry behind; the kernel recognises it as stale by its generation when
+//! popped and discards it without advancing the clock.
 //!
 //! ## Quick example
 //!
@@ -81,24 +72,16 @@
 
 #![warn(missing_docs)]
 
-pub mod container;
 pub mod dist;
 pub mod kernel;
 pub mod parallel;
 pub mod process;
-pub mod resource;
 pub mod rng;
 pub mod stats;
-pub mod store;
 pub mod time;
-pub mod trace;
 
-pub use container::{Container, ContainerId};
-pub use kernel::{EventId, SimConfig, Simulation};
+pub use kernel::Simulation;
 pub use process::{Coroutine, Ctx, Effect, ProcessId, Step};
-pub use resource::Resource;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{Histogram, TimeWeighted, Welford};
-pub use store::Store;
 pub use time::SimTime;
-pub use trace::{TraceKind, TraceRecord};

@@ -7,10 +7,8 @@
 //! explicit state machine (Rust has no stable generators, and explicit
 //! states are easier to unit-test).
 
-use crate::container::ContainerId;
 use crate::kernel::Simulation;
 use crate::rng::Xoshiro256StarStar;
-use crate::trace::{TraceKind, TraceRecord};
 
 /// Generation-checked handle to a spawned process within one [`Simulation`].
 ///
@@ -68,52 +66,8 @@ impl ProcessId {
 pub enum Effect {
     /// Resume after the given number of simulated seconds (must be ≥ 0).
     Timeout(f64),
-    /// Take `amount` units from a container, blocking FIFO until available.
-    Get {
-        /// Source container.
-        container: ContainerId,
-        /// Units to take.
-        amount: u64,
-    },
-    /// Add `amount` units to a container, blocking FIFO while it would
-    /// overflow the capacity.
-    Put {
-        /// Destination container.
-        container: ContainerId,
-        /// Units to add.
-        amount: u64,
-    },
-    /// Atomically take units from several containers. The request is granted
-    /// only when **all** containers can supply their amount and the request
-    /// is at the head of every involved FIFO queue — all-or-nothing, so
-    /// partial-hold deadlocks cannot occur.
-    GetAll(Vec<(ContainerId, u64)>),
-    /// Atomically add units to several containers (all-or-nothing, FIFO).
-    PutAll(Vec<(ContainerId, u64)>),
-    /// Like [`Effect::Get`] with an explicit queue priority: lower values
-    /// are served first; equal priorities stay FIFO. A waiting
-    /// high-priority request overtakes queued lower-priority ones
-    /// (non-preemptive priority service, as in SimPy's `PriorityResource`).
-    GetPri {
-        /// Source container.
-        container: ContainerId,
-        /// Units to take.
-        amount: u64,
-        /// Queue priority (lower = more urgent; plain `Get` is priority 0).
-        priority: i32,
-    },
-    /// Like [`Effect::GetAll`] with an explicit queue priority.
-    GetAllPri {
-        /// `(container, amount)` parts, granted all-or-nothing.
-        parts: Vec<(ContainerId, u64)>,
-        /// Queue priority (lower = more urgent).
-        priority: i32,
-    },
     /// Park until another component calls [`Simulation::wake`].
     Suspend,
-    /// Immediately reschedule at the current time, after already-queued
-    /// events (a cooperative yield).
-    Yield,
 }
 
 /// Result of one resumption of a [`Coroutine`].
@@ -133,18 +87,14 @@ pub trait Coroutine: Send {
     /// Advances the process. Called once at spawn time and then once per
     /// completed effect.
     fn resume(&mut self, cx: &mut Ctx<'_>) -> Step;
-
-    /// Optional human-readable label used in traces.
-    fn label(&self) -> &str {
-        "process"
-    }
 }
 
 /// The kernel-side view handed to a process while it runs.
 ///
-/// `Ctx` exposes read-only queries (time, container levels), the simulation's
-/// RNG, tracing, and the ability to spawn further processes. All *blocking*
-/// interactions go through the yielded [`Effect`] instead.
+/// `Ctx` exposes the clock, the simulation's RNG, and the process-control
+/// calls (spawn, wake, kill). Waiting goes through the yielded [`Effect`]
+/// instead; world state (queues, capacity ledgers) lives outside the
+/// kernel, in whatever the coroutines share.
 pub struct Ctx<'a> {
     pub(crate) sim: &'a mut Simulation,
     pub(crate) pid: ProcessId,
@@ -161,36 +111,6 @@ impl Ctx<'_> {
     #[inline]
     pub fn pid(&self) -> ProcessId {
         self.pid
-    }
-
-    /// Current level of a container.
-    #[inline]
-    pub fn level(&self, c: ContainerId) -> u64 {
-        self.sim.container(c).level()
-    }
-
-    /// Capacity of a container.
-    #[inline]
-    pub fn capacity(&self, c: ContainerId) -> u64 {
-        self.sim.container(c).capacity()
-    }
-
-    /// Instantaneous busy fraction of a container: `1 - level/capacity`.
-    #[inline]
-    pub fn busy_fraction(&self, c: ContainerId) -> f64 {
-        let cont = self.sim.container(c);
-        if cont.capacity() == 0 {
-            0.0
-        } else {
-            1.0 - cont.level() as f64 / cont.capacity() as f64
-        }
-    }
-
-    /// Time-weighted mean utilisation of a container since t = 0.
-    #[inline]
-    pub fn mean_utilization(&self, c: ContainerId) -> f64 {
-        let now = self.sim.now();
-        self.sim.container(c).mean_utilization(now)
     }
 
     /// Mutable access to the simulation's root RNG stream.
@@ -224,76 +144,12 @@ impl Ctx<'_> {
         }
     }
 
-    /// Interrupts another process: cancels its current wait (timeout,
-    /// container request, or suspension) and reschedules it at the current
-    /// time with its interrupted flag set. See [`Simulation::interrupt`].
-    pub fn interrupt(&mut self, pid: ProcessId) -> bool {
-        self.sim.interrupt(pid)
-    }
-
-    /// Terminates another process immediately (drops its body, cancels any
-    /// queued request; held units are the killer's to return). Returns
-    /// `false` if it had already finished. See [`Simulation::kill`].
+    /// Terminates another process immediately (drops its body and cancels
+    /// its pending resume; whatever it held in shared state is the killer's
+    /// to clean up). Returns `false` if it had already finished. See
+    /// [`Simulation::kill`].
     pub fn kill(&mut self, pid: ProcessId) -> bool {
         self.sim.kill(pid)
-    }
-
-    /// Whether this process's last wait was cut short by
-    /// [`Simulation::interrupt`]. Reading does not clear the flag; use
-    /// [`Ctx::take_interrupted`] for consume-on-read semantics.
-    #[inline]
-    pub fn interrupted(&self) -> bool {
-        self.sim.interrupted(self.pid)
-    }
-
-    /// Reads **and clears** this process's interrupted flag. Call at the
-    /// top of `resume` after any wait that an interrupter might target:
-    /// `true` means the wait did not complete normally (a cancelled
-    /// timeout slept short; a cancelled request acquired nothing).
-    #[inline]
-    pub fn take_interrupted(&mut self) -> bool {
-        self.sim.take_interrupted(self.pid)
-    }
-
-    /// Atomically withdraws `parts` from several containers **without
-    /// blocking**: if every container can supply its amount right now, the
-    /// withdrawal happens and `true` is returned; otherwise nothing changes.
-    ///
-    /// This is the primitive for *scheduler-style* components that keep
-    /// their own queue discipline instead of the containers' FIFO queues.
-    pub fn try_withdraw_many(&mut self, parts: &[(ContainerId, u64)]) -> bool {
-        let ok = parts
-            .iter()
-            .all(|&(c, amt)| self.sim.container(c).can_get(amt));
-        if ok {
-            for &(c, amt) in parts {
-                if amt > 0 {
-                    self.sim.withdraw(c, amt);
-                }
-            }
-        }
-        ok
-    }
-
-    /// Deposits `parts` into several containers immediately (never blocks;
-    /// panics on overflow, which indicates a release/acquire imbalance).
-    pub fn deposit_many(&mut self, parts: &[(ContainerId, u64)]) {
-        for &(c, amt) in parts {
-            if amt > 0 {
-                self.sim.deposit(c, amt);
-            }
-        }
-    }
-
-    /// Emits a trace record (no-op unless tracing is enabled).
-    pub fn trace(&mut self, kind: TraceKind) {
-        let now = self.sim.now();
-        let pid = self.pid;
-        self.sim.push_trace(TraceRecord {
-            time: now,
-            pid: Some(pid),
-            kind,
-        });
     }
 }
 
@@ -314,6 +170,6 @@ mod tests {
     #[test]
     fn effect_equality() {
         assert_eq!(Effect::Timeout(1.0), Effect::Timeout(1.0));
-        assert_ne!(Effect::Timeout(1.0), Effect::Yield);
+        assert_ne!(Effect::Timeout(1.0), Effect::Suspend);
     }
 }

@@ -4,7 +4,8 @@
 use serde::{Deserialize, Serialize};
 
 /// Time-weighted statistic over a piecewise-constant signal, e.g. a
-/// container level. Records `(t, value)` change points and integrates.
+/// device's free-qubit level. Records `(t, value)` change points and
+/// integrates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimeWeighted {
     start: f64,

@@ -1,174 +1,339 @@
-//! Property-based tests for the DES kernel: unit conservation, FIFO grant
-//! order, determinism, and statistics invariants under randomized workloads.
+//! Property-based tests for the DES kernel — determinism, clock
+//! monotonicity, wake latency, kill semantics and termination under
+//! randomized timeout/suspend/wake/kill workloads — plus statistics
+//! invariants.
 
 use proptest::prelude::*;
-use qcs_desim::{Coroutine, Ctx, Effect, Simulation, Step};
+use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
 use std::sync::{Arc, Mutex};
 
-/// A generic job: atomically grabs `parts` across containers, holds for
-/// `hold`, releases, and logs its grant order.
-struct Job {
-    parts: Vec<(usize, u64)>, // (container index, amount)
-    hold: f64,
-    phase: u8,
-    id: usize,
-    containers: Arc<Vec<qcs_desim::ContainerId>>,
-    log: Arc<Mutex<Vec<(usize, f64)>>>,
+/// One entry of a run's event log, in execution order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    /// Process `who` resumed at `t` (workers `0..`, parkers offset by
+    /// [`PARKER_BASE`]).
+    Resume { who: usize, t: f64 },
+    /// A worker woke parker `parker` at `t`.
+    Wake { parker: usize, t: f64 },
+    /// A worker killed worker `victim` at `t` (the kill took effect).
+    Kill { victim: usize, t: f64 },
 }
 
-impl Coroutine for Job {
+const PARKER_BASE: usize = 1 << 20;
+
+/// State every process of one run shares: the log, the handles, and the
+/// count of workers still alive (the last one out releases the parkers).
+struct World {
+    log: Vec<Entry>,
+    workers: Vec<ProcessId>,
+    parkers: Vec<ProcessId>,
+    live_workers: usize,
+    closing: bool,
+}
+
+type Shared = Arc<Mutex<World>>;
+
+/// Marks one worker gone; the last one out closes the run and wakes every
+/// parker (in index order) so each can finish.
+fn worker_gone(cx: &mut Ctx<'_>, w: &mut World) {
+    w.live_workers -= 1;
+    if w.live_workers == 0 {
+        w.closing = true;
+        let parkers = w.parkers.clone();
+        cx.wake_many(&parkers);
+    }
+}
+
+/// Sleeps through `holds`; after each sleep wakes its parker, and at the
+/// resume named by `kill` kills another worker.
+struct Worker {
+    id: usize,
+    holds: Vec<f64>,
+    next: usize,
+    parker: usize,
+    kill: Option<(usize, usize)>,
+    world: Shared,
+}
+
+impl Coroutine for Worker {
     fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
-        match self.phase {
-            0 => {
-                self.phase = 1;
-                let parts = self
-                    .parts
-                    .iter()
-                    .map(|&(c, a)| (self.containers[c], a))
-                    .collect();
-                Step::Wait(Effect::GetAll(parts))
+        let now = cx.now();
+        let mut w = self.world.lock().unwrap();
+        w.log.push(Entry::Resume {
+            who: self.id,
+            t: now,
+        });
+        if self.next > 0 {
+            w.log.push(Entry::Wake {
+                parker: self.parker,
+                t: now,
+            });
+            cx.wake(w.parkers[self.parker]);
+        }
+        if let Some((step, victim)) = self.kill {
+            if step == self.next && cx.kill(w.workers[victim]) {
+                w.log.push(Entry::Kill { victim, t: now });
+                worker_gone(cx, &mut w);
             }
-            1 => {
-                self.log.lock().unwrap().push((self.id, cx.now()));
-                self.phase = 2;
-                Step::Wait(Effect::Timeout(self.hold))
-            }
-            2 => {
-                self.phase = 3;
-                let parts = self
-                    .parts
-                    .iter()
-                    .map(|&(c, a)| (self.containers[c], a))
-                    .collect();
-                Step::Wait(Effect::PutAll(parts))
-            }
-            _ => Step::Done,
+        }
+        if self.next == self.holds.len() {
+            worker_gone(cx, &mut w);
+            return Step::Done;
+        }
+        self.next += 1;
+        Step::Wait(Effect::Timeout(self.holds[self.next - 1]))
+    }
+}
+
+/// Parks until woken; finishes on the first resume after the run closes.
+struct Parker {
+    id: usize,
+    world: Shared,
+}
+
+impl Coroutine for Parker {
+    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+        let mut w = self.world.lock().unwrap();
+        w.log.push(Entry::Resume {
+            who: PARKER_BASE + self.id,
+            t: cx.now(),
+        });
+        if w.closing {
+            Step::Done
+        } else {
+            Step::Wait(Effect::Suspend)
         }
     }
 }
 
 #[derive(Debug, Clone)]
-struct JobSpec {
-    parts: Vec<(usize, u64)>,
-    hold: f64,
+struct WorkerSpec {
     delay: f64,
+    holds: Vec<f64>,
+    parker: usize,
+    /// `(step, victim)`: at its `step`-th resume, kill worker `victim`.
+    kill: Option<(usize, usize)>,
 }
 
-fn job_spec(n_containers: usize, cap: u64) -> impl Strategy<Value = JobSpec> {
-    let part = (0..n_containers, 1..=cap);
-    (
-        proptest::collection::vec(part, 1..=n_containers.min(3)),
-        0.0f64..10.0,
-        0.0f64..5.0,
+#[derive(Debug, Clone)]
+struct Workload {
+    parkers: usize,
+    workers: Vec<WorkerSpec>,
+}
+
+fn workload() -> impl Strategy<Value = Workload> {
+    let worker = (
+        // Coarse grids make same-instant ties common.
+        (0u32..8).prop_map(|d| d as f64 * 0.5),
+        proptest::collection::vec((0u32..20).prop_map(|h| h as f64 * 0.5), 0..5),
+        0usize..3,
+        (0u8..2, 0usize..5, 0usize..12),
     )
-        .prop_map(move |(mut parts, hold, delay)| {
-            // The kernel merges duplicate containers; keep merged demand
-            // feasible (≤ cap) — an over-capacity request is rejected
-            // eagerly by the kernel as never satisfiable.
-            parts.sort_by_key(|&(c, _)| c);
-            let mut merged: Vec<(usize, u64)> = Vec::new();
-            for (c, a) in parts {
-                match merged.last_mut() {
-                    Some((lc, la)) if *lc == c => *la = (*la + a).min(cap),
-                    _ => merged.push((c, a)),
-                }
-            }
-            JobSpec {
-                parts: merged,
-                hold,
-                delay,
-            }
-        })
+        .prop_map(|(delay, holds, parker, (kills, step, victim))| WorkerSpec {
+            delay,
+            kill: (kills == 1).then_some((step.min(holds.len()), victim)),
+            holds,
+            parker,
+        });
+    (1usize..4, proptest::collection::vec(worker, 1..12)).prop_map(|(parkers, mut workers)| {
+        let n = workers.len();
+        for (i, w) in workers.iter_mut().enumerate() {
+            w.parker %= parkers;
+            // Victims index the drawn workers; no self-kills (a worker's
+            // own end is its `Done`).
+            w.kill = w
+                .kill
+                .map(|(step, victim)| (step, victim % n))
+                .filter(|&(_, victim)| victim != i);
+        }
+        Workload { parkers, workers }
+    })
 }
 
-fn run_workload(specs: &[JobSpec], n_containers: usize, cap: u64) -> (Vec<(usize, f64)>, f64, u64) {
+struct Outcome {
+    log: Vec<Entry>,
+    now: f64,
+    events: u64,
+    live: usize,
+}
+
+fn run_workload(wl: &Workload) -> Outcome {
     let mut sim = Simulation::new(7);
-    let ids: Vec<_> = (0..n_containers)
-        .map(|i| sim.add_container(format!("c{i}"), cap, cap))
+    let world: Shared = Arc::new(Mutex::new(World {
+        log: Vec::new(),
+        workers: Vec::new(),
+        parkers: Vec::new(),
+        live_workers: wl.workers.len(),
+        closing: false,
+    }));
+    let parkers: Vec<ProcessId> = (0..wl.parkers)
+        .map(|id| {
+            sim.spawn(Box::new(Parker {
+                id,
+                world: world.clone(),
+            }))
+        })
         .collect();
-    let ids = Arc::new(ids);
-    let log = Arc::new(Mutex::new(Vec::new()));
-    for (i, spec) in specs.iter().enumerate() {
-        sim.spawn_after(
-            spec.delay,
-            Box::new(Job {
-                parts: spec.parts.clone(),
-                hold: spec.hold,
-                phase: 0,
-                id: i,
-                containers: ids.clone(),
-                log: log.clone(),
-            }),
-        );
+    let workers: Vec<ProcessId> = wl
+        .workers
+        .iter()
+        .enumerate()
+        .map(|(id, s)| {
+            sim.spawn_after(
+                s.delay,
+                Box::new(Worker {
+                    id,
+                    holds: s.holds.clone(),
+                    next: 0,
+                    parker: s.parker,
+                    kill: s.kill,
+                    world: world.clone(),
+                }),
+            )
+        })
+        .collect();
+    {
+        let mut w = world.lock().unwrap();
+        w.parkers = parkers;
+        w.workers = workers;
     }
     sim.run();
-    sim.assert_quiescent();
-    // Conservation: every container must be back to full capacity.
-    for &c in ids.iter() {
-        assert_eq!(sim.container(c).level(), cap, "container leaked units");
+    let log = std::mem::take(&mut world.lock().unwrap().log);
+    Outcome {
+        log,
+        now: sim.now(),
+        events: sim.events_processed(),
+        live: sim.live_processes(),
     }
-    let l = log.lock().unwrap().clone();
-    (l, sim.now(), sim.events_processed())
+}
+
+fn time_of(e: &Entry) -> f64 {
+    match *e {
+        Entry::Resume { t, .. } | Entry::Wake { t, .. } | Entry::Kill { t, .. } => t,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every job (all are feasible by construction) eventually runs, and all
-    /// units are returned (conservation is asserted inside `run_workload`).
+    /// Identical workloads produce bit-identical logs, clocks and event
+    /// counts.
     #[test]
-    fn all_feasible_jobs_complete(specs in proptest::collection::vec(job_spec(4, 100), 1..40)) {
-        let (log, _, _) = run_workload(&specs, 4, 100);
-        prop_assert_eq!(log.len(), specs.len());
+    fn deterministic_replay(wl in workload()) {
+        let a = run_workload(&wl);
+        let b = run_workload(&wl);
+        let bits = |o: &Outcome| -> Vec<(u8, usize, u64)> {
+            o.log.iter().map(|e| match *e {
+                Entry::Resume { who, t } => (0, who, t.to_bits()),
+                Entry::Wake { parker, t } => (1, parker, t.to_bits()),
+                Entry::Kill { victim, t } => (2, victim, t.to_bits()),
+            }).collect()
+        };
+        prop_assert_eq!(bits(&a), bits(&b));
+        prop_assert_eq!(a.now.to_bits(), b.now.to_bits());
+        prop_assert_eq!(a.events, b.events);
     }
 
-    /// Identical workloads produce bit-identical schedules (determinism).
+    /// Simulation time never regresses, and the final clock bounds every
+    /// event.
     #[test]
-    fn deterministic_replay(specs in proptest::collection::vec(job_spec(3, 50), 1..25)) {
-        let a = run_workload(&specs, 3, 50);
-        let b = run_workload(&specs, 3, 50);
-        prop_assert_eq!(a, b);
+    fn time_monotone(wl in workload()) {
+        let o = run_workload(&wl);
+        for pair in o.log.windows(2) {
+            prop_assert!(time_of(&pair[0]) <= time_of(&pair[1]), "clock regressed: {:?}", pair);
+        }
+        for e in &o.log {
+            prop_assert!(time_of(e) >= 0.0 && time_of(e) <= o.now);
+        }
     }
 
-    /// Jobs submitted at the same instant with a total demand below capacity
-    /// are all granted at that instant (no spurious blocking).
+    /// Every process finishes or is killed: each worker either resumed for
+    /// its final step or was killed, each parker finished, and nothing is
+    /// left live.
     #[test]
-    fn no_spurious_blocking(amounts in proptest::collection::vec(1u64..10, 1..10)) {
-        let total: u64 = amounts.iter().sum();
-        let specs: Vec<JobSpec> = amounts
-            .iter()
-            .map(|&a| JobSpec { parts: vec![(0, a)], hold: 1.0, delay: 0.0 })
+    fn every_process_finishes_or_is_killed(wl in workload()) {
+        let o = run_workload(&wl);
+        prop_assert_eq!(o.live, 0);
+        for (i, spec) in wl.workers.iter().enumerate() {
+            let resumes = o.log.iter()
+                .filter(|e| matches!(e, Entry::Resume { who, .. } if *who == i))
+                .count();
+            let killed = o.log.iter().any(|e| matches!(e, Entry::Kill { victim, .. } if *victim == i));
+            prop_assert!(
+                killed || resumes == spec.holds.len() + 1,
+                "worker {} resumed {} times of {} and was not killed", i, resumes, spec.holds.len() + 1
+            );
+        }
+    }
+
+    /// A killed process never resumes: no log entry of a victim follows
+    /// its kill.
+    #[test]
+    fn killed_process_never_resumes(wl in workload()) {
+        let o = run_workload(&wl);
+        for (k, e) in o.log.iter().enumerate() {
+            if let Entry::Kill { victim, .. } = *e {
+                prop_assert!(
+                    !o.log[k + 1..].iter().any(|f| matches!(f, Entry::Resume { who, .. } if *who == victim)),
+                    "worker {} resumed after its kill", victim
+                );
+            }
+        }
+    }
+
+    /// The stale heap entry a kill leaves behind does not advance the
+    /// clock: the run ends at its last real resume, never at a killed
+    /// sleeper's abandoned wake-up time.
+    #[test]
+    fn stale_entries_do_not_advance_clock(wl in workload()) {
+        let o = run_workload(&wl);
+        let last = o.log.iter()
+            .filter(|e| matches!(e, Entry::Resume { .. }))
+            .map(time_of)
+            .fold(0.0f64, f64::max);
+        prop_assert_eq!(o.now, last);
+    }
+
+    /// A wake is never delayed: every parker a worker wakes resumes at the
+    /// wake instant.
+    #[test]
+    fn wake_resumes_parker_at_the_wake_instant(wl in workload()) {
+        let o = run_workload(&wl);
+        for (k, e) in o.log.iter().enumerate() {
+            if let Entry::Wake { parker, t } = *e {
+                prop_assert!(
+                    o.log[k + 1..].iter().any(|f| *f == Entry::Resume { who: PARKER_BASE + parker, t }),
+                    "parker {} woken at {} did not resume then", parker, t
+                );
+            }
+        }
+    }
+
+    /// Same-instant events fire in the order they were scheduled: workers
+    /// spawned together run, and wake from identical sleeps, in spawn
+    /// order.
+    #[test]
+    fn same_instant_events_fire_in_schedule_order(n in 2usize..12, delay in 0u32..4, hold in 0u32..4) {
+        let wl = Workload {
+            parkers: 1,
+            workers: (0..n)
+                .map(|_| WorkerSpec {
+                    delay: delay as f64,
+                    holds: vec![hold as f64],
+                    parker: 0,
+                    kill: None,
+                })
+                .collect(),
+        };
+        let o = run_workload(&wl);
+        let workers: Vec<usize> = o.log.iter()
+            .filter_map(|e| match *e {
+                Entry::Resume { who, .. } if who < PARKER_BASE => Some(who),
+                _ => None,
+            })
             .collect();
-        let (log, _, _) = run_workload(&specs, 1, total.max(1));
-        for &(_, t) in &log {
-            prop_assert_eq!(t, 0.0);
-        }
-    }
-
-    /// FIFO: for jobs contending on a single container with equal arrival
-    /// time, grants happen in spawn order.
-    #[test]
-    fn fifo_grant_order(amounts in proptest::collection::vec(30u64..80, 2..12)) {
-        let specs: Vec<JobSpec> = amounts
-            .iter()
-            .map(|&a| JobSpec { parts: vec![(0, a)], hold: 2.0, delay: 0.0 })
-            .collect();
-        let (log, _, _) = run_workload(&specs, 1, 100);
-        // Grant times must be non-decreasing in job id (spawn order).
-        for w in log.windows(2) {
-            prop_assert!(w[0].0 < w[1].0, "grant order violated: {:?}", log);
-            prop_assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    /// Simulation time never regresses and final time bounds every grant.
-    #[test]
-    fn time_monotone(specs in proptest::collection::vec(job_spec(2, 60), 1..30)) {
-        let (log, t_end, _) = run_workload(&specs, 2, 60);
-        for &(_, t) in &log {
-            prop_assert!(t <= t_end);
-            prop_assert!(t >= 0.0);
-        }
+        let expected: Vec<usize> = (0..n).chain(0..n).collect();
+        prop_assert_eq!(workers, expected);
     }
 }
 

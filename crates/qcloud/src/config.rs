@@ -35,7 +35,7 @@ pub struct SimParams {
     /// Qubit release discipline.
     pub release: ReleasePolicy,
     /// Backfilling depth of the cloud scheduler: `0` is strict FIFO with
-    /// head-of-line blocking (the paper's container semantics); `d > 0`
+    /// head-of-line blocking (the paper's semantics); `d > 0`
     /// lets the scheduler dispatch any of the first `d` queued jobs behind
     /// a blocked head (EASY-style backfilling, an extension).
     pub backfill_depth: usize,

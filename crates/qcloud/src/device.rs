@@ -2,7 +2,6 @@
 
 use crate::model::fidelity::DeviceErrorRates;
 use qcs_calibration::{DeviceProfile, ErrorScoreWeights};
-use qcs_desim::{ContainerId, Simulation};
 
 /// Index of a device within one [`crate::QCloud`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,17 +15,15 @@ impl DeviceId {
     }
 }
 
-/// A QPU registered in the simulation: static profile + the qubit container
-/// that tracks free capacity + cached aggregates the scheduler reads on
-/// every decision.
+/// A QPU registered in the cloud: static profile plus the cached
+/// aggregates the scheduler reads on every decision. Its free qubits are
+/// tracked by the scheduler-facing [`crate::sched::CloudState`] ledger.
 #[derive(Debug, Clone)]
 pub struct QDevice {
     /// Device index within the cloud.
     pub id: DeviceId,
     /// Profile: spec, coupling map, calibration.
     pub profile: DeviceProfile,
-    /// The qubit pool (level = free qubits).
-    pub container: ContainerId,
     /// Cached device-average error rates for the fidelity model.
     pub error_rates: DeviceErrorRates,
     /// Cached error score (Eq. 2).
@@ -34,16 +31,8 @@ pub struct QDevice {
 }
 
 impl QDevice {
-    /// Registers a device in the simulation (creating its qubit container)
-    /// and caches its calibration aggregates.
-    pub fn register(
-        id: DeviceId,
-        profile: DeviceProfile,
-        weights: &ErrorScoreWeights,
-        sim: &mut Simulation,
-    ) -> Self {
-        let capacity = profile.spec.num_qubits as u64;
-        let container = sim.add_container(profile.spec.name.clone(), capacity, capacity);
+    /// Registers a device and caches its calibration aggregates.
+    pub fn register(id: DeviceId, profile: DeviceProfile, weights: &ErrorScoreWeights) -> Self {
         let error_rates = DeviceErrorRates {
             single_qubit: profile.calibration.avg_rx_error(),
             two_qubit: profile.calibration.avg_two_qubit_error(),
@@ -53,7 +42,6 @@ impl QDevice {
         QDevice {
             id,
             profile,
-            container,
             error_rates,
             error_score,
         }
@@ -101,18 +89,10 @@ mod tests {
     use qcs_calibration::ibm_fleet;
 
     #[test]
-    fn register_creates_full_container() {
-        let mut sim = Simulation::new(1);
+    fn register_caches_profile_aggregates() {
         let profile = ibm_fleet(1).remove(0);
-        let d = QDevice::register(
-            DeviceId(0),
-            profile,
-            &ErrorScoreWeights::default(),
-            &mut sim,
-        );
+        let d = QDevice::register(DeviceId(0), profile, &ErrorScoreWeights::default());
         assert_eq!(d.capacity(), 127);
-        assert_eq!(sim.container(d.container).level(), 127);
-        assert_eq!(sim.container(d.container).capacity(), 127);
         assert_eq!(d.name(), "ibm_strasbourg");
         assert_eq!(d.qv_layers(), 7.0);
         assert!(d.error_score > 0.0);
@@ -121,10 +101,9 @@ mod tests {
 
     #[test]
     fn refresh_tracks_calibration_changes() {
-        let mut sim = Simulation::new(2);
         let profile = ibm_fleet(2).remove(0);
         let w = ErrorScoreWeights::default();
-        let mut d = QDevice::register(DeviceId(0), profile, &w, &mut sim);
+        let mut d = QDevice::register(DeviceId(0), profile, &w);
         let before = d.error_score;
         for q in &mut d.profile.calibration.qubits {
             q.readout_error *= 2.0;

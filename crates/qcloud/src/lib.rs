@@ -10,8 +10,7 @@
 //! * [`job::QJob`] — a quantum job `(q, d, s, t₂)` with an arrival time;
 //! * [`device::QDevice`] — a QPU with qubit capacity, coupling map, CLOPS,
 //!   quantum volume and calibration-derived error rates;
-//! * [`cloud::QCloud`] — the fleet, owning one qubit [`qcs_desim::Container`]
-//!   per device;
+//! * [`cloud::QCloud`] — the fleet of registered devices;
 //! * [`broker::Broker`] — the per-job device-selection policy interface,
 //!   with the paper's four policies in [`policies`] (speed,
 //!   error-aware/fidelity, fair, RL) plus round-robin and random baselines;

@@ -187,10 +187,6 @@ impl Coroutine for MaintenanceProc {
             _ => unreachable!("maintenance resumed after completion"),
         }
     }
-
-    fn label(&self) -> &str {
-        "maintenance"
-    }
 }
 
 #[cfg(test)]

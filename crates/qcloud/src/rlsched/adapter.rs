@@ -6,7 +6,9 @@ use super::{argmax, encode_sched_observation_into, SchedObsConfig};
 use crate::broker::{AllocationPlan, Broker, CloudView};
 use crate::job::QJob;
 use crate::policies::Placement;
-use crate::sched::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
+use crate::sched::{
+    first_placeable, CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason,
+};
 use qcs_rl::policy::{ActScratch, ActorCritic};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -179,16 +181,11 @@ impl RlSchedScheduler {
     fn hold_or_fallback(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
         if state.leases().is_empty() {
             state.copy_view_into(&mut self.view);
-            for (i, job) in queue.iter().enumerate() {
-                if let AllocationPlan::Dispatch(parts) = self.broker.select(job, &self.view) {
-                    return SchedulingDecision {
-                        dispatches: vec![Dispatch {
-                            queue_index: i,
-                            parts,
-                        }],
-                        wait: None,
-                    };
-                }
+            if let Some(d) = first_placeable(&mut *self.broker, queue, &self.view) {
+                return SchedulingDecision {
+                    dispatches: vec![d],
+                    wait: None,
+                };
             }
         }
         SchedulingDecision::wait(self.wait_reason(queue, state))

@@ -55,7 +55,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use super::fifo::{apply_parts, blocked_reason, validate_plan};
+use super::fifo::{apply_parts, blocked_reason, first_placeable, validate_plan};
 use super::timeline::{project_dispatch_releases, CapacityTimeline};
 use super::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
 use crate::broker::{AllocationPlan, Broker, CloudView};
@@ -266,6 +266,33 @@ impl Scheduler for ConservativeBackfillScheduler {
                     .reserve_interval(b.start.max(now), b.end, b.qubits);
             }
             vi += 1;
+        }
+
+        // Liveness: with nothing dispatched, no lease in flight and no
+        // maintenance edge ahead, no lease release or window edge will wake
+        // this scheduler again. One-at-a-time compression can still leave
+        // the head booked at such an unreachable instant (strict policies
+        // declining capacity, failed attempts re-queued behind it), so a
+        // hold here could strand the queue on an idle fleet. Dispatch the
+        // oldest job the broker places instead and lift its booking — the
+        // rule `RlSchedScheduler`'s idle-fleet fallback applies.
+        if dispatches.is_empty()
+            && state.leases().is_empty()
+            && calendar.windows().iter().all(|w| w.end() <= now)
+        {
+            if let Some(d) = first_placeable(&mut *self.broker, queue, &self.view) {
+                let job = &queue[d.queue_index];
+                validate_plan(&*self.broker, job, &d.parts, &self.view);
+                if let Some(bi) = self.bookings.iter().position(|b| b.job == job.id) {
+                    let b = self.bookings.swap_remove(bi);
+                    self.timeline
+                        .unreserve_interval(b.start.max(now), b.end, b.qubits);
+                }
+                return SchedulingDecision {
+                    dispatches: vec![d],
+                    wait: None,
+                };
+            }
         }
 
         let wait = if self.alive.is_empty() {

@@ -110,7 +110,7 @@ impl Scheduler for FifoAdapter {
 /// for every consult (allocating), scan the window once, and return at most
 /// **one** dispatch with `wait: None` so the simulation immediately
 /// re-consults — exactly the consult-rebuild-dispatch cycle the seed's
-/// coroutine ran against the kernel containers.
+/// scheduling coroutine ran.
 pub struct SnapshotAdapter {
     broker: Box<dyn Broker>,
     window: usize,
@@ -151,15 +151,16 @@ impl Scheduler for SnapshotAdapter {
     }
 }
 
-/// Applies a dispatch to a scratch view: the same arithmetic the kernel
-/// containers perform on withdrawal, so mid-batch consults see identical
-/// numbers to the seed's post-withdrawal snapshot rebuild. The
-/// time-weighted `mean_utilization` column is untouched for `now > 0` — a
-/// withdrawal at the current instant does not change the mean *up to* that
-/// instant — but at `now = 0` the time-weighted accumulator has zero span
-/// and falls back to the instantaneous level, so the column tracks the
-/// busy fraction (exactly what the seed's post-withdrawal rebuild showed
-/// the `fair` policy during the all-at-zero batch).
+/// Applies a dispatch to a scratch view: the same arithmetic
+/// [`CloudState::reserve`] performs on the qubit ledger, so mid-batch
+/// consults see identical numbers to the seed's post-withdrawal snapshot
+/// rebuild. The time-weighted `mean_utilization` column is untouched for
+/// `now > 0` — a withdrawal at the current instant does not change the
+/// mean *up to* that instant — but at `now = 0` the time-weighted
+/// accumulator has zero span and falls back to the instantaneous level, so
+/// the column tracks the busy fraction (exactly what the seed's
+/// post-withdrawal rebuild showed the `fair` policy during the all-at-zero
+/// batch).
 pub(super) fn apply_parts(
     view: &mut CloudView,
     parts: &[(crate::device::DeviceId, u64)],
@@ -170,12 +171,29 @@ pub(super) fn apply_parts(
         v.free -= amt;
         v.busy_fraction = (v.capacity - v.free) as f64 / v.capacity as f64;
         if now <= 0.0 && v.capacity > 0 {
-            // Same expression as `Container::mean_utilization` with the
+            // Same expression as `CloudState::mean_utilization` with the
             // zero-span fallback `mean_level = level` (not `busy_fraction`,
             // whose `(cap − level)/cap` rounds differently in the last ulp).
             v.mean_utilization = 1.0 - v.free as f64 / v.capacity as f64;
         }
     }
+}
+
+/// The oldest job in `queue` that `broker` places on `view` right now, as
+/// a one-job dispatch: the idle-fleet fallback of a discipline that would
+/// otherwise hold with no lease release or window edge left to wake it.
+pub(crate) fn first_placeable(
+    broker: &mut dyn Broker,
+    queue: &[QJob],
+    view: &CloudView,
+) -> Option<Dispatch> {
+    queue
+        .iter()
+        .enumerate()
+        .find_map(|(queue_index, job)| match broker.select(job, view) {
+            AllocationPlan::Dispatch(parts) => Some(Dispatch { queue_index, parts }),
+            AllocationPlan::Wait => None,
+        })
 }
 
 /// Validates a broker-produced plan against the scratch view, panicking

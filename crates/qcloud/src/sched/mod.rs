@@ -43,6 +43,7 @@ mod timeline;
 
 pub use backfill::{BackfillScheduler, GuaranteeLog, HeadGuarantee};
 pub use conservative::{ConservativeBackfillScheduler, ReservationLog, StartReservation};
+pub(crate) use fifo::first_placeable;
 pub use fifo::{FifoAdapter, SnapshotAdapter};
 pub use priority::{PriorityDiscipline, PriorityScheduler};
 pub use state::{CloudState, DeviceSpec, Lease};

@@ -1,11 +1,15 @@
-//! Incrementally maintained fleet state for queue-aware scheduling.
+//! Incrementally maintained fleet state for queue-aware scheduling — the
+//! simulator's one qubit ledger.
 //!
-//! The seed scheduler rebuilt a [`CloudView`] snapshot from the kernel's
-//! containers on **every** consult — an allocation plus a full pass over
-//! the fleet per decision. [`CloudState`] removes that from the hot path:
-//! it is updated once per reserve/release event (mirroring the container
-//! arithmetic bit for bit, so policies see *identical* numbers) and hands
-//! schedulers a borrowed, pre-built view. On top of the instantaneous
+//! The paper models each device's free qubits as a SimPy container
+//! (`device.container.level`); here [`CloudState`] is that ledger, and the
+//! kernel keeps no capacity of its own. The seed scheduler rebuilt a
+//! [`CloudView`] snapshot on **every** consult — an allocation plus a full
+//! pass over the fleet per decision. [`CloudState`] removes that from the
+//! hot path: it is updated once per reserve/release event and hands
+//! schedulers a borrowed, pre-built view. Each device's level feeds a
+//! time-weighted accumulator at every change point, which is where run
+//! results read device utilisation from. On top of the instantaneous
 //! snapshot it tracks what the snapshot cannot express: the in-flight
 //! [`Lease`] table — which reservations will return, where, and when —
 //! which is what EASY backfilling's shadow-time computation needs.
@@ -54,16 +58,16 @@ pub struct Lease {
     pub release_at: f64,
 }
 
-/// Per-device mutable state (the container mirror).
+/// Per-device mutable state: the device's slice of the qubit ledger.
 #[derive(Debug, Clone)]
 struct DeviceState {
     capacity: u64,
     /// Actual free qubits, *ignoring* the offline mask (in-flight sub-jobs
     /// keep draining/filling an offline device's pool invisibly).
     level: u64,
-    /// Time-weighted level statistics — the same accumulator the kernel's
-    /// containers use, fed the same `(t, level)` change points, so
-    /// `mean_utilization` is bit-identical to the container-derived value.
+    /// Time-weighted level statistics, fed a `(t, level)` change point at
+    /// every reserve, release and revocation: the source of both the
+    /// view's `mean_utilization` column and the run's device utilisation.
     stats: TimeWeighted,
     offline: bool,
 }
@@ -219,6 +223,13 @@ impl CloudState {
     /// Total free qubits across *online* devices.
     pub fn total_free(&self) -> u64 {
         self.view.devices.iter().map(|d| d.free).sum()
+    }
+
+    /// Time-weighted mean qubit utilisation of `device` over `[0, now]`
+    /// (`1 − mean level / capacity`), offline periods included.
+    pub fn mean_utilization(&self, device: DeviceId, now: f64) -> f64 {
+        let d = &self.devices[device.index()];
+        mean_utilization(&d.stats, d.capacity, now)
     }
 
     /// Advances the state's clock and recomputes the time-dependent view
@@ -386,12 +397,11 @@ impl CloudState {
     /// Revokes **every** lease of `job` at time `now`, returning the
     /// `(device, qubits)` parts that were freed — the crash/failure path:
     /// the killed attempt never reaches its normal release, so the revoker
-    /// hands the freed parts back to the kernel containers itself
-    /// (mirroring the state/container split of reserve/withdraw). Levels
-    /// are restored immediately; a revocation on an offline (crashed)
-    /// device stays masked in the view exactly like a release. Returns an
-    /// empty vector if the job holds nothing (e.g. a crash victim in its
-    /// communication phase under [`ReleasePolicy::PerDevice`]).
+    /// returns its qubits instead. Levels are restored immediately; a
+    /// revocation on an offline (crashed) device stays masked in the view
+    /// exactly like a release. Returns an empty vector if the job holds
+    /// nothing (e.g. a crash victim in its communication phase under
+    /// [`ReleasePolicy::PerDevice`]).
     pub fn revoke_job(&mut self, job: JobId, now: f64) -> Vec<(DeviceId, u64)> {
         let mut freed = Vec::new();
         let mut i = 0;
@@ -505,7 +515,7 @@ mod tests {
 
     #[test]
     fn view_matches_container_arithmetic() {
-        // Mirror of the desim container test: mean level over [0, 2] with a
+        // The paper's container arithmetic: mean level over [0, 2] with a
         // withdrawal of 30 at t = 1 and a deposit at t = 2 is 85/100.
         let mut st = CloudState::new(&specs(&[100]), &SimParams::default());
         let j = job(30);
@@ -515,6 +525,10 @@ mod tests {
         st.refresh(2.0, &off);
         let v = &st.view().devices[0];
         assert!((v.mean_utilization - 0.15).abs() < 1e-12);
+        assert_eq!(
+            st.mean_utilization(DeviceId(0), 2.0).to_bits(),
+            v.mean_utilization.to_bits()
+        );
         assert_eq!(v.free, 100);
         assert_eq!(v.busy_fraction, 0.0);
     }

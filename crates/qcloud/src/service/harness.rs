@@ -15,7 +15,7 @@
 //! can observe "every routed job terminal" and exit. The kernel then
 //! drains and the harness tears each shard down exactly like
 //! [`crate::simenv::QCloudSimEnv::run`], including the qubit-conservation
-//! assertion.
+//! assertion and the named-stall panic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,7 +29,9 @@ use crate::faults::{FaultScript, RetryPolicy};
 use crate::job::QJob;
 use crate::records::{JobRecord, SummaryStats};
 use crate::sched::{Scheduler, RELEASE_SLACK_S};
-use crate::simenv::{spawn_shard, RunResult, ShardParts, Shared};
+use crate::simenv::{
+    device_utilization, spawn_shard, unwrap_shard_state, RunResult, ShardParts, Shared,
+};
 use qcs_calibration::DeviceProfile;
 use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
 
@@ -259,10 +261,6 @@ impl Coroutine for RouterProc {
             Step::Done
         }
     }
-
-    fn label(&self) -> &str {
-        "service-router"
-    }
 }
 
 /// Backoff holder for one throttled job: every `throttle_delay_s` it
@@ -303,10 +301,6 @@ impl Coroutine for ThrottleProc {
                 Step::Done
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "intake-throttle"
     }
 }
 
@@ -437,32 +431,19 @@ impl ServiceOutcome {
 }
 
 /// Tears one shard out of its (possibly shared) kernel after the run:
-/// reads device utilisation off the kernel's containers at `t_end`,
-/// unwraps the shared state, asserts qubit conservation on fully terminal
+/// unwraps the shared state, reads device utilisation off the shard's
+/// qubit ledger at `t_end`, asserts qubit conservation on fully terminal
 /// shards, and assembles the [`RunResult`]. Returns it with the shard's
 /// raw decision-latency samples. Shared by the sequential harness and the
 /// parallel backend so both produce identically shaped results.
 pub(super) fn teardown_shard(
-    sim: &Simulation,
     shard: ShardParts,
     samples: LatencySamples,
     t_end: f64,
     events_processed: u64,
 ) -> (RunResult, Vec<f64>) {
-    let device_utilization: Vec<(String, f64)> = shard
-        .info
-        .iter()
-        .map(|d| {
-            (
-                d.name.clone(),
-                sim.container(d.container).mean_utilization(t_end),
-            )
-        })
-        .collect();
-    let state = Arc::try_unwrap(shard.shared)
-        .ok()
-        .expect("shard coroutines must have released the shared state")
-        .into_inner();
+    let state = unwrap_shard_state(shard.shared);
+    let device_utilization = device_utilization(&shard.info, &state.cloud_state, t_end);
     let telemetry = state.telemetry;
     // Drop the scheduler box first: it holds the last other clone of this
     // shard's latency-sample buffer.
@@ -605,7 +586,7 @@ impl ServiceHarness {
         let mut all_samples = Vec::new();
         let mut terminal_total = 0usize;
         for (shard, samples) in self.shards.into_iter().zip(self.latency) {
-            let (result, s) = teardown_shard(&self.sim, shard, samples, t_end, events_processed);
+            let (result, s) = teardown_shard(shard, samples, t_end, events_processed);
             terminal_total += result.records.iter().filter(|r| r.terminal()).count();
             shard_results.push(result);
             per_shard_latency.push(LatencySummary::from_samples(&s));

@@ -31,8 +31,9 @@
 //!
 //! * **Router** ([`RoutingPolicy`]) — the fleet front. Devices are
 //!   partitioned into *regions*, one scheduler instance per region, all
-//!   hosted on **one** `qcs-desim` kernel (a
-//!   [`crate::cloud::QCloud`] per region registers its own containers).
+//!   hosted on **one** `qcs-desim` kernel (each region keeps its own
+//!   [`crate::cloud::QCloud`] and qubit ledger in its shard state; the
+//!   kernel holds no capacity).
 //!   The router releases arrivals at their timestamps, filters regions
 //!   that can hold the job at all, and picks one by hash, least-loaded or
 //!   affinity policy; only then does admission run against that shard. On
@@ -84,11 +85,10 @@
 //! every record timestamp matches to the last ulp.
 //!
 //! **Why cross-epoch kills are safe.** Fault injection interacts with
-//! the barriers through PR 8's slab kernel: `ProcessId`/`EventId` are
-//! generation-checked handles, so a `CrashProc` firing in a later epoch
-//! against executor pids recorded in an earlier one is a checked no-op
-//! when those processes already retired — never a use-after-free of a
-//! recycled slot. Crash, retry and lease-revocation machinery is
+//! the barriers through PR 8's slab kernel: process and event handles are
+//! generation-checked, so a `CrashProc` firing in a later epoch against
+//! executor pids recorded in an earlier one is a checked no-op when those
+//! processes already retired — never a use-after-free of a recycled slot. Crash, retry and lease-revocation machinery is
 //! entirely shard-local, so it rides inside each shard's kernel
 //! unchanged ([`ParallelServiceHarness::install_faults`]).
 

@@ -165,10 +165,6 @@ impl Coroutine for ShardIntakeProc {
             Step::Done
         }
     }
-
-    fn label(&self) -> &str {
-        "shard-intake"
-    }
 }
 
 /// Commands the coordinator sends a worker thread.
@@ -671,7 +667,7 @@ impl ParallelServiceHarness {
         let mut terminal_total = 0usize;
         let mut events_total = 0u64;
         for (ret, (parts, samples)) in returned.into_iter().zip(parts_samples) {
-            let (result, s) = teardown_shard(&ret.sim, parts, samples, t_end, ret.events);
+            let (result, s) = teardown_shard(parts, samples, t_end, ret.events);
             terminal_total += result.records.iter().filter(|r| r.terminal()).count();
             events_total += ret.events;
             shard_busy_s.push(ret.busy_s);

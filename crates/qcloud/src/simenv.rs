@@ -13,17 +13,17 @@
 //!   maintained [`crate::sched::CloudState`] — no per-consult snapshot
 //!   rebuild — hands the discipline the *entire* pending queue, and applies
 //!   the returned [`crate::sched::SchedulingDecision`] batch atomically:
-//!   each dispatch is validated, recorded, reserved in both the state and
-//!   the kernel containers, and handed to an execution coroutine. The
-//!   paper's strict-FIFO broker consultation survives unchanged behind
-//!   [`crate::sched::FifoAdapter`] (bit-identical records, pinned by
-//!   `tests/seed_parity.rs`); queue-jumping disciplines (EASY backfilling,
-//!   priority orders) ride the same loop.
+//!   each dispatch is validated, recorded, reserved in the state — the one
+//!   qubit ledger; the kernel keeps no capacity of its own — and handed to
+//!   an execution coroutine. The paper's strict-FIFO broker consultation
+//!   survives unchanged behind [`crate::sched::FifoAdapter`] (bit-identical
+//!   records, pinned by `tests/seed_parity.rs`); queue-jumping disciplines
+//!   (EASY backfilling, priority orders) ride the same loop.
 //! * one **executor** per dispatched job sleeps through the execution time
 //!   (Eq. 3, `max` over its devices), then through the blocking
 //!   communication delay (Eq. 9), computes the final fidelity (Eqs. 4–8),
-//!   releases its qubits (into the containers *and* the lease-tracked
-//!   state), logs completion, and wakes the scheduler.
+//!   releases its qubits back into the lease-tracked state, logs
+//!   completion, and wakes the scheduler.
 //!
 //! ## Failure and recovery semantics
 //!
@@ -37,11 +37,11 @@
 //! * at the crash instant the device's offline flag is raised and **every
 //!   job holding a lease on it is killed**: its execution coroutines are
 //!   terminated mid-flight, all of its leases (on every device — the whole
-//!   distributed job dies) are revoked back into the state *and* the kernel
-//!   containers, and the scheduler is woken. A multi-device job whose
-//!   partition on the crashed device already released (per-device release,
-//!   shorter sub-job) survives: its quantum work there finished before the
-//!   crash, and the remaining communication is classical.
+//!   distributed job dies) are revoked back into the state, and the
+//!   scheduler is woken. A multi-device job whose partition on the crashed
+//!   device already released (per-device release, shorter sub-job)
+//!   survives: its quantum work there finished before the crash, and the
+//!   remaining communication is classical.
 //! * an execution failure fires at the end of a job's execution phase
 //!   (probability per [`crate::faults::FaultInjector::exec_failure`]) and
 //!   tears the attempt down the same way.
@@ -73,12 +73,11 @@ use crate::sched::{
     CloudState, DeviceSpec, FifoAdapter, SchedTelemetry, Scheduler, RELEASE_SLACK_S,
 };
 use qcs_calibration::DeviceProfile;
-use qcs_desim::{ContainerId, Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
+use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
 
 /// Static per-device data shared with coroutines.
 #[derive(Debug, Clone)]
 pub(crate) struct DeviceStatic {
-    pub(crate) container: ContainerId,
     error_rates: DeviceErrorRates,
     clops: f64,
     qv_layers: f64,
@@ -127,18 +126,54 @@ pub(crate) struct SchedState {
 
 pub(crate) type Shared = Arc<Mutex<SchedState>>;
 
+/// Takes a shard's state back once its kernel has drained. Every coroutine
+/// holding a clone has finished by then — unless the scheduler parked for
+/// good with work left, which is a liveness bug: the panic names it.
+pub(crate) fn unwrap_shard_state(shared: Shared) -> SchedState {
+    match Arc::try_unwrap(shared) {
+        Ok(state) => state.into_inner(),
+        Err(shared) => {
+            let st = shared.lock();
+            panic!(
+                "scheduler '{}' parked with {} queued jobs, {} of {} terminal",
+                st.scheduler.name(),
+                st.pending.len(),
+                st.records.terminal_count(),
+                st.total_jobs
+            )
+        }
+    }
+}
+
+/// Time-weighted qubit utilisation per device at `t_end`, `(name, fraction)`,
+/// read off the shard's qubit ledger.
+pub(crate) fn device_utilization(
+    info: &[DeviceStatic],
+    ledger: &CloudState,
+    t_end: f64,
+) -> Vec<(String, f64)> {
+    info.iter()
+        .enumerate()
+        .map(|(i, d)| {
+            (
+                d.name.clone(),
+                ledger.mean_utilization(DeviceId(i as u32), t_end),
+            )
+        })
+        .collect()
+}
+
 /// Tears down one failed job attempt and routes it through the retry
 /// policy: kills any of its execution coroutines still in flight, revokes
-/// every lease it still holds (state *and* kernel containers), records the
-/// requeue (or exhaustion), and schedules the resubmission. Shared by the
-/// crash path ([`CrashProc`], `kill_exec: true`) and the execution-failure
-/// path (the [`Executor`] failing itself, which terminates on its own —
-/// `kill_exec: false`). The caller wakes the scheduler afterwards.
+/// every lease it still holds, records the requeue (or exhaustion), and
+/// schedules the resubmission. Shared by the crash path ([`CrashProc`],
+/// `kill_exec: true`) and the execution-failure path (the [`Executor`]
+/// failing itself, which terminates on its own — `kill_exec: false`). The
+/// caller wakes the scheduler afterwards.
 fn fail_and_requeue(
     cx: &mut Ctx<'_>,
     st: &mut SchedState,
     shared: &Shared,
-    info: &[DeviceStatic],
     scheduler_pid: &Arc<AtomicU64>,
     job_id: u64,
     kill_exec: bool,
@@ -156,14 +191,7 @@ fn fail_and_requeue(
     for &p in &run.sub_pids {
         cx.kill(ProcessId::from_raw(p));
     }
-    let freed = st.cloud_state.revoke_job(run.job.id, now);
-    if !freed.is_empty() {
-        let deposits: Vec<(ContainerId, u64)> = freed
-            .iter()
-            .map(|&(d, a)| (info[d.index()].container, a))
-            .collect();
-        cx.deposit_many(&deposits);
-    }
+    st.cloud_state.revoke_job(run.job.id, now);
     let faults = st
         .faults
         .as_ref()
@@ -231,10 +259,6 @@ impl Coroutine for Generator {
         } else {
             Step::Done
         }
-    }
-
-    fn label(&self) -> &str {
-        "job-generator"
     }
 }
 
@@ -342,12 +366,6 @@ impl Coroutine for SchedulerProc {
 
             let (launches, wait, tracked) = launches;
             for (job, parts, attempt) in launches {
-                let withdrawals: Vec<(ContainerId, u64)> = parts
-                    .iter()
-                    .map(|&(d, a)| (self.info[d.index()].container, a))
-                    .collect();
-                let ok = cx.try_withdraw_many(&withdrawals);
-                assert!(ok, "validated plan failed to reserve (kernel bug)");
                 let registration = tracked.then(|| (job.clone(), parts.clone()));
                 let exec_pid = cx.spawn(Box::new(Executor {
                     job,
@@ -381,10 +399,6 @@ impl Coroutine for SchedulerProc {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "cloud-scheduler"
-    }
 }
 
 /// Releases one device's partition when its own sub-job finishes
@@ -394,7 +408,6 @@ impl Coroutine for SchedulerProc {
 struct SubExec {
     job: JobId,
     device: DeviceId,
-    container: ContainerId,
     qubits: u64,
     duration: f64,
     shared: Shared,
@@ -410,7 +423,6 @@ impl Coroutine for SubExec {
                 Step::Wait(Effect::Timeout(self.duration))
             }
             _ => {
-                cx.deposit_many(&[(self.container, self.qubits)]);
                 self.shared.lock().cloud_state.release(
                     self.job,
                     self.device,
@@ -423,10 +435,6 @@ impl Coroutine for SubExec {
                 Step::Done
             }
         }
-    }
-
-    fn label(&self) -> &str {
-        "sub-executor"
     }
 }
 
@@ -470,7 +478,6 @@ impl Coroutine for Executor {
                         let pid = cx.spawn(Box::new(SubExec {
                             job: self.job.id,
                             device: d,
-                            container: self.info[d.index()].container,
                             qubits: a,
                             duration: dur,
                             shared: self.shared.clone(),
@@ -502,7 +509,6 @@ impl Coroutine for Executor {
                             cx,
                             &mut st,
                             &self.shared,
-                            &self.info,
                             &self.scheduler_pid,
                             self.job.id.0,
                             false,
@@ -548,16 +554,8 @@ impl Coroutine for Executor {
                     .fidelity
                     .final_fidelity(&fids, self.params.comm.phi);
 
-                // Under AtJobEnd the qubits are still held: release now.
-                if self.params.release == crate::config::ReleasePolicy::AtJobEnd {
-                    let deposits: Vec<(ContainerId, u64)> = self
-                        .parts
-                        .iter()
-                        .map(|&(d, a)| (self.info[d.index()].container, a))
-                        .collect();
-                    cx.deposit_many(&deposits);
-                }
                 let mut st = self.shared.lock();
+                // Under AtJobEnd the qubits are still held: release now.
                 if self.params.release == crate::config::ReleasePolicy::AtJobEnd {
                     for &(d, a) in &self.parts {
                         st.cloud_state.release(self.job.id, d, a, cx.now());
@@ -580,10 +578,6 @@ impl Coroutine for Executor {
             _ => unreachable!("executor resumed after completion"),
         }
     }
-
-    fn label(&self) -> &str {
-        "job-executor"
-    }
 }
 
 /// An unplanned device outage ([`crate::faults::CrashEvent`]): at `at` the
@@ -598,7 +592,6 @@ struct CrashProc {
     at: f64,
     down_for: f64,
     shared: Shared,
-    info: Arc<Vec<DeviceStatic>>,
     offline: Arc<crate::maintenance::OfflineFlags>,
     scheduler_pid: Arc<AtomicU64>,
     phase: u8,
@@ -627,15 +620,7 @@ impl Coroutine for CrashProc {
                     victims.sort_unstable();
                     victims.dedup();
                     for v in victims {
-                        fail_and_requeue(
-                            cx,
-                            &mut st,
-                            &self.shared,
-                            &self.info,
-                            &self.scheduler_pid,
-                            v,
-                            true,
-                        );
+                        fail_and_requeue(cx, &mut st, &self.shared, &self.scheduler_pid, v, true);
                     }
                     debug_assert!(
                         st.cloud_state
@@ -659,10 +644,6 @@ impl Coroutine for CrashProc {
             _ => unreachable!("crash resumed after completion"),
         }
     }
-
-    fn label(&self) -> &str {
-        "device-crash"
-    }
 }
 
 /// Fires once when a failed job's backoff expires: the job rejoins the
@@ -681,10 +662,6 @@ impl Coroutine for RetryProc {
         let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
         cx.wake(pid);
         Step::Done
-    }
-
-    fn label(&self) -> &str {
-        "job-retry"
     }
 }
 
@@ -718,8 +695,9 @@ impl RunResult {
     }
 }
 
-/// One scheduler shard wired onto a (possibly shared) kernel: the fleet's
-/// containers, the shared queue state, and a spawned [`SchedulerProc`].
+/// One scheduler shard wired onto a (possibly shared) kernel: the fleet,
+/// the shared queue state (with the shard's qubit ledger), and a spawned
+/// [`SchedulerProc`].
 /// The batch environment hosts exactly one; the [`crate::service`] front
 /// end hosts one per region on a single [`Simulation`].
 pub(crate) struct ShardParts {
@@ -731,8 +709,8 @@ pub(crate) struct ShardParts {
     pub(crate) offline: Arc<crate::maintenance::OfflineFlags>,
 }
 
-/// Registers `profiles` as a fleet on `sim`, builds the shard's shared
-/// queue state and spawns its [`SchedulerProc`]. `total_jobs` is the
+/// Registers `profiles` as a fleet, builds the shard's shared queue state
+/// and spawns its [`SchedulerProc`] on `sim`. `total_jobs` is the
 /// shard's termination target; pass `usize::MAX` to leave the stream open
 /// (service mode — the intake router finalises it later). The caller is
 /// responsible for feeding the queue (a [`Generator`] or a service
@@ -746,13 +724,12 @@ pub(crate) fn spawn_shard(
     params: &SimParams,
     total_jobs: usize,
 ) -> ShardParts {
-    let cloud = QCloud::new(profiles, &params.error_weights, sim);
+    let cloud = QCloud::new(profiles, &params.error_weights);
     let info: Arc<Vec<DeviceStatic>> = Arc::new(
         cloud
             .devices()
             .iter()
             .map(|d| DeviceStatic {
-                container: d.container,
                 error_rates: d.error_rates,
                 clops: d.clops(),
                 qv_layers: d.qv_layers(),
@@ -862,7 +839,6 @@ pub(crate) fn arm_faults(
             at: c.at,
             down_for: c.down_for,
             shared: shared.clone(),
-            info: info.clone(),
             offline: offline.clone(),
             scheduler_pid: scheduler_pid.clone(),
             phase: 0,
@@ -1039,23 +1015,11 @@ impl QCloudSimEnv {
     pub fn run(mut self) -> RunResult {
         self.sim.run();
         let t_end = self.sim.now();
-        let device_utilization = self
-            .info
-            .iter()
-            .map(|d| {
-                (
-                    d.name.clone(),
-                    self.sim.container(d.container).mean_utilization(t_end),
-                )
-            })
-            .collect();
         let events_processed = self.sim.events_processed();
 
-        // Tear down: extract records from the shared state.
-        let state = Arc::try_unwrap(self.shared)
-            .ok()
-            .expect("coroutines must have released the shared state")
-            .into_inner();
+        // Tear down: extract utilisation and records from the shared state.
+        let state = unwrap_shard_state(self.shared);
+        let device_utilization = device_utilization(&self.info, &state.cloud_state, t_end);
         let records = state.records.into_records();
         if records.iter().all(|r| r.terminal()) {
             // Qubit conservation: every reservation came back — including
@@ -1812,6 +1776,83 @@ mod tests {
         for r in &res.records {
             assert_eq!(avoid.mask(r.job_id), 0, "mask leaked for {:?}", r.job_id);
         }
+    }
+
+    #[test]
+    fn conservative_fidelity_never_strands_the_queue_on_an_idle_fleet() {
+        // Regression: under the strict fidelity broker, failed 250-qubit
+        // attempts re-queued at the tail re-slot past the head's booking,
+        // and the head stayed booked at an instant no event ever reached —
+        // the scheduler parked with work queued, no lease in flight and the
+        // fleet idle, and teardown found the shared state still held.
+        for (seed, n) in [(4u64, 400usize), (1, 600)] {
+            let mut env = QCloudSimEnv::with_scheduler(
+                ibm_fleet(seed),
+                crate::policies::scheduler_by_name("conservative+fidelity", seed, 1).unwrap(),
+                crate::jobgen::bimodal_arrivals(n, 0.05, 5, seed),
+                SimParams {
+                    release: ReleasePolicy::AtJobEnd,
+                    ..SimParams::default()
+                },
+                seed,
+            );
+            env.install_faults(
+                FaultScript::new(seed).with_exec_failures(0.05),
+                RetryPolicy {
+                    max_attempts: 4,
+                    ..RetryPolicy::default()
+                },
+                None,
+            );
+            let res = env.run();
+            assert_eq!(res.records.len(), n);
+            assert!(
+                res.records.iter().all(|r| r.terminal()),
+                "seed {seed}: non-terminal job survived the run"
+            );
+        }
+    }
+
+    /// A discipline that never dispatches: parks the loop for good.
+    struct NeverDispatch;
+    impl Scheduler for NeverDispatch {
+        fn decide(
+            &mut self,
+            _queue: &[QJob],
+            _state: &CloudState,
+        ) -> crate::sched::SchedulingDecision {
+            crate::sched::SchedulingDecision::wait(crate::sched::WaitReason::PolicyHold)
+        }
+        fn name(&self) -> &str {
+            "never"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler 'never' parked with 3 queued jobs, 0 of 3 terminal")]
+    fn batch_teardown_names_a_stalled_scheduler() {
+        QCloudSimEnv::with_scheduler(
+            ibm_fleet(5),
+            Box::new(NeverDispatch),
+            jobs(3, 5),
+            SimParams::default(),
+            5,
+        )
+        .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler 'never' parked with 2 queued jobs, 0 of 2 terminal")]
+    fn service_teardown_names_a_stalled_scheduler() {
+        crate::service::ServiceHarness::new(
+            vec![ibm_fleet(6)],
+            |_| Box::new(NeverDispatch),
+            jobs(2, 6),
+            SimParams::default(),
+            crate::service::ServiceConfig::default(),
+            6,
+        )
+        .run();
     }
 
     #[test]

@@ -47,8 +47,10 @@ use qcs_qcloud::{
     QosReport, RetryPolicy, SimParams,
 };
 
-/// One representative of every scheduling discipline family.
-const DISCIPLINES: [&str; 7] = [
+/// One representative of every scheduling discipline family, plus
+/// conservative backfilling under the strict fidelity broker (the policy
+/// that declines capacity, so its bookings can strand an idle fleet).
+const DISCIPLINES: [&str; 8] = [
     "speed",
     "fifo+fair",
     "backfill+speed",
@@ -56,6 +58,7 @@ const DISCIPLINES: [&str; 7] = [
     "priority:sjf+speed",
     "priority:edf+fair",
     "priority:aging+fair",
+    "conservative+fidelity",
 ];
 
 /// A saturating workload: all-at-zero guarantees in-flight work for any
@@ -123,7 +126,7 @@ proptest! {
         at in 0.0f64..4_000.0,
         down_for in 300.0f64..2_500.0,
         pfail in 0.0f64..0.25,
-        disc_idx in 0usize..7,
+        disc_idx in 0usize..DISCIPLINES.len(),
         release_sel in 0u8..2,
     ) {
         let script = random_script(seed ^ 0xC4A0_5EED, crash_sel, dev, at, down_for, pfail);
@@ -182,7 +185,7 @@ proptest! {
         at in 0.0f64..3_000.0,
         down_for in 300.0f64..2_000.0,
         pfail in 0.0f64..0.3,
-        disc_idx in 0usize..7,
+        disc_idx in 0usize..DISCIPLINES.len(),
     ) {
         let retry = RetryPolicy { max_attempts: 4, ..RetryPolicy::default() };
         let spec = DISCIPLINES[disc_idx];

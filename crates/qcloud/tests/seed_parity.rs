@@ -3,9 +3,9 @@
 //!
 //! The golden fingerprints below were captured from the **pre-redesign**
 //! scheduler (the seed's `Scheduler` coroutine: per-consult `CloudView`
-//! rebuild from the kernel containers, head-of-line scanning, one dispatch
-//! per consult) across every policy and a spread of workload shapes. Both
-//! new paths must reproduce them exactly:
+//! rebuild from per-device qubit containers, head-of-line scanning, one
+//! dispatch per consult) across every policy and a spread of workload
+//! shapes. Both new paths must reproduce them exactly:
 //!
 //! * [`QCloudSimEnv::new`] — every [`Broker`] ported through
 //!   [`FifoAdapter`] over the incremental `CloudState`;
@@ -314,4 +314,174 @@ fn fifo_adapter_window_matches_simparams_backfill_depth() {
     )
     .run();
     assert_eq!(a.records, b.records);
+}
+
+/// FNV-1a over the `to_bits` of every `(device, utilisation)` pair, in
+/// device order — so any change to which change points feed the
+/// time-weighted qubit level, or to the integration arithmetic, fails.
+fn utilization_fingerprint<'a>(
+    util: impl IntoIterator<Item = &'a (String, f64)>,
+    seed: u64,
+) -> u64 {
+    let mut h = seed;
+    for (name, u) in util {
+        for b in name.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h ^= u.to_bits();
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// One batch scenario of the utilisation golden: a discipline, an optional
+/// fault script, an optional maintenance window.
+fn utilization_run(
+    spec: &str,
+    release: qcs_qcloud::config::ReleasePolicy,
+    faults: bool,
+    maintenance: bool,
+) -> qcs_qcloud::simenv::RunResult {
+    let seed = 19;
+    let mixed = JobDistribution {
+        qubits: (20, 250),
+        ..JobDistribution::default()
+    };
+    let jobs = poisson_arrivals(60, 0.01, &mixed, seed);
+    let params = SimParams {
+        release,
+        ..SimParams::default()
+    };
+    let mut env = QCloudSimEnv::with_scheduler(
+        ibm_fleet(seed),
+        scheduler_by_name(spec, seed, 1).expect("known spec"),
+        jobs,
+        params,
+        seed,
+    );
+    if faults {
+        env.install_faults(
+            qcs_qcloud::FaultScript::new(seed)
+                .with_crash(1, 400.0, 900.0)
+                .with_exec_failures(0.05),
+            qcs_qcloud::RetryPolicy {
+                max_attempts: 6,
+                ..qcs_qcloud::RetryPolicy::default()
+            },
+            None,
+        );
+    }
+    if maintenance {
+        env.schedule_maintenance(qcs_qcloud::MaintenanceWindow {
+            device: 2,
+            start: 300.0,
+            duration: 1_500.0,
+        });
+    }
+    env.run()
+}
+
+/// Pins the bits of every per-device utilisation figure. The record
+/// fingerprints above cover dispatch and timing but not
+/// `RunResult::device_utilization`, which is integrated separately from
+/// the qubit ledger's change points; this golden makes a change to that
+/// ledger (or to where utilisation is read) fail loudly.
+#[test]
+fn device_utilization_bits_pinned() {
+    use qcs_calibration::regional_fleet;
+    use qcs_qcloud::config::ReleasePolicy;
+    use qcs_qcloud::{
+        AdmissionPolicy, FaultScript, ParallelServiceHarness, RetryPolicy, RoutingPolicy,
+        ServiceConfig, ServiceHarness, ServiceOutcome,
+    };
+
+    let mut h: u64 = 0xcbf29ce484222325;
+    for release in [ReleasePolicy::PerDevice, ReleasePolicy::AtJobEnd] {
+        for (spec, faults, maintenance) in [
+            ("speed", false, false),
+            ("fidelity", false, false),
+            ("backfill+speed", true, false),
+            ("conservative+speed", false, true),
+        ] {
+            let res = utilization_run(spec, release, faults, maintenance);
+            assert!(
+                res.records.iter().all(|r| r.terminal()),
+                "{spec}/{release:?}: non-terminal job"
+            );
+            assert!(
+                !faults || res.records.iter().any(|r| r.attempts > 1),
+                "{spec}/{release:?}: the fault script must bite"
+            );
+            h = utilization_fingerprint(&res.device_utilization, h);
+        }
+    }
+    assert_eq!(
+        h, 0xc8edf4abb401e956,
+        "batch device utilisation bits changed"
+    );
+
+    // One 4-region hash-routed service run with faults, through both
+    // harnesses: each must reproduce the same pinned bits.
+    let seed = 23;
+    let dist = JobDistribution {
+        qubits: (20, 300),
+        ..JobDistribution::default()
+    };
+    let jobs = poisson_arrivals(120, 0.04, &dist, seed);
+    let script = FaultScript::new(seed)
+        .with_crash(0, 150.0, 600.0)
+        .with_exec_failures(0.05);
+    let retry = RetryPolicy {
+        max_attempts: 4,
+        ..RetryPolicy::default()
+    };
+    let config = ServiceConfig {
+        admission: AdmissionPolicy::open(),
+        routing: RoutingPolicy::Hash,
+    };
+    let service_bits = |out: &ServiceOutcome| {
+        out.verify_complete(&jobs).expect("complete service run");
+        assert!(
+            out.shards
+                .iter()
+                .flat_map(|s| &s.records)
+                .any(|r| r.attempts > 1),
+            "the service fault script must bite"
+        );
+        out.shards.iter().fold(0xcbf29ce484222325u64, |h, s| {
+            utilization_fingerprint(&s.device_utilization, h)
+        })
+    };
+    let mut seq = ServiceHarness::new(
+        regional_fleet(4, seed),
+        |_| scheduler_by_name("backfill+speed", seed, 1).unwrap(),
+        jobs.clone(),
+        SimParams::default(),
+        config,
+        seed,
+    );
+    seq.install_faults(&script, retry);
+    let seq = seq.run();
+    let mut par = ParallelServiceHarness::new(
+        regional_fleet(4, seed),
+        |_| scheduler_by_name("backfill+speed", seed, 1).unwrap(),
+        jobs.clone(),
+        SimParams::default(),
+        config,
+        seed,
+        2,
+    );
+    par.install_faults(&script, retry);
+    let par = par.run();
+    assert_eq!(
+        service_bits(&seq),
+        0x332f1a367a7285bd,
+        "sequential service utilisation bits changed"
+    );
+    assert_eq!(
+        service_bits(&par),
+        0x332f1a367a7285bd,
+        "parallel service utilisation bits changed"
+    );
 }

@@ -53,7 +53,7 @@ fn table2_orderings_hold_end_to_end() {
 
 #[test]
 fn conservation_qubits_always_returned() {
-    // After any run, every device container must be back at full capacity —
+    // After any run, every device must be back at full free capacity —
     // checked indirectly: a follow-up job can still use the whole fleet.
     let jobs1 = qcs::workload::smoke(25, 9).jobs;
     let mut all = jobs1;
