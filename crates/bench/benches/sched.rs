@@ -209,8 +209,8 @@ fn run_service(
     .run()
 }
 
-/// Same trace through the parallel sharded backend: one kernel per region
-/// on `threads` worker threads, bit-identical records to [`run_service`].
+/// Same trace on `threads` worker threads: bit-identical records to
+/// [`run_service`].
 fn run_service_parallel(
     regions: Vec<Vec<DeviceProfile>>,
     spec: &'static str,
@@ -542,16 +542,14 @@ fn write_sched_json() {
     let decide_scaling =
         mono.report.decision_latency.mean_us / sharded.report.decision_latency.mean_us;
 
-    // Wall-clock scaling: the honest number for the parallel backend. A
-    // heavier open trace (4k jobs, ~4× the load above) runs through the
-    // sequential harness and through the parallel one on 4 worker threads
-    // with hash routing — the stateless policy lets every shard kernel
-    // free-run, so this measures real thread-level speedup, not barrier
-    // overhead. Least-loaded would barrier at every arrival instant and
-    // honestly cannot scale on a trace this decision-dense (that trade is
-    // documented in the service module's threading-model section). The
-    // record streams must stay bit-identical; only the wall clock moves.
-    // Best-of-3 per backend; recorded alongside `host_cores` so the
+    // Wall-clock scaling: the honest number for the threaded engine. A
+    // heavier open trace (4k jobs, ~4× the load above) runs on one and on
+    // 4 worker threads with hash routing, which gives every shard a kernel
+    // of its own, so this measures real thread-level speedup. Least-loaded
+    // routing keeps every shard on one kernel and so one worker (the
+    // service module's "Kernel layout" docs). The record streams must stay
+    // bit-identical; only the wall clock moves.
+    // Best-of-3 per thread count; recorded alongside `host_cores` so the
     // bench_guard floor applies only where ≥ 4 cores can actually help.
     let wall_threads = 4usize;
     let wall_jobs = diurnal_arrivals(4_000, 0.4, 0.8, 3_600.0, 5, SEED ^ 0xA5);
@@ -590,7 +588,7 @@ fn write_sched_json() {
     for (i, (a, b)) in seq_out.shards.iter().zip(&par_out.shards).enumerate() {
         assert_eq!(
             a.records, b.records,
-            "parallel backend diverged from sequential on shard {i} in the wall-clock bench"
+            "{wall_threads} threads diverged from one on shard {i} in the wall-clock bench"
         );
     }
     let wall_speedup = seq_wall / par_wall;

@@ -33,7 +33,7 @@
 //!   service rate ≥ 5k jobs/s, the armed intake must have throttled at
 //!   least once, the sharded run must be complete and qubit-conserving,
 //!   and the 4-region decide-cost scaling over the monolithic scheduler
-//!   ≥ 1.5× (recorded ≈ 7.2×), plus the parallel backend's wall-clock
+//!   ≥ 1.5× (recorded ≈ 7.2×), plus the hash-routed service's wall-clock
 //!   speedup at 4 worker threads ≥ 1.5× — only enforced when the
 //!   recording machine had ≥ 4 cores (`sharded_4x.host_cores`);
 //! * pending-10k incremental/snapshot parity ≥ 0.85 — on the default
@@ -91,12 +91,11 @@ const SERVICE_SUSTAINED_FLOOR: f64 = 5_000.0;
 /// monolithic 20-device scheduler over the 4-region sharded one
 /// (recorded ≈ 7.2×; sharding must keep individual decisions cheaper).
 const SHARDED_DECIDE_SCALING_FLOOR: f64 = 1.5;
-/// Floor for `sharded_4x.wall_clock_speedup`: the parallel sharded
-/// backend (one kernel per region on 4 worker threads, free-running hash
-/// routing) vs the sequential harness on the same trace, bit-identical
-/// records. Only enforced when the recording machine had ≥ 4 cores
-/// (`sharded_4x.host_cores` is recorded alongside, same gating as the
-/// rollout update-phase floor).
+/// Floor for `sharded_4x.wall_clock_speedup`: the hash-routed service
+/// (one kernel per region) on 4 worker threads vs one, on the same trace,
+/// bit-identical records. Only enforced when the recording machine had
+/// ≥ 4 cores (`sharded_4x.host_cores` is recorded alongside, same gating
+/// as the rollout update-phase floor).
 const WALL_CLOCK_SPEEDUP_FLOOR: f64 = 1.5;
 /// Cores the recording machine needs before the wall-clock floor applies.
 const WALL_CLOCK_FLOOR_MIN_CORES: u64 = 4;

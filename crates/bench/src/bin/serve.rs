@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Traffic is the diurnal open-arrival mix (`--amplitude 0` flattens it to
-//! plain Poisson); `--open` disarms admission entirely. `--threads N`
-//! (N > 1) runs the parallel sharded backend — one kernel per region on a
-//! worker-thread pool — which is bit-identical to the sequential run.
+//! plain Poisson); `--open` disarms admission entirely. `--threads N` runs
+//! the kernels on up to N worker threads. Hash and affinity routing give
+//! every region a kernel of its own; least-loaded routing keeps all regions
+//! on one kernel and so one worker. Results are the same at every N.
 //! Output: per-shard ASCII table + service report on stdout, plus
 //! `results/service.csv` (one row per shard and a `service` total row).
 
@@ -24,8 +25,7 @@ use qcs_calibration::regional_fleet;
 use qcs_qcloud::jobgen::diurnal_arrivals;
 use qcs_qcloud::policies::scheduler_by_name;
 use qcs_qcloud::{
-    AdmissionPolicy, ParallelServiceHarness, RoutingPolicy, ServiceConfig, ServiceHarness,
-    SimParams,
+    AdmissionPolicy, ParallelServiceHarness, RoutingPolicy, ServiceConfig, SimParams,
 };
 
 fn main() {
@@ -61,32 +61,16 @@ fn main() {
     );
 
     let spec_for_factory = spec.clone();
-    let outcome = if threads > 1 {
-        ParallelServiceHarness::new(
-            regional_fleet(regions, seed),
-            move |_region| {
-                scheduler_by_name(&spec_for_factory, seed, 1).expect("known scheduler spec")
-            },
-            jobs,
-            SimParams::default(),
-            config,
-            seed,
-            threads,
-        )
-        .run()
-    } else {
-        ServiceHarness::new(
-            regional_fleet(regions, seed),
-            move |_region| {
-                scheduler_by_name(&spec_for_factory, seed, 1).expect("known scheduler spec")
-            },
-            jobs,
-            SimParams::default(),
-            config,
-            seed,
-        )
-        .run()
-    };
+    let outcome = ParallelServiceHarness::new(
+        regional_fleet(regions, seed),
+        move |_region| scheduler_by_name(&spec_for_factory, seed, 1).expect("known scheduler spec"),
+        jobs,
+        SimParams::default(),
+        config,
+        seed,
+        threads,
+    )
+    .run();
 
     let report = &outcome.report;
     let mut table = AsciiTable::new(&[
@@ -107,8 +91,8 @@ fn main() {
     );
     for (i, shard) in outcome.shards.iter().enumerate() {
         let lat = &report.per_shard_latency[i];
-        // Wall-clock time the shard's worker spent inside its kernel —
-        // only the parallel backend measures it per shard.
+        // Wall-clock time the shard's kernel ran — measured only when the
+        // shard has a kernel of its own (hash or affinity routing).
         let busy = report.shard_busy_s.get(i).copied();
         let busy_cell = busy.map_or_else(|| "-".to_string(), |b| format!("{b:.3}"));
         let rejected = shard
@@ -165,13 +149,12 @@ fn main() {
     );
     println!(
         "service: {:.0} sim-s in {:.3} wall-s, {:.0} sustained jobs/s, {} kernel events, \
-         {} worker thread(s), merge {:.3} ms",
+         {} worker thread(s)",
         report.sim_seconds,
         report.wall_seconds,
         report.sustained_jobs_per_sec,
         report.events_processed,
         report.worker_threads,
-        report.merge_wall_s * 1e3,
     );
     csv.push_str(&format!(
         "service,{},{},{},{:.3},,,{:.2},{:.2},{}\n",

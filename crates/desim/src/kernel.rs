@@ -342,30 +342,6 @@ impl Simulation {
         self.now()
     }
 
-    /// Conservative epoch barrier: processes every event with time ≤
-    /// `t_end` (inclusive), then pins the clock to **exactly** `t_end` —
-    /// even when the heap drained first, and never backwards.
-    ///
-    /// This is the pause/resume primitive for running several kernels in
-    /// bounded sim-time windows on separate OS threads: after each shard
-    /// kernel returns from `run_epoch(t)` a coordinator may inspect shared
-    /// state and [`wake`](Self::wake)/[`spawn`](Self::spawn) at the common
-    /// instant `t`, and every kernel stamps those injected events with the
-    /// same clock value regardless of where its own event stream ran dry.
-    pub fn run_epoch(&mut self, t_end: f64) -> f64 {
-        let end = SimTime::new(t_end);
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.time > end {
-                break;
-            }
-            self.step();
-        }
-        if self.now < end {
-            self.now = end;
-        }
-        self.now()
-    }
-
     // ------------------------------------------------------------------
     // Process execution
     // ------------------------------------------------------------------
@@ -479,7 +455,7 @@ mod tests {
         let fired = Arc::new(AtomicU32::new(0));
         let mut sim = Simulation::new(21);
         let pid = sim.spawn(ticker(5.0, 10, &fired));
-        sim.run_epoch(7.0); // fired at t=0 and t=5
+        assert!(sim.step() && sim.step()); // fired at t=0 and t=5
         assert!(sim.kill(pid));
         assert!(sim.is_done(pid));
         assert!(!sim.kill(pid)); // already done: no-op
@@ -488,7 +464,7 @@ mod tests {
         // does not move the clock.
         assert_eq!(fired.load(Ordering::Relaxed), 2);
         assert_eq!(sim.live_processes(), 0);
-        assert_eq!(sim.now(), 7.0);
+        assert_eq!(sim.now(), 5.0);
 
         // Suspended.
         let mut sim = Simulation::new(22);
@@ -554,50 +530,6 @@ mod tests {
         let stale = ProcessId::from_raw(a.as_raw());
         assert!(sim.is_done(stale));
         assert!(!sim.wake(stale));
-    }
-
-    #[test]
-    fn run_epoch_pins_clock_when_heap_drains() {
-        let fired = Arc::new(AtomicU32::new(0));
-        let mut sim = Simulation::new(9);
-        sim.spawn(ticker(1.0, 3, &fired));
-        // The last event fires at t=2; run_epoch pins the clock to the
-        // barrier time anyway.
-        sim.run_epoch(10.0);
-        assert_eq!(sim.now(), 10.0);
-        assert_eq!(fired.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn run_epoch_is_inclusive_and_monotone() {
-        let fired = Arc::new(AtomicU32::new(0));
-        let mut sim = Simulation::new(9);
-        sim.spawn(ticker(1.0, 100, &fired));
-        sim.run_epoch(5.0);
-        assert_eq!(sim.now(), 5.0);
-        // Ticks at t=0..=5 inclusive.
-        assert_eq!(fired.load(Ordering::Relaxed), 6);
-        // A barrier in the past never moves the clock backwards.
-        sim.run_epoch(1.0);
-        assert_eq!(sim.now(), 5.0);
-        sim.run_epoch(6.0);
-        assert_eq!(fired.load(Ordering::Relaxed), 7);
-        assert_eq!(sim.now(), 6.0);
-    }
-
-    #[test]
-    fn run_epoch_injected_events_stamp_at_barrier() {
-        // A suspended process woken at a drained-heap barrier resumes at
-        // exactly the barrier time — the contract the parallel service
-        // coordinator relies on.
-        let mut sim = Simulation::new(9);
-        let pid = sim.spawn(Box::new(Sleeper));
-        sim.run_epoch(7.5);
-        assert_eq!(sim.now(), 7.5);
-        assert!(sim.wake(pid));
-        sim.run();
-        // The wake resumed the sleeper at exactly the pinned instant.
-        assert_eq!(sim.now(), 7.5);
     }
 
     /// Parks until woken, logging every resume instant.

@@ -21,9 +21,6 @@
 //!   simultaneous events fire in the order they were scheduled, and all
 //!   randomness flows from explicit seeds through the bundled
 //!   [`rng::Xoshiro256StarStar`] generator.
-//! * [`Simulation::run_epoch`] pauses a run at a barrier instant with the
-//!   clock pinned to it, so several kernels can advance in lock-step on
-//!   separate threads.
 //!
 //! ## Slab allocation and handles
 //!

@@ -77,7 +77,9 @@ impl AdmissionPolicy {
         }
     }
 
-    /// Validates the band ordering and backoff.
+    /// Validates the band ordering and backoff: a policy that can throttle
+    /// needs a finite, positive delay (NaN and +∞ would reach the kernel as
+    /// a resume time).
     pub fn validate(&self) -> Result<(), String> {
         if self.throttle_watermark > self.queue_capacity {
             return Err(format!(
@@ -85,10 +87,10 @@ impl AdmissionPolicy {
                 self.throttle_watermark, self.queue_capacity
             ));
         }
-        if self.max_throttle_attempts > 0 && self.throttle_delay_s <= 0.0 {
+        let delay = self.throttle_delay_s;
+        if self.max_throttle_attempts > 0 && !(delay.is_finite() && delay > 0.0) {
             return Err(format!(
-                "throttle_delay_s must be positive, got {}",
-                self.throttle_delay_s
+                "throttle_delay_s must be finite and positive, got {delay}"
             ));
         }
         Ok(())
@@ -151,6 +153,27 @@ impl AdmissionTelemetry {
     /// Whether every submitted job is accounted for (no silent loss).
     pub fn conserves(&self) -> bool {
         self.accepted + self.rejected() == self.submitted
+    }
+
+    /// Books one offer's verdict. `attempts` is the throttle rounds the job
+    /// has served: 0 on its arrival, which also counts it as submitted.
+    pub(super) fn count(&mut self, attempts: u32, verdict: AdmissionDecision) {
+        if attempts == 0 {
+            self.submitted += 1;
+        }
+        match verdict {
+            AdmissionDecision::Accept => {
+                self.accepted += 1;
+                if attempts > 0 {
+                    self.throttled_then_admitted += 1;
+                }
+            }
+            AdmissionDecision::Throttle => self.throttle_events += 1,
+            AdmissionDecision::Reject(RejectReason::QueueFull) => self.rejected_queue_full += 1,
+            AdmissionDecision::Reject(RejectReason::ThrottledOut) => {
+                self.rejected_throttled_out += 1
+            }
+        }
     }
 }
 
@@ -230,6 +253,36 @@ mod tests {
         let mut p = policy();
         p.throttle_delay_s = 0.0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_and_negative_zero_delays() {
+        for delay in [f64::NAN, f64::INFINITY, -0.0] {
+            let mut p = policy();
+            p.throttle_delay_s = delay;
+            assert!(p.validate().is_err(), "delay {delay} passed validation");
+            // A policy that never throttles never waits out its delay.
+            p.max_throttle_attempts = 0;
+            assert!(p.validate().is_ok());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid admission policy")]
+    fn service_rejects_a_nan_throttle_delay_before_running() {
+        let mut admission = policy();
+        admission.throttle_delay_s = f64::NAN;
+        crate::service::ServiceHarness::new(
+            vec![qcs_calibration::ibm_fleet(7)],
+            |_| crate::policies::scheduler_by_name("speed", 7, 1).unwrap(),
+            crate::jobgen::poisson_arrivals(4, 0.05, &crate::JobDistribution::default(), 7),
+            crate::config::SimParams::default(),
+            crate::service::ServiceConfig {
+                admission,
+                routing: crate::service::RoutingPolicy::Hash,
+            },
+            7,
+        );
     }
 
     #[test]

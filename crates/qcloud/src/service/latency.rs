@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::job::QJob;
 use crate::sched::{CloudState, Scheduler, SchedulingDecision};
-use crate::sla::percentile;
+use crate::sla::percentile_sorted;
 
 /// Shared buffer of per-`decide` wall-clock durations (µs).
 pub type LatencySamples = Arc<Mutex<Vec<f64>>>;
@@ -74,10 +74,12 @@ impl LatencySummary {
                 max_us: 0.0,
             };
         }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
         LatencySummary {
             count: samples.len(),
-            p50_us: percentile(samples, 50.0),
-            p99_us: percentile(samples, 99.0),
+            p50_us: percentile_sorted(&sorted, 50.0),
+            p99_us: percentile_sorted(&sorted, 99.0),
             mean_us: samples.iter().sum::<f64>() / samples.len() as f64,
             max_us: samples.iter().fold(0.0f64, |a, &b| a.max(b)),
         }
@@ -119,6 +121,28 @@ mod tests {
         assert_eq!(a, b, "instrumentation must not change the decision");
         assert_eq!(samples.lock().len(), 1);
         assert!(samples.lock()[0] >= 0.0);
+    }
+
+    proptest::proptest! {
+        /// One sort serves both percentiles, bit for bit what
+        /// `sla::percentile` computes from its own sorted copy.
+        #[test]
+        fn summary_percentiles_match_sla_percentile(
+            samples in proptest::collection::vec(0u32..64, 1..1_000),
+            scale in 0.01f64..100.0,
+        ) {
+            // Few distinct values, so duplicates are common.
+            let samples: Vec<f64> = samples.iter().map(|&v| v as f64 * scale).collect();
+            let s = LatencySummary::from_samples(&samples);
+            proptest::prop_assert_eq!(
+                s.p50_us.to_bits(),
+                crate::sla::percentile(&samples, 50.0).to_bits()
+            );
+            proptest::prop_assert_eq!(
+                s.p99_us.to_bits(),
+                crate::sla::percentile(&samples, 99.0).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -30,10 +30,9 @@
 //!   bit-for-bit seed-replayable.
 //!
 //! * **Router** ([`RoutingPolicy`]) — the fleet front. Devices are
-//!   partitioned into *regions*, one scheduler instance per region, all
-//!   hosted on **one** `qcs-desim` kernel (each region keeps its own
-//!   [`crate::cloud::QCloud`] and qubit ledger in its shard state; the
-//!   kernel holds no capacity).
+//!   partitioned into *regions*, one scheduler instance per region (each
+//!   region keeps its own [`crate::cloud::QCloud`] and qubit ledger in its
+//!   shard state; the kernel holds no capacity).
 //!   The router releases arrivals at their timestamps, filters regions
 //!   that can hold the job at all, and picks one by hash, least-loaded or
 //!   affinity policy; only then does admission run against that shard. On
@@ -42,64 +41,46 @@
 //!   ([`ServiceOutcome::verify_complete`] plus the per-shard teardown
 //!   assertion), pinned by proptests and a golden fingerprint.
 //!
-//! [`ServiceHarness`] wires the three layers together;
+//! [`ParallelServiceHarness`] is the engine that wires the three layers
+//! together; [`ServiceHarness`] is the same engine on one thread.
 //! [`ServiceOutcome`]/[`ServiceReport`] carry per-shard
 //! [`crate::simenv::RunResult`]s plus the service-level metrics.
 //!
-//! # Threading model
+//! # Kernel layout
 //!
-//! Two interchangeable backends produce **bit-identical** outcomes:
+//! The routing policy picks the layout
+//! ([`RoutingPolicy::needs_load_feedback`]):
 //!
-//! * [`ServiceHarness`] — every region shard and the router share one
-//!   kernel; sim time is globally serialized. The reference semantics.
-//! * [`ParallelServiceHarness`] — one kernel **per region shard**, each
-//!   on a dedicated OS worker thread (shard `i` → worker `i % threads`,
-//!   so results are independent of the thread count). The arrival stream
-//!   is partitioned and fed to the shard kernels; terminal records merge
-//!   back in a fixed `(sim_time, job_id)` order
-//!   ([`ServiceOutcome::merged_by_termination`]).
+//! * **Least-loaded routing** reads live queue depths at every arrival, so
+//!   every shard and the router share **one** kernel at any thread count.
+//!   Shards on kernels of their own would have to meet at a barrier at
+//!   every routing instant. An earlier epoch-barrier backend did exactly
+//!   that: on `serve --jobs 200000 --regions 4 --seed 7` on a 2-core host
+//!   it took about 6 s on two threads, against 1.4 s on one kernel.
+//! * **Hash and affinity routing** read only the job and the static fleet
+//!   shape. The whole stream is routed up front and every shard gets a
+//!   kernel of its own, whose intake resumes only at that shard's
+//!   arrivals. The kernels run on `min(threads, regions)` scoped threads.
 //!
-//! **Epoch length vs. routing fidelity.** The synchronization granularity
-//! is dictated by how much cross-shard state the routing policy reads
-//! ([`RoutingPolicy::needs_load_feedback`]). Stateless policies (hash,
-//! affinity) admit an *unbounded* epoch: placement is a pure function of
-//! the job and the static fleet shape, so shards free-run to completion
-//! and the wall-clock speedup approaches the shard count. Least-loaded
-//! routing reads live queue depths at every arrival instant, so each
-//! routing instant is its own epoch boundary: every shard kernel is
-//! paused at exactly that sim time (`Simulation::run_epoch`'s
-//! clock-pinning barrier) before the coordinator snapshots loads and
-//! places the batch. That preserves routing fidelity perfectly — the
-//! snapshot a parallel run routes against is bit-identical to the
-//! sequential one — at the price of a barrier per arrival batch;
-//! load-fed routing therefore parallelizes the shard *work* but not the
-//! routing *decisions*, and its speedup is bounded by how much execution
-//! happens between arrivals.
-//!
-//! **Determinism.** The kernel orders events by `(time, seq)`; shard
-//! state is touched only by that shard's coroutines plus the intake.
-//! Both parallel modes replay every intake action at the same sim time
-//! and in the same per-shard relative order as the sequential router
-//! (see `parallel`'s module docs for the full argument), and intake
-//! resume clocks are produced by the same `SimTime` float arithmetic, so
-//! every record timestamp matches to the last ulp.
-//!
-//! **Why cross-epoch kills are safe.** Fault injection interacts with
-//! the barriers through PR 8's slab kernel: process and event handles are
-//! generation-checked, so a `CrashProc` firing in a later epoch against
-//! executor pids recorded in an earlier one is a checked no-op when those
-//! processes already retired — never a use-after-free of a recycled slot. Crash, retry and lease-revocation machinery is
-//! entirely shard-local, so it rides inside each shard's kernel
-//! unchanged ([`ParallelServiceHarness::install_faults`]).
+//! **Why results cannot depend on the thread count.** The layout is a
+//! function of the routing policy alone. A shard's coroutines touch only
+//! that shard's state and never draw from the kernel RNG, so a per-shard
+//! kernel replays the same events whichever worker runs it; across kernels
+//! there are only commutative admission counters and the read-only job
+//! stream. `threads` moves the wall-clock outputs (`wall_seconds`,
+//! decision latencies, `shard_busy_s`) and nothing else, pinned at 1, 2
+//! and 4 threads by `tests/service_parallel.rs`. Fault injection is
+//! shard-local: crash and retry coroutines run on their shard's kernel
+//! ([`ParallelServiceHarness::install_faults`]).
 
 mod admission;
 mod harness;
 mod latency;
-mod parallel;
 mod router;
 
 pub use admission::{AdmissionDecision, AdmissionPolicy, AdmissionTelemetry, RejectReason};
-pub use harness::{ServiceConfig, ServiceHarness, ServiceOutcome, ServiceReport};
+pub use harness::{
+    ParallelServiceHarness, ServiceConfig, ServiceHarness, ServiceOutcome, ServiceReport,
+};
 pub use latency::{InstrumentedScheduler, LatencySamples, LatencySummary};
-pub use parallel::ParallelServiceHarness;
 pub use router::{RoutingPolicy, ShardLoad};

@@ -69,10 +69,11 @@ fn splitmix64(mut x: u64) -> u64 {
 impl RoutingPolicy {
     /// Whether routing reads *live* shard load (queue depth / free qubits)
     /// at the arrival instant, as opposed to only the static per-region
-    /// capacity. Load-fed policies force the parallel backend into epoch
-    /// lock-step (barrier-synced snapshots at every routing instant);
-    /// stateless policies let shards free-run on their threads because the
-    /// whole placement is a pure function of the job and the fleet shape.
+    /// capacity. It picks the service engine's kernel layout: a load-fed
+    /// policy hosts every shard and the router on one kernel; a stateless
+    /// one is routed up front, because its whole placement is a pure
+    /// function of the job and the fleet shape, and gives every shard a
+    /// kernel of its own.
     pub fn needs_load_feedback(&self) -> bool {
         matches!(self, RoutingPolicy::LeastLoaded)
     }

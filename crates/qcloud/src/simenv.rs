@@ -698,8 +698,8 @@ impl RunResult {
 /// One scheduler shard wired onto a (possibly shared) kernel: the fleet,
 /// the shared queue state (with the shard's qubit ledger), and a spawned
 /// [`SchedulerProc`].
-/// The batch environment hosts exactly one; the [`crate::service`] front
-/// end hosts one per region on a single [`Simulation`].
+/// The batch environment hosts exactly one; the [`crate::service`] engine
+/// hosts one per region, on one shared [`Simulation`] or one each.
 pub(crate) struct ShardParts {
     pub(crate) cloud: QCloud,
     pub(crate) shared: Shared,
@@ -806,7 +806,7 @@ pub(crate) fn spawn_shard(
 /// stores the [`FaultState`] in the shared queue state, and spawns one
 /// [`CrashProc`] per scripted outage on `sim`. Single copy of the arming
 /// logic shared by [`QCloudSimEnv::install_faults`] (which additionally
-/// wires an [`AvoidSet`]) and the service harnesses (which arm the same
+/// wires an [`AvoidSet`]) and the service engine (which arms the same
 /// script on every region shard).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn arm_faults(

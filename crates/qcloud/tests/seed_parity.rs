@@ -389,12 +389,7 @@ fn utilization_run(
 /// ledger (or to where utilisation is read) fail loudly.
 #[test]
 fn device_utilization_bits_pinned() {
-    use qcs_calibration::regional_fleet;
     use qcs_qcloud::config::ReleasePolicy;
-    use qcs_qcloud::{
-        AdmissionPolicy, FaultScript, ParallelServiceHarness, RetryPolicy, RoutingPolicy,
-        ServiceConfig, ServiceHarness, ServiceOutcome,
-    };
 
     let mut h: u64 = 0xcbf29ce484222325;
     for release in [ReleasePolicy::PerDevice, ReleasePolicy::AtJobEnd] {
@@ -421,8 +416,49 @@ fn device_utilization_bits_pinned() {
         "batch device utilisation bits changed"
     );
 
-    // One 4-region hash-routed service run with faults, through both
-    // harnesses: each must reproduce the same pinned bits.
+    // The 4-region hash-routed service run with faults, on one and on two
+    // worker threads: each must reproduce the same pinned bits.
+    for threads in [1, 2] {
+        let out = faulty_hash_service(threads);
+        let bits = out.shards.iter().fold(0xcbf29ce484222325u64, |h, s| {
+            utilization_fingerprint(&s.device_utilization, h)
+        });
+        assert_eq!(
+            bits, 0x332f1a367a7285bd,
+            "service utilisation bits changed on {threads} thread(s)"
+        );
+    }
+}
+
+/// Pins the record streams of [`device_utilization_bits_pinned`]'s service
+/// run, shard by shard in region order: placement and every timing. A
+/// shard's intake resumes only at that shard's arrivals, and builds each
+/// resume clock `now + (arrival − now)` exactly as the batch generator
+/// does; job 25 is dispatched at that clock, one ulp below its arrival
+/// timestamp.
+#[test]
+fn service_record_bits_pinned() {
+    for threads in [1, 2] {
+        let out = faulty_hash_service(threads);
+        let bits = out.shards.iter().fold(0xcbf29ce484222325u64, |h, s| {
+            (h ^ fingerprint(&s.records)).wrapping_mul(0x100000001b3)
+        });
+        assert_eq!(
+            bits, 0xbfb84e32e2444a52,
+            "service record bits changed on {threads} thread(s)"
+        );
+    }
+}
+
+/// One 4-region hash-routed service run with a crash and execution
+/// failures, checked complete and checked to actually hit a fault.
+fn faulty_hash_service(threads: usize) -> qcs_qcloud::ServiceOutcome {
+    use qcs_calibration::regional_fleet;
+    use qcs_qcloud::{
+        AdmissionPolicy, FaultScript, ParallelServiceHarness, RetryPolicy, RoutingPolicy,
+        ServiceConfig, ServiceHarness,
+    };
+
     let seed = 23;
     let dist = JobDistribution {
         qubits: (20, 300),
@@ -440,48 +476,39 @@ fn device_utilization_bits_pinned() {
         admission: AdmissionPolicy::open(),
         routing: RoutingPolicy::Hash,
     };
-    let service_bits = |out: &ServiceOutcome| {
-        out.verify_complete(&jobs).expect("complete service run");
-        assert!(
-            out.shards
-                .iter()
-                .flat_map(|s| &s.records)
-                .any(|r| r.attempts > 1),
-            "the service fault script must bite"
+    let make = |_| scheduler_by_name("backfill+speed", seed, 1).unwrap();
+    let params = SimParams::default();
+    let out = if threads == 1 {
+        let mut h = ServiceHarness::new(
+            regional_fleet(4, seed),
+            make,
+            jobs.clone(),
+            params,
+            config,
+            seed,
         );
-        out.shards.iter().fold(0xcbf29ce484222325u64, |h, s| {
-            utilization_fingerprint(&s.device_utilization, h)
-        })
+        h.install_faults(&script, retry);
+        h.run()
+    } else {
+        let mut h = ParallelServiceHarness::new(
+            regional_fleet(4, seed),
+            make,
+            jobs.clone(),
+            params,
+            config,
+            seed,
+            threads,
+        );
+        h.install_faults(&script, retry);
+        h.run()
     };
-    let mut seq = ServiceHarness::new(
-        regional_fleet(4, seed),
-        |_| scheduler_by_name("backfill+speed", seed, 1).unwrap(),
-        jobs.clone(),
-        SimParams::default(),
-        config,
-        seed,
+    out.verify_complete(&jobs).expect("complete service run");
+    assert!(
+        out.shards
+            .iter()
+            .flat_map(|s| &s.records)
+            .any(|r| r.attempts > 1),
+        "the service fault script must bite"
     );
-    seq.install_faults(&script, retry);
-    let seq = seq.run();
-    let mut par = ParallelServiceHarness::new(
-        regional_fleet(4, seed),
-        |_| scheduler_by_name("backfill+speed", seed, 1).unwrap(),
-        jobs.clone(),
-        SimParams::default(),
-        config,
-        seed,
-        2,
-    );
-    par.install_faults(&script, retry);
-    let par = par.run();
-    assert_eq!(
-        service_bits(&seq),
-        0x332f1a367a7285bd,
-        "sequential service utilisation bits changed"
-    );
-    assert_eq!(
-        service_bits(&par),
-        0x332f1a367a7285bd,
-        "parallel service utilisation bits changed"
-    );
+    out
 }

@@ -1,15 +1,16 @@
-//! Parallel-backend identity: [`qcs_qcloud::ParallelServiceHarness`]
-//! (one kernel per region shard on its own OS thread) must be
-//! **bit-identical** to the sequential [`qcs_qcloud::ServiceHarness`] —
-//! per-shard record streams, scheduler telemetry, admission accounting
-//! and routing spread — at every shard count, worker-thread count and
+//! Thread-count identity: the service engine
+//! ([`qcs_qcloud::ParallelServiceHarness`]) must produce **bit-identical**
+//! outcomes at every worker-thread count, and the one-thread
+//! [`qcs_qcloud::ServiceHarness`] is the reference — per-shard record
+//! streams, scheduler telemetry, utilisation, admission accounting,
+//! routing spread and kernel event counts — at every shard count and
 //! routing policy, with and without an armed fault script.
 //!
 //! The grid test pins the full {1,2,4} shards × {1,2,4} threads ×
 //! {hash, least-loaded, affinity} cross product deterministically; the
 //! proptest walks random admission bands, disciplines and traffic over
-//! the same axes; the golden test re-derives the *sequential* suite's
-//! pinned sharded-diurnal fingerprint through the parallel backend.
+//! the same axes; the golden test re-derives the pinned sharded-diurnal
+//! fingerprint on two threads.
 
 use proptest::prelude::*;
 use qcs_calibration::{regional_fleet, DeviceProfile};
@@ -126,9 +127,8 @@ fn fingerprint(outcome: &ServiceOutcome) -> u64 {
     h
 }
 
-/// The identity contract: everything sim-time-derived matches bit for
-/// bit. Wall-clock outputs and `events_processed` are explicitly outside
-/// it (see the parallel module docs).
+/// The identity contract: everything sim-time-derived, and the kernel
+/// event counts, match bit for bit. Only wall-clock outputs may differ.
 fn assert_bit_identical(seq: &ServiceOutcome, par: &ServiceOutcome, label: &str) {
     assert_eq!(seq.shards.len(), par.shards.len(), "{label}: shard count");
     for (i, (a, b)) in seq.shards.iter().zip(&par.shards).enumerate() {
@@ -138,7 +138,15 @@ fn assert_bit_identical(seq: &ServiceOutcome, par: &ServiceOutcome, label: &str)
             a.device_utilization, b.device_utilization,
             "{label}: shard {i} utilization"
         );
+        assert_eq!(
+            a.events_processed, b.events_processed,
+            "{label}: shard {i} kernel events"
+        );
     }
+    assert_eq!(
+        seq.report.events_processed, par.report.events_processed,
+        "{label}: kernel events"
+    );
     assert_eq!(
         seq.report.admission, par.report.admission,
         "{label}: admission accounting"
@@ -191,8 +199,16 @@ fn parallel_matches_sequential_across_grid() {
                     threads,
                 );
                 par.verify_complete(&jobs).unwrap();
-                assert_eq!(par.report.worker_threads, threads.clamp(1, shards));
-                assert_eq!(par.report.shard_busy_s.len(), shards);
+                // Least-loaded routing shares one kernel; the others give
+                // every shard its own.
+                let kernels = if routing.needs_load_feedback() {
+                    1
+                } else {
+                    shards
+                };
+                assert_eq!(par.report.worker_threads, threads.min(kernels));
+                let busy = if kernels == shards { shards } else { 0 };
+                assert_eq!(par.report.shard_busy_s.len(), busy);
                 assert_bit_identical(
                     &seq,
                     &par,
@@ -203,10 +219,10 @@ fn parallel_matches_sequential_across_grid() {
     }
 }
 
-/// The parallel backend re-derives the sequential suite's pinned golden
+/// Two worker threads re-derive the one-thread suite's pinned golden
 /// fingerprint (`service_proptests::sharded_diurnal_golden_fingerprint`)
-/// — same trace, same armed intake, least-loaded routing through the
-/// epoch coordinator, two worker threads.
+/// — same trace, same armed intake, least-loaded routing on the shared
+/// kernel.
 #[test]
 fn parallel_reproduces_sharded_diurnal_golden() {
     const GOLDEN_SHARDED_DIURNAL: u64 = 11643465090471230075;
@@ -233,15 +249,14 @@ fn parallel_reproduces_sharded_diurnal_golden() {
     assert_eq!(
         fingerprint(&outcome),
         GOLDEN_SHARDED_DIURNAL,
-        "parallel run diverged from the sequential golden fingerprint"
+        "two-thread run diverged from the golden fingerprint"
     );
 }
 
-/// Crash outages and execution faults ride inside each shard's kernel:
-/// a scripted fault run is bit-identical across backends and thread
-/// counts, in both synchronization regimes (free-running hash routing
-/// and epoch-barriered least-loaded routing) — the cross-epoch kill path
-/// (`run_epoch` + generation-checked handles) changes nothing.
+/// Crash outages and execution faults ride on their shard's kernel: a
+/// scripted fault run is bit-identical across thread counts in both
+/// kernel layouts (one kernel per shard under hash routing, one shared
+/// kernel under least-loaded routing).
 #[test]
 fn parallel_matches_sequential_under_faults() {
     let seed = 77;
@@ -304,12 +319,40 @@ fn parallel_matches_sequential_under_faults() {
     }
 }
 
+/// A shard's own kernel resumes its intake only at that shard's
+/// arrivals: a shard that is routed no job runs the same few kernel
+/// events however long the rest of the trace is.
+#[test]
+fn idle_shard_kernel_work_does_not_grow_with_the_trace() {
+    let seed = 5;
+    // Region 1 keeps one 127-qubit device; every job is larger, so hash
+    // routing sends the whole trace to region 0.
+    let mut regions = regional_fleet(2, seed);
+    regions[1].truncate(1);
+    let dist = JobDistribution {
+        qubits: (130, 250),
+        ..small_dist()
+    };
+    let idle_events = |n: usize| {
+        let jobs = poisson_arrivals(n, 0.02, &dist, seed);
+        let config = ServiceConfig {
+            admission: AdmissionPolicy::open(),
+            routing: RoutingPolicy::Hash,
+        };
+        let out = parallel(regions.clone(), "speed", jobs.clone(), config, seed, 2);
+        out.verify_complete(&jobs).unwrap();
+        assert_eq!(out.report.routed_per_shard, vec![n as u64, 0]);
+        out.shards[1].events_processed
+    };
+    assert_eq!(idle_events(10), idle_events(40));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random traffic, admission bands and disciplines over the ISSUE's
-    /// shard × thread × routing axes: the parallel backend never
-    /// diverges from the sequential reference.
+    /// Random traffic, admission bands and disciplines over the shard ×
+    /// thread × routing axes: no thread count diverges from the
+    /// one-thread reference.
     #[test]
     fn parallel_is_bit_identical_to_sequential(
         seed in 1u64..10_000,
@@ -349,6 +392,7 @@ proptest! {
         }
         prop_assert_eq!(seq.report.admission, par.report.admission);
         prop_assert_eq!(&seq.report.routed_per_shard, &par.report.routed_per_shard);
+        prop_assert_eq!(seq.report.events_processed, par.report.events_processed);
         prop_assert_eq!(fingerprint(&seq), fingerprint(&par));
     }
 }

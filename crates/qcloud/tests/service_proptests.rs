@@ -113,7 +113,10 @@ fn fingerprint(outcome: &ServiceOutcome) -> u64 {
 
 /// A single-region service with the intake wide open replays the batch
 /// environment's records exactly: the router degenerates into the batch
-/// generator, and latency instrumentation never touches sim time.
+/// generator, and latency instrumentation never touches sim time. Every
+/// routing runs, so both kernel layouts (a shard's own kernel under hash
+/// and affinity, the shared kernel under least-loaded) meet the batch
+/// reference.
 #[test]
 fn open_single_region_service_matches_batch_env() {
     let seed = 7;
@@ -126,22 +129,24 @@ fn open_single_region_service_matches_batch_env() {
         seed,
     )
     .run();
-    let outcome = service(
-        vec![ibm_fleet(seed)],
-        "conservative+speed",
-        jobs,
-        ServiceConfig {
-            admission: AdmissionPolicy::open(),
-            routing: RoutingPolicy::Hash,
-        },
-        seed,
-    );
-    assert_eq!(outcome.shards.len(), 1);
-    assert_eq!(outcome.shards[0].records, batch.records);
-    assert_eq!(outcome.shards[0].telemetry, batch.telemetry);
-    assert_eq!(outcome.report.admission.submitted, 60);
-    assert_eq!(outcome.report.admission.accepted, 60);
-    assert!(outcome.report.decision_latency.count > 0);
+    for routing in ROUTINGS {
+        let outcome = service(
+            vec![ibm_fleet(seed)],
+            "conservative+speed",
+            jobs.clone(),
+            ServiceConfig {
+                admission: AdmissionPolicy::open(),
+                routing,
+            },
+            seed,
+        );
+        assert_eq!(outcome.shards.len(), 1);
+        assert_eq!(outcome.shards[0].records, batch.records, "{routing}");
+        assert_eq!(outcome.shards[0].telemetry, batch.telemetry, "{routing}");
+        assert_eq!(outcome.report.admission.submitted, 60);
+        assert_eq!(outcome.report.admission.accepted, 60);
+        assert!(outcome.report.decision_latency.count > 0);
+    }
 }
 
 /// A throttling intake defers the whole burst: jobs are admitted only
