@@ -2,17 +2,14 @@
 //! scheduling throughput, and the suspend/wake hand-off of one parked
 //! process woken by many sleepers.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
 
 struct Ticker {
     remaining: u32,
 }
-impl Coroutine for Ticker {
-    fn resume(&mut self, _cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<()> for Ticker {
+    fn resume(&mut self, _cx: &mut Ctx<'_, ()>) -> Step {
         if self.remaining == 0 {
             return Step::Done;
         }
@@ -21,13 +18,12 @@ impl Coroutine for Ticker {
     }
 }
 
-/// Parks until woken; finishes once every waker has finished.
-struct Parked {
-    wakers_left: Arc<AtomicUsize>,
-}
-impl Coroutine for Parked {
-    fn resume(&mut self, _cx: &mut Ctx<'_>) -> Step {
-        if self.wakers_left.load(Ordering::Relaxed) == 0 {
+/// Parks until woken; finishes once every waker has finished. The world
+/// counts the wakers still running.
+struct Parked;
+impl Coroutine<usize> for Parked {
+    fn resume(&mut self, cx: &mut Ctx<'_, usize>) -> Step {
+        if *cx.world == 0 {
             Step::Done
         } else {
             Step::Wait(Effect::Suspend)
@@ -42,13 +38,12 @@ struct Waker {
     hold: f64,
     cycles: u32,
     slept: u32,
-    wakers_left: Arc<AtomicUsize>,
 }
-impl Coroutine for Waker {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<usize> for Waker {
+    fn resume(&mut self, cx: &mut Ctx<'_, usize>) -> Step {
         if self.slept > 0 {
             if self.slept == self.cycles {
-                self.wakers_left.fetch_sub(1, Ordering::Relaxed);
+                *cx.world -= 1;
             }
             cx.wake(self.target);
         }
@@ -70,7 +65,7 @@ fn bench_event_throughput(c: &mut Criterion) {
             &n_procs,
             |b, &n_procs| {
                 b.iter(|| {
-                    let mut sim = Simulation::new(1);
+                    let mut sim = Simulation::new(());
                     for _ in 0..n_procs {
                         sim.spawn(Box::new(Ticker { remaining: 100 }));
                     }
@@ -92,18 +87,14 @@ fn bench_suspend_wake(c: &mut Criterion) {
             &n_wakers,
             |b, &n_wakers| {
                 b.iter(|| {
-                    let mut sim = Simulation::new(2);
-                    let wakers_left = Arc::new(AtomicUsize::new(n_wakers));
-                    let target = sim.spawn(Box::new(Parked {
-                        wakers_left: wakers_left.clone(),
-                    }));
+                    let mut sim = Simulation::new(n_wakers);
+                    let target = sim.spawn(Box::new(Parked));
                     for i in 0..n_wakers {
                         sim.spawn(Box::new(Waker {
                             target,
                             hold: 1.0 + (i % 7) as f64 * 0.25,
                             cycles: 50,
                             slept: 0,
-                            wakers_left: wakers_left.clone(),
                         }));
                     }
                     sim.run();

@@ -1,10 +1,14 @@
 //! The simulation kernel: slab-allocated processes and events over one
-//! event heap.
+//! event heap, plus the world the processes act on.
 //!
-//! The kernel knows two effects — [`Effect::Timeout`] and
-//! [`Effect::Suspend`] — and three process-control calls: spawn, wake and
-//! kill. Everything a model simulates (queues, capacity ledgers, records)
-//! lives outside it, in state the coroutines share.
+//! A [`Simulation`] is a [`Kernel`] and a world `W`. The kernel knows two
+//! effects — [`Effect::Timeout`] and [`Effect::Suspend`] — and three
+//! process-control calls: spawn, wake and kill. Everything a model
+//! simulates (queues, capacity ledgers, records) is the world: the
+//! simulation owns it and lends it to each process it resumes, next to the
+//! kernel ([`Ctx::world`], [`Ctx::kernel`]). No state is shared between
+//! processes behind a lock, and [`Simulation::into_world`] hands the final
+//! state back after the run.
 //!
 //! # Slab/handle model
 //!
@@ -18,9 +22,9 @@
 //!   from a previous occupant never resolves to the new one.
 //!
 //! A stale [`ProcessId`] (its process finished, was killed, or its slot was
-//! reused) degrades safely everywhere: [`Simulation::wake`] and
-//! [`Simulation::kill`] return `false`, [`Simulation::is_done`] returns
-//! `true`. This is what makes `kill` safe in the presence of slot reuse — a
+//! reused) degrades safely everywhere: [`Kernel::wake`] and
+//! [`Kernel::kill`] return `false`, [`Kernel::is_done`] returns `true`.
+//! This is what makes `kill` safe in the presence of slot reuse — a
 //! registry holding a pid of an already-finished process cannot
 //! accidentally kill its successor.
 //!
@@ -32,9 +36,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Deref, DerefMut};
 
 use crate::process::{Coroutine, Ctx, Effect, ProcessId, Step};
-use crate::rng::Xoshiro256StarStar;
 use crate::time::SimTime;
 
 /// One slot of the event slab: which process the event resumes, plus the
@@ -57,8 +61,8 @@ enum ProcState {
     Done,
 }
 
-struct ProcSlot {
-    co: Option<Box<dyn Coroutine>>,
+struct ProcSlot<W> {
+    co: Option<Box<dyn Coroutine<W>>>,
     state: ProcState,
     /// Slot generation: bumped when the process finishes or is killed and
     /// the slot returns to the free list. Handles carry the generation they
@@ -94,42 +98,101 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// A deterministic process-interaction discrete-event simulation.
+/// The clock, the event heap and the process slabs of a [`Simulation`]:
+/// everything but the world.
 ///
-/// See the [crate docs](crate) and the [module docs](self) for the
-/// programming and slab/handle model.
-pub struct Simulation {
+/// See the [module docs](self) for the slab/handle model.
+pub struct Kernel<W> {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    procs: Vec<ProcSlot>,
+    procs: Vec<ProcSlot<W>>,
     /// Free-listed process slots (retired, generation already bumped).
     proc_free: Vec<u32>,
     /// Event slab; entries are reused across the run.
     events: Vec<EventSlot>,
     event_free: Vec<u32>,
-    rng: Xoshiro256StarStar,
     events_processed: u64,
     live_processes: usize,
 }
 
-impl Simulation {
-    /// Creates an empty simulation with the given RNG seed.
-    pub fn new(seed: u64) -> Self {
+/// A deterministic process-interaction discrete-event simulation: a
+/// [`Kernel`] driving processes over a world `W` it owns.
+///
+/// The simulation dereferences to its kernel, so the clock and the
+/// process-control calls ([`Kernel::spawn`], [`Kernel::wake`],
+/// [`Kernel::kill`]) are called on it directly. See the [crate docs](crate)
+/// for the programming model.
+pub struct Simulation<W> {
+    kernel: Kernel<W>,
+    world: W,
+}
+
+impl<W> Simulation<W> {
+    /// Creates a simulation with no processes over `world`.
+    pub fn new(world: W) -> Self {
         Simulation {
-            now: SimTime::ZERO,
-            seq: 0,
-            heap: BinaryHeap::with_capacity(1024),
-            procs: Vec::with_capacity(256),
-            proc_free: Vec::new(),
-            events: Vec::with_capacity(1024),
-            event_free: Vec::new(),
-            rng: Xoshiro256StarStar::new(seed),
-            events_processed: 0,
-            live_processes: 0,
+            kernel: Kernel {
+                now: SimTime::ZERO,
+                seq: 0,
+                heap: BinaryHeap::with_capacity(1024),
+                procs: Vec::with_capacity(256),
+                proc_free: Vec::new(),
+                events: Vec::with_capacity(1024),
+                event_free: Vec::new(),
+                events_processed: 0,
+                live_processes: 0,
+            },
+            world,
         }
     }
 
+    /// The world the processes act on.
+    #[inline]
+    pub fn world(&self) -> &W {
+        &self.world
+    }
+
+    /// Mutable access to the world, e.g. to set it up before the run.
+    #[inline]
+    pub fn world_mut(&mut self) -> &mut W {
+        &mut self.world
+    }
+
+    /// Ends the simulation and returns its world.
+    pub fn into_world(self) -> W {
+        self.world
+    }
+
+    /// Processes a single event. Returns `false` when the heap is empty.
+    /// Stale entries (their event slot was freed by a kill) are discarded
+    /// without advancing the clock; the call still returns `true`.
+    pub fn step(&mut self) -> bool {
+        self.kernel.step(&mut self.world)
+    }
+
+    /// Runs until no events remain. Returns the final simulation time.
+    pub fn run(&mut self) -> f64 {
+        while self.step() {}
+        self.now()
+    }
+}
+
+impl<W> Deref for Simulation<W> {
+    type Target = Kernel<W>;
+
+    fn deref(&self) -> &Kernel<W> {
+        &self.kernel
+    }
+}
+
+impl<W> DerefMut for Simulation<W> {
+    fn deref_mut(&mut self) -> &mut Kernel<W> {
+        &mut self.kernel
+    }
+}
+
+impl<W> Kernel<W> {
     /// Current simulation time in seconds.
     #[inline]
     pub fn now(&self) -> f64 {
@@ -155,26 +218,20 @@ impl Simulation {
         self.procs.len()
     }
 
-    /// The kernel RNG stream.
-    #[inline]
-    pub fn rng(&mut self) -> &mut Xoshiro256StarStar {
-        &mut self.rng
-    }
-
     // ------------------------------------------------------------------
     // Slab plumbing
     // ------------------------------------------------------------------
 
     /// The slot behind a handle, if the handle is still current.
     #[inline]
-    fn live(&self, pid: ProcessId) -> Option<&ProcSlot> {
+    fn live(&self, pid: ProcessId) -> Option<&ProcSlot<W>> {
         self.procs
             .get(pid.index())
             .filter(|s| s.gen == pid.generation())
     }
 
     /// Allocates a process slot (reusing a retired one when available).
-    fn alloc_proc(&mut self, co: Box<dyn Coroutine>) -> ProcessId {
+    fn alloc_proc(&mut self, co: Box<dyn Coroutine<W>>) -> ProcessId {
         if let Some(idx) = self.proc_free.pop() {
             let slot = &mut self.procs[idx as usize];
             debug_assert!(slot.co.is_none() && slot.pending_ev.is_none());
@@ -207,14 +264,14 @@ impl Simulation {
 
     /// Spawns a process, scheduled to run at the current time (after any
     /// events already queued for this instant).
-    pub fn spawn(&mut self, co: Box<dyn Coroutine>) -> ProcessId {
+    pub fn spawn(&mut self, co: Box<dyn Coroutine<W>>) -> ProcessId {
         self.spawn_after(0.0, co)
     }
 
     /// Spawns a process that first runs `delay` seconds from now. The slot
     /// may be one reused from a finished process; the returned handle
     /// carries the slot's new generation.
-    pub fn spawn_after(&mut self, delay: f64, co: Box<dyn Coroutine>) -> ProcessId {
+    pub fn spawn_after(&mut self, delay: f64, co: Box<dyn Coroutine<W>>) -> ProcessId {
         let pid = self.alloc_proc(co);
         self.live_processes += 1;
         let t = self.now.after(delay);
@@ -250,11 +307,11 @@ impl Simulation {
     }
 
     /// Terminates a process immediately, whether it is sleeping, parked or
-    /// running. The body is dropped (releasing any shared state it held),
-    /// any pending resume event is freed, and the slot returns to the pool
-    /// for reuse — the handle goes stale. Whatever the process had claimed
-    /// in shared state is **not** given back — the killer owns that
-    /// cleanup, exactly as with an OS-level `kill -9`.
+    /// running. The body is dropped, any pending resume event is freed, and
+    /// the slot returns to the pool for reuse — the handle goes stale.
+    /// Whatever the process had claimed in the world is **not** given
+    /// back — the killer owns that cleanup, exactly as with an OS-level
+    /// `kill -9`.
     ///
     /// Returns `false` (no-op) if the process had already finished or the
     /// handle is stale — slot reuse can never redirect a kill at the
@@ -310,10 +367,8 @@ impl Simulation {
     // Run loop
     // ------------------------------------------------------------------
 
-    /// Processes a single event. Returns `false` when the heap is empty.
-    /// Stale entries (their event slot was freed by a kill) are discarded
-    /// without advancing the clock; the call still returns `true`.
-    pub fn step(&mut self) -> bool {
+    /// [`Simulation::step`] over the simulation's world.
+    fn step(&mut self, world: &mut W) -> bool {
         let Some(Reverse(entry)) = self.heap.pop() else {
             return false;
         };
@@ -332,27 +387,25 @@ impl Simulation {
         pslot.pending_ev = None;
         self.now = entry.time;
         self.events_processed += 1;
-        self.run_process(pid);
+        self.run_process(pid, world);
         true
-    }
-
-    /// Runs until no events remain. Returns the final simulation time.
-    pub fn run(&mut self) -> f64 {
-        while self.step() {}
-        self.now()
     }
 
     // ------------------------------------------------------------------
     // Process execution
     // ------------------------------------------------------------------
 
-    fn run_process(&mut self, pid: ProcessId) {
+    fn run_process(&mut self, pid: ProcessId, world: &mut W) {
         let idx = pid.index();
         let mut co = self.procs[idx]
             .co
             .take()
             .expect("process body missing (kernel bug)");
-        let step = co.resume(&mut Ctx { sim: self, pid });
+        let step = co.resume(&mut Ctx {
+            kernel: self,
+            world,
+            pid,
+        });
         // The body may have killed itself during resume — its slot was
         // retired (and possibly reused by a spawn). Only this incarnation
         // may write the body back.
@@ -373,9 +426,9 @@ impl Simulation {
     }
 }
 
-impl std::fmt::Debug for Simulation {
+impl<W> std::fmt::Debug for Kernel<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation")
+        f.debug_struct("Kernel")
             .field("now", &self.now)
             .field("events_processed", &self.events_processed)
             .field("live_processes", &self.live_processes)
@@ -388,55 +441,48 @@ impl std::fmt::Debug for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::{Arc, Mutex};
 
-    /// A process that repeats `Timeout(dt)` n times.
+    /// A process that repeats `Timeout(dt)` n times, counting each fire in
+    /// the world.
     struct Ticker {
         dt: f64,
         n: u32,
-        fired: Arc<AtomicU32>,
     }
-    impl Coroutine for Ticker {
-        fn resume(&mut self, _cx: &mut Ctx<'_>) -> Step {
+    impl Coroutine<u32> for Ticker {
+        fn resume(&mut self, cx: &mut Ctx<'_, u32>) -> Step {
             if self.n == 0 {
                 return Step::Done;
             }
             self.n -= 1;
-            self.fired.fetch_add(1, Ordering::Relaxed);
+            *cx.world += 1;
             Step::Wait(Effect::Timeout(self.dt))
         }
     }
 
-    fn ticker(dt: f64, n: u32, fired: &Arc<AtomicU32>) -> Box<Ticker> {
-        Box::new(Ticker {
-            dt,
-            n,
-            fired: fired.clone(),
-        })
+    fn ticker(dt: f64, n: u32) -> Box<Ticker> {
+        Box::new(Ticker { dt, n })
     }
 
     #[test]
     fn timeouts_advance_clock() {
-        let fired = Arc::new(AtomicU32::new(0));
-        let mut sim = Simulation::new(1);
-        sim.spawn(ticker(2.0, 5, &fired));
+        let mut sim = Simulation::new(0u32);
+        sim.spawn(ticker(2.0, 5));
         let end = sim.run();
         assert_eq!(end, 10.0);
-        assert_eq!(fired.load(Ordering::Relaxed), 5);
+        assert_eq!(*sim.world(), 5);
         assert_eq!(sim.live_processes(), 0);
     }
 
     struct Sleeper;
-    impl Coroutine for Sleeper {
-        fn resume(&mut self, _cx: &mut Ctx<'_>) -> Step {
+    impl<W> Coroutine<W> for Sleeper {
+        fn resume(&mut self, _cx: &mut Ctx<'_, W>) -> Step {
             Step::Wait(Effect::Suspend)
         }
     }
 
     #[test]
     fn suspend_then_wake() {
-        let mut sim = Simulation::new(8);
+        let mut sim = Simulation::new(());
         let pid = sim.spawn(Box::new(Sleeper));
         sim.run();
         assert!(!sim.is_done(pid));
@@ -452,9 +498,8 @@ mod tests {
     #[test]
     fn kill_terminates_in_every_wait_state() {
         // Sleeping (Scheduled with a pending timeout event).
-        let fired = Arc::new(AtomicU32::new(0));
-        let mut sim = Simulation::new(21);
-        let pid = sim.spawn(ticker(5.0, 10, &fired));
+        let mut sim = Simulation::new(0u32);
+        let pid = sim.spawn(ticker(5.0, 10));
         assert!(sim.step() && sim.step()); // fired at t=0 and t=5
         assert!(sim.kill(pid));
         assert!(sim.is_done(pid));
@@ -462,12 +507,12 @@ mod tests {
         sim.run();
         // The pending t=10 event is stale: no further fires, and popping it
         // does not move the clock.
-        assert_eq!(fired.load(Ordering::Relaxed), 2);
+        assert_eq!(*sim.world(), 2);
         assert_eq!(sim.live_processes(), 0);
         assert_eq!(sim.now(), 5.0);
 
         // Suspended.
-        let mut sim = Simulation::new(22);
+        let mut sim = Simulation::new(());
         let pid = sim.spawn(Box::new(Sleeper));
         sim.run();
         assert!(sim.kill(pid));
@@ -475,11 +520,11 @@ mod tests {
         assert_eq!(sim.live_processes(), 0);
 
         // Scheduled but not yet started (spawned with a delay).
-        let mut sim = Simulation::new(23);
-        let pid = sim.spawn_after(3.0, ticker(1.0, 4, &fired));
+        let mut sim = Simulation::new(0u32);
+        let pid = sim.spawn_after(3.0, ticker(1.0, 4));
         assert!(sim.kill(pid));
         sim.run();
-        assert_eq!(fired.load(Ordering::Relaxed), 2);
+        assert_eq!(*sim.world(), 0);
         assert_eq!(sim.now(), 0.0);
     }
 
@@ -487,9 +532,8 @@ mod tests {
     fn slots_are_reused_and_stale_handles_stay_safe() {
         // Spawn-finish-spawn: the second process reuses the first's slot
         // under a bumped generation; the first handle must stay inert.
-        let fired = Arc::new(AtomicU32::new(0));
-        let mut sim = Simulation::new(25);
-        let a = sim.spawn(ticker(1.0, 1, &fired));
+        let mut sim = Simulation::new(0u32);
+        let a = sim.spawn(ticker(1.0, 1));
         sim.run();
         assert!(sim.is_done(a));
         let b = sim.spawn(Box::new(Sleeper));
@@ -510,35 +554,19 @@ mod tests {
     fn event_slab_reuses_slots() {
         // A long ticker run schedules thousands of events but only ever has
         // one in flight — the slab must stay at a single slot.
-        let fired = Arc::new(AtomicU32::new(0));
-        let mut sim = Simulation::new(26);
-        sim.spawn(ticker(1.0, 1000, &fired));
+        let mut sim = Simulation::new(0u32);
+        sim.spawn(ticker(1.0, 1000));
         sim.run();
+        assert_eq!(*sim.world(), 1000);
         assert_eq!(sim.events.len(), 1, "event slots must be pooled");
     }
 
-    #[test]
-    fn raw_pid_roundtrip_preserves_generation() {
-        let mut sim = Simulation::new(27);
-        let a = sim.spawn(Box::new(Sleeper));
-        sim.run();
-        sim.kill(a);
-        let b = sim.spawn(Box::new(Sleeper));
-        let restored = ProcessId::from_raw(b.as_raw());
-        assert_eq!(restored, b);
-        // The stale handle round-trips too, and stays stale.
-        let stale = ProcessId::from_raw(a.as_raw());
-        assert!(sim.is_done(stale));
-        assert!(!sim.wake(stale));
-    }
-
     /// Parks until woken, logging every resume instant.
-    struct Waiter {
-        log: Arc<Mutex<Vec<(usize, f64)>>>,
-    }
-    impl Coroutine for Waiter {
-        fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
-            self.log.lock().unwrap().push((usize::MAX, cx.now()));
+    struct Waiter;
+    impl Coroutine<Vec<(usize, f64)>> for Waiter {
+        fn resume(&mut self, cx: &mut Ctx<'_, Vec<(usize, f64)>>) -> Step {
+            let now = cx.now();
+            cx.world.push((usize::MAX, now));
             Step::Wait(Effect::Suspend)
         }
     }
@@ -549,15 +577,15 @@ mod tests {
         hold: f64,
         target: ProcessId,
         slept: bool,
-        log: Arc<Mutex<Vec<(usize, f64)>>>,
     }
-    impl Coroutine for Waker {
-        fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+    impl Coroutine<Vec<(usize, f64)>> for Waker {
+        fn resume(&mut self, cx: &mut Ctx<'_, Vec<(usize, f64)>>) -> Step {
             if !self.slept {
                 self.slept = true;
                 return Step::Wait(Effect::Timeout(self.hold));
             }
-            self.log.lock().unwrap().push((self.id, cx.now()));
+            let now = cx.now();
+            cx.world.push((self.id, now));
             cx.wake(self.target);
             Step::Done
         }
@@ -568,22 +596,20 @@ mod tests {
         // Two identical runs of wakers converging on one parked process
         // (with ties) must produce identical logs.
         let run = || {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut sim = Simulation::new(42);
-            let target = sim.spawn(Box::new(Waiter { log: log.clone() }));
+            let mut sim = Simulation::new(Vec::new());
+            let target = sim.spawn(Box::new(Waiter));
             for i in 0..10usize {
                 sim.spawn(Box::new(Waker {
                     id: i,
                     hold: 1.0 + (i % 4) as f64 * 0.25,
                     target,
                     slept: false,
-                    log: log.clone(),
                 }));
             }
             sim.run();
             assert_eq!(sim.live_processes(), 1, "only the waiter stays parked");
-            let v = log.lock().unwrap().clone();
-            (v, sim.now(), sim.events_processed())
+            let (end, events) = (sim.now(), sim.events_processed());
+            (sim.into_world(), end, events)
         };
         let (log, end, events) = run();
         assert_eq!((log.clone(), end, events), run());
@@ -605,28 +631,70 @@ mod tests {
     }
 
     #[test]
+    fn processes_see_each_others_world_writes_in_event_order() {
+        // A writer appends its step number to the world every 2 s; a reader
+        // offset by 1 s records what it finds. Each read must see exactly
+        // the writes whose events came before it, and `into_world` must
+        // return the state the last event left.
+        #[derive(Default)]
+        struct Log {
+            written: Vec<u32>,
+            seen: Vec<usize>,
+        }
+        struct Writer(u32);
+        impl Coroutine<Log> for Writer {
+            fn resume(&mut self, cx: &mut Ctx<'_, Log>) -> Step {
+                cx.world.written.push(self.0);
+                self.0 += 1;
+                if self.0 == 4 {
+                    Step::Done
+                } else {
+                    Step::Wait(Effect::Timeout(2.0))
+                }
+            }
+        }
+        struct Reader(u32);
+        impl Coroutine<Log> for Reader {
+            fn resume(&mut self, cx: &mut Ctx<'_, Log>) -> Step {
+                let n = cx.world.written.len();
+                cx.world.seen.push(n);
+                self.0 -= 1;
+                if self.0 == 0 {
+                    Step::Done
+                } else {
+                    Step::Wait(Effect::Timeout(2.0))
+                }
+            }
+        }
+        let mut sim = Simulation::new(Log::default());
+        sim.spawn_after(1.0, Box::new(Reader(4)));
+        // Spawned second but due first: the writer's t = 0 event precedes
+        // the reader's t = 1 one.
+        sim.spawn(Box::new(Writer(0)));
+        assert_eq!(sim.run(), 7.0);
+        let world = sim.into_world();
+        assert_eq!(world.written, vec![0, 1, 2, 3]);
+        assert_eq!(world.seen, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
     fn self_kill_during_resume_is_safe() {
         // A process that kills itself mid-resume: the kernel must not write
         // the stale body back into the (possibly reused) slot.
-        struct SelfKiller {
-            spawned: Arc<AtomicU32>,
-        }
-        impl Coroutine for SelfKiller {
-            fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+        struct SelfKiller;
+        impl Coroutine<u32> for SelfKiller {
+            fn resume(&mut self, cx: &mut Ctx<'_, u32>) -> Step {
                 let me = cx.pid();
                 cx.kill(me);
                 // Immediately reuse the freed slot.
-                cx.spawn(ticker(1.0, 1, &self.spawned));
+                cx.spawn(ticker(1.0, 1));
                 Step::Done // ignored: the slot is already retired
             }
         }
-        let spawned = Arc::new(AtomicU32::new(0));
-        let mut sim = Simulation::new(28);
-        sim.spawn(Box::new(SelfKiller {
-            spawned: spawned.clone(),
-        }));
+        let mut sim = Simulation::new(0u32);
+        sim.spawn(Box::new(SelfKiller));
         sim.run();
-        assert_eq!(spawned.load(Ordering::Relaxed), 1);
+        assert_eq!(*sim.world(), 1);
         assert_eq!(sim.live_processes(), 0);
     }
 }

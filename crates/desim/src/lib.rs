@@ -6,21 +6,26 @@
 //!
 //! ## Model
 //!
-//! * A [`Simulation`] owns a monotone event heap and a set of *processes*
-//!   (cooperative coroutines implementing [`Coroutine`]). Nothing else:
-//!   the world the processes act on — queues, capacity ledgers, records —
-//!   lives outside the kernel, in state the coroutines share.
+//! * A [`Simulation<W>`] is a [`Kernel`] — a monotone event heap and a set
+//!   of *processes* (cooperative coroutines implementing [`Coroutine<W>`])
+//!   — plus the world `W` the processes act on: queues, capacity ledgers,
+//!   records. The simulation owns the world; [`Simulation::into_world`]
+//!   hands it back after the run.
+//! * Each resume gets a [`Ctx`] whose two fields borrow the kernel and the
+//!   world separately, so a process can hold world state while it spawns,
+//!   wakes or kills. Nothing is shared behind a lock, and a world is
+//!   reachable only from the thread running its simulation.
 //! * Processes advance by returning [`Step::Wait`] with an [`Effect`]:
 //!   [`Effect::Timeout`] (resume after a delay) or [`Effect::Suspend`]
-//!   (park until another component calls [`Simulation::wake`]).
+//!   (park until another component calls [`Kernel::wake`]).
 //! * Processes can spawn others (now or after a delay), wake parked ones,
-//!   and [`Simulation::kill`] any of them mid-wait — the primitive behind
-//!   crash injection, where the killer cleans up the victim's shared
-//!   state itself.
+//!   and [`Kernel::kill`] any of them mid-wait — the primitive behind
+//!   crash injection, where the killer cleans up what the victim held in
+//!   the world itself.
 //! * Everything is deterministic: events are ordered by `(time, seq)`, so
-//!   simultaneous events fire in the order they were scheduled, and all
-//!   randomness flows from explicit seeds through the bundled
-//!   [`rng::Xoshiro256StarStar`] generator.
+//!   simultaneous events fire in the order they were scheduled. The kernel
+//!   draws no randomness; models that need it seed their own streams, for
+//!   instance from the bundled [`rng::Xoshiro256StarStar`] generator.
 //!
 //! ## Slab allocation and handles
 //!
@@ -34,14 +39,11 @@
 //! `(index, generation)` pairs. Freeing a slot bumps its generation, so a
 //! handle from a previous occupant can never resolve to the new one:
 //!
-//! * [`Simulation::wake`] / [`Simulation::kill`] through a stale handle
-//!   return `false` and do nothing — holding a pid of a finished process
-//!   is always safe, even after its slot was reused;
-//! * [`Simulation::is_done`] answers `true` for a stale handle (that
-//!   incarnation is gone);
-//! * [`ProcessId::as_raw`] packs `(index, generation)` into a `u64` for
-//!   storage in atomics/registries, and [`ProcessId::from_raw`] restores
-//!   the full handle — staleness checks survive the round-trip.
+//! * [`Kernel::wake`] / [`Kernel::kill`] through a stale handle return
+//!   `false` and do nothing — holding a pid of a finished process is
+//!   always safe, even after its slot was reused;
+//! * [`Kernel::is_done`] answers `true` for a stale handle (that
+//!   incarnation is gone).
 //!
 //! Killing a sleeping process frees its event slot and leaves the heap
 //! entry behind; the kernel recognises it as stale by its generation when
@@ -52,19 +54,22 @@
 //! ```
 //! use qcs_desim::{Simulation, Coroutine, Ctx, Step, Effect};
 //!
+//! /// Adds each pulse's length to the world: the total pulse time.
 //! struct Pulse { remaining: u32 }
-//! impl Coroutine for Pulse {
-//!     fn resume(&mut self, _cx: &mut Ctx<'_>) -> Step {
+//! impl Coroutine<f64> for Pulse {
+//!     fn resume(&mut self, cx: &mut Ctx<'_, f64>) -> Step {
 //!         if self.remaining == 0 { return Step::Done; }
 //!         self.remaining -= 1;
+//!         *cx.world += 1.5;
 //!         Step::Wait(Effect::Timeout(1.5))
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(42);
+//! let mut sim = Simulation::new(0.0);
 //! sim.spawn(Box::new(Pulse { remaining: 4 }));
 //! sim.run();
 //! assert_eq!(sim.now(), 6.0);
+//! assert_eq!(sim.into_world(), 6.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -77,7 +82,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use kernel::Simulation;
+pub use kernel::{Kernel, Simulation};
 pub use process::{Coroutine, Ctx, Effect, ProcessId, Step};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{Histogram, TimeWeighted, Welford};

@@ -6,11 +6,15 @@
 //! for. This mirrors SimPy's generator-based processes, expressed as an
 //! explicit state machine (Rust has no stable generators, and explicit
 //! states are easier to unit-test).
+//!
+//! A coroutine is generic over the world `W` of the
+//! [`Simulation`](crate::Simulation) it runs in: each resume gets a [`Ctx`]
+//! holding the kernel and `&mut W` as two separate fields.
 
-use crate::kernel::Simulation;
-use crate::rng::Xoshiro256StarStar;
+use crate::kernel::Kernel;
 
-/// Generation-checked handle to a spawned process within one [`Simulation`].
+/// Generation-checked handle to a spawned process within one
+/// [`Simulation`](crate::Simulation).
 ///
 /// Process slots are pooled: after a process finishes or is killed, its
 /// slot is reused by a later spawn under a bumped generation. A handle
@@ -41,24 +45,6 @@ impl ProcessId {
     pub fn generation(self) -> u32 {
         self.gen
     }
-
-    /// Packs the handle into a `u64` for storage in atomics/registries
-    /// (low 32 bits: slot index, high 32 bits: generation).
-    #[inline]
-    pub fn as_raw(self) -> u64 {
-        (self.idx as u64) | ((self.gen as u64) << 32)
-    }
-
-    /// Rebuilds a handle from [`ProcessId::as_raw`]. The caller is
-    /// responsible for only using raw values obtained from the same
-    /// simulation; the generation check still applies on use.
-    #[inline]
-    pub fn from_raw(raw: u64) -> Self {
-        ProcessId {
-            idx: raw as u32,
-            gen: (raw >> 32) as u32,
-        }
-    }
 }
 
 /// What a process is waiting for.
@@ -66,7 +52,7 @@ impl ProcessId {
 pub enum Effect {
     /// Resume after the given number of simulated seconds (must be ≥ 0).
     Timeout(f64),
-    /// Park until another component calls [`Simulation::wake`].
+    /// Park until another component calls [`Kernel::wake`].
     Suspend,
 }
 
@@ -79,32 +65,38 @@ pub enum Step {
     Done,
 }
 
-/// A cooperative simulation process.
+/// A cooperative simulation process over a world `W`.
 ///
 /// Implementations are state machines: keep an explicit `state` enum field,
 /// advance it in `resume`, and yield the effect the new state waits on.
-pub trait Coroutine: Send {
+/// `Send`, so a simulation can run on another thread than the one that
+/// built it.
+pub trait Coroutine<W>: Send {
     /// Advances the process. Called once at spawn time and then once per
     /// completed effect.
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step;
+    fn resume(&mut self, cx: &mut Ctx<'_, W>) -> Step;
 }
 
-/// The kernel-side view handed to a process while it runs.
+/// What a process gets while it runs: the kernel and the world, as two
+/// separate borrows.
 ///
-/// `Ctx` exposes the clock, the simulation's RNG, and the process-control
-/// calls (spawn, wake, kill). Waiting goes through the yielded [`Effect`]
-/// instead; world state (queues, capacity ledgers) lives outside the
-/// kernel, in whatever the coroutines share.
-pub struct Ctx<'a> {
-    pub(crate) sim: &'a mut Simulation,
+/// Because they are separate fields, a process can hold a reference into
+/// `world` while it spawns, wakes or kills through `kernel`. The shorthand
+/// methods borrow the whole context and suit the moments it holds none.
+/// Waiting goes through the yielded [`Effect`] instead.
+pub struct Ctx<'a, W> {
+    /// Clock and process control.
+    pub kernel: &'a mut Kernel<W>,
+    /// The simulated state, owned by the [`Simulation`](crate::Simulation).
+    pub world: &'a mut W,
     pub(crate) pid: ProcessId,
 }
 
-impl Ctx<'_> {
+impl<W> Ctx<'_, W> {
     /// Current simulation time in seconds.
     #[inline]
     pub fn now(&self) -> f64 {
-        self.sim.now()
+        self.kernel.now()
     }
 
     /// The id of the running process.
@@ -113,43 +105,27 @@ impl Ctx<'_> {
         self.pid
     }
 
-    /// Mutable access to the simulation's root RNG stream.
-    #[inline]
-    pub fn rng(&mut self) -> &mut Xoshiro256StarStar {
-        self.sim.rng()
-    }
-
     /// Spawns a child process, scheduled to start at the current time.
-    pub fn spawn(&mut self, co: Box<dyn Coroutine>) -> ProcessId {
-        self.sim.spawn(co)
+    pub fn spawn(&mut self, co: Box<dyn Coroutine<W>>) -> ProcessId {
+        self.kernel.spawn(co)
     }
 
     /// Spawns a child process that starts after `delay` seconds.
-    pub fn spawn_after(&mut self, delay: f64, co: Box<dyn Coroutine>) -> ProcessId {
-        self.sim.spawn_after(delay, co)
+    pub fn spawn_after(&mut self, delay: f64, co: Box<dyn Coroutine<W>>) -> ProcessId {
+        self.kernel.spawn_after(delay, co)
     }
 
     /// Wakes a process parked on [`Effect::Suspend`].
     pub fn wake(&mut self, pid: ProcessId) {
-        self.sim.wake(pid);
-    }
-
-    /// Wakes several suspended processes in slice order. The order is part
-    /// of the contract: wakes enqueue resume events at the current time, so
-    /// callers fanning out to many waiters (e.g. a router finalising every
-    /// shard scheduler at once) get a deterministic resume sequence.
-    pub fn wake_many(&mut self, pids: &[ProcessId]) {
-        for &pid in pids {
-            self.sim.wake(pid);
-        }
+        self.kernel.wake(pid);
     }
 
     /// Terminates another process immediately (drops its body and cancels
-    /// its pending resume; whatever it held in shared state is the killer's
+    /// its pending resume; whatever it claimed in the world is the killer's
     /// to clean up). Returns `false` if it had already finished. See
-    /// [`Simulation::kill`].
+    /// [`Kernel::kill`].
     pub fn kill(&mut self, pid: ProcessId) -> bool {
-        self.sim.kill(pid)
+        self.kernel.kill(pid)
     }
 }
 
@@ -162,7 +138,6 @@ mod tests {
         let pid = ProcessId::new(7, 3);
         assert_eq!(pid.index(), 7);
         assert_eq!(pid.generation(), 3);
-        assert_eq!(ProcessId::from_raw(pid.as_raw()), pid);
         // Different generations of the same slot are distinct handles.
         assert_ne!(ProcessId::new(7, 3), ProcessId::new(7, 4));
     }

@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
-use std::sync::{Arc, Mutex};
 
 /// One entry of a run's event log, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,8 +20,9 @@ enum Entry {
 
 const PARKER_BASE: usize = 1 << 20;
 
-/// State every process of one run shares: the log, the handles, and the
-/// count of workers still alive (the last one out releases the parkers).
+/// The simulation's world, read and written by every process of one run:
+/// the log, the handles, and the count of workers still alive (the last one
+/// out releases the parkers).
 struct World {
     log: Vec<Entry>,
     workers: Vec<ProcessId>,
@@ -31,16 +31,16 @@ struct World {
     closing: bool,
 }
 
-type Shared = Arc<Mutex<World>>;
-
 /// Marks one worker gone; the last one out closes the run and wakes every
 /// parker (in index order) so each can finish.
-fn worker_gone(cx: &mut Ctx<'_>, w: &mut World) {
+fn worker_gone(cx: &mut Ctx<'_, World>) {
+    let w = &mut *cx.world;
     w.live_workers -= 1;
     if w.live_workers == 0 {
         w.closing = true;
-        let parkers = w.parkers.clone();
-        cx.wake_many(&parkers);
+        for &p in &w.parkers {
+            cx.kernel.wake(p);
+        }
     }
 }
 
@@ -52,13 +52,12 @@ struct Worker {
     next: usize,
     parker: usize,
     kill: Option<(usize, usize)>,
-    world: Shared,
 }
 
-impl Coroutine for Worker {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for Worker {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         let now = cx.now();
-        let mut w = self.world.lock().unwrap();
+        let w = &mut *cx.world;
         w.log.push(Entry::Resume {
             who: self.id,
             t: now,
@@ -68,16 +67,16 @@ impl Coroutine for Worker {
                 parker: self.parker,
                 t: now,
             });
-            cx.wake(w.parkers[self.parker]);
+            cx.kernel.wake(w.parkers[self.parker]);
         }
         if let Some((step, victim)) = self.kill {
-            if step == self.next && cx.kill(w.workers[victim]) {
+            if step == self.next && cx.kernel.kill(w.workers[victim]) {
                 w.log.push(Entry::Kill { victim, t: now });
-                worker_gone(cx, &mut w);
+                worker_gone(cx);
             }
         }
         if self.next == self.holds.len() {
-            worker_gone(cx, &mut w);
+            worker_gone(cx);
             return Step::Done;
         }
         self.next += 1;
@@ -88,17 +87,16 @@ impl Coroutine for Worker {
 /// Parks until woken; finishes on the first resume after the run closes.
 struct Parker {
     id: usize,
-    world: Shared,
 }
 
-impl Coroutine for Parker {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
-        let mut w = self.world.lock().unwrap();
-        w.log.push(Entry::Resume {
+impl Coroutine<World> for Parker {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
+        let t = cx.now();
+        cx.world.log.push(Entry::Resume {
             who: PARKER_BASE + self.id,
-            t: cx.now(),
+            t,
         });
-        if w.closing {
+        if cx.world.closing {
             Step::Done
         } else {
             Step::Wait(Effect::Suspend)
@@ -158,21 +156,15 @@ struct Outcome {
 }
 
 fn run_workload(wl: &Workload) -> Outcome {
-    let mut sim = Simulation::new(7);
-    let world: Shared = Arc::new(Mutex::new(World {
+    let mut sim = Simulation::new(World {
         log: Vec::new(),
         workers: Vec::new(),
         parkers: Vec::new(),
         live_workers: wl.workers.len(),
         closing: false,
-    }));
+    });
     let parkers: Vec<ProcessId> = (0..wl.parkers)
-        .map(|id| {
-            sim.spawn(Box::new(Parker {
-                id,
-                world: world.clone(),
-            }))
-        })
+        .map(|id| sim.spawn(Box::new(Parker { id })))
         .collect();
     let workers: Vec<ProcessId> = wl
         .workers
@@ -187,23 +179,20 @@ fn run_workload(wl: &Workload) -> Outcome {
                     next: 0,
                     parker: s.parker,
                     kill: s.kill,
-                    world: world.clone(),
                 }),
             )
         })
         .collect();
-    {
-        let mut w = world.lock().unwrap();
-        w.parkers = parkers;
-        w.workers = workers;
-    }
+    let w = sim.world_mut();
+    w.parkers = parkers;
+    w.workers = workers;
     sim.run();
-    let log = std::mem::take(&mut world.lock().unwrap().log);
+    let (now, events, live) = (sim.now(), sim.events_processed(), sim.live_processes());
     Outcome {
-        log,
-        now: sim.now(),
-        events: sim.events_processed(),
-        live: sim.live_processes(),
+        log: sim.into_world().log,
+        now,
+        events,
+        live,
     }
 }
 

@@ -6,12 +6,12 @@
 //! for it, so no new sub-job is placed there, while in-flight sub-jobs
 //! finish normally and release their qubits into the (invisible) pool —
 //! a graceful drain, as with IBM's calibration jobs. When the window
-//! closes the device reappears and the scheduler is woken.
+//! closes the scheduler is woken, and the device reappears unless another
+//! window or a crash still covers it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use qcs_desim::{Coroutine, Ctx, Effect, Step};
 
-use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Step};
+use crate::simenv::{wake_scheduler, World};
 
 /// Specification of one maintenance window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,30 +107,30 @@ impl MaintenanceCalendar {
     }
 }
 
-/// Per-device offline flags shared between the scheduler and maintenance
-/// coroutines.
+/// Per-device offline flags: the scheduler's "is this device down right
+/// now?" view.
 #[derive(Debug)]
 pub struct OfflineFlags {
-    flags: Vec<AtomicBool>,
+    flags: Vec<bool>,
 }
 
 impl OfflineFlags {
     /// All devices online.
     pub fn new(n_devices: usize) -> Self {
         OfflineFlags {
-            flags: (0..n_devices).map(|_| AtomicBool::new(false)).collect(),
+            flags: vec![false; n_devices],
         }
     }
 
     /// Whether a device is currently offline.
     #[inline]
     pub fn is_offline(&self, device: usize) -> bool {
-        self.flags[device].load(Ordering::Relaxed)
+        self.flags[device]
     }
 
     /// Sets a device's offline state.
-    pub fn set_offline(&self, device: usize, offline: bool) {
-        self.flags[device].store(offline, Ordering::Relaxed);
+    pub fn set_offline(&mut self, device: usize, offline: bool) {
+        self.flags[device] = offline;
     }
 
     /// Number of devices tracked.
@@ -144,44 +144,46 @@ impl OfflineFlags {
     }
 }
 
-/// The window coroutine. Spawned by
+/// The window coroutine: one outage of `device` on its shard over
+/// `[start, end)`. Spawned by
 /// [`crate::QCloudSimEnv::schedule_maintenance`].
 pub(crate) struct MaintenanceProc {
     pub device: usize,
     pub start: f64,
     pub end: f64,
-    pub offline: Arc<OfflineFlags>,
-    pub scheduler_pid: Arc<AtomicU64>,
+    pub shard: usize,
+    /// Whether the outage was already opened synchronously (a window
+    /// starting at t = 0), so the start edge must not count it again.
+    pub opened: bool,
     pub phase: u8,
 }
 
-impl Coroutine for MaintenanceProc {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for MaintenanceProc {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         match self.phase {
             0 => {
-                // Wait for the window to open (the flag may already be set
-                // by the synchronous t=0 path in `schedule_maintenance`).
+                // Wait for the window to open.
                 self.phase = 1;
                 let delay = (self.start - cx.now()).max(0.0);
                 Step::Wait(Effect::Timeout(delay))
             }
             1 => {
-                self.offline.set_offline(self.device, true);
+                if !self.opened {
+                    cx.world.shards[self.shard].outage(self.device, true);
+                }
                 // Capacity just shrank: wake the scheduler so reservation
                 // timelines are recomputed against the reduced fleet (no
                 // new dispatch can appear from a shrink, but backfilling
                 // disciplines re-issue availability-aware reservations).
-                let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-                cx.wake(pid);
+                wake_scheduler(cx, self.shard);
                 self.phase = 2;
                 Step::Wait(Effect::Timeout((self.end - cx.now()).max(0.0)))
             }
             2 => {
-                // Window over: bring the device back and wake the scheduler
-                // so queued jobs can use it.
-                self.offline.set_offline(self.device, false);
-                let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-                cx.wake(pid);
+                // Window over: close this outage and wake the scheduler so
+                // queued jobs can use the device if nothing else holds it.
+                cx.world.shards[self.shard].outage(self.device, false);
+                wake_scheduler(cx, self.shard);
                 Step::Done
             }
             _ => unreachable!("maintenance resumed after completion"),
@@ -220,7 +222,7 @@ mod tests {
 
     #[test]
     fn offline_flags_toggle() {
-        let f = OfflineFlags::new(3);
+        let mut f = OfflineFlags::new(3);
         assert_eq!(f.len(), 3);
         assert!(!f.is_empty());
         assert!(!f.is_offline(1));

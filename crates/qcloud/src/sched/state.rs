@@ -538,7 +538,7 @@ mod tests {
         let mut st = CloudState::new(&specs(&[100, 100]), &SimParams::default());
         let j = job(40);
         st.reserve(&j, &[(DeviceId(0), 40)], 1.0);
-        let off = OfflineFlags::new(2);
+        let mut off = OfflineFlags::new(2);
         off.set_offline(0, true);
         st.refresh(1.0, &off);
         assert_eq!(st.view().devices[0].free, 0);
@@ -610,7 +610,7 @@ mod tests {
         let mut st = CloudState::new(&specs(&[100, 100]), &SimParams::default());
         let j = job(60);
         st.reserve(&j, &[(DeviceId(0), 60)], 0.0);
-        let off = OfflineFlags::new(2);
+        let mut off = OfflineFlags::new(2);
         off.set_offline(0, true);
         st.refresh(1.0, &off);
         let freed = st.revoke_job(j.id, 1.0);

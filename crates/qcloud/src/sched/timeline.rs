@@ -671,7 +671,7 @@ mod tests {
             start: 1.0,
             duration: release_at + 100.0,
         });
-        let off = OfflineFlags::new(2);
+        let mut off = OfflineFlags::new(2);
         off.set_offline(0, true);
         st.refresh(2.0, &off);
         let tl = timeline_at(st.now());
@@ -684,7 +684,7 @@ mod tests {
     #[test]
     fn offline_without_calendar_window_is_invisible_forever() {
         let mut st = state(&[100, 60]);
-        let off = OfflineFlags::new(2);
+        let mut off = OfflineFlags::new(2);
         off.set_offline(0, true);
         st.refresh(0.0, &off);
         let tl = timeline_at(st.now());
@@ -751,7 +751,7 @@ mod tests {
             start: 50.0,
             duration: 100.0,
         });
-        let off = OfflineFlags::new(3);
+        let mut off = OfflineFlags::new(3);
         st.refresh(0.0, &off);
         assert_eq!(st.profile(), &AvailabilityProfile::from_state(&st));
 

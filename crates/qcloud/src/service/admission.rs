@@ -155,6 +155,17 @@ impl AdmissionTelemetry {
         self.accepted + self.rejected() == self.submitted
     }
 
+    /// Adds another intake's counters to these: each kernel's intake
+    /// counts in its own world, and the engine sums them at teardown.
+    pub(super) fn absorb(&mut self, other: &AdmissionTelemetry) {
+        self.submitted += other.submitted;
+        self.accepted += other.accepted;
+        self.throttle_events += other.throttle_events;
+        self.throttled_then_admitted += other.throttled_then_admitted;
+        self.rejected_queue_full += other.rejected_queue_full;
+        self.rejected_throttled_out += other.rejected_throttled_out;
+    }
+
     /// Books one offer's verdict. `attempts` is the throttle rounds the job
     /// has served: 0 on its arrival, which also counts it as submitted.
     pub(super) fn count(&mut self, attempts: u32, verdict: AdmissionDecision) {

@@ -1,24 +1,25 @@
 //! The service engine: open-traffic intake over sharded scheduler loops.
 //!
-//! Every region shard (a fleet + shared queue + scheduler coroutine, built
-//! by the same `spawn_shard` path the batch environment uses) runs on a
-//! [`qcs_desim::Simulation`] kernel next to a [`RouterProc`] that replaces
-//! the batch generator: it releases arrivals at their timestamps, routes
-//! each to a feasible region, and pushes it through the [`AdmissionPolicy`]
-//! before it may join that shard's pending queue. Throttled jobs park in
-//! [`ThrottleProc`] backoff coroutines — admission can defer work but never
-//! lose it. The routing policy decides whether the shards share one kernel
-//! or each get their own (the module docs' "Kernel layout").
+//! Every region shard (a fleet, queue, ledger and scheduler coroutine,
+//! built by the same `spawn_shard` path the batch environment uses) lives
+//! in the world of a [`qcs_desim::Simulation`] kernel, next to a
+//! [`RouterProc`] that replaces the batch generator: it releases arrivals
+//! at their timestamps, routes each to a feasible region, and pushes it
+//! through the [`AdmissionPolicy`] before it may join that shard's pending
+//! queue. Throttled jobs park in [`ThrottleProc`] backoff coroutines —
+//! admission can defer work but never lose it. The routing policy decides
+//! whether the shards share one kernel or each get their own (the module
+//! docs' "Kernel layout").
 //!
 //! Termination: shards start with an *open* job total (`usize::MAX`); when
 //! an intake's stream is exhausted it finalises its shards' totals to their
 //! routed counts and wakes their schedulers, so each loop can observe
-//! "every routed job terminal" and exit. The kernels then drain and the
-//! engine tears each shard down exactly like
+//! "every routed job terminal" and exit. The kernels then drain, each
+//! checks its shards for a parked scheduler on the thread that ran it, and
+//! the engine tears each shard down exactly like
 //! [`crate::simenv::QCloudSimEnv::run`], including the qubit-conservation
-//! assertion and the named-stall panic.
+//! assertion.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,14 +29,14 @@ use serde::{Deserialize, Serialize};
 use crate::config::SimParams;
 use crate::faults::{FaultScript, RetryPolicy};
 use crate::job::QJob;
-use crate::records::{JobRecord, SummaryStats};
+use crate::records::JobRecord;
 use crate::sched::{Scheduler, RELEASE_SLACK_S};
 use crate::simenv::{
-    arm_shard_faults, device_utilization, spawn_shard, unwrap_shard_state, RunResult, ShardParts,
-    Shared,
+    arm_faults, finish_shard, run_settled, spawn_shard, wake_scheduler, RunResult, SchedState,
+    World,
 };
 use qcs_calibration::DeviceProfile;
-use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
+use qcs_desim::{Coroutine, Ctx, Effect, Simulation, Step};
 
 use super::admission::{AdmissionDecision, AdmissionPolicy, AdmissionTelemetry};
 use super::latency::{InstrumentedScheduler, LatencySamples, LatencySummary};
@@ -59,23 +60,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What the intake needs per shard: queue handle, scheduler pid, and the
-/// region's static capacity for the feasibility filter.
-#[derive(Clone)]
-struct RouterShard {
-    shared: Shared,
-    scheduler_pid: Arc<AtomicU64>,
-    total_capacity: u64,
-}
-
-impl RouterShard {
-    fn sched_pid(&self) -> ProcessId {
-        ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed))
-    }
-}
-
 /// The service-mode arrival front end (replaces the batch `Generator`):
-/// releases its jobs at their arrival times, routes and admits them.
+/// releases its jobs at their arrival times, routes and admits them into
+/// the shards of its kernel's world.
 ///
 /// On the shared kernel it serves every shard and routes each arrival
 /// against live shard loads. On a shard's own kernel it serves that shard
@@ -85,27 +72,21 @@ struct RouterProc {
     jobs: Arc<Vec<QJob>>, // the whole stream, sorted by (arrival, id)
     mine: Vec<usize>,     // indices into `jobs` this intake releases, in order
     next: usize,          // position in `mine`
-    shards: Vec<RouterShard>,
-    routed: Vec<usize>, // jobs routed to each of `shards`
-    wake: Vec<bool>,    // per-resume scratch: shards that admitted a job
+    routed: Vec<usize>,   // jobs routed to each shard of the world
+    wake: Vec<bool>,      // per-resume scratch: shards that admitted a job
     admission: AdmissionPolicy,
     routing: RoutingPolicy,
-    telemetry: Arc<Mutex<AdmissionTelemetry>>,
 }
 
 impl RouterProc {
-    /// Routes `job` against a load snapshot taken under the shard locks.
-    fn route_live(&self, job: &QJob) -> usize {
-        let loads: Vec<ShardLoad> = self
-            .shards
+    /// Routes `job` against the shards' live loads.
+    fn route_live(&self, job: &QJob, shards: &[SchedState]) -> usize {
+        let loads: Vec<ShardLoad> = shards
             .iter()
-            .map(|s| {
-                let st = s.shared.lock();
-                ShardLoad {
-                    queue_depth: st.pending.len(),
-                    free_qubits: st.cloud_state.total_free(),
-                    total_capacity: s.total_capacity,
-                }
+            .map(|st| ShardLoad {
+                queue_depth: st.pending.len(),
+                free_qubits: st.cloud_state.total_free(),
+                total_capacity: st.cloud.total_capacity(),
             })
             .collect();
         self.routing
@@ -114,8 +95,8 @@ impl RouterProc {
     }
 }
 
-impl Coroutine for RouterProc {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for RouterProc {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         let now = cx.now();
         while let Some(&i) = self.mine.get(self.next) {
             if self.jobs[i].arrival_time > now + RELEASE_SLACK_S {
@@ -123,15 +104,15 @@ impl Coroutine for RouterProc {
             }
             self.next += 1;
             let job = self.jobs[i].clone();
+            let shards = &mut cx.world.shards;
             // A kernel with one shard has nothing left to choose.
-            let target = if self.shards.len() == 1 {
+            let target = if shards.len() == 1 {
                 0
             } else {
-                self.route_live(&job)
+                self.route_live(&job, shards)
             };
             self.routed[target] += 1;
-            let shard = &self.shards[target];
-            let mut st = shard.shared.lock();
+            let st = &mut shards[target];
             st.records.record_arrival(&job);
             let verdict = self.admission.decide(st.pending.len(), 0);
             match verdict {
@@ -142,14 +123,13 @@ impl Coroutine for RouterProc {
                 AdmissionDecision::Throttle => {
                     st.records.record_throttle(job.id);
                     st.throttled_inflight += 1;
-                    cx.spawn_after(
+                    cx.kernel.spawn_after(
                         self.admission.throttle_delay_s,
                         Box::new(ThrottleProc {
                             job: Some(job),
-                            shard: shard.clone(),
+                            shard: target,
                             admission: self.admission,
                             attempts: 1,
-                            telemetry: self.telemetry.clone(),
                         }),
                     );
                 }
@@ -157,26 +137,24 @@ impl Coroutine for RouterProc {
                 // the rejection cannot complete its termination condition.
                 AdmissionDecision::Reject(_) => st.records.record_rejected(job.id),
             }
-            drop(st);
-            self.telemetry.lock().count(0, verdict);
+            cx.world.admission.count(0, verdict);
         }
-        for (s, w) in self.shards.iter().zip(&mut self.wake) {
+        for (shard, w) in self.wake.iter_mut().enumerate() {
             if std::mem::take(w) {
-                cx.wake(s.sched_pid());
+                wake_scheduler(cx, shard);
             }
         }
         if let Some(&i) = self.mine.get(self.next) {
             Step::Wait(Effect::Timeout(self.jobs[i].arrival_time - now))
         } else {
             // Stream exhausted: close every served shard's job total and
-            // wake their schedulers (in region order — part of the
+            // wake its scheduler (in region order — part of the
             // determinism contract) so each loop can re-check termination,
             // including a shard that was routed nothing.
-            for (s, &n) in self.shards.iter().zip(&self.routed) {
-                s.shared.lock().total_jobs = n;
+            for (shard, &n) in self.routed.iter().enumerate() {
+                cx.world.shards[shard].total_jobs = n;
+                wake_scheduler(cx, shard);
             }
-            let pids: Vec<ProcessId> = self.shards.iter().map(|s| s.sched_pid()).collect();
-            cx.wake_many(&pids);
             Step::Done
         }
     }
@@ -188,16 +166,15 @@ impl Coroutine for RouterProc {
 /// always terminates.
 struct ThrottleProc {
     job: Option<QJob>,
-    shard: RouterShard,
+    shard: usize,
     admission: AdmissionPolicy,
     attempts: u32,
-    telemetry: Arc<Mutex<AdmissionTelemetry>>,
 }
 
-impl Coroutine for ThrottleProc {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for ThrottleProc {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         let job = self.job.take().expect("throttle holder lost its job");
-        let mut st = self.shard.shared.lock();
+        let st = &mut cx.world.shards[self.shard];
         let verdict = self.admission.decide(st.pending.len(), self.attempts);
         match verdict {
             AdmissionDecision::Accept => {
@@ -213,8 +190,7 @@ impl Coroutine for ThrottleProc {
                 st.records.record_rejected(job.id);
             }
         }
-        drop(st);
-        self.telemetry.lock().count(self.attempts, verdict);
+        cx.world.admission.count(self.attempts, verdict);
         if self.job.is_some() {
             self.attempts += 1;
             return Step::Wait(Effect::Timeout(self.admission.throttle_delay_s));
@@ -222,7 +198,7 @@ impl Coroutine for ThrottleProc {
         // Admitted, or rejected for good — and with the shard's total
         // already final, that rejection may be the terminal event its loop
         // was waiting on. Either way the scheduler must look.
-        cx.wake(self.shard.sched_pid());
+        wake_scheduler(cx, self.shard);
         Step::Done
     }
 }
@@ -355,24 +331,15 @@ impl ServiceOutcome {
     }
 }
 
-/// The kernel hosting shard `shard` when there are `kernels` of them: its
-/// own, or kernel 0 when all shards share it.
-fn kernel_of(shard: usize, kernels: usize) -> usize {
-    if kernels == 1 {
-        0
-    } else {
-        shard
-    }
-}
-
-/// One worker's share of the kernels: runs each to completion and returns
-/// it with its index and the wall seconds it took.
-fn run_kernels(kernels: Vec<(usize, Simulation)>) -> Vec<(usize, Simulation, f64)> {
+/// One worker's share of the kernels: runs each to completion, checks its
+/// shards for a parked scheduler, and returns it with its index and the
+/// wall seconds it took.
+fn run_kernels(kernels: Vec<(usize, Simulation<World>)>) -> Vec<(usize, Simulation<World>, f64)> {
     kernels
         .into_iter()
         .map(|(k, mut sim)| {
             let t0 = Instant::now();
-            sim.run();
+            run_settled(&mut sim);
             (k, sim, t0.elapsed().as_secs_f64())
         })
         .collect()
@@ -388,19 +355,17 @@ fn run_kernels(kernels: Vec<(usize, Simulation)>) -> Vec<(usize, Simulation, f64
 /// on worker `k % threads`. The layout never depends on `threads`, so
 /// neither does any result: only the wall clock moves.
 pub struct ParallelServiceHarness {
-    kernels: Vec<Simulation>,
-    shards: Vec<ShardParts>,
+    kernels: Vec<Simulation<World>>,
     latency: Vec<LatencySamples>,
-    telemetry: Arc<Mutex<AdmissionTelemetry>>,
-    params: SimParams,
     threads: usize,
 }
 
 impl ParallelServiceHarness {
     /// Builds the sharded service: one scheduler instance per region (the
-    /// factory is called with the region index), kernels seeded with
-    /// `seed`, and the router/admission front end from `config`. `threads`
-    /// is the worker-thread count (clamped to `[1, kernels]` at run time).
+    /// factory is called with the region index) and the router/admission
+    /// front end from `config`. `threads` is the worker-thread count
+    /// (clamped to `[1, kernels]` at run time). `seed` is unused: the
+    /// simulation draws no randomness of its own.
     ///
     /// Panics when a job cannot fit *any* region (the trace is not
     /// partitionable — service routing never splits a job across regions)
@@ -411,7 +376,7 @@ impl ParallelServiceHarness {
         mut jobs: Vec<QJob>,
         params: SimParams,
         config: ServiceConfig,
-        seed: u64,
+        _seed: u64,
         threads: usize,
     ) -> Self {
         assert!(!regions.is_empty(), "need at least one region");
@@ -421,13 +386,10 @@ impl ParallelServiceHarness {
             .expect("invalid admission policy");
         let shared_kernel = config.routing.needs_load_feedback();
         let mut kernels = Vec::new();
-        let mut shards = Vec::with_capacity(regions.len());
         let mut latency = Vec::with_capacity(regions.len());
         for (r, profiles) in regions.into_iter().enumerate() {
-            // The seed only feeds the kernel RNG, which no service
-            // coroutine draws from, so per-shard kernels cannot entangle.
             if r == 0 || !shared_kernel {
-                kernels.push(Simulation::new(seed));
+                kernels.push(Simulation::new(World::default()));
             }
             let sim = kernels
                 .last_mut()
@@ -437,14 +399,17 @@ impl ParallelServiceHarness {
                 make_scheduler(r),
                 samples.clone(),
             ));
-            shards.push(spawn_shard(sim, profiles, scheduler, &params, usize::MAX));
+            spawn_shard(sim, profiles, scheduler, &params, usize::MAX);
             latency.push(samples);
         }
-        let max_capacity = shards
+        // Region order: the shared kernel's world holds every shard in
+        // order, and otherwise kernel `r` holds region `r`.
+        let capacities: Vec<u64> = kernels
             .iter()
-            .map(|s| s.cloud.total_capacity())
-            .max()
-            .expect("at least one region");
+            .flat_map(|sim| &sim.world().shards)
+            .map(|st| st.cloud.total_capacity())
+            .collect();
+        let max_capacity = *capacities.iter().max().expect("at least one region");
         crate::jobgen::validate_jobs(&jobs, max_capacity)
             .expect("job list incompatible with every region");
         jobs.sort_by(|a, b| {
@@ -453,30 +418,22 @@ impl ParallelServiceHarness {
                 .then(a.id.cmp(&b.id))
         });
 
-        let router_shards: Vec<RouterShard> = shards
-            .iter()
-            .map(|s| RouterShard {
-                shared: s.shared.clone(),
-                scheduler_pid: s.scheduler_pid.clone(),
-                total_capacity: s.cloud.total_capacity(),
-            })
-            .collect();
         // One intake per kernel, each with the jobs it releases: the shared
         // kernel's router takes the whole stream and routes on arrival; a
         // shard's own intake takes its share, routed here against the
         // static fleet shape — all a stateless policy ever reads.
-        let intakes: Vec<(Vec<RouterShard>, Vec<usize>)> = if shared_kernel {
-            vec![(router_shards, (0..jobs.len()).collect())]
+        let intakes: Vec<Vec<usize>> = if shared_kernel {
+            vec![(0..jobs.len()).collect()]
         } else {
-            let loads: Vec<ShardLoad> = router_shards
+            let loads: Vec<ShardLoad> = capacities
                 .iter()
-                .map(|s| ShardLoad {
+                .map(|&c| ShardLoad {
                     queue_depth: 0,
-                    free_qubits: s.total_capacity,
-                    total_capacity: s.total_capacity,
+                    free_qubits: c,
+                    total_capacity: c,
                 })
                 .collect();
-            let mut mine = vec![Vec::new(); router_shards.len()];
+            let mut mine = vec![Vec::new(); loads.len()];
             for (i, job) in jobs.iter().enumerate() {
                 let r = config
                     .routing
@@ -484,34 +441,25 @@ impl ParallelServiceHarness {
                     .expect("harness validated every job against the largest region");
                 mine[r].push(i);
             }
-            router_shards
-                .into_iter()
-                .map(|s| vec![s])
-                .zip(mine)
-                .collect()
+            mine
         };
         let jobs = Arc::new(jobs);
-        let telemetry = Arc::new(Mutex::new(AdmissionTelemetry::default()));
-        for (sim, (shards, mine)) in kernels.iter_mut().zip(intakes) {
+        for (sim, mine) in kernels.iter_mut().zip(intakes) {
+            let n = sim.world().shards.len();
             sim.spawn(Box::new(RouterProc {
                 jobs: jobs.clone(),
                 mine,
                 next: 0,
-                routed: vec![0; shards.len()],
-                wake: vec![false; shards.len()],
-                shards,
+                routed: vec![0; n],
+                wake: vec![false; n],
                 admission: config.admission,
                 routing: config.routing,
-                telemetry: telemetry.clone(),
             }));
         }
 
         ParallelServiceHarness {
             kernels,
-            shards,
             latency,
-            telemetry,
-            params,
             threads,
         }
     }
@@ -525,10 +473,10 @@ impl ParallelServiceHarness {
     /// against the smallest region. Call before `run`; panics on an invalid
     /// script or retry policy.
     pub fn install_faults(&mut self, script: &FaultScript, retry: RetryPolicy) {
-        let kernels = self.kernels.len();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let sim = &mut self.kernels[kernel_of(i, kernels)];
-            arm_shard_faults(sim, shard, &self.params, script, retry);
+        for sim in &mut self.kernels {
+            for shard in 0..sim.world().shards.len() {
+                arm_faults(sim, shard, script, retry, None);
+            }
         }
     }
 
@@ -539,7 +487,8 @@ impl ParallelServiceHarness {
         let nkernels = self.kernels.len();
         let threads = self.threads.clamp(1, nkernels);
         let wall_start = Instant::now();
-        let mut bundles: Vec<Vec<(usize, Simulation)>> = (0..threads).map(|_| Vec::new()).collect();
+        let mut bundles: Vec<Vec<(usize, Simulation<World>)>> =
+            (0..threads).map(|_| Vec::new()).collect();
         for (k, sim) in self.kernels.into_iter().enumerate() {
             bundles[k % threads].push((k, sim));
         }
@@ -564,47 +513,52 @@ impl ParallelServiceHarness {
             .map(|(_, sim, _)| sim.now())
             .fold(0.0f64, f64::max);
 
-        let nshards = self.shards.len();
+        let nshards = self.latency.len();
+        let events_processed = ran.iter().map(|(_, sim, _)| sim.events_processed()).sum();
+        let shard_busy_s = if nkernels == nshards {
+            ran.iter().map(|(_, _, busy)| *busy).collect()
+        } else {
+            Vec::new()
+        };
         let mut shard_results = Vec::with_capacity(nshards);
+        let mut admission = AdmissionTelemetry::default();
+        for (_, sim, _) in ran {
+            let events = sim.events_processed();
+            let world = sim.into_world();
+            admission.absorb(&world.admission);
+            // Finishing a shard drops its scheduler, which holds the other
+            // clone of the shard's latency-sample buffer.
+            shard_results.extend(
+                world
+                    .shards
+                    .into_iter()
+                    .map(|st| finish_shard(st, t_end, events)),
+            );
+        }
         let mut per_shard_latency = Vec::with_capacity(nshards);
-        let mut routed_per_shard = Vec::with_capacity(nshards);
         let mut all_samples = Vec::new();
-        let mut terminal_total = 0usize;
-        for (i, (shard, samples)) in self.shards.into_iter().zip(self.latency).enumerate() {
-            let state = unwrap_shard_state(shard.shared);
-            let device_utilization = device_utilization(&shard.info, &state.cloud_state, t_end);
-            // Drop the scheduler box first: it holds the last other clone
-            // of this shard's latency-sample buffer.
-            drop(state.scheduler);
-            let records = state.records.into_records();
-            if records.iter().all(|r| r.terminal()) {
-                state.cloud_state.assert_all_released();
-            }
+        for samples in self.latency {
             let Ok(samples) = Arc::try_unwrap(samples) else {
                 panic!("latency buffer still shared after teardown");
             };
             let samples = samples.into_inner();
-            terminal_total += records.iter().filter(|r| r.terminal()).count();
-            // Every routed job has exactly one record, rejected ones too.
-            routed_per_shard.push(records.len() as u64);
             per_shard_latency.push(LatencySummary::from_samples(&samples));
             all_samples.extend(samples);
-            shard_results.push(RunResult {
-                summary: SummaryStats::from_records(shard.strategy_name, &records),
-                records,
-                device_utilization,
-                events_processed: ran[kernel_of(i, nkernels)].1.events_processed(),
-                telemetry: state.telemetry,
-            });
         }
+        let terminal_total: usize = shard_results
+            .iter()
+            .map(|r| r.records.iter().filter(|r| r.terminal()).count())
+            .sum();
+        // Every routed job has exactly one record, rejected ones too.
+        let routed_per_shard = shard_results
+            .iter()
+            .map(|r| r.records.len() as u64)
+            .collect();
 
-        let Ok(admission) = Arc::try_unwrap(self.telemetry) else {
-            panic!("intake still holds its telemetry handle after the run");
-        };
         let report = ServiceReport {
             decision_latency: LatencySummary::from_samples(&all_samples),
             per_shard_latency,
-            admission: admission.into_inner(),
+            admission,
             routed_per_shard,
             wall_seconds,
             sustained_jobs_per_sec: if wall_seconds > 0.0 {
@@ -613,13 +567,9 @@ impl ParallelServiceHarness {
                 0.0
             },
             sim_seconds: t_end,
-            events_processed: ran.iter().map(|(_, sim, _)| sim.events_processed()).sum(),
+            events_processed,
             worker_threads: threads,
-            shard_busy_s: if nkernels == nshards {
-                ran.iter().map(|(_, _, busy)| *busy).collect()
-            } else {
-                Vec::new()
-            },
+            shard_busy_s,
             merge_wall_s: 0.0,
         };
         ServiceOutcome {

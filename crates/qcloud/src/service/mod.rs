@@ -63,13 +63,14 @@
 //!   arrivals. The kernels run on `min(threads, regions)` scoped threads.
 //!
 //! **Why results cannot depend on the thread count.** The layout is a
-//! function of the routing policy alone. A shard's coroutines touch only
-//! that shard's state and never draw from the kernel RNG, so a per-shard
-//! kernel replays the same events whichever worker runs it; across kernels
-//! there are only commutative admission counters and the read-only job
-//! stream. `threads` moves the wall-clock outputs (`wall_seconds`,
-//! decision latencies, `shard_busy_s`) and nothing else, pinned at 1, 2
-//! and 4 threads by `tests/service_parallel.rs`. Fault injection is
+//! function of the routing policy alone. Each kernel owns its world — its
+//! shards' state and its intake's admission counters — and that world is
+//! reachable only from the thread running the kernel, so a per-shard
+//! kernel replays the same events whichever worker runs it. Across kernels
+//! there are only the read-only job stream and the admission counters,
+//! summed at teardown. `threads` moves the wall-clock outputs
+//! (`wall_seconds`, decision latencies, `shard_busy_s`) and nothing else,
+//! pinned at 1, 2 and 4 threads by `tests/service_parallel.rs`. Fault injection is
 //! shard-local: crash and retry coroutines run on their shard's kernel
 //! ([`ParallelServiceHarness::install_faults`]).
 

@@ -1,7 +1,7 @@
 //! Fleet routing: picks the region shard that serves each arriving job.
 //!
-//! The router sees a per-shard [`ShardLoad`] snapshot (taken under the
-//! shard locks at the arrival instant) and must pick among the *feasible*
+//! The router sees a per-shard [`ShardLoad`] snapshot (read off the
+//! shards' state at the arrival instant) and must pick among the *feasible*
 //! shards — those whose total fleet capacity can hold the job at all.
 //! Routing is deterministic: ties break towards the lowest region index,
 //! and the hash policy uses a fixed integer mix of the job id, so a

@@ -4,9 +4,14 @@
 //!
 //! ## Orchestration design
 //!
-//! Three kinds of coroutine cooperate on the `qcs-desim` kernel:
+//! A shard — one fleet, its pending queue, qubit ledger, records and
+//! scheduler — is a `SchedState` in the `World` of a `qcs-desim`
+//! [`Simulation`]. The kernel owns that world and lends it to whichever
+//! coroutine it resumes, so the coroutines carry a shard index instead of
+//! shared handles and no lock guards the state. Three kinds of coroutine
+//! cooperate on it:
 //!
-//! * a **generator** releases jobs into the shared pending queue at their
+//! * a **generator** releases jobs into the shard's pending queue at their
 //!   arrival times and wakes the scheduler;
 //! * the **scheduler** drives a [`Scheduler`] discipline (see
 //!   [`crate::sched`]): on every wake it refreshes the incrementally
@@ -25,6 +30,12 @@
 //!   releases its qubits back into the lease-tracked state, logs
 //!   completion, and wakes the scheduler.
 //!
+//! The batch environment's world holds one shard; the [`crate::service`]
+//! engine puts every region shard in one world or gives each a kernel of
+//! its own. When the kernel drains, the world comes back whole: a shard
+//! whose scheduler parked with work left is a liveness bug, and the
+//! teardown panics naming its scheduler.
+//!
 //! ## Failure and recovery semantics
 //!
 //! [`QCloudSimEnv::install_faults`] arms a [`crate::faults::FaultScript`]:
@@ -34,9 +45,9 @@
 //! the reservation timelines read) and drain gracefully — a crash is
 //! invisible to every lookahead and tears work down:
 //!
-//! * at the crash instant the device's offline flag is raised and **every
-//!   job holding a lease on it is killed**: its execution coroutines are
-//!   terminated mid-flight, all of its leases (on every device — the whole
+//! * at the crash instant the device goes offline and **every job holding
+//!   a lease on it is killed**: its execution coroutines are terminated
+//!   mid-flight, all of its leases (on every device — the whole
 //!   distributed job dies) are revoked back into the state, and the
 //!   scheduler is woken. A multi-device job whose partition on the crashed
 //!   device already released (per-device release, shorter sub-job)
@@ -55,33 +66,34 @@
 //! `wasted_qubit_s` across attempts; arrival is never touched, so waiting
 //! time and slowdown count from the *first* submission. Qubit conservation
 //! is asserted at teardown whenever every job reached a terminal state.
+//!
+//! Outages may overlap: a device is offline while any maintenance window
+//! or crash covers it, and comes back when the last of them ends.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::collections::{HashMap, VecDeque};
 
 use crate::broker::Broker;
 use crate::cloud::QCloud;
-use crate::config::SimParams;
+use crate::config::{ReleasePolicy, SimParams};
 use crate::device::DeviceId;
 use crate::faults::{AvoidSet, FaultInjector, FaultScript, RetryPolicy};
 use crate::job::{JobId, QJob};
+use crate::maintenance::{MaintenanceProc, MaintenanceWindow, OfflineFlags};
 use crate::model::fidelity::DeviceErrorRates;
 use crate::records::{JobRecord, JobRecordsManager, SummaryStats};
 use crate::sched::{
     CloudState, DeviceSpec, FifoAdapter, SchedTelemetry, Scheduler, RELEASE_SLACK_S,
 };
+use crate::service::AdmissionTelemetry;
 use qcs_calibration::DeviceProfile;
 use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
 
-/// Static per-device data shared with coroutines.
+/// Per-device constants the executors read.
 #[derive(Debug, Clone)]
-pub(crate) struct DeviceStatic {
+struct DeviceStatic {
     error_rates: DeviceErrorRates,
     clops: f64,
     qv_layers: f64,
-    pub(crate) name: String,
 }
 
 /// The armed fault machinery ([`QCloudSimEnv::install_faults`]).
@@ -96,15 +108,28 @@ struct FaultState {
 struct RunningJob {
     job: QJob,
     parts: Vec<(DeviceId, u64)>,
-    exec_pid: u64,
-    sub_pids: Vec<u64>,
+    exec_pid: ProcessId,
+    sub_pids: Vec<ProcessId>,
 }
 
-/// State shared between the coroutines. `pub(crate)` so the
-/// [`crate::service`] front end can drive a shard's queue through the same
-/// loop the batch environment uses.
+/// The world of a shard engine kernel: the shards it hosts, and the
+/// counters of the service intake that feeds them.
+#[derive(Default)]
+pub(crate) struct World {
+    pub(crate) shards: Vec<SchedState>,
+    /// This kernel's admission verdicts; zero in batch runs. The service
+    /// engine sums them over its kernels at teardown.
+    pub(crate) admission: AdmissionTelemetry,
+}
+
+/// One scheduler shard: the fleet and everything its coroutines read and
+/// write. `pub(crate)` so the [`crate::service`] front end can drive a
+/// shard's queue through the same loop the batch environment uses.
 pub(crate) struct SchedState {
-    pub(crate) pending: std::collections::VecDeque<QJob>,
+    pub(crate) cloud: QCloud,
+    info: Vec<DeviceStatic>,
+    params: SimParams,
+    pub(crate) pending: VecDeque<QJob>,
     pub(crate) scheduler: Box<dyn Scheduler>,
     pub(crate) cloud_state: CloudState,
     pub(crate) records: JobRecordsManager,
@@ -114,53 +139,87 @@ pub(crate) struct SchedState {
     /// starts it at `usize::MAX` (stream still open) and the router
     /// finalises it once the arrival stream is exhausted.
     pub(crate) total_jobs: usize,
-    dispatched: usize,
     /// Jobs the service-mode intake throttle is holding for re-offer:
     /// while non-zero, an empty pending queue means "admission deferred
     /// work", not "traffic ran dry". Always 0 in batch runs.
     pub(crate) throttled_inflight: usize,
+    /// The shard's [`SchedulerProc`], woken whenever its inputs change.
+    sched_pid: ProcessId,
+    /// Which devices are down right now, as the scheduler sees them.
+    offline: OfflineFlags,
+    /// Outages (maintenance windows and crashes) covering each device right
+    /// now; a device is offline while its count is positive.
+    outages: Vec<u32>,
     /// In-flight attempts by job id; empty when `faults` is `None`.
-    running: std::collections::HashMap<u64, RunningJob>,
+    running: HashMap<u64, RunningJob>,
     faults: Option<FaultState>,
 }
 
-pub(crate) type Shared = Arc<Mutex<SchedState>>;
-
-/// Takes a shard's state back once its kernel has drained. Every coroutine
-/// holding a clone has finished by then — unless the scheduler parked for
-/// good with work left, which is a liveness bug: the panic names it.
-pub(crate) fn unwrap_shard_state(shared: Shared) -> SchedState {
-    match Arc::try_unwrap(shared) {
-        Ok(state) => state.into_inner(),
-        Err(shared) => {
-            let st = shared.lock();
-            panic!(
-                "scheduler '{}' parked with {} queued jobs, {} of {} terminal",
-                st.scheduler.name(),
-                st.pending.len(),
-                st.records.terminal_count(),
-                st.total_jobs
-            )
+impl SchedState {
+    /// Opens (`begins`) or closes one outage of `device`.
+    pub(crate) fn outage(&mut self, device: usize, begins: bool) {
+        let n = &mut self.outages[device];
+        if begins {
+            *n += 1;
+        } else {
+            *n -= 1;
         }
+        self.offline.set_offline(device, *n > 0);
     }
 }
 
-/// Time-weighted qubit utilisation per device at `t_end`, `(name, fraction)`,
-/// read off the shard's qubit ledger.
-pub(crate) fn device_utilization(
-    info: &[DeviceStatic],
-    ledger: &CloudState,
-    t_end: f64,
-) -> Vec<(String, f64)> {
-    info.iter()
-        .enumerate()
-        .map(|(i, d)| {
+/// Runs `sim` until its heap drains, then checks that every shard drove
+/// its jobs to a terminal state. A shard that did not has a scheduler that
+/// parked for good with work left — a liveness bug: the panic names it.
+pub(crate) fn run_settled(sim: &mut Simulation<World>) {
+    sim.run();
+    for st in &sim.world().shards {
+        assert!(
+            st.records.terminal_count() == st.total_jobs,
+            "scheduler '{}' parked with {} queued jobs, {} of {} terminal",
+            st.scheduler.name(),
+            st.pending.len(),
+            st.records.terminal_count(),
+            st.total_jobs
+        );
+    }
+}
+
+/// Builds a drained shard's [`RunResult`]: utilisation read off its qubit
+/// ledger at `t_end`, the records, and qubit conservation asserted when
+/// every job reached a terminal state. `events_processed` is the count of
+/// the kernel the shard ran on.
+pub(crate) fn finish_shard(st: SchedState, t_end: f64, events_processed: u64) -> RunResult {
+    let device_utilization = st
+        .cloud
+        .devices()
+        .iter()
+        .map(|d| {
             (
-                d.name.clone(),
-                ledger.mean_utilization(DeviceId(i as u32), t_end),
+                d.name().to_string(),
+                st.cloud_state.mean_utilization(d.id, t_end),
             )
         })
-        .collect()
+        .collect();
+    let records = st.records.into_records();
+    if records.iter().all(|r| r.terminal()) {
+        // Qubit conservation: every reservation came back — including
+        // those revoked from crashed devices and exhausted jobs.
+        st.cloud_state.assert_all_released();
+    }
+    RunResult {
+        summary: SummaryStats::from_records(st.scheduler.name(), &records),
+        records,
+        device_utilization,
+        events_processed,
+        telemetry: st.telemetry,
+    }
+}
+
+/// Wakes `shard`'s scheduler.
+pub(crate) fn wake_scheduler(cx: &mut Ctx<'_, World>, shard: usize) {
+    let pid = cx.world.shards[shard].sched_pid;
+    cx.wake(pid);
 }
 
 /// Tears down one failed job attempt and routes it through the retry
@@ -170,26 +229,20 @@ pub(crate) fn device_utilization(
 /// `kill_exec: true`) and the execution-failure path (the [`Executor`]
 /// failing itself, which terminates on its own — `kill_exec: false`). The
 /// caller wakes the scheduler afterwards.
-fn fail_and_requeue(
-    cx: &mut Ctx<'_>,
-    st: &mut SchedState,
-    shared: &Shared,
-    scheduler_pid: &Arc<AtomicU64>,
-    job_id: u64,
-    kill_exec: bool,
-) {
+fn fail_and_requeue(cx: &mut Ctx<'_, World>, shard: usize, job_id: u64, kill_exec: bool) {
+    let now = cx.now();
+    let st = &mut cx.world.shards[shard];
     let Some(run) = st.running.remove(&job_id) else {
         return;
     };
-    let now = cx.now();
     if kill_exec {
-        cx.kill(ProcessId::from_raw(run.exec_pid));
+        cx.kernel.kill(run.exec_pid);
     }
     // Sub-executors whose release event ties with this instant fire *after*
     // it (spawn-order sequencing): their leases are still held and must be
     // revoked. Already-finished sub-executors just return `false` here.
     for &p in &run.sub_pids {
-        cx.kill(ProcessId::from_raw(p));
+        cx.kernel.kill(p);
     }
     st.cloud_state.revoke_job(run.job.id, now);
     let faults = st
@@ -197,27 +250,24 @@ fn fail_and_requeue(
         .as_ref()
         .expect("failure path reached without faults armed");
     let retry = faults.retry;
-    let seed = faults.injector.seed();
-    let avoid = faults.avoid.clone();
     if retry.prefer_different_device {
-        if let Some(av) = &avoid {
+        if let Some(av) = &faults.avoid {
             av.record_failure(run.job.id, run.parts.iter().map(|&(d, _)| d));
         }
     }
     let attempts = st.records.record_requeue(run.job.id, now);
     if attempts < retry.max_attempts {
-        let delay = retry.backoff_seconds(seed, run.job.id, attempts);
-        cx.spawn_after(
+        let delay = retry.backoff_seconds(faults.injector.seed(), run.job.id, attempts);
+        cx.kernel.spawn_after(
             delay,
             Box::new(RetryProc {
                 job: Some(run.job),
-                shared: shared.clone(),
-                scheduler_pid: scheduler_pid.clone(),
+                shard,
             }),
         );
     } else {
         st.records.record_exhausted(run.job.id);
-        if let Some(av) = &avoid {
+        if let Some(av) = &faults.avoid {
             av.clear(run.job.id);
         }
     }
@@ -227,32 +277,27 @@ fn fail_and_requeue(
 // Coroutines
 // ---------------------------------------------------------------------
 
+/// Releases the batch environment's jobs into its one shard.
 struct Generator {
     jobs: Vec<QJob>, // sorted by arrival, consumed front-to-back
     next: usize,
-    shared: Shared,
-    scheduler_pid: Arc<AtomicU64>,
 }
 
-impl Coroutine for Generator {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for Generator {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         let now = cx.now();
-        let mut released = false;
+        let st = &mut cx.world.shards[0];
+        let first = self.next;
+        while self.next < self.jobs.len()
+            && self.jobs[self.next].arrival_time <= now + RELEASE_SLACK_S
         {
-            let mut st = self.shared.lock();
-            while self.next < self.jobs.len()
-                && self.jobs[self.next].arrival_time <= now + RELEASE_SLACK_S
-            {
-                let job = self.jobs[self.next].clone();
-                st.records.record_arrival(&job);
-                st.pending.push_back(job);
-                self.next += 1;
-                released = true;
-            }
+            let job = self.jobs[self.next].clone();
+            st.records.record_arrival(&job);
+            st.pending.push_back(job);
+            self.next += 1;
         }
-        if released {
-            let pid = qcs_desim::ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-            cx.wake(pid);
+        if self.next > first {
+            wake_scheduler(cx, 0);
         }
         if self.next < self.jobs.len() {
             Step::Wait(Effect::Timeout(self.jobs[self.next].arrival_time - now))
@@ -262,140 +307,127 @@ impl Coroutine for Generator {
     }
 }
 
-/// Drives the [`Scheduler`] discipline against the shared queue and state.
+/// Drives the shard's [`Scheduler`] discipline against its queue and state.
 struct SchedulerProc {
-    shared: Shared,
-    info: Arc<Vec<DeviceStatic>>,
-    params: SimParams,
-    topologies: Option<Arc<Vec<qcs_topology::Graph>>>,
-    scheduler_pid: Arc<AtomicU64>,
-    offline: Arc<crate::maintenance::OfflineFlags>,
+    shard: usize,
 }
 
-impl Coroutine for SchedulerProc {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for SchedulerProc {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
+        let now = cx.now();
+        let st = &mut cx.world.shards[self.shard];
         loop {
-            let launches = {
-                let mut st = self.shared.lock();
-                // Terminal = completed or honestly out of retries: with
-                // faults armed an exhausted job never finishes but must not
-                // park the scheduler forever.
-                if st.records.terminal_count() == st.total_jobs {
-                    return Step::Done;
+            // Terminal = completed or honestly out of retries: with faults
+            // armed an exhausted job never finishes but must not park the
+            // scheduler forever.
+            if st.records.terminal_count() == st.total_jobs {
+                return Step::Done;
+            }
+            if st.pending.is_empty() {
+                // Queue empty but jobs still in flight or yet to arrive.
+                // When the service-mode intake is holding throttled jobs,
+                // the idleness is admission-induced — attribute it
+                // honestly.
+                if st.throttled_inflight > 0 {
+                    st.telemetry.waits_admission_throttled += 1;
+                } else {
+                    st.telemetry.waits_queue_drained += 1;
                 }
-                if st.pending.is_empty() {
-                    // Queue empty but jobs still in flight or yet to
-                    // arrive. When the service-mode intake is holding
-                    // throttled jobs, the idleness is admission-induced —
-                    // attribute it honestly.
-                    if st.throttled_inflight > 0 {
-                        st.telemetry.waits_admission_throttled += 1;
-                    } else {
-                        st.telemetry.waits_queue_drained += 1;
+                return Step::Wait(Effect::Suspend);
+            }
+            st.cloud_state.refresh(now, &st.offline);
+            let decision = st
+                .scheduler
+                .decide(st.pending.make_contiguous(), &st.cloud_state);
+            // Nothing dispatched means nothing changed: re-consulting at
+            // once would return the same decision forever.
+            assert!(
+                !decision.dispatches.is_empty() || decision.wait.is_some(),
+                "scheduler '{}' dispatched nothing and gave no wait reason",
+                st.scheduler.name()
+            );
+            st.telemetry.decisions += 1;
+            if decision.dispatches.len() >= 2 {
+                st.telemetry.multi_dispatch_batches += 1;
+            }
+            let tracked = st.faults.is_some();
+            for d in decision.dispatches {
+                assert!(
+                    d.queue_index < st.pending.len(),
+                    "scheduler '{}' dispatched queue index {} of {}",
+                    st.scheduler.name(),
+                    d.queue_index,
+                    st.pending.len()
+                );
+                if d.queue_index > 0 {
+                    st.telemetry.out_of_order += 1;
+                    // Every older job still waiting ahead of the jumper was
+                    // overtaken once: the per-job starvation signal behind
+                    // `QosReport`'s bypass metrics.
+                    st.telemetry.bypass_events += d.queue_index as u64;
+                    for bi in 0..d.queue_index {
+                        let overtaken = st.pending[bi].id;
+                        st.records.record_bypass(overtaken);
                     }
-                    drop(st);
-                    return Step::Wait(Effect::Suspend);
                 }
-                let now = cx.now();
-                let state = &mut *st;
-                state.cloud_state.refresh(now, &self.offline);
-                let queue: &[QJob] = state.pending.make_contiguous();
-                let decision = state.scheduler.decide(queue, &state.cloud_state);
-                state.telemetry.decisions += 1;
-                if decision.dispatches.len() >= 2 {
-                    state.telemetry.multi_dispatch_batches += 1;
-                }
-                let mut launches = Vec::with_capacity(decision.dispatches.len());
-                for d in decision.dispatches {
+                let job = st
+                    .pending
+                    .remove(d.queue_index)
+                    .expect("index checked above");
+                let total: u64 = d.parts.iter().map(|&(_, a)| a).sum();
+                assert_eq!(
+                    total,
+                    job.num_qubits,
+                    "scheduler '{}' allocated {total} of {} qubits for job {:?}",
+                    st.scheduler.name(),
+                    job.num_qubits,
+                    job.id
+                );
+                if st.params.exact_connectivity {
+                    let tops: Vec<&qcs_topology::Graph> = st
+                        .cloud
+                        .devices()
+                        .iter()
+                        .map(|d| &d.profile.topology)
+                        .collect();
                     assert!(
-                        d.queue_index < state.pending.len(),
-                        "scheduler '{}' dispatched queue index {} of {}",
-                        state.scheduler.name(),
-                        d.queue_index,
-                        state.pending.len()
+                        crate::partition::connectivity_feasible(&d.parts, &tops),
+                        "partition violates device connectivity"
                     );
-                    if d.queue_index > 0 {
-                        state.telemetry.out_of_order += 1;
-                        // Every older job still waiting ahead of the jumper
-                        // was overtaken once: the per-job starvation signal
-                        // behind `QosReport`'s bypass metrics.
-                        state.telemetry.bypass_events += d.queue_index as u64;
-                        for bi in 0..d.queue_index {
-                            let overtaken = state.pending[bi].id;
-                            state.records.record_bypass(overtaken);
-                        }
-                    }
-                    let job = state
-                        .pending
-                        .remove(d.queue_index)
-                        .expect("index checked above");
-                    let total: u64 = d.parts.iter().map(|&(_, a)| a).sum();
-                    assert_eq!(
-                        total,
-                        job.num_qubits,
-                        "scheduler '{}' allocated {total} of {} qubits for job {:?}",
-                        state.scheduler.name(),
-                        job.num_qubits,
-                        job.id
-                    );
-                    if self.params.exact_connectivity {
-                        if let Some(tops) = &self.topologies {
-                            let refs: Vec<&qcs_topology::Graph> = tops.iter().collect();
-                            assert!(
-                                crate::partition::connectivity_feasible(&d.parts, &refs),
-                                "partition violates device connectivity"
-                            );
-                        }
-                    }
-                    let attempt = state.records.record_start(job.id, now, &d.parts);
-                    // Reserve in the incremental state (panics on any
-                    // over-commitment — the no-double-reservation guard).
-                    state.cloud_state.reserve(&job, &d.parts, now);
-                    state.dispatched += 1;
-                    state.telemetry.dispatched += 1;
-                    launches.push((job, d.parts, attempt));
                 }
-                let wait = decision.wait;
-                if let Some(reason) = wait {
-                    state.telemetry.count_wait(reason);
-                }
-                let tracked = state.faults.is_some();
-                drop(st);
-                (launches, wait, tracked)
-            };
-
-            let (launches, wait, tracked) = launches;
-            for (job, parts, attempt) in launches {
-                let registration = tracked.then(|| (job.clone(), parts.clone()));
-                let exec_pid = cx.spawn(Box::new(Executor {
+                let attempt = st.records.record_start(job.id, now, &d.parts);
+                // Reserve in the incremental state (panics on any
+                // over-commitment — the no-double-reservation guard).
+                st.cloud_state.reserve(&job, &d.parts, now);
+                st.telemetry.dispatched += 1;
+                let registration = tracked.then(|| (job.clone(), d.parts.clone()));
+                let exec_pid = cx.kernel.spawn(Box::new(Executor {
                     job,
-                    parts,
-                    info: self.info.clone(),
-                    params: self.params.clone(),
-                    shared: self.shared.clone(),
-                    scheduler_pid: self.scheduler_pid.clone(),
+                    parts: d.parts,
+                    shard: self.shard,
                     phase: 0,
                     comm_seconds: 0.0,
                     attempt,
                     tracked,
                 }));
                 if let Some((job, parts)) = registration {
-                    self.shared.lock().running.insert(
+                    st.running.insert(
                         job.id.0,
                         RunningJob {
                             job,
                             parts,
-                            exec_pid: exec_pid.as_raw(),
+                            exec_pid,
                             sub_pids: Vec::new(),
                         },
                     );
                 }
             }
-            match wait {
-                // The discipline asked for an immediate re-consult (e.g. the
-                // snapshot parity adapter dispatches one job per decision).
-                None => continue,
-                Some(_) => return Step::Wait(Effect::Suspend),
+            // Without a wait reason the discipline asked for an immediate
+            // re-consult (e.g. the snapshot parity adapter dispatches one
+            // job per decision).
+            if let Some(reason) = decision.wait {
+                st.telemetry.count_wait(reason);
+                return Step::Wait(Effect::Suspend);
             }
         }
     }
@@ -403,35 +435,31 @@ impl Coroutine for SchedulerProc {
 
 /// Releases one device's partition when its own sub-job finishes
 /// ([`ReleasePolicy::PerDevice`]).
-///
-/// [`ReleasePolicy`]: crate::config::ReleasePolicy
 struct SubExec {
     job: JobId,
     device: DeviceId,
     qubits: u64,
     duration: f64,
-    shared: Shared,
-    scheduler_pid: Arc<AtomicU64>,
+    shard: usize,
     phase: u8,
 }
 
-impl Coroutine for SubExec {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for SubExec {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         match self.phase {
             0 => {
                 self.phase = 1;
                 Step::Wait(Effect::Timeout(self.duration))
             }
             _ => {
-                self.shared.lock().cloud_state.release(
+                let now = cx.now();
+                cx.world.shards[self.shard].cloud_state.release(
                     self.job,
                     self.device,
                     self.qubits,
-                    cx.now(),
+                    now,
                 );
-                let pid =
-                    qcs_desim::ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-                cx.wake(pid);
+                wake_scheduler(cx, self.shard);
                 Step::Done
             }
         }
@@ -441,10 +469,7 @@ impl Coroutine for SubExec {
 struct Executor {
     job: QJob,
     parts: Vec<(DeviceId, u64)>,
-    info: Arc<Vec<DeviceStatic>>,
-    params: SimParams,
-    shared: Shared,
-    scheduler_pid: Arc<AtomicU64>,
+    shard: usize,
     phase: u8,
     comm_seconds: f64,
     /// 1-based attempt number (drives the failure draw and backoff).
@@ -453,18 +478,19 @@ struct Executor {
     tracked: bool,
 }
 
-impl Coroutine for Executor {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for Executor {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         match self.phase {
             0 => {
                 // Parallel execution: the job runs as long as its slowest
                 // sub-job (§4: T(a) = max_i T_i).
+                let st = &cx.world.shards[self.shard];
                 let durations: Vec<f64> = self
                     .parts
                     .iter()
                     .map(|&(d, _)| {
-                        let dev = &self.info[d.index()];
-                        self.params.exec.execution_seconds(
+                        let dev = &st.info[d.index()];
+                        st.params.exec.execution_seconds(
                             self.job.num_shots,
                             dev.qv_layers,
                             dev.clops,
@@ -472,24 +498,27 @@ impl Coroutine for Executor {
                     })
                     .collect();
                 let exec = durations.iter().fold(0.0f64, |a, &b| a.max(b));
-                if self.params.release == crate::config::ReleasePolicy::PerDevice {
-                    let mut sub_pids = Vec::new();
-                    for (&(d, a), &dur) in self.parts.iter().zip(&durations) {
-                        let pid = cx.spawn(Box::new(SubExec {
-                            job: self.job.id,
-                            device: d,
-                            qubits: a,
-                            duration: dur,
-                            shared: self.shared.clone(),
-                            scheduler_pid: self.scheduler_pid.clone(),
-                            phase: 0,
-                        }));
-                        sub_pids.push(pid.as_raw());
-                    }
+                if st.params.release == ReleasePolicy::PerDevice {
+                    let sub_pids: Vec<ProcessId> = self
+                        .parts
+                        .iter()
+                        .zip(&durations)
+                        .map(|(&(device, qubits), &duration)| {
+                            cx.kernel.spawn(Box::new(SubExec {
+                                job: self.job.id,
+                                device,
+                                qubits,
+                                duration,
+                                shard: self.shard,
+                                phase: 0,
+                            }))
+                        })
+                        .collect();
                     if self.tracked {
                         // Register the sub-executors so a crash can kill
                         // them before their releases fire.
-                        if let Some(run) = self.shared.lock().running.get_mut(&self.job.id.0) {
+                        let running = &mut cx.world.shards[self.shard].running;
+                        if let Some(run) = running.get_mut(&self.job.id.0) {
                             run.sub_pids = sub_pids;
                         }
                     }
@@ -498,33 +527,21 @@ impl Coroutine for Executor {
                 Step::Wait(Effect::Timeout(exec))
             }
             1 => {
-                if self.tracked {
-                    let mut st = self.shared.lock();
-                    let failed = st.faults.as_ref().is_some_and(|f| {
+                let now = cx.now();
+                let st = &mut cx.world.shards[self.shard];
+                let failed = self.tracked
+                    && st.faults.as_ref().is_some_and(|f| {
                         f.injector
                             .exec_failure(self.job.id, self.attempt, &self.parts)
                     });
-                    if failed {
-                        fail_and_requeue(
-                            cx,
-                            &mut st,
-                            &self.shared,
-                            &self.scheduler_pid,
-                            self.job.id.0,
-                            false,
-                        );
-                        drop(st);
-                        let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-                        cx.wake(pid);
-                        return Step::Done;
-                    }
+                if failed {
+                    fail_and_requeue(cx, self.shard, self.job.id.0, false);
+                    wake_scheduler(cx, self.shard);
+                    return Step::Done;
                 }
-                self.shared
-                    .lock()
-                    .records
-                    .record_exec_end(self.job.id, cx.now());
+                st.records.record_exec_end(self.job.id, now);
                 // Blocking classical communication (Eq. 9 per link).
-                self.comm_seconds = self
+                self.comm_seconds = st
                     .params
                     .comm
                     .comm_seconds(self.job.num_qubits, self.parts.len());
@@ -533,13 +550,15 @@ impl Coroutine for Executor {
             }
             2 => {
                 // Final fidelity (Eqs. 4–8).
+                let now = cx.now();
+                let st = &mut cx.world.shards[self.shard];
                 let k = self.parts.len();
                 let fids: Vec<f64> = self
                     .parts
                     .iter()
                     .map(|&(d, a)| {
-                        let dev = &self.info[d.index()];
-                        self.params.fidelity.device_fidelity(
+                        let dev = &st.info[d.index()];
+                        st.params.fidelity.device_fidelity(
                             &dev.error_rates,
                             self.job.depth,
                             self.job.two_qubit_gates,
@@ -549,30 +568,22 @@ impl Coroutine for Executor {
                         )
                     })
                     .collect();
-                let fidelity = self
-                    .params
-                    .fidelity
-                    .final_fidelity(&fids, self.params.comm.phi);
-
-                let mut st = self.shared.lock();
+                let fidelity = st.params.fidelity.final_fidelity(&fids, st.params.comm.phi);
                 // Under AtJobEnd the qubits are still held: release now.
-                if self.params.release == crate::config::ReleasePolicy::AtJobEnd {
+                if st.params.release == ReleasePolicy::AtJobEnd {
                     for &(d, a) in &self.parts {
-                        st.cloud_state.release(self.job.id, d, a, cx.now());
+                        st.cloud_state.release(self.job.id, d, a, now);
                     }
                 }
                 st.records
-                    .record_finish(self.job.id, cx.now(), fidelity, self.comm_seconds);
+                    .record_finish(self.job.id, now, fidelity, self.comm_seconds);
                 if self.tracked {
                     st.running.remove(&self.job.id.0);
                     if let Some(av) = st.faults.as_ref().and_then(|f| f.avoid.as_ref()) {
                         av.clear(self.job.id);
                     }
                 }
-                drop(st);
-                let pid =
-                    qcs_desim::ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-                cx.wake(pid);
+                wake_scheduler(cx, self.shard);
                 Step::Done
             }
             _ => unreachable!("executor resumed after completion"),
@@ -581,8 +592,8 @@ impl Coroutine for Executor {
 }
 
 /// An unplanned device outage ([`crate::faults::CrashEvent`]): at `at` the
-/// device goes dark — offline flag up, every job leasing it killed and
-/// requeued — and after `down_for` seconds it silently returns. Unlike
+/// device goes dark — offline, every job leasing it killed and requeued —
+/// and after `down_for` seconds this outage ends. Unlike
 /// [`crate::maintenance::MaintenanceProc`] the outage is *not* on the
 /// maintenance calendar: no reservation timeline sees it coming, and while
 /// the device is down it is invisible to every lookahead (an offline device
@@ -591,54 +602,49 @@ struct CrashProc {
     device: usize,
     at: f64,
     down_for: f64,
-    shared: Shared,
-    offline: Arc<crate::maintenance::OfflineFlags>,
-    scheduler_pid: Arc<AtomicU64>,
+    shard: usize,
     phase: u8,
 }
 
-impl Coroutine for CrashProc {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for CrashProc {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         match self.phase {
             0 => {
                 self.phase = 1;
                 Step::Wait(Effect::Timeout((self.at - cx.now()).max(0.0)))
             }
             1 => {
-                self.offline.set_offline(self.device, true);
-                {
-                    let mut st = self.shared.lock();
-                    // Every job holding qubits here dies (sorted for a
-                    // deterministic kill order).
-                    let mut victims: Vec<u64> = st
+                let st = &mut cx.world.shards[self.shard];
+                st.outage(self.device, true);
+                // Every job holding qubits here dies (sorted for a
+                // deterministic kill order).
+                let mut victims: Vec<u64> = st
+                    .cloud_state
+                    .leases()
+                    .iter()
+                    .filter(|l| l.device.index() == self.device)
+                    .map(|l| l.job.0)
+                    .collect();
+                victims.sort_unstable();
+                victims.dedup();
+                for v in victims {
+                    fail_and_requeue(cx, self.shard, v, true);
+                }
+                debug_assert!(
+                    cx.world.shards[self.shard]
                         .cloud_state
                         .leases()
                         .iter()
-                        .filter(|l| l.device.index() == self.device)
-                        .map(|l| l.job.0)
-                        .collect();
-                    victims.sort_unstable();
-                    victims.dedup();
-                    for v in victims {
-                        fail_and_requeue(cx, &mut st, &self.shared, &self.scheduler_pid, v, true);
-                    }
-                    debug_assert!(
-                        st.cloud_state
-                            .leases()
-                            .iter()
-                            .all(|l| l.device.index() != self.device),
-                        "lease survived its device's crash"
-                    );
-                }
-                let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-                cx.wake(pid);
+                        .all(|l| l.device.index() != self.device),
+                    "lease survived its device's crash"
+                );
+                wake_scheduler(cx, self.shard);
                 self.phase = 2;
                 Step::Wait(Effect::Timeout(self.down_for))
             }
             2 => {
-                self.offline.set_offline(self.device, false);
-                let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-                cx.wake(pid);
+                cx.world.shards[self.shard].outage(self.device, false);
+                wake_scheduler(cx, self.shard);
                 Step::Done
             }
             _ => unreachable!("crash resumed after completion"),
@@ -651,16 +657,14 @@ impl Coroutine for CrashProc {
 /// arrival time — is untouched) and the scheduler is woken.
 struct RetryProc {
     job: Option<QJob>,
-    shared: Shared,
-    scheduler_pid: Arc<AtomicU64>,
+    shard: usize,
 }
 
-impl Coroutine for RetryProc {
-    fn resume(&mut self, cx: &mut Ctx<'_>) -> Step {
+impl Coroutine<World> for RetryProc {
+    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         let job = self.job.take().expect("retry resumed twice");
-        self.shared.lock().pending.push_back(job);
-        let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
-        cx.wake(pid);
+        cx.world.shards[self.shard].pending.push_back(job);
+        wake_scheduler(cx, self.shard);
         Step::Done
     }
 }
@@ -695,48 +699,28 @@ impl RunResult {
     }
 }
 
-/// One scheduler shard wired onto a (possibly shared) kernel: the fleet,
-/// the shared queue state (with the shard's qubit ledger), and a spawned
-/// [`SchedulerProc`].
-/// The batch environment hosts exactly one; the [`crate::service`] engine
-/// hosts one per region, on one shared [`Simulation`] or one each.
-pub(crate) struct ShardParts {
-    pub(crate) cloud: QCloud,
-    pub(crate) shared: Shared,
-    pub(crate) info: Arc<Vec<DeviceStatic>>,
-    pub(crate) strategy_name: String,
-    pub(crate) scheduler_pid: Arc<AtomicU64>,
-    pub(crate) offline: Arc<crate::maintenance::OfflineFlags>,
-}
-
-/// Registers `profiles` as a fleet, builds the shard's shared queue state
-/// and spawns its [`SchedulerProc`] on `sim`. `total_jobs` is the
-/// shard's termination target; pass `usize::MAX` to leave the stream open
-/// (service mode — the intake router finalises it later). The caller is
-/// responsible for feeding the queue (a [`Generator`] or a service
-/// router). Extraction of [`QCloudSimEnv::with_scheduler`]'s body: the
-/// single-shard path goes through here unchanged, keeping the seed
-/// goldens bit-identical.
+/// Registers `profiles` as a fleet, adds the shard to `sim`'s world and
+/// spawns its [`SchedulerProc`]. `total_jobs` is the shard's termination
+/// target; pass `usize::MAX` to leave the stream open (service mode — the
+/// intake router finalises it later). The caller is responsible for
+/// feeding the queue (a [`Generator`] or a service router).
 pub(crate) fn spawn_shard(
-    sim: &mut Simulation,
+    sim: &mut Simulation<World>,
     profiles: Vec<DeviceProfile>,
     scheduler: Box<dyn Scheduler>,
     params: &SimParams,
     total_jobs: usize,
-) -> ShardParts {
+) {
     let cloud = QCloud::new(profiles, &params.error_weights);
-    let info: Arc<Vec<DeviceStatic>> = Arc::new(
-        cloud
-            .devices()
-            .iter()
-            .map(|d| DeviceStatic {
-                error_rates: d.error_rates,
-                clops: d.clops(),
-                qv_layers: d.qv_layers(),
-                name: d.name().to_string(),
-            })
-            .collect(),
-    );
+    let info: Vec<DeviceStatic> = cloud
+        .devices()
+        .iter()
+        .map(|d| DeviceStatic {
+            error_rates: d.error_rates,
+            clops: d.clops(),
+            qv_layers: d.qv_layers(),
+        })
+        .collect();
     let specs: Vec<DeviceSpec> = cloud
         .devices()
         .iter()
@@ -747,145 +731,89 @@ pub(crate) fn spawn_shard(
             qv_layers: d.qv_layers(),
         })
         .collect();
-    let topologies = Arc::new(
-        cloud
-            .devices()
-            .iter()
-            .map(|d| d.profile.topology.clone())
-            .collect::<Vec<_>>(),
-    );
-
-    let strategy_name = scheduler.name().to_string();
     let queue_capacity = if total_jobs == usize::MAX {
         0
     } else {
         total_jobs
     };
-    let shared: Shared = Arc::new(Mutex::new(SchedState {
-        pending: std::collections::VecDeque::with_capacity(queue_capacity),
+    let shard = sim.world().shards.len();
+    let sched_pid = sim.spawn(Box::new(SchedulerProc { shard }));
+    sim.world_mut().shards.push(SchedState {
+        pending: VecDeque::with_capacity(queue_capacity),
         scheduler,
         cloud_state: CloudState::new(&specs, params),
         records: JobRecordsManager::new(),
         telemetry: SchedTelemetry::default(),
         total_jobs,
-        dispatched: 0,
         throttled_inflight: 0,
-        running: std::collections::HashMap::new(),
+        sched_pid,
+        offline: OfflineFlags::new(info.len()),
+        outages: vec![0; info.len()],
+        running: HashMap::new(),
         faults: None,
-    }));
-
-    let scheduler_pid = Arc::new(AtomicU64::new(0));
-    let offline = Arc::new(crate::maintenance::OfflineFlags::new(info.len()));
-    let sched = SchedulerProc {
-        shared: shared.clone(),
-        info: info.clone(),
-        params: params.clone(),
-        topologies: if params.exact_connectivity {
-            Some(topologies)
-        } else {
-            None
-        },
-        scheduler_pid: scheduler_pid.clone(),
-        offline: offline.clone(),
-    };
-    let pid = sim.spawn(Box::new(sched));
-    scheduler_pid.store(pid.as_raw(), Ordering::Relaxed);
-
-    ShardParts {
         cloud,
-        shared,
         info,
-        strategy_name,
-        scheduler_pid,
-        offline,
-    }
+        params: params.clone(),
+    });
 }
 
 /// Resolves and arms a [`FaultScript`] on one shard: validates, builds the
 /// deterministic [`FaultInjector`] from the shard's calibration data,
-/// stores the [`FaultState`] in the shared queue state, and spawns one
-/// [`CrashProc`] per scripted outage on `sim`. Single copy of the arming
-/// logic shared by [`QCloudSimEnv::install_faults`] (which additionally
-/// wires an [`AvoidSet`]) and the service engine (which arms the same
-/// script on every region shard).
-#[allow(clippy::too_many_arguments)]
+/// stores the [`FaultState`] in the shard, and spawns one [`CrashProc`]
+/// per scripted outage on `sim`. Single copy of the arming logic shared by
+/// [`QCloudSimEnv::install_faults`] (which may also wire an [`AvoidSet`])
+/// and the service engine (which arms the same script on every region
+/// shard).
 pub(crate) fn arm_faults(
-    sim: &mut Simulation,
-    cloud: &QCloud,
-    shared: &Shared,
-    info: &Arc<Vec<DeviceStatic>>,
-    offline: &Arc<crate::maintenance::OfflineFlags>,
-    scheduler_pid: &Arc<AtomicU64>,
-    params: &SimParams,
+    sim: &mut Simulation<World>,
+    shard: usize,
     script: &FaultScript,
     retry: RetryPolicy,
     avoid: Option<AvoidSet>,
 ) {
-    script.validate(info.len()).expect("invalid fault script");
+    let st = &mut sim.world_mut().shards[shard];
+    script
+        .validate(st.info.len())
+        .expect("invalid fault script");
     retry.validate().expect("invalid retry policy");
-    let profiles: Vec<DeviceProfile> = cloud.devices().iter().map(|d| d.profile.clone()).collect();
-    let injector = FaultInjector::resolve(script, &profiles, &params.error_weights);
-    shared.lock().faults = Some(FaultState {
+    let profiles: Vec<DeviceProfile> = st
+        .cloud
+        .devices()
+        .iter()
+        .map(|d| d.profile.clone())
+        .collect();
+    let injector = FaultInjector::resolve(script, &profiles, &st.params.error_weights);
+    st.faults = Some(FaultState {
         injector,
         retry,
         avoid,
     });
     for c in &script.crashes {
-        // Deliberately no synchronous flag for `at == 0`: a crash is
+        // Deliberately no synchronous outage for `at == 0`: a crash is
         // unplanned, so even a t=0 outage lands only when its event
         // fires — after the first dispatch wave, which it then kills.
         sim.spawn(Box::new(CrashProc {
             device: c.device,
             at: c.at,
             down_for: c.down_for,
-            shared: shared.clone(),
-            offline: offline.clone(),
-            scheduler_pid: scheduler_pid.clone(),
+            shard,
             phase: 0,
         }));
     }
 }
 
-/// [`arm_faults`] for a [`ShardParts`] bundle (service mode; no
-/// [`AvoidSet`] — the service front end does not wire
-/// prefer-different-device brokering).
-pub(crate) fn arm_shard_faults(
-    sim: &mut Simulation,
-    shard: &ShardParts,
-    params: &SimParams,
-    script: &FaultScript,
-    retry: RetryPolicy,
-) {
-    arm_faults(
-        sim,
-        &shard.cloud,
-        &shard.shared,
-        &shard.info,
-        &shard.offline,
-        &shard.scheduler_pid,
-        params,
-        script,
-        retry,
-        None,
-    );
-}
-
-/// The top-level simulation environment (paper's `QCloudSimEnv`).
+/// The top-level simulation environment (paper's `QCloudSimEnv`): one
+/// shard, fed by a generator, on a kernel of its own.
 pub struct QCloudSimEnv {
-    sim: Simulation,
-    cloud: QCloud,
-    shared: Shared,
-    info: Arc<Vec<DeviceStatic>>,
-    strategy_name: String,
-    scheduler_pid: Arc<AtomicU64>,
-    offline: Arc<crate::maintenance::OfflineFlags>,
-    params: SimParams,
+    sim: Simulation<World>,
 }
 
 impl QCloudSimEnv {
     /// Builds the environment around a per-job [`Broker`] policy under the
     /// paper's FIFO discipline ([`FifoAdapter`]); `params.backfill_depth`
     /// widens the adapter's scan window exactly as the seed scheduler did.
+    /// `seed` is unused: the simulation draws no randomness of its own, and
+    /// every random input (jobs, calibration, fault scripts) comes seeded.
     pub fn new(
         profiles: Vec<DeviceProfile>,
         broker: Box<dyn Broker>,
@@ -904,48 +832,32 @@ impl QCloudSimEnv {
     }
 
     /// Builds the environment around an arbitrary queue-aware [`Scheduler`]
-    /// discipline: registers devices, seeds the kernel, spawns the
-    /// generator and scheduler, and queues `jobs` for release at their
-    /// arrival times.
+    /// discipline: registers devices, spawns the scheduler and the
+    /// generator, and queues `jobs` for release at their arrival times.
+    /// `seed` is unused, as in [`QCloudSimEnv::new`].
     pub fn with_scheduler(
         profiles: Vec<DeviceProfile>,
         scheduler: Box<dyn Scheduler>,
         mut jobs: Vec<QJob>,
         params: SimParams,
-        seed: u64,
+        _seed: u64,
     ) -> Self {
-        let mut sim = Simulation::new(seed);
-        let shard = spawn_shard(&mut sim, profiles, scheduler, &params, jobs.len());
-        crate::jobgen::validate_jobs(&jobs, shard.cloud.total_capacity())
+        let mut sim = Simulation::new(World::default());
+        spawn_shard(&mut sim, profiles, scheduler, &params, jobs.len());
+        crate::jobgen::validate_jobs(&jobs, sim.world().shards[0].cloud.total_capacity())
             .expect("job list incompatible with the fleet");
         jobs.sort_by(|a, b| {
             a.arrival_time
                 .total_cmp(&b.arrival_time)
                 .then(a.id.cmp(&b.id))
         });
-
-        sim.spawn(Box::new(Generator {
-            jobs,
-            next: 0,
-            shared: shard.shared.clone(),
-            scheduler_pid: shard.scheduler_pid.clone(),
-        }));
-
-        QCloudSimEnv {
-            sim,
-            cloud: shard.cloud,
-            shared: shard.shared,
-            info: shard.info,
-            strategy_name: shard.strategy_name,
-            scheduler_pid: shard.scheduler_pid,
-            offline: shard.offline,
-            params,
-        }
+        sim.spawn(Box::new(Generator { jobs, next: 0 }));
+        QCloudSimEnv { sim }
     }
 
     /// Arms a [`FaultScript`]: resolves the deterministic
     /// [`FaultInjector`] against the fleet's calibration data, stores the
-    /// [`RetryPolicy`], and spawns one [`CrashProc`] per scripted outage.
+    /// [`RetryPolicy`], and spawns one crash coroutine per scripted outage.
     /// See the module docs for the failure/recovery semantics.
     ///
     /// `avoid` wires prefer-different-device resubmission: pass the *same*
@@ -955,90 +867,58 @@ impl QCloudSimEnv {
     /// the next placement. Without it (`None`),
     /// [`RetryPolicy::prefer_different_device`] records nothing.
     ///
-    /// Crash + maintenance overlapping on the same device is unsupported
-    /// (the offline flag is a shared toggle; whichever edge fires last
-    /// wins). Call before [`QCloudSimEnv::run`]; panics on an invalid
-    /// script or policy.
+    /// Call before [`QCloudSimEnv::run`]; panics on an invalid script or
+    /// policy.
     pub fn install_faults(
         &mut self,
         script: FaultScript,
         retry: RetryPolicy,
         avoid: Option<AvoidSet>,
     ) {
-        arm_faults(
-            &mut self.sim,
-            &self.cloud,
-            &self.shared,
-            &self.info,
-            &self.offline,
-            &self.scheduler_pid,
-            &self.params,
-            &script,
-            retry,
-            avoid,
-        );
+        arm_faults(&mut self.sim, 0, &script, retry, avoid);
     }
 
     /// Schedules a maintenance window: the device is marked *offline* from
     /// `window.start` for `window.duration` seconds — no new sub-jobs are
     /// placed on it, in-flight sub-jobs finish normally (graceful drain).
-    pub fn schedule_maintenance(&mut self, window: crate::maintenance::MaintenanceWindow) {
+    pub fn schedule_maintenance(&mut self, window: MaintenanceWindow) {
         window.validate().expect("invalid maintenance window");
+        let st = &mut self.sim.world_mut().shards[0];
         assert!(
-            window.device < self.info.len(),
+            window.device < st.info.len(),
             "maintenance names unknown device {}",
             window.device
         );
         // A window opening at t = 0 must take effect before the first
-        // dispatch: set the flag synchronously.
-        if window.start <= 0.0 {
-            self.offline.set_offline(window.device, true);
+        // dispatch: open it synchronously.
+        let opened = window.start <= 0.0;
+        if opened {
+            st.outage(window.device, true);
         }
         // Register the window with the scheduler-facing calendar so
         // availability-aware reservations see the capacity drop coming.
-        self.shared
-            .lock()
-            .cloud_state
-            .add_maintenance_window(window);
-        self.sim
-            .spawn(Box::new(crate::maintenance::MaintenanceProc {
-                device: window.device,
-                start: window.start,
-                end: window.start + window.duration,
-                offline: self.offline.clone(),
-                scheduler_pid: self.scheduler_pid.clone(),
-                phase: 0,
-            }));
+        st.cloud_state.add_maintenance_window(window);
+        self.sim.spawn(Box::new(MaintenanceProc {
+            device: window.device,
+            start: window.start,
+            end: window.end(),
+            shard: 0,
+            opened,
+            phase: 0,
+        }));
     }
 
     /// Runs the simulation to completion and returns the results.
     pub fn run(mut self) -> RunResult {
-        self.sim.run();
-        let t_end = self.sim.now();
-        let events_processed = self.sim.events_processed();
-
-        // Tear down: extract utilisation and records from the shared state.
-        let state = unwrap_shard_state(self.shared);
-        let device_utilization = device_utilization(&self.info, &state.cloud_state, t_end);
-        let records = state.records.into_records();
-        if records.iter().all(|r| r.terminal()) {
-            // Qubit conservation: every reservation came back — including
-            // those revoked from crashed devices and exhausted jobs.
-            state.cloud_state.assert_all_released();
-        }
-        let summary = SummaryStats::from_records(self.strategy_name, &records);
-        RunResult {
-            summary,
-            records,
-            device_utilization,
-            events_processed,
-            telemetry: state.telemetry,
-        }
+        run_settled(&mut self.sim);
+        let (t_end, events) = (self.sim.now(), self.sim.events_processed());
+        let st = self.sim.into_world().shards.pop().expect("one shard");
+        finish_shard(st, t_end, events)
     }
 
     /// The fleet (inspection/testing).
     pub fn cloud(&self) -> &QCloud {
-        &self.cloud
+        &self.sim.world().shards[0].cloud
     }
 }
 
@@ -1784,7 +1664,7 @@ mod tests {
         // attempts re-queued at the tail re-slot past the head's booking,
         // and the head stayed booked at an instant no event ever reached —
         // the scheduler parked with work queued, no lease in flight and the
-        // fleet idle, and teardown found the shared state still held.
+        // fleet idle, and teardown found the stall.
         for (seed, n) in [(4u64, 400usize), (1, 600)] {
             let mut env = QCloudSimEnv::with_scheduler(
                 ibm_fleet(seed),
@@ -1853,6 +1733,128 @@ mod tests {
             6,
         )
         .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler 'never' parked with 3 queued jobs, 0 of 3 terminal")]
+    fn per_shard_kernel_stall_resurfaces_from_its_worker_thread() {
+        // Hash routing gives each region a kernel of its own; at 2 threads
+        // region 1's runs on a worker, and its stall must reach the caller
+        // with its own message.
+        crate::service::ParallelServiceHarness::new(
+            vec![ibm_fleet(6), ibm_fleet(6)],
+            |r| {
+                if r == 0 {
+                    crate::policies::scheduler_by_name("speed", 6, 1).unwrap()
+                } else {
+                    Box::new(NeverDispatch)
+                }
+            },
+            jobs(6, 6),
+            SimParams::default(),
+            crate::service::ServiceConfig {
+                admission: crate::service::AdmissionPolicy::open(),
+                routing: crate::service::RoutingPolicy::Hash,
+            },
+            6,
+            2,
+        )
+        .run();
+    }
+
+    /// A discipline that dispatches nothing and gives no reason to wait.
+    /// Re-consulting it can never change its answer.
+    struct Spinner {
+        calls: usize,
+    }
+    impl Scheduler for Spinner {
+        fn decide(
+            &mut self,
+            _queue: &[QJob],
+            _state: &CloudState,
+        ) -> crate::sched::SchedulingDecision {
+            self.calls += 1;
+            assert!(self.calls <= 100_000, "spun");
+            crate::sched::SchedulingDecision {
+                dispatches: Vec::new(),
+                wait: None,
+            }
+        }
+        fn name(&self) -> &str {
+            "spinner"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler 'spinner' dispatched nothing and gave no wait reason")]
+    fn empty_decision_without_a_wait_reason_is_rejected() {
+        QCloudSimEnv::with_scheduler(
+            ibm_fleet(5),
+            Box::new(Spinner { calls: 0 }),
+            jobs(3, 5),
+            SimParams::default(),
+            5,
+        )
+        .run();
+    }
+
+    /// 300 Poisson arrivals of 20–120 qubits: device 0 is busy all trace.
+    fn outage_env() -> QCloudSimEnv {
+        let dist = JobDistribution {
+            qubits: (20, 120),
+            ..JobDistribution::default()
+        };
+        QCloudSimEnv::new(
+            ibm_fleet(3),
+            Box::new(SpeedBroker::new()),
+            crate::jobgen::poisson_arrivals(300, 0.05, &dist, 3),
+            SimParams::default(),
+            3,
+        )
+    }
+
+    /// Jobs whose (last) attempt started on device 0 within `[from, to)`.
+    fn starts_on_device_0(res: &RunResult, from: f64, to: f64) -> usize {
+        res.records
+            .iter()
+            .filter(|r| (from..to).contains(&r.start) && r.parts.iter().any(|&(d, _)| d == 0))
+            .count()
+    }
+
+    #[test]
+    fn overlapping_maintenance_windows_hold_the_device_until_the_last_ends() {
+        let mut env = outage_env();
+        for (start, duration) in [(100.0, 1_000.0), (600.0, 5_000.0)] {
+            env.schedule_maintenance(crate::maintenance::MaintenanceWindow {
+                device: 0,
+                start,
+                duration,
+            });
+        }
+        let res = env.run();
+        assert_eq!(res.summary.jobs_finished, 300);
+        assert_eq!(starts_on_device_0(&res, 100.0, 5_600.0), 0);
+        assert!(starts_on_device_0(&res, 0.0, 100.0) > 0);
+        assert!(starts_on_device_0(&res, 5_600.0, f64::INFINITY) > 0);
+    }
+
+    #[test]
+    fn a_crash_overlapping_a_maintenance_window_holds_the_device_until_both_end() {
+        let mut env = outage_env();
+        env.install_faults(
+            FaultScript::new(3).with_crash(0, 100.0, 1_000.0),
+            RetryPolicy::default(),
+            None,
+        );
+        env.schedule_maintenance(crate::maintenance::MaintenanceWindow {
+            device: 0,
+            start: 600.0,
+            duration: 5_000.0,
+        });
+        let res = env.run();
+        assert!(res.records.iter().all(|r| r.terminal()));
+        assert_eq!(starts_on_device_0(&res, 100.0, 5_600.0), 0);
+        assert!(starts_on_device_0(&res, 5_600.0, f64::INFINITY) > 0);
     }
 
     #[test]

@@ -316,7 +316,7 @@ fn random_fleet(rng: &mut Xoshiro256StarStar, total_capacity: u64, now: f64) -> 
         })
         .collect();
     let mut state = CloudState::new(&specs, &SimParams::default());
-    let offline = OfflineFlags::new(n);
+    let mut offline = OfflineFlags::new(n);
     if rng.next_below(4) == 0 {
         offline.set_offline(rng.choose_index(n), true);
     }

@@ -144,7 +144,7 @@ proptest! {
             });
             prop_assert_eq!(st.profile(), &AvailabilityProfile::from_state(&st));
         }
-        let flags = OfflineFlags::new(n);
+        let mut flags = OfflineFlags::new(n);
         let mut now = 0.0f64;
         st.refresh(now, &flags);
         let mut outstanding: Vec<(u64, Vec<(DeviceId, u64)>)> = Vec::new();
@@ -237,7 +237,7 @@ proptest! {
                 duration,
             });
         }
-        let flags = OfflineFlags::new(n);
+        let mut flags = OfflineFlags::new(n);
         for di in 0..n {
             let crashed = crash.map(|c| c % n) == Some(di);
             flags.set_offline(di, crashed || st.maintenance().active_at(di, 0.0) > 0);
@@ -325,7 +325,7 @@ fn crash_inside_maintenance_window_stays_in_sync() {
         start: 10.0,
         duration: 30.0,
     });
-    let flags = OfflineFlags::new(2);
+    let mut flags = OfflineFlags::new(2);
     st.refresh(0.0, &flags);
     let j = job(0, 120);
     st.reserve(&j, &[(DeviceId(0), 60), (DeviceId(1), 60)], 0.0);

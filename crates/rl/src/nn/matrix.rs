@@ -8,7 +8,7 @@
 //! # Register tiles and kernel selection
 //!
 //! The blocked GEMM is generic over its register-tile shape `MR × NR`
-//! ([`gemm_bias_tiled`]): `MR` rows of `A` share every load of a `B` row,
+//! (`gemm_bias_tiled`): `MR` rows of `A` share every load of a `B` row,
 //! and `NR` output columns are held in accumulator registers across the
 //! whole `k` loop. Three tile shapes are compiled:
 //!
@@ -291,7 +291,7 @@ impl Matrix {
     }
 }
 
-/// The register-tile micro-kernels compiled for [`gemm_bias`]. All three
+/// The register-tile micro-kernels compiled for `gemm_bias`. All three
 /// produce bit-identical outputs (ascending-`k` accumulation per element);
 /// they differ only in throughput. See the module docs for the selection
 /// rule.
@@ -374,7 +374,7 @@ fn gemm_bias(
     gemm_bias_with(select_kernel(m), m, k, n, a, b, bias, out);
 }
 
-/// [`gemm_bias`] with an explicit micro-kernel — for benches and parity
+/// `gemm_bias` with an explicit micro-kernel — for benches and parity
 /// tests. Panics if `kernel` is not in [`available_kernels`] on this
 /// machine.
 #[allow(clippy::too_many_arguments)]
