@@ -20,9 +20,21 @@
 //! backfilling, priority orders) reuse the same brokers for placement
 //! while re-ranking the queue themselves. Brokers therefore stay pure
 //! placement policies: no queue state, no reservation bookkeeping.
+//!
+//! A discipline consults its broker several times per job, so `select`
+//! is kept allocation-free in the common case. Each policy owns a
+//! `Vec<DeviceId>` it sorts its device order into
+//! ([`CloudView::order_by`] fills a caller's buffer; the buffer stops
+//! growing at the fleet size), and a partition is a [`Parts`], which keeps
+//! up to four `(device, qubits)` pairs inline.
 
 use crate::device::DeviceId;
+use crate::inline_vec::InlineVec;
 use crate::job::QJob;
+
+/// A partition `(device, qubits)`: four parts inline, a heap spill past
+/// that (a job rarely spans more than four devices).
+pub type Parts = InlineVec<(DeviceId, u64), 4>;
 
 /// Snapshot of one device for a scheduling decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,16 +72,24 @@ impl CloudView {
         self.devices.iter().map(|d| d.free).sum()
     }
 
-    /// Device ids ordered by a comparison key (stable; ties by id).
-    pub fn order_by<K: PartialOrd>(&self, key: impl Fn(&DeviceView) -> K) -> Vec<DeviceId> {
-        let mut idx: Vec<usize> = (0..self.devices.len()).collect();
-        idx.sort_by(|&a, &b| {
-            key(&self.devices[a])
-                .partial_cmp(&key(&self.devices[b]))
+    /// Writes the device ids into `out` (cleared first), ordered by a
+    /// comparison key; ties go to the lower position in `devices`.
+    ///
+    /// `out` is a buffer the caller keeps across calls (each policy owns
+    /// one), so ordering allocates nothing once it has grown to the fleet
+    /// size. The sort runs over positions, which are then mapped to ids.
+    pub fn order_by<K: PartialOrd>(&self, key: impl Fn(&DeviceView) -> K, out: &mut Vec<DeviceId>) {
+        out.clear();
+        out.extend((0..self.devices.len() as u32).map(DeviceId));
+        out.sort_by(|a, b| {
+            key(&self.devices[a.index()])
+                .partial_cmp(&key(&self.devices[b.index()]))
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+                .then(a.cmp(b))
         });
-        idx.into_iter().map(|i| self.devices[i].id).collect()
+        for id in out.iter_mut() {
+            *id = self.devices[id.index()].id;
+        }
     }
 }
 
@@ -78,7 +98,7 @@ impl CloudView {
 pub enum AllocationPlan {
     /// Dispatch now with this partition (device, qubits) — must sum to the
     /// job's qubit demand and respect current free capacities.
-    Dispatch(Vec<(DeviceId, u64)>),
+    Dispatch(Parts),
     /// Keep the job queued; re-evaluate after the next capacity release.
     Wait,
 }
@@ -92,29 +112,37 @@ impl AllocationPlan {
         }
     }
 
-    /// Validates a dispatch against a job and view: parts sum to `q`, no
-    /// zero parts, no duplicate devices, and every part fits current free
-    /// capacity. `Wait` is always valid.
+    /// Validates a dispatch against a job and view (see
+    /// [`AllocationPlan::validate_parts`]). `Wait` is always valid.
     pub fn validate(&self, job: &QJob, view: &CloudView) -> Result<(), String> {
-        let AllocationPlan::Dispatch(parts) = self else {
-            return Ok(());
-        };
+        match self {
+            AllocationPlan::Dispatch(parts) => Self::validate_parts(parts, job, view),
+            AllocationPlan::Wait => Ok(()),
+        }
+    }
+
+    /// Validates a partition against a job and view: parts sum to `q`, no
+    /// zero parts, no duplicate devices, and every part fits current free
+    /// capacity. Allocates nothing unless it reports an error.
+    pub fn validate_parts(
+        parts: &[(DeviceId, u64)],
+        job: &QJob,
+        view: &CloudView,
+    ) -> Result<(), String> {
         if parts.is_empty() {
             return Err("dispatch with no parts".into());
         }
-        let mut seen = vec![false; view.devices.len()];
         let mut total = 0u64;
-        for &(dev, amt) in parts {
+        for (i, &(dev, amt)) in parts.iter().enumerate() {
             if amt == 0 {
                 return Err(format!("zero-qubit part on device {dev:?}"));
             }
             let Some(dv) = view.devices.get(dev.index()) else {
                 return Err(format!("unknown device {dev:?}"));
             };
-            if seen[dev.index()] {
+            if parts[..i].iter().any(|&(d, _)| d == dev) {
                 return Err(format!("duplicate device {dev:?} in plan"));
             }
-            seen[dev.index()] = true;
             if amt > dv.free {
                 return Err(format!(
                     "part {amt} exceeds free capacity {} on {dev:?}",
@@ -181,33 +209,34 @@ pub(crate) mod tests {
     fn view_total_free_and_ordering() {
         let v = test_view(&[100, 50, 127]);
         assert_eq!(v.total_free(), 277);
-        let by_free_desc = v.order_by(|d| std::cmp::Reverse(d.free));
-        assert_eq!(by_free_desc, vec![DeviceId(2), DeviceId(0), DeviceId(1)]);
-        let by_error = v.order_by(|d| d.error_score);
-        assert_eq!(by_error, vec![DeviceId(0), DeviceId(1), DeviceId(2)]);
+        let mut order = vec![DeviceId(9)];
+        v.order_by(|d| std::cmp::Reverse(d.free), &mut order);
+        assert_eq!(order, vec![DeviceId(2), DeviceId(0), DeviceId(1)]);
+        v.order_by(|d| d.error_score, &mut order);
+        assert_eq!(order, vec![DeviceId(0), DeviceId(1), DeviceId(2)]);
     }
 
     #[test]
     fn plan_validation_catches_errors() {
         let v = test_view(&[100, 50]);
         let job = test_job(120);
-        let ok = AllocationPlan::Dispatch(vec![(DeviceId(0), 100), (DeviceId(1), 20)]);
+        let ok = AllocationPlan::Dispatch(vec![(DeviceId(0), 100), (DeviceId(1), 20)].into());
         assert!(ok.validate(&job, &v).is_ok());
         assert_eq!(ok.device_count(), 2);
 
-        let short = AllocationPlan::Dispatch(vec![(DeviceId(0), 100)]);
+        let short = AllocationPlan::Dispatch(vec![(DeviceId(0), 100)].into());
         assert!(short.validate(&job, &v).unwrap_err().contains("needs 120"));
 
-        let over = AllocationPlan::Dispatch(vec![(DeviceId(1), 120)]);
+        let over = AllocationPlan::Dispatch(vec![(DeviceId(1), 120)].into());
         assert!(over
             .validate(&job, &v)
             .unwrap_err()
             .contains("exceeds free"));
 
-        let dup = AllocationPlan::Dispatch(vec![(DeviceId(0), 60), (DeviceId(0), 60)]);
+        let dup = AllocationPlan::Dispatch(vec![(DeviceId(0), 60), (DeviceId(0), 60)].into());
         assert!(dup.validate(&job, &v).unwrap_err().contains("duplicate"));
 
-        let zero = AllocationPlan::Dispatch(vec![(DeviceId(0), 0), (DeviceId(1), 120)]);
+        let zero = AllocationPlan::Dispatch(vec![(DeviceId(0), 0), (DeviceId(1), 120)].into());
         assert!(zero.validate(&job, &v).unwrap_err().contains("zero-qubit"));
 
         assert!(AllocationPlan::Wait.validate(&job, &v).is_ok());

@@ -25,7 +25,7 @@
 //! (observations are written into caller buffers; the action
 //! post-processing reuses [`PartitionScratch`]).
 
-use crate::broker::CloudView;
+use crate::broker::{CloudView, Parts};
 use crate::config::SimParams;
 use crate::device::DeviceId;
 use crate::job::{JobDistribution, JobId, QJob};
@@ -176,7 +176,7 @@ pub struct QCloudGymEnv {
     // Reusable buffers (allocation-free stepping).
     view: CloudView,
     scratch: PartitionScratch,
-    parts: Vec<(DeviceId, u64)>,
+    parts: Parts,
 }
 
 impl QCloudGymEnv {
@@ -242,7 +242,7 @@ impl QCloudGymEnv {
             episode: 0,
             view,
             scratch: PartitionScratch::default(),
-            parts: Vec::new(),
+            parts: Parts::new(),
         }
     }
 

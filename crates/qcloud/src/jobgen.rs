@@ -164,7 +164,8 @@ pub fn bursty_arrivals(
 
 /// Validates a job list against a fleet: every job must satisfy Eq. 1
 /// (larger than any single device — i.e. forced to split — yet within the
-/// cloud's total capacity). Jobs that fit a single device are allowed too
+/// cloud's total capacity), and no two jobs may share an id
+/// ([`check_unique_ids`]). Jobs that fit a single device are allowed too
 /// (the framework handles them; the *case study* just doesn't generate
 /// them); only cloud-overflow is fatal.
 pub fn validate_jobs(jobs: &[QJob], total_capacity: u64) -> Result<(), String> {
@@ -177,7 +178,24 @@ pub fn validate_jobs(jobs: &[QJob], total_capacity: u64) -> Result<(), String> {
             ));
         }
     }
-    Ok(())
+    check_unique_ids(jobs)
+}
+
+/// `Err` naming the first repeated id (in id order) when two jobs share
+/// one. The records and the queues key jobs by id, so a repeat would
+/// corrupt a run midway. Generated traces number their jobs in order, so
+/// one pass confirming strictly increasing ids usually settles it; any
+/// other order falls back to scanning a sorted copy of the ids.
+pub fn check_unique_ids(jobs: &[QJob]) -> Result<(), String> {
+    if jobs.windows(2).all(|w| w[0].id < w[1].id) {
+        return Ok(());
+    }
+    let mut ids: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
+    ids.sort_unstable();
+    match ids.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(format!("duplicate job id {:?}", w[0])),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +219,24 @@ mod tests {
             assert!(w[1].arrival_time > w[0].arrival_time);
         }
         assert_eq!(jobs, bimodal_arrivals(40, 0.1, 4, 3));
+    }
+
+    #[test]
+    fn repeated_ids_are_rejected_in_any_order() {
+        let mut jobs = batch_at_zero(6, &JobDistribution::default(), 3);
+        assert!(check_unique_ids(&jobs).is_ok());
+        // Unsorted but distinct ids pass through the sorted fallback.
+        jobs.swap(0, 5);
+        assert!(validate_jobs(&jobs, 635).is_ok());
+        jobs[4].id = jobs[1].id;
+        let err = validate_jobs(&jobs, 635).unwrap_err();
+        assert!(err.contains("duplicate job id JobId(1)"), "{err}");
+        // Adjacent repeats fail the fast pass as well.
+        let mut adjacent = batch_at_zero(3, &JobDistribution::default(), 3);
+        adjacent[2].id = adjacent[1].id;
+        assert!(check_unique_ids(&adjacent)
+            .unwrap_err()
+            .contains("JobId(1)"));
     }
 
     #[test]

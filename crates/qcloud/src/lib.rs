@@ -45,6 +45,7 @@ pub mod cutting;
 pub mod device;
 pub mod faults;
 pub mod gym;
+pub mod inline_vec;
 pub mod job;
 pub mod jobgen;
 pub mod maintenance;
@@ -58,7 +59,7 @@ pub mod service;
 pub mod simenv;
 pub mod sla;
 
-pub use broker::{AllocationPlan, Broker, CloudView, DeviceView};
+pub use broker::{AllocationPlan, Broker, CloudView, DeviceView, Parts};
 pub use cloud::QCloud;
 pub use config::SimParams;
 pub use cutting::{
@@ -70,6 +71,7 @@ pub use faults::{
     AvoidSet, CrashEvent, DeviceAvoidingBroker, FaultInjector, FaultScript, RetryPolicy,
 };
 pub use gym::{GymConfig, QCloudGymEnv};
+pub use inline_vec::InlineVec;
 pub use job::{JobDistribution, JobId, QJob};
 pub use maintenance::{MaintenanceCalendar, MaintenanceWindow};
 pub use model::comm::CommModel;

@@ -5,19 +5,15 @@
 //! integer partitions (the RL policy's action post-processing of §4.1), and
 //! the optional exact connectivity check.
 
-use crate::broker::{CloudView, DeviceView};
+use crate::broker::{CloudView, Parts};
 use crate::device::DeviceId;
 
 /// Greedily fills `need` qubits from devices in the given order, taking
 /// `min(remaining, free)` from each. Returns `None` when the ordered
 /// devices cannot jointly supply `need` (caller should wait).
-pub fn greedy_fill(
-    order: &[DeviceId],
-    view: &CloudView,
-    need: u64,
-) -> Option<Vec<(DeviceId, u64)>> {
+pub fn greedy_fill(order: &[DeviceId], view: &CloudView, need: u64) -> Option<Parts> {
     let mut remaining = need;
-    let mut parts = Vec::new();
+    let mut parts = Parts::new();
     for &id in order {
         if remaining == 0 {
             break;
@@ -41,9 +37,9 @@ pub fn greedy_fill(
 /// error-aware policy, which prefers waiting for its chosen devices over
 /// spilling to noisier ones. Returns the target partition; the scheduler
 /// dispatches it only once every part is actually free.
-pub fn capacity_fill(order: &[DeviceId], view: &CloudView, need: u64) -> Vec<(DeviceId, u64)> {
+pub fn capacity_fill(order: &[DeviceId], view: &CloudView, need: u64) -> Parts {
     let mut remaining = need;
-    let mut parts = Vec::new();
+    let mut parts = Parts::new();
     for &id in order {
         if remaining == 0 {
             break;
@@ -81,9 +77,9 @@ pub struct PartitionScratch {
 ///    devices with headroom, largest weight first.
 ///
 /// Returns `None` if the limits cannot absorb `q` in total.
-pub fn weights_to_parts(weights: &[f32], q: u64, limits: &[u64]) -> Option<Vec<(DeviceId, u64)>> {
+pub fn weights_to_parts(weights: &[f32], q: u64, limits: &[u64]) -> Option<Parts> {
     let mut scratch = PartitionScratch::default();
-    let mut out = Vec::new();
+    let mut out = Parts::new();
     if weights_to_parts_into(weights, q, limits, &mut scratch, &mut out) {
         Some(out)
     } else {
@@ -100,7 +96,7 @@ pub fn weights_to_parts_into(
     q: u64,
     limits: &[u64],
     scratch: &mut PartitionScratch,
-    out: &mut Vec<(DeviceId, u64)>,
+    out: &mut Parts,
 ) -> bool {
     assert_eq!(weights.len(), limits.len(), "one weight per device");
     out.clear();
@@ -185,11 +181,6 @@ pub fn connectivity_feasible(
         let g = topologies[dev.index()];
         qcs_topology::connected_subgraph_from(g, 0, amt as usize).is_some()
     })
-}
-
-/// Convenience: a view column as a slice of free capacities.
-pub fn free_limits(view: &CloudView) -> Vec<u64> {
-    view.devices.iter().map(|d: &DeviceView| d.free).collect()
 }
 
 #[cfg(test)]
@@ -280,7 +271,7 @@ mod tests {
     fn into_form_matches_allocating_form_with_reused_scratch() {
         let limits = [127u64, 90, 0, 127, 60];
         let mut scratch = PartitionScratch::default();
-        let mut out = Vec::new();
+        let mut out = Parts::new();
         for (weights, q) in [
             (vec![1.0f32, 1.0, 1.0, 1.0, 1.0], 190u64),
             (vec![0.9, 0.1, 0.0, 0.0, 0.0], 250),

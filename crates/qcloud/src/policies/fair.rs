@@ -2,18 +2,22 @@
 //! least-utilised devices, spilling as needed.
 
 use crate::broker::{AllocationPlan, Broker, CloudView};
+use crate::device::DeviceId;
 use crate::job::QJob;
 use crate::partition::greedy_fill;
 use crate::policies::speed::ordered;
 
 /// Lowest-utilisation-first, availability-greedy.
 #[derive(Debug, Default, Clone)]
-pub struct FairBroker;
+pub struct FairBroker {
+    /// Device order buffer, reused across selects.
+    order: Vec<DeviceId>,
+}
 
 impl FairBroker {
     /// Creates the policy.
     pub fn new() -> Self {
-        FairBroker
+        Self::default()
     }
 }
 
@@ -24,8 +28,8 @@ impl Broker for FairBroker {
         // fraction makes the policy rotate load evenly over the whole
         // fleet instead of chasing whichever device most recently released
         // qubits.
-        let order = view.order_by(|d| ordered(d.mean_utilization));
-        match greedy_fill(&order, view, job.num_qubits) {
+        view.order_by(|d| ordered(d.mean_utilization), &mut self.order);
+        match greedy_fill(&self.order, view, job.num_qubits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }
@@ -40,7 +44,6 @@ impl Broker for FairBroker {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
-    use crate::device::DeviceId;
 
     #[test]
     fn prefers_idle_devices() {

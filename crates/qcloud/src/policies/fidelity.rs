@@ -10,25 +10,29 @@
 //! devices.
 
 use crate::broker::{AllocationPlan, Broker, CloudView};
+use crate::device::DeviceId;
 use crate::job::QJob;
 use crate::partition::capacity_fill;
 use crate::policies::speed::ordered;
 
 /// Lowest-error-first, quality-strict.
 #[derive(Debug, Default, Clone)]
-pub struct FidelityBroker;
+pub struct FidelityBroker {
+    /// Device order buffer, reused across selects.
+    order: Vec<DeviceId>,
+}
 
 impl FidelityBroker {
     /// Creates the policy.
     pub fn new() -> Self {
-        FidelityBroker
+        Self::default()
     }
 }
 
 impl Broker for FidelityBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
-        let order = view.order_by(|d| ordered(d.error_score));
-        let target = capacity_fill(&order, view, job.num_qubits);
+        view.order_by(|d| ordered(d.error_score), &mut self.order);
+        let target = capacity_fill(&self.order, view, job.num_qubits);
         let satisfiable = target
             .iter()
             .all(|&(dev, amt)| view.devices[dev.index()].free >= amt);
@@ -48,7 +52,6 @@ impl Broker for FidelityBroker {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
-    use crate::device::DeviceId;
 
     #[test]
     fn targets_lowest_error_devices() {

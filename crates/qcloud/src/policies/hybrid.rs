@@ -13,6 +13,7 @@
 //!   (`cargo run -p qcs-bench --release --bin pareto`).
 
 use crate::broker::{AllocationPlan, Broker, CloudView};
+use crate::device::DeviceId;
 use crate::job::QJob;
 use crate::partition::greedy_fill;
 use crate::policies::speed::ordered;
@@ -23,6 +24,8 @@ pub struct HybridBroker {
     weight: f64,
     strict: bool,
     name: String,
+    /// Device order buffer, reused across selects.
+    order: Vec<DeviceId>,
 }
 
 impl HybridBroker {
@@ -57,6 +60,7 @@ impl HybridBroker {
             weight,
             strict,
             name,
+            order: Vec::new(),
         }
     }
 
@@ -85,13 +89,16 @@ impl Broker for HybridBroker {
             .map(|d| d.clops)
             .fold(f64::EPSILON, f64::max);
         let w = self.weight;
-        let order = view.order_by(|d| {
-            let err_norm = d.error_score / max_err;
-            let slow_norm = 1.0 - d.clops / max_clops;
-            ordered(w * err_norm + (1.0 - w) * slow_norm)
-        });
+        view.order_by(
+            |d| {
+                let err_norm = d.error_score / max_err;
+                let slow_norm = 1.0 - d.clops / max_clops;
+                ordered(w * err_norm + (1.0 - w) * slow_norm)
+            },
+            &mut self.order,
+        );
         if self.strict {
-            let target = crate::partition::capacity_fill(&order, view, job.num_qubits);
+            let target = crate::partition::capacity_fill(&self.order, view, job.num_qubits);
             let satisfiable = target
                 .iter()
                 .all(|&(dev, amt)| view.devices[dev.index()].free >= amt);
@@ -101,7 +108,7 @@ impl Broker for HybridBroker {
                 AllocationPlan::Wait
             };
         }
-        match greedy_fill(&order, view, job.num_qubits) {
+        match greedy_fill(&self.order, view, job.num_qubits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }
@@ -116,7 +123,6 @@ impl Broker for HybridBroker {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
-    use crate::device::DeviceId;
 
     #[test]
     fn zero_weight_matches_speed_ordering() {

@@ -8,6 +8,7 @@
 //! communication overhead.
 
 use crate::broker::{AllocationPlan, Broker, CloudView};
+use crate::device::DeviceId;
 use crate::job::QJob;
 use crate::partition::greedy_fill;
 use crate::policies::speed::ordered;
@@ -15,19 +16,25 @@ use crate::policies::speed::ordered;
 /// Fewest-devices-first packing (largest free capacity first; ties broken
 /// by lower error score, then device id).
 #[derive(Debug, Default, Clone)]
-pub struct MinFragBroker;
+pub struct MinFragBroker {
+    /// Device order buffer, reused across selects.
+    order: Vec<DeviceId>,
+}
 
 impl MinFragBroker {
     /// Creates the policy.
     pub fn new() -> Self {
-        MinFragBroker
+        Self::default()
     }
 }
 
 impl Broker for MinFragBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
-        let order = view.order_by(|d| (std::cmp::Reverse(d.free), ordered(d.error_score)));
-        match greedy_fill(&order, view, job.num_qubits) {
+        view.order_by(
+            |d| (std::cmp::Reverse(d.free), ordered(d.error_score)),
+            &mut self.order,
+        );
+        match greedy_fill(&self.order, view, job.num_qubits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }
@@ -42,7 +49,6 @@ impl Broker for MinFragBroker {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
-    use crate::device::DeviceId;
 
     #[test]
     fn packs_into_fewest_devices() {

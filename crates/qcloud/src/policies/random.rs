@@ -10,6 +10,8 @@ use qcs_desim::Xoshiro256StarStar;
 #[derive(Debug, Clone)]
 pub struct RandomBroker {
     rng: Xoshiro256StarStar,
+    /// Device order buffer, reused across selects.
+    order: Vec<DeviceId>,
 }
 
 impl RandomBroker {
@@ -17,15 +19,17 @@ impl RandomBroker {
     pub fn new(seed: u64) -> Self {
         RandomBroker {
             rng: Xoshiro256StarStar::new(seed ^ 0x52414E444F4D21),
+            order: Vec::new(),
         }
     }
 }
 
 impl Broker for RandomBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
-        let mut order: Vec<DeviceId> = view.devices.iter().map(|d| d.id).collect();
-        self.rng.shuffle(&mut order);
-        match greedy_fill(&order, view, job.num_qubits) {
+        self.order.clear();
+        self.order.extend(view.devices.iter().map(|d| d.id));
+        self.rng.shuffle(&mut self.order);
+        match greedy_fill(&self.order, view, job.num_qubits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }

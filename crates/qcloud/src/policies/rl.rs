@@ -2,10 +2,10 @@
 //! PPO policy emits continuous allocation weights over the fleet, which are
 //! normalised and rounded into a qubit partition (§4.1).
 
-use crate::broker::{AllocationPlan, Broker, CloudView};
+use crate::broker::{AllocationPlan, Broker, CloudView, Parts};
 use crate::gym::{encode_observation_into, GymConfig, QueueFeatures};
 use crate::job::QJob;
-use crate::partition::{free_limits, weights_to_parts};
+use crate::partition::{weights_to_parts_into, PartitionScratch};
 use qcs_rl::policy::{ActScratch, ActorCritic};
 
 /// Deploys a trained [`ActorCritic`] as an allocation policy. Uses the
@@ -17,6 +17,9 @@ pub struct RlBroker {
     scratch: ActScratch,
     obs: Vec<f32>,
     weights: Vec<f32>,
+    /// Per-device free qubits of the current view, reused across selects.
+    limits: Vec<u64>,
+    partition: PartitionScratch,
 }
 
 impl RlBroker {
@@ -32,6 +35,8 @@ impl RlBroker {
             policy,
             cfg,
             scratch: ActScratch::new(),
+            limits: Vec::new(),
+            partition: PartitionScratch::default(),
         }
     }
 
@@ -72,10 +77,19 @@ impl Broker for RlBroker {
         encode_observation_into(&mut self.obs, job.num_qubits, view, &queue, &self.cfg);
         self.policy
             .act_deterministic_into(&self.obs, &mut self.scratch, &mut self.weights);
-        let limits = free_limits(view);
-        match weights_to_parts(&self.weights[..view.devices.len()], job.num_qubits, &limits) {
-            Some(parts) => AllocationPlan::Dispatch(parts),
-            None => AllocationPlan::Wait,
+        self.limits.clear();
+        self.limits.extend(view.devices.iter().map(|d| d.free));
+        let mut parts = Parts::new();
+        if weights_to_parts_into(
+            &self.weights[..view.devices.len()],
+            job.num_qubits,
+            &self.limits,
+            &mut self.partition,
+            &mut parts,
+        ) {
+            AllocationPlan::Dispatch(parts)
+        } else {
+            AllocationPlan::Wait
         }
     }
 

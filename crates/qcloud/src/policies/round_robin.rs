@@ -11,12 +11,14 @@ use crate::partition::greedy_fill;
 #[derive(Debug, Default, Clone)]
 pub struct RoundRobinBroker {
     next_start: usize,
+    /// Device order buffer, reused across selects.
+    order: Vec<DeviceId>,
 }
 
 impl RoundRobinBroker {
     /// Creates the policy.
     pub fn new() -> Self {
-        RoundRobinBroker { next_start: 0 }
+        Self::default()
     }
 }
 
@@ -24,8 +26,10 @@ impl Broker for RoundRobinBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
         let n = view.devices.len();
         let start = self.next_start % n;
-        let order: Vec<DeviceId> = (0..n).map(|i| view.devices[(start + i) % n].id).collect();
-        match greedy_fill(&order, view, job.num_qubits) {
+        self.order.clear();
+        self.order
+            .extend((0..n).map(|i| view.devices[(start + i) % n].id));
+        match greedy_fill(&self.order, view, job.num_qubits) {
             Some(parts) => {
                 self.next_start = (start + 1) % n;
                 AllocationPlan::Dispatch(parts)

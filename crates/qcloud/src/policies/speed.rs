@@ -3,26 +3,32 @@
 //! ones when the fast devices lack free qubits.
 
 use crate::broker::{AllocationPlan, Broker, CloudView};
+use crate::device::DeviceId;
 use crate::job::QJob;
 use crate::partition::greedy_fill;
 
 /// Fastest-first, availability-greedy.
 #[derive(Debug, Default, Clone)]
-pub struct SpeedBroker;
+pub struct SpeedBroker {
+    /// Device order buffer, reused across selects.
+    order: Vec<DeviceId>,
+}
 
 impl SpeedBroker {
     /// Creates the policy.
     pub fn new() -> Self {
-        SpeedBroker
+        Self::default()
     }
 }
 
 impl Broker for SpeedBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
         // Highest CLOPS first; ties broken by lower error score, then id.
-        let order =
-            view.order_by(|d| (std::cmp::Reverse(ordered(d.clops)), ordered(d.error_score)));
-        match greedy_fill(&order, view, job.num_qubits) {
+        view.order_by(
+            |d| (std::cmp::Reverse(ordered(d.clops)), ordered(d.error_score)),
+            &mut self.order,
+        );
+        match greedy_fill(&self.order, view, job.num_qubits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }
@@ -51,7 +57,6 @@ impl Ord for Ordered {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
-    use crate::device::DeviceId;
 
     #[test]
     fn prefers_fastest_devices() {

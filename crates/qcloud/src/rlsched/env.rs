@@ -16,6 +16,7 @@ use super::{
 };
 use crate::broker::{AllocationPlan, Broker, CloudView};
 use crate::config::SimParams;
+use crate::inline_vec::InlineVec;
 use crate::job::{JobId, QJob};
 use crate::jobgen::bimodal_arrivals;
 use crate::maintenance::{MaintenanceWindow, OfflineFlags};
@@ -273,7 +274,7 @@ impl SchedulerEnv {
     /// mirroring the simulation scheduler loop (bypass records for
     /// overtaken jobs, start record, reservation) and the executor's
     /// timing/fidelity arithmetic.
-    fn dispatch(&mut self, idx: usize, parts: Vec<(crate::device::DeviceId, u64)>) {
+    fn dispatch(&mut self, idx: usize, parts: &[(crate::device::DeviceId, u64)]) {
         for overtaken in self.pending.iter().take(idx) {
             self.records.record_bypass(overtaken.id);
         }
@@ -284,8 +285,8 @@ impl SchedulerEnv {
             "placement allocated {total} of {} qubits for job {:?}",
             job.num_qubits, job.id
         );
-        self.records.record_start(job.id, self.now, &parts);
-        self.state.reserve(&job, &parts, self.now);
+        self.records.record_start(job.id, self.now, parts);
+        self.state.reserve(&job, parts, self.now);
         let k = parts.len();
         let max_exec = parts
             .iter()
@@ -297,7 +298,7 @@ impl SchedulerEnv {
             })
             .fold(0.0f64, f64::max);
         let comm = self.params.comm.comm_seconds(job.num_qubits, k);
-        let fids: Vec<f64> = parts
+        let fids: InlineVec<f64, 4> = parts
             .iter()
             .map(|&(d, a)| {
                 let dev = &self.slots[d.index()];
@@ -331,7 +332,7 @@ impl SchedulerEnv {
         self.state.copy_view_into(&mut self.view);
         match self.broker.select(&self.pending[idx], &self.view) {
             AllocationPlan::Dispatch(parts) => {
-                self.dispatch(idx, parts);
+                self.dispatch(idx, &parts);
                 true
             }
             AllocationPlan::Wait => false,
@@ -346,7 +347,7 @@ impl SchedulerEnv {
             if let AllocationPlan::Dispatch(parts) =
                 self.broker.select(&self.pending[i], &self.view)
             {
-                self.dispatch(i, parts);
+                self.dispatch(i, &parts);
                 return true;
             }
         }

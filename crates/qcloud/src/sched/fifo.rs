@@ -205,8 +205,7 @@ pub(super) fn validate_plan(
     parts: &[(crate::device::DeviceId, u64)],
     view: &CloudView,
 ) {
-    AllocationPlan::Dispatch(parts.to_vec())
-        .validate(job, view)
+    AllocationPlan::validate_parts(parts, job, view)
         .unwrap_or_else(|e| panic!("broker '{}' produced an invalid plan: {e}", broker.name()));
 }
 

@@ -49,7 +49,7 @@ pub use priority::{PriorityDiscipline, PriorityScheduler};
 pub use state::{CloudState, DeviceSpec, Lease};
 pub use timeline::{AvailabilityProfile, CapacityTimeline};
 
-use crate::device::DeviceId;
+use crate::broker::Parts;
 use crate::job::QJob;
 use serde::{Deserialize, Serialize};
 
@@ -94,7 +94,7 @@ pub struct Dispatch {
     pub queue_index: usize,
     /// The partition to reserve, `(device, qubits)` summing to the job's
     /// demand.
-    pub parts: Vec<(DeviceId, u64)>,
+    pub parts: Parts,
 }
 
 /// The outcome of one scheduler consultation: a batch of dispatches plus

@@ -20,7 +20,7 @@
 //! (use `WeightedAging`, or compose backfilling instead, when that
 //! matters).
 
-use super::fifo::{apply_parts, blocked_reason};
+use super::fifo::{apply_parts, blocked_reason, validate_plan};
 use super::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
 use crate::broker::{AllocationPlan, Broker, CloudView};
 use crate::job::QJob;
@@ -129,14 +129,7 @@ impl Scheduler for PriorityScheduler {
             let job = &queue[qi as usize];
             let plan = self.broker.select(job, &self.view);
             if let AllocationPlan::Dispatch(parts) = plan {
-                AllocationPlan::Dispatch(parts.clone())
-                    .validate(job, &self.view)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "broker '{}' produced an invalid plan: {e}",
-                            self.broker.name()
-                        )
-                    });
+                validate_plan(&*self.broker, job, &parts, &self.view);
                 apply_parts(&mut self.view, &parts, state.now());
                 // Translate the original index into the residual queue.
                 let vi = self

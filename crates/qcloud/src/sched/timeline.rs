@@ -30,12 +30,22 @@
 //!   [`AvailabilityProfile::from_state`] oracle runs, so the incremental
 //!   profile is equal to a from-scratch rebuild by construction
 //!   (differentially proptest-pinned in `tests/timeline_proptests.rs`).
+//!   A re-derivation writes to the aggregate delta map **by difference**:
+//!   it merges the device's old and new future deltas and applies only the
+//!   net change at each instant, so a reserve or release usually touches
+//!   the one map entry of the lease return it adds or removes, not every
+//!   entry of the device.
+//!   The map holds, per instant, the sum of every device's delta there,
+//!   zero sums dropped; adding `new − old` per instant leaves exactly the
+//!   sums that removing all of `old` and adding all of `new` would, so the
+//!   oracle equality is unaffected.
 //! * [`CapacityTimeline`] — the *scheduler-owned* view over a profile:
 //!   a persistent reservation **ledger** (conservative backfilling's
 //!   standing bookings, kept in a `BTreeMap` interval-delta structure with
 //!   O(log n) booking/unbooking) plus a per-decision **overlay** (the
-//!   dispatches admitted in the current batch). Queries are read-only
-//!   (`&self`) and merge the three delta streams without sorting.
+//!   dispatches admitted in the current batch, a sorted buffer that is
+//!   cleared, not freed, per decision). Queries are read-only (`&self`)
+//!   and merge the three delta streams without sorting.
 //!
 //! The two queries:
 //!
@@ -94,6 +104,54 @@ fn map_add(map: &mut BTreeMap<TimeKey, i64>, t: f64, v: i64) {
     }
 }
 
+/// [`map_add`] on a buffer kept sorted by time (`total_cmp`, as
+/// [`TimeKey`] orders) with distinct times.
+fn sorted_add(deltas: &mut Vec<(f64, i64)>, t: f64, v: i64) {
+    if v == 0 {
+        return;
+    }
+    match deltas.binary_search_by(|&(x, _)| x.total_cmp(&t)) {
+        Ok(i) => {
+            deltas[i].1 += v;
+            if deltas[i].1 == 0 {
+                deltas.remove(i);
+            }
+        }
+        Err(i) => deltas.insert(i, (t, v)),
+    }
+}
+
+/// Adds `new − old` to `map`: walks both delta lists (ascending, distinct
+/// times) in step, so an instant present in both moves by the difference
+/// (nothing at all when it is unchanged) and an instant in one list only
+/// is removed or added.
+fn apply_difference(map: &mut BTreeMap<TimeKey, i64>, old: &[(f64, i64)], new: &[(f64, i64)]) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let ord = match (old.get(i), new.get(j)) {
+            (Some(o), Some(n)) => o.0.total_cmp(&n.0),
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (None, None) => return,
+        };
+        match ord {
+            std::cmp::Ordering::Less => {
+                map_add(map, old[i].0, -old[i].1);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                map_add(map, new[j].0, new[j].1);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                map_add(map, old[i].0, new[j].1 - old[i].1);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
 /// One device's slice of the availability profile.
 #[derive(Debug, Clone, PartialEq)]
 struct DeviceProfile {
@@ -110,7 +168,7 @@ struct DeviceProfile {
 /// The fleet-total no-new-work availability step function over `[now, ∞)`,
 /// maintained incrementally by [`CloudState`]'s mutations. See the module
 /// docs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AvailabilityProfile {
     /// The instant the profile is folded to (the last refresh).
     now: f64,
@@ -119,12 +177,40 @@ pub struct AvailabilityProfile {
     /// Aggregate future deltas `(time → signed qubits)`, all `> now`.
     deltas: BTreeMap<TimeKey, i64>,
     devices: Vec<DeviceProfile>,
+    /// Buffers reused by every re-derivation; no state between calls.
+    scratch: ReplayScratch,
+}
+
+/// Compares the profile itself; the scratch buffers are not part of it.
+impl PartialEq for AvailabilityProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.now == other.now
+            && self.base == other.base
+            && self.deltas == other.deltas
+            && self.devices == other.devices
+    }
+}
+
+/// One event on a device's replayed timeline.
+#[derive(Debug, Clone, Copy)]
+enum ReplayEvent {
+    Release(u64),
+    WinStart,
+    WinEnd,
+}
+
+/// The buffers a re-derivation works in: the replay's event list and the
+/// device's new future deltas, which then trade places with the old ones.
+#[derive(Debug, Clone, Default)]
+struct ReplayScratch {
+    events: Vec<(f64, ReplayEvent)>,
+    fut: Vec<(f64, i64)>,
 }
 
 /// Replays one device's visible-level trajectory (current level, lease
 /// returns, maintenance window edges, offline masking) from `now` on:
-/// returns the contribution at `now` and fills `fut` with the future
-/// deltas, ascending. This is the single source of truth both the
+/// returns the contribution at `now` and fills `scratch.fut` with the
+/// future deltas, ascending. This is the single source of truth both the
 /// incremental profile and the from-scratch oracle run.
 fn replay_device(
     di: usize,
@@ -133,14 +219,12 @@ fn replay_device(
     leases: &[Lease],
     calendar: &MaintenanceCalendar,
     now: f64,
-    fut: &mut Vec<(f64, i64)>,
+    scratch: &mut ReplayScratch,
 ) -> i64 {
+    let ReplayScratch { events, fut } = scratch;
     fut.clear();
-    enum Ev {
-        Release(u64),
-        WinStart,
-        WinEnd,
-    }
+    events.clear();
+    use ReplayEvent as Ev;
     let active_now = calendar.active_at(di, now);
     if flag_offline && active_now == 0 {
         // Parked with no scheduled return (a crash): invisible forever.
@@ -151,7 +235,6 @@ fn replay_device(
     // so a window whose start ties with `now` never counts its device as
     // available for the whole span.
     let offline_now = flag_offline || active_now > 0;
-    let mut events: Vec<(f64, Ev)> = Vec::new();
     for l in leases {
         if l.device.index() == di {
             // A lease already due (boundary race with the release
@@ -211,6 +294,7 @@ impl AvailabilityProfile {
             base: 0,
             deltas: BTreeMap::new(),
             devices: Vec::new(),
+            scratch: ReplayScratch::default(),
         }
     }
 
@@ -221,13 +305,10 @@ impl AvailabilityProfile {
     pub fn from_state(state: &CloudState) -> Self {
         let mut p = AvailabilityProfile {
             now: state.now(),
-            base: 0,
-            deltas: BTreeMap::new(),
-            devices: Vec::new(),
+            ..AvailabilityProfile::empty()
         };
         for di in 0..state.len() {
             let dev = DeviceId(di as u32);
-            let mut fut = Vec::new();
             let contrib = replay_device(
                 di,
                 state.actual_level(dev),
@@ -235,8 +316,9 @@ impl AvailabilityProfile {
                 state.leases(),
                 state.maintenance(),
                 p.now,
-                &mut fut,
+                &mut p.scratch,
             );
+            let fut = std::mem::take(&mut p.scratch.fut);
             p.base += contrib;
             for &(t, v) in &fut {
                 map_add(&mut p.deltas, t, v);
@@ -251,9 +333,14 @@ impl AvailabilityProfile {
     }
 
     /// Re-derives one device's slice after a state mutation touching it
-    /// (reserve, release, revocation, flag flip, new window): removes the
-    /// old contribution and future deltas from the aggregates and replays
-    /// the device fresh. O(device leases + device windows + log deltas).
+    /// (reserve, release, revocation, flag flip, new window): replays the
+    /// device fresh, as [`AvailabilityProfile::from_state`] does, then
+    /// moves the base by the change in its contribution and the aggregate
+    /// map by the difference between its old and new future deltas (see
+    /// the module docs for why that equals removing the old slice and
+    /// adding the new one). O(leases + device windows + (old + new
+    /// deltas) · log deltas); allocates nothing once its buffers have
+    /// grown.
     pub(crate) fn rebuild_device(
         &mut self,
         di: usize,
@@ -262,12 +349,6 @@ impl AvailabilityProfile {
         leases: &[Lease],
         calendar: &MaintenanceCalendar,
     ) {
-        let d = &mut self.devices[di];
-        self.base -= d.contrib;
-        for &(t, v) in &d.fut {
-            map_add(&mut self.deltas, t, -v);
-        }
-        let mut fut = std::mem::take(&mut d.fut);
         let contrib = replay_device(
             di,
             level,
@@ -275,16 +356,14 @@ impl AvailabilityProfile {
             leases,
             calendar,
             self.now,
-            &mut fut,
+            &mut self.scratch,
         );
-        self.base += contrib;
-        for &(t, v) in &fut {
-            map_add(&mut self.deltas, t, v);
-        }
         let d = &mut self.devices[di];
+        self.base += contrib - d.contrib;
+        apply_difference(&mut self.deltas, &d.fut, &self.scratch.fut);
+        std::mem::swap(&mut d.fut, &mut self.scratch.fut);
         d.contrib = contrib;
         d.offline_flag = flag_offline;
-        d.fut = fut;
     }
 
     /// The offline flag the device's slice was last derived under (used by
@@ -339,8 +418,9 @@ pub struct CapacityTimeline {
     now: f64,
     /// Net qubits the current decision batch added at/before `now`.
     overlay_base: i64,
-    /// The batch's future deltas (projected dispatch releases), `> now`.
-    overlay: BTreeMap<TimeKey, i64>,
+    /// The batch's future deltas (projected dispatch releases), `> now`,
+    /// ascending with distinct times.
+    overlay: Vec<(f64, i64)>,
     /// Net booked qubits at/before `now` (bookings folded as time passes).
     ledger_base: i64,
     /// Standing booking deltas, `> now`.
@@ -387,7 +467,7 @@ impl CapacityTimeline {
         if at <= self.now {
             self.overlay_base += qubits as i64;
         } else {
-            map_add(&mut self.overlay, at, qubits as i64);
+            sorted_add(&mut self.overlay, at, qubits as i64);
         }
     }
 
@@ -495,7 +575,7 @@ impl CapacityTimeline {
 struct MergedDeltas<'a> {
     a: std::collections::btree_map::Iter<'a, TimeKey, i64>,
     b: std::collections::btree_map::Iter<'a, TimeKey, i64>,
-    c: std::collections::btree_map::Iter<'a, TimeKey, i64>,
+    c: std::slice::Iter<'a, (f64, i64)>,
     pa: Option<(f64, i64)>,
     pb: Option<(f64, i64)>,
     pc: Option<(f64, i64)>,
@@ -513,7 +593,7 @@ impl<'a> MergedDeltas<'a> {
         };
         m.pa = m.a.next().map(|(k, v)| (k.0, *v));
         m.pb = m.b.next().map(|(k, v)| (k.0, *v));
-        m.pc = m.c.next().map(|(k, v)| (k.0, *v));
+        m.pc = m.c.next().copied();
         m
     }
 
@@ -544,7 +624,7 @@ impl<'a> MergedDeltas<'a> {
         if let Some((tc, v)) = self.pc {
             if tc == t {
                 dv += v;
-                self.pc = self.c.next().map(|(k, v)| (k.0, *v));
+                self.pc = self.c.next().copied();
             }
         }
         Some((t, dv))

@@ -69,28 +69,27 @@ impl Default for ServiceConfig {
 /// alone: its jobs were routed up front, and it resumes only at their
 /// arrivals.
 struct RouterProc {
-    jobs: Arc<Vec<QJob>>, // the whole stream, sorted by (arrival, id)
-    mine: Vec<usize>,     // indices into `jobs` this intake releases, in order
-    next: usize,          // position in `mine`
-    routed: Vec<usize>,   // jobs routed to each shard of the world
-    wake: Vec<bool>,      // per-resume scratch: shards that admitted a job
+    jobs: Arc<Vec<QJob>>,  // the whole stream, sorted by (arrival, id)
+    mine: Vec<usize>,      // indices into `jobs` this intake releases, in order
+    next: usize,           // position in `mine`
+    routed: Vec<usize>,    // jobs routed to each shard of the world
+    wake: Vec<bool>,       // per-resume scratch: shards that admitted a job
+    loads: Vec<ShardLoad>, // per-arrival scratch: the shards' live loads
     admission: AdmissionPolicy,
     routing: RoutingPolicy,
 }
 
 impl RouterProc {
     /// Routes `job` against the shards' live loads.
-    fn route_live(&self, job: &QJob, shards: &[SchedState]) -> usize {
-        let loads: Vec<ShardLoad> = shards
-            .iter()
-            .map(|st| ShardLoad {
-                queue_depth: st.pending.len(),
-                free_qubits: st.cloud_state.total_free(),
-                total_capacity: st.cloud.total_capacity(),
-            })
-            .collect();
+    fn route_live(&mut self, job: &QJob, shards: &[SchedState]) -> usize {
+        self.loads.clear();
+        self.loads.extend(shards.iter().map(|st| ShardLoad {
+            queue_depth: st.pending.len(),
+            free_qubits: st.cloud_state.total_free(),
+            total_capacity: st.cloud.total_capacity(),
+        }));
         self.routing
-            .route(job, &loads)
+            .route(job, &self.loads)
             .expect("harness validated every job against the largest region")
     }
 }
@@ -452,6 +451,7 @@ impl ParallelServiceHarness {
                 next: 0,
                 routed: vec![0; n],
                 wake: vec![false; n],
+                loads: Vec::new(),
                 admission: config.admission,
                 routing: config.routing,
             }));
@@ -613,5 +613,31 @@ impl ServiceHarness {
     /// See [`ParallelServiceHarness::run`].
     pub fn run(self) -> ServiceOutcome {
         self.0.run()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::JobDistribution;
+
+    #[test]
+    #[should_panic(expected = "duplicate job id")]
+    fn repeated_job_id_fails_at_construction() {
+        let mut jobs = crate::jobgen::batch_at_zero(6, &JobDistribution::default(), 3);
+        jobs[4].id = jobs[1].id;
+        let config = ServiceConfig {
+            admission: AdmissionPolicy::open(),
+            routing: RoutingPolicy::Hash,
+        };
+        let _ = ParallelServiceHarness::new(
+            qcs_calibration::regional_fleet(2, 3),
+            |_| crate::policies::scheduler_by_name("speed", 3, 1).unwrap(),
+            jobs,
+            SimParams::default(),
+            config,
+            3,
+            2,
+        );
     }
 }

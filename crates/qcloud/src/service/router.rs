@@ -80,34 +80,32 @@ impl RoutingPolicy {
 
     /// Picks the shard for `job`, or `None` when no region can ever hold
     /// it (infeasible everywhere — the harness validates this away up
-    /// front, so `None` is a caller bug in practice).
+    /// front, so `None` is a caller bug in practice). Allocates nothing:
+    /// the hash and affinity picks count their way to the chosen feasible
+    /// shard.
     pub fn route(&self, job: &QJob, loads: &[ShardLoad]) -> Option<usize> {
-        let feasible: Vec<usize> = loads
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.total_capacity >= job.num_qubits)
-            .map(|(i, _)| i)
-            .collect();
-        if feasible.is_empty() {
-            return None;
-        }
-        Some(match self {
-            RoutingPolicy::Hash => {
-                feasible[(splitmix64(job.id.0) % feasible.len() as u64) as usize]
+        let feasible = || (0..loads.len()).filter(|&i| loads[i].total_capacity >= job.num_qubits);
+        match self {
+            RoutingPolicy::Hash | RoutingPolicy::Affinity => {
+                let n = feasible().count();
+                if n == 0 {
+                    return None;
+                }
+                let k = if *self == RoutingPolicy::Hash {
+                    (splitmix64(job.id.0) % n as u64) as usize
+                } else {
+                    (job.num_qubits / 64) as usize % n
+                };
+                feasible().nth(k)
             }
-            RoutingPolicy::LeastLoaded => feasible
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    loads[a]
-                        .queue_depth
-                        .cmp(&loads[b].queue_depth)
-                        .then(loads[b].free_qubits.cmp(&loads[a].free_qubits))
-                        .then(a.cmp(&b))
-                })
-                .expect("feasible set is non-empty"),
-            RoutingPolicy::Affinity => feasible[(job.num_qubits / 64) as usize % feasible.len()],
-        })
+            RoutingPolicy::LeastLoaded => feasible().min_by(|&a, &b| {
+                loads[a]
+                    .queue_depth
+                    .cmp(&loads[b].queue_depth)
+                    .then(loads[b].free_qubits.cmp(&loads[a].free_qubits))
+                    .then(a.cmp(&b))
+            }),
+        }
     }
 }
 
@@ -174,6 +172,61 @@ mod tests {
         assert_eq!(a, b, "same 64-qubit class routes together");
         let c = RoutingPolicy::Affinity.route(&job(2, 250), &l).unwrap();
         assert_ne!(a, c, "distant class lands elsewhere");
+    }
+
+    #[test]
+    fn picks_match_indexing_the_collected_feasible_set() {
+        // The reference: collect the feasible shards, then index into them.
+        let reference = |policy: RoutingPolicy, job: &QJob, loads: &[ShardLoad]| {
+            let feasible: Vec<usize> = (0..loads.len())
+                .filter(|&i| loads[i].total_capacity >= job.num_qubits)
+                .collect();
+            if feasible.is_empty() {
+                return None;
+            }
+            Some(match policy {
+                RoutingPolicy::Hash => {
+                    feasible[(splitmix64(job.id.0) % feasible.len() as u64) as usize]
+                }
+                RoutingPolicy::Affinity => {
+                    feasible[(job.num_qubits / 64) as usize % feasible.len()]
+                }
+                RoutingPolicy::LeastLoaded => *feasible
+                    .iter()
+                    .min_by_key(|&&i| {
+                        (
+                            loads[i].queue_depth,
+                            std::cmp::Reverse(loads[i].free_qubits),
+                            i,
+                        )
+                    })
+                    .unwrap(),
+            })
+        };
+        // Every feasibility mask over four shards, with uneven loads.
+        for mask in 0u32..16 {
+            let l: Vec<ShardLoad> = (0..4)
+                .map(|i| ShardLoad {
+                    queue_depth: (i * 7) % 3,
+                    free_qubits: 100 + i as u64 * 50,
+                    total_capacity: if mask & (1 << i) != 0 { 635 } else { 100 },
+                })
+                .collect();
+            for id in 0..64 {
+                let j = job(id, 130 + id * 2);
+                for policy in [
+                    RoutingPolicy::Hash,
+                    RoutingPolicy::LeastLoaded,
+                    RoutingPolicy::Affinity,
+                ] {
+                    assert_eq!(
+                        policy.route(&j, &l),
+                        reference(policy, &j, &l),
+                        "{policy} mask {mask:04b} job {id}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

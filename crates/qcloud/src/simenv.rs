@@ -72,11 +72,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::broker::Broker;
+use crate::broker::{Broker, Parts};
 use crate::cloud::QCloud;
 use crate::config::{ReleasePolicy, SimParams};
 use crate::device::DeviceId;
 use crate::faults::{AvoidSet, FaultInjector, FaultScript, RetryPolicy};
+use crate::inline_vec::InlineVec;
 use crate::job::{JobId, QJob};
 use crate::maintenance::{MaintenanceProc, MaintenanceWindow, OfflineFlags};
 use crate::model::fidelity::DeviceErrorRates;
@@ -107,9 +108,9 @@ struct FaultState {
 /// crash (or execution failure) can kill its coroutines and resubmit it.
 struct RunningJob {
     job: QJob,
-    parts: Vec<(DeviceId, u64)>,
+    parts: Parts,
     exec_pid: ProcessId,
-    sub_pids: Vec<ProcessId>,
+    sub_pids: InlineVec<ProcessId, 4>,
 }
 
 /// The world of a shard engine kernel: the shards it hosts, and the
@@ -417,7 +418,7 @@ impl Coroutine<World> for SchedulerProc {
                             job,
                             parts,
                             exec_pid,
-                            sub_pids: Vec::new(),
+                            sub_pids: InlineVec::new(),
                         },
                     );
                 }
@@ -468,7 +469,7 @@ impl Coroutine<World> for SubExec {
 
 struct Executor {
     job: QJob,
-    parts: Vec<(DeviceId, u64)>,
+    parts: Parts,
     shard: usize,
     phase: u8,
     comm_seconds: f64,
@@ -485,7 +486,7 @@ impl Coroutine<World> for Executor {
                 // Parallel execution: the job runs as long as its slowest
                 // sub-job (§4: T(a) = max_i T_i).
                 let st = &cx.world.shards[self.shard];
-                let durations: Vec<f64> = self
+                let durations: InlineVec<f64, 4> = self
                     .parts
                     .iter()
                     .map(|&(d, _)| {
@@ -499,7 +500,7 @@ impl Coroutine<World> for Executor {
                     .collect();
                 let exec = durations.iter().fold(0.0f64, |a, &b| a.max(b));
                 if st.params.release == ReleasePolicy::PerDevice {
-                    let sub_pids: Vec<ProcessId> = self
+                    let sub_pids: InlineVec<ProcessId, 4> = self
                         .parts
                         .iter()
                         .zip(&durations)
@@ -553,7 +554,7 @@ impl Coroutine<World> for Executor {
                 let now = cx.now();
                 let st = &mut cx.world.shards[self.shard];
                 let k = self.parts.len();
-                let fids: Vec<f64> = self
+                let fids: InlineVec<f64, 4> = self
                     .parts
                     .iter()
                     .map(|&(d, a)| {
@@ -970,6 +971,20 @@ mod tests {
             assert_eq!(res.telemetry.dispatched, 30, "{name}");
             assert!(res.telemetry.decisions > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate job id")]
+    fn repeated_job_id_fails_at_construction() {
+        let mut js = jobs(6, 3);
+        js[4].id = js[1].id;
+        let _ = QCloudSimEnv::new(
+            ibm_fleet(3),
+            Box::new(SpeedBroker::new()),
+            js,
+            SimParams::default(),
+            3,
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub fn to_csv(jobs: &[QJob]) -> String {
 }
 
 /// Parses jobs from CSV. Returns an error naming the offending line on any
-/// malformed input.
+/// malformed input, and one naming the id when two rows share a `job_id`.
 pub fn from_csv(text: &str) -> Result<Vec<QJob>, String> {
     let mut lines = text.lines().enumerate();
     let Some((_, header)) = lines.next() else {
@@ -75,6 +75,7 @@ pub fn from_csv(text: &str) -> Result<Vec<QJob>, String> {
             .map_err(|e| format!("line {}: {e}", ln + 1))?;
         jobs.push(job);
     }
+    qcs_qcloud::jobgen::check_unique_ids(&jobs)?;
     Ok(jobs)
 }
 
@@ -147,6 +148,14 @@ mod tests {
             "job_id,num_qubits,depth,num_shots,two_qubit_gates,arrival_time\n1,0,10,50000,500,0\n";
         let err = from_csv(csv).unwrap_err();
         assert!(err.contains("zero qubits"), "{err}");
+    }
+
+    #[test]
+    fn repeated_job_id_rejected() {
+        let csv = "job_id,num_qubits,depth,num_shots,two_qubit_gates,arrival_time\n\
+                   1,150,10,50000,500,0\n2,150,10,50000,500,1\n1,160,10,50000,500,2\n";
+        let err = from_csv(csv).unwrap_err();
+        assert!(err.contains("duplicate job id JobId(1)"), "{err}");
     }
 
     #[test]

@@ -7,12 +7,14 @@ pub fn to_json(jobs: &[QJob]) -> String {
     serde_json::to_string_pretty(jobs).expect("QJob serialisation cannot fail")
 }
 
-/// Parses a JSON job array, validating every job.
+/// Parses a JSON job array, validating every job and rejecting a repeated
+/// id.
 pub fn from_json(text: &str) -> Result<Vec<QJob>, String> {
     let jobs: Vec<QJob> = serde_json::from_str(text).map_err(|e| e.to_string())?;
     for j in &jobs {
         j.validate()?;
     }
+    qcs_qcloud::jobgen::check_unique_ids(&jobs)?;
     Ok(jobs)
 }
 
@@ -48,6 +50,18 @@ mod tests {
     fn bad_json_rejected() {
         assert!(from_json("not json").is_err());
         assert!(from_json("[{\"id\": 1}]").is_err());
+    }
+
+    #[test]
+    fn repeated_job_id_rejected() {
+        let dist = JobDistribution::default();
+        let mut rng = Xoshiro256StarStar::new(3);
+        let mut jobs: Vec<QJob> = (0..4)
+            .map(|i| dist.sample(JobId(i), i as f64, &mut rng))
+            .collect();
+        jobs[3].id = JobId(0);
+        let err = from_json(&to_json(&jobs)).unwrap_err();
+        assert!(err.contains("duplicate job id JobId(0)"), "{err}");
     }
 
     #[test]
