@@ -23,7 +23,7 @@ use qcs_bench::runner::results_dir;
 use qcs_bench::table::AsciiTable;
 use qcs_calibration::regional_fleet;
 use qcs_qcloud::jobgen::diurnal_arrivals;
-use qcs_qcloud::policies::scheduler_by_name;
+use qcs_qcloud::policies::SchedSpec;
 use qcs_qcloud::{
     AdmissionPolicy, ParallelServiceHarness, RoutingPolicy, ServiceConfig, SimParams,
 };
@@ -32,7 +32,10 @@ fn main() {
     let n_jobs: usize = arg("--jobs", 1000);
     let regions: usize = arg("--regions", 1);
     let seed: u64 = arg("--seed", 42);
-    let spec: String = arg("--spec", "backfill+speed".to_string());
+    let spec: SchedSpec = arg(
+        "--spec",
+        "backfill+speed".parse().expect("the default spec parses"),
+    );
     let rate: f64 = arg("--rate", 0.05);
     let amplitude: f64 = arg("--amplitude", 0.8);
     let period: f64 = arg("--period", 3600.0);
@@ -60,10 +63,9 @@ fn main() {
         amplitude * 100.0
     );
 
-    let spec_for_factory = spec.clone();
     let outcome = ParallelServiceHarness::new(
         regional_fleet(regions, seed),
-        move |_region| scheduler_by_name(&spec_for_factory, seed, 1).expect("known scheduler spec"),
+        |_region| spec.build(seed, 1),
         jobs,
         SimParams::default(),
         config,

@@ -8,7 +8,8 @@
 //! simulation owns it and lends it to each process it resumes, next to the
 //! kernel ([`Ctx::world`], [`Ctx::kernel`]). No state is shared between
 //! processes behind a lock, and [`Simulation::into_world`] hands the final
-//! state back after the run.
+//! state back after the run. Between events, [`Simulation::split`] lends
+//! the kernel and the world to a caller as the same two borrows.
 //!
 //! # Slab/handle model
 //!
@@ -157,6 +158,15 @@ impl<W> Simulation<W> {
     #[inline]
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
+    }
+
+    /// The kernel and the world as two separate borrows, the way a
+    /// [`Ctx`] hands them to a running process. A caller outside any event
+    /// can run the same code a coroutine runs, between two
+    /// [`Simulation::step`]s.
+    #[inline]
+    pub fn split(&mut self) -> (&mut Kernel<W>, &mut W) {
+        (&mut self.kernel, &mut self.world)
     }
 
     /// Ends the simulation and returns its world.
@@ -696,5 +706,19 @@ mod tests {
         sim.run();
         assert_eq!(*sim.world(), 1);
         assert_eq!(sim.live_processes(), 0);
+    }
+
+    #[test]
+    fn split_lends_kernel_and_world_between_steps() {
+        // A caller outside any event spawns through the kernel while it
+        // writes the world, as a coroutine does through its `Ctx`.
+        let mut sim = Simulation::new(0u32);
+        sim.spawn(ticker(1.0, 2));
+        assert!(sim.step());
+        let (kernel, world) = sim.split();
+        *world += 10;
+        kernel.spawn_after(0.5, ticker(1.0, 1));
+        assert_eq!(sim.run(), 2.0);
+        assert_eq!(*sim.world(), 13);
     }
 }

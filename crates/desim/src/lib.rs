@@ -15,6 +15,9 @@
 //!   world separately, so a process can hold world state while it spawns,
 //!   wakes or kills. Nothing is shared behind a lock, and a world is
 //!   reachable only from the thread running its simulation.
+//!   [`Simulation::split`] lends the same two borrows to a caller between
+//!   events, so code written for a coroutine can also run from outside
+//!   one — the way a training environment answers a parked scheduler.
 //! * Processes advance by returning [`Step::Wait`] with an [`Effect`]:
 //!   [`Effect::Timeout`] (resume after a delay) or [`Effect::Suspend`]
 //!   (park until another component calls [`Kernel::wake`]).

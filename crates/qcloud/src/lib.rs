@@ -32,9 +32,11 @@
 //!   environment of §4.1 (16-dim state, 5-dim continuous action);
 //! * [`rlsched::SchedulerEnv`] — the queue-deep scheduling environment:
 //!   the agent *is* the scheduler, observing the pending-queue window plus
-//!   per-device state and picking which job to dispatch next, with
-//!   [`rlsched::RlSchedScheduler`] deploying trained checkpoints through
-//!   `rl:<path>` specs in every harness.
+//!   per-device state and picking which job to dispatch next. Each episode
+//!   runs on the simulation engine itself and each step answers one
+//!   consult of its scheduler, so training sees exactly the consults that
+//!   [`rlsched::RlSchedScheduler`] answers when a trained checkpoint is
+//!   deployed through an `rl:<path>` spec in any harness.
 
 #![warn(missing_docs)]
 

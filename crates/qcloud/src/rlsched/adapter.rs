@@ -1,6 +1,7 @@
-//! Deployment of a trained scheduler policy: the checkpoint format and the
+//! Deployment of a trained scheduler policy: the checkpoint format, the
 //! [`Scheduler`] inference adapter that `rl:<path>` specs resolve to when
-//! the checkpoint was trained on [`super::SchedulerEnv`].
+//! the checkpoint was trained on [`super::SchedulerEnv`], and the `Picker`
+//! both of them turn a queue-slot pick into a decision with.
 
 use super::{argmax, encode_sched_observation_into, SchedObsConfig};
 use crate::broker::{AllocationPlan, Broker, CloudView};
@@ -132,18 +133,20 @@ pub fn try_load_scheduler(path: &str, seed: u64) -> Option<Box<dyn Scheduler>> {
 /// The inference adapter: runs a [`SchedCheckpoint`] policy as a
 /// queue-aware [`Scheduler`]. Each consult encodes the queue/state
 /// observation exactly as in training, takes the deterministic argmax
-/// action, and either dispatches the picked job through the checkpoint's
-/// placement broker (one dispatch, immediate re-consult — the
-/// single-dispatch adapter pattern) or parks with an honest
-/// [`WaitReason`].
+/// action, and hands it to the same `Picker` the training environment
+/// answers its consults with: the picked job dispatches through the
+/// checkpoint's placement broker (one dispatch, immediate re-consult — the
+/// single-dispatch adapter pattern), or the adapter parks with an honest
+/// [`WaitReason`]. The idle-fleet fallback (a wait with nothing in flight
+/// dispatches the first placeable job in FIFO order instead) lives in the
+/// `Picker` alone, so training and deployment cannot disagree on it.
 pub struct RlSchedScheduler {
     policy: ActorCritic,
     cfg: SchedObsConfig,
-    broker: Box<dyn Broker>,
+    picker: Picker,
     obs: Vec<f32>,
     action: Vec<f32>,
     scratch: ActScratch,
-    view: CloudView,
     name: String,
 }
 
@@ -159,56 +162,11 @@ impl RlSchedScheduler {
         RlSchedScheduler {
             obs: vec![0.0; ck.obs.obs_dim()],
             action: vec![0.0; ck.obs.action_dim()],
+            picker: Picker::new(placement.build(seed), ck.obs.queue_slots),
             policy: ck.policy,
             cfg: ck.obs,
-            broker: placement.build(seed),
             scratch: ActScratch::new(),
-            view: CloudView {
-                devices: Vec::new(),
-            },
             name: "rlsched".to_string(),
-        }
-    }
-
-    /// The wait path, with the liveness guard from training: a `Wait` is
-    /// only safe when something in flight will wake the scheduler again.
-    /// With an idle fleet (`state.leases()` empty) only a future arrival
-    /// could, and the adapter cannot see whether one exists — so it falls
-    /// back to dispatching the first broker-placeable job in FIFO order,
-    /// exactly like [`super::SchedulerEnv`]'s idle-fleet fallback. This is
-    /// work-conserving, never worse than deadlock, and keeps the deployed
-    /// policy's semantics identical to the environment it trained in.
-    fn hold_or_fallback(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
-        if state.leases().is_empty() {
-            state.copy_view_into(&mut self.view);
-            if let Some(d) = first_placeable(&mut *self.broker, queue, &self.view) {
-                return SchedulingDecision {
-                    dispatches: vec![d],
-                    wait: None,
-                };
-            }
-        }
-        SchedulingDecision::wait(self.wait_reason(queue, state))
-    }
-
-    /// Why the head job cannot start (mirrors the FIFO adapter's
-    /// classification): not enough online qubits, offline qubits would
-    /// cover it, or the policy simply declined.
-    fn wait_reason(&self, queue: &[QJob], state: &CloudState) -> WaitReason {
-        let head = &queue[0];
-        if state.view().total_free() < head.num_qubits {
-            let offline_extra: u64 = (0..state.len())
-                .map(|i| crate::device::DeviceId(i as u32))
-                .filter(|&d| state.is_offline(d))
-                .map(|d| state.actual_level(d))
-                .sum();
-            if offline_extra > 0 && state.view().total_free() + offline_extra >= head.num_qubits {
-                WaitReason::DeviceOffline
-            } else {
-                WaitReason::InsufficientCapacity
-            }
-        } else {
-            WaitReason::PolicyHold
         }
     }
 }
@@ -218,8 +176,55 @@ impl Scheduler for RlSchedScheduler {
         encode_sched_observation_into(&mut self.obs, queue, state, &self.cfg);
         self.policy
             .act_deterministic_into(&self.obs, &mut self.scratch, &mut self.action);
-        let pick = argmax(&self.action);
-        if pick >= self.cfg.queue_slots || pick >= queue.len() {
+        self.picker.decide(argmax(&self.action), queue, state)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+/// Turns a queue-slot pick into a [`SchedulingDecision`]: the one copy of
+/// that step, shared by the deployed [`RlSchedScheduler`] and the training
+/// environment ([`super::SchedulerEnv`]), so both answer a consult with the
+/// same broker calls in the same order.
+///
+/// A pick inside the queue window dispatches that job when the placement
+/// broker can place it now; anything else — the wait slot, an empty slot,
+/// a placement refusal — waits. A wait is only safe when something in
+/// flight will wake the scheduler again. With an idle fleet
+/// (`state.leases()` empty) only a future arrival could, and the picker
+/// cannot see whether one exists, so it falls back to dispatching the
+/// first broker-placeable job in FIFO order. This idle-fleet fallback
+/// lives here and nowhere else: it is work-conserving and never worse
+/// than a deadlock.
+pub(crate) struct Picker {
+    broker: Box<dyn Broker>,
+    view: CloudView,
+    queue_slots: usize,
+}
+
+impl Picker {
+    /// A picker over `broker` for a policy with `queue_slots` addressable
+    /// queue slots.
+    pub(crate) fn new(broker: Box<dyn Broker>, queue_slots: usize) -> Self {
+        Picker {
+            broker,
+            view: CloudView {
+                devices: Vec::new(),
+            },
+            queue_slots,
+        }
+    }
+
+    /// The decision for `pick` against a non-empty `queue` and `state`.
+    pub(crate) fn decide(
+        &mut self,
+        pick: usize,
+        queue: &[QJob],
+        state: &CloudState,
+    ) -> SchedulingDecision {
+        if pick >= self.queue_slots || pick >= queue.len() {
             return self.hold_or_fallback(queue, state);
         }
         state.copy_view_into(&mut self.view);
@@ -237,8 +242,39 @@ impl Scheduler for RlSchedScheduler {
         }
     }
 
-    fn name(&self) -> &str {
-        &self.name
+    /// The wait path, with the idle-fleet fallback (see the type docs).
+    fn hold_or_fallback(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
+        if state.leases().is_empty() {
+            state.copy_view_into(&mut self.view);
+            if let Some(d) = first_placeable(&mut *self.broker, queue, &self.view) {
+                return SchedulingDecision {
+                    dispatches: vec![d],
+                    wait: None,
+                };
+            }
+        }
+        SchedulingDecision::wait(wait_reason(queue, state))
+    }
+}
+
+/// Why the head job cannot start (mirrors the FIFO adapter's
+/// classification): not enough online qubits, offline qubits would cover
+/// it, or the policy simply declined.
+fn wait_reason(queue: &[QJob], state: &CloudState) -> WaitReason {
+    let head = &queue[0];
+    if state.view().total_free() < head.num_qubits {
+        let offline_extra: u64 = (0..state.len())
+            .map(|i| crate::device::DeviceId(i as u32))
+            .filter(|&d| state.is_offline(d))
+            .map(|d| state.actual_level(d))
+            .sum();
+        if offline_extra > 0 && state.view().total_free() + offline_extra >= head.num_qubits {
+            WaitReason::DeviceOffline
+        } else {
+            WaitReason::InsufficientCapacity
+        }
+    } else {
+        WaitReason::PolicyHold
     }
 }
 
@@ -360,17 +396,13 @@ mod tests {
 
     #[test]
     fn wait_reason_classifies_capacity() {
-        let sched = RlSchedScheduler::from_checkpoint(checkpoint(), 0);
         let st = state();
         // Head demands more than the whole fleet: insufficient capacity.
         let big = vec![job(0, 500)];
-        assert_eq!(
-            sched.wait_reason(&big, &st),
-            WaitReason::InsufficientCapacity
-        );
+        assert_eq!(wait_reason(&big, &st), WaitReason::InsufficientCapacity);
         // Head fits: any refusal is a policy hold.
         let small = vec![job(1, 50)];
-        assert_eq!(sched.wait_reason(&small, &st), WaitReason::PolicyHold);
+        assert_eq!(wait_reason(&small, &st), WaitReason::PolicyHold);
     }
 
     #[test]
@@ -380,12 +412,12 @@ mod tests {
         let queue = vec![job(0, 50), job(1, 60)];
         // Nothing in flight: a hold would deadlock the sim, so the adapter
         // must dispatch instead.
-        let d = sched.hold_or_fallback(&queue, &st);
+        let d = sched.picker.hold_or_fallback(&queue, &st);
         assert_eq!(d.dispatches.len(), 1, "idle fleet must dispatch");
         assert!(d.wait.is_none());
         // With work in flight a hold is safe: the release will wake us.
         st.reserve(&job(9, 40), &[(crate::device::DeviceId(0), 40)], 0.0);
-        let d = sched.hold_or_fallback(&queue, &st);
+        let d = sched.picker.hold_or_fallback(&queue, &st);
         assert!(d.dispatches.is_empty());
         assert_eq!(d.wait, Some(WaitReason::PolicyHold));
     }

@@ -2,10 +2,25 @@
 //!
 //! The single-step gym ([`crate::gym::QCloudGymEnv`]) trains a *placement*
 //! policy: one job, one synthetic availability snapshot, one allocation.
-//! This module trains a *scheduling* policy on the real scheduler loop —
-//! the same queue/state/records machinery the simulation harnesses run —
-//! so the agent competes with the queue-aware disciplines (backfill,
+//! This module trains a *scheduling* policy on the real scheduler loop, so
+//! the agent competes with the queue-aware disciplines (backfill,
 //! conservative) on their own terms.
+//!
+//! ## The environment is the engine
+//!
+//! [`SchedulerEnv`] does not model the cloud itself: each episode is a
+//! [`crate::QCloudSimEnv`] whose scheduler parks on every consult, and each
+//! step answers one parked consult. The agent's pick goes through the same
+//! pick → decision code the deployed [`RlSchedScheduler`] runs (its
+//! `Picker`: the broker consult for the picked slot, the idle-fleet
+//! fallback and the wait reason), and the decision through the engine's
+//! own validate → record → reserve → execute path. A dispatch re-consults
+//! at once, inside the same wake, exactly as a deployed scheduler's loop
+//! continues; no kernel event runs between a consult and its answer. So a
+//! training step *is* a deployed consult, bit for bit:
+//! `tests/rlsched_proptests.rs` drives the environment with a policy and
+//! checks the records and the consult count against the same policy
+//! deployed in `QCloudSimEnv`.
 //!
 //! ## Observation contract
 //!
@@ -43,8 +58,12 @@
 //!   the configured placement broker (index 0 = FIFO head; `j > 0` is a
 //!   queue jump and records bypass events exactly like the simulation
 //!   scheduler loop);
-//! * index `K`, an out-of-range slot, or a placement refusal: **wait** for
-//!   the next event (arrival, lease release, job finish, maintenance edge).
+//! * index `K`, an out-of-range slot, or a placement refusal: **wait**
+//!   until the next consult — the next time the engine wakes the scheduler
+//!   with a non-empty queue (an arrival, a lease release, a job finish, a
+//!   maintenance edge), not merely the next event. On an idle fleet a wait
+//!   would never be woken, so the idle-fleet fallback dispatches the first
+//!   placeable job in FIFO order instead.
 //!
 //! ## Reward contract
 //!

@@ -3,13 +3,14 @@
 //! Every region shard (a fleet, queue, ledger and scheduler coroutine,
 //! built by the same `spawn_shard` path the batch environment uses) lives
 //! in the world of a [`qcs_desim::Simulation`] kernel, next to a
-//! [`RouterProc`] that replaces the batch generator: it releases arrivals
-//! at their timestamps, routes each to a feasible region, and pushes it
-//! through the [`AdmissionPolicy`] before it may join that shard's pending
-//! queue. Throttled jobs park in [`ThrottleProc`] backoff coroutines —
-//! admission can defer work but never lose it. The routing policy decides
-//! whether the shards share one kernel or each get their own (the module
-//! docs' "Kernel layout").
+//! [`RouterProc`]: it releases arrivals at their timestamps, routes each to
+//! a feasible region, and pushes it through the [`AdmissionPolicy`] before
+//! it may join that shard's pending queue. The batch environment feeds its
+//! one shard through the same coroutine, with admission open. Throttled
+//! jobs park in [`ThrottleProc`] backoff coroutines — admission can defer
+//! work but never lose it. The routing policy decides whether the shards
+//! share one kernel or each get their own (the module docs' "Kernel
+//! layout").
 //!
 //! Termination: shards start with an *open* job total (`usize::MAX`); when
 //! an intake's stream is exhausted it finalises its shards' totals to their
@@ -60,15 +61,15 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The service-mode arrival front end (replaces the batch `Generator`):
-/// releases its jobs at their arrival times, routes and admits them into
-/// the shards of its kernel's world.
+/// The arrival front end of every kernel: releases its jobs at their
+/// arrival times, routes and admits them into the shards of its kernel's
+/// world.
 ///
 /// On the shared kernel it serves every shard and routes each arrival
 /// against live shard loads. On a shard's own kernel it serves that shard
 /// alone: its jobs were routed up front, and it resumes only at their
-/// arrivals.
-struct RouterProc {
+/// arrivals. The batch environment's intake is [`RouterProc::open`].
+pub(crate) struct RouterProc {
     jobs: Arc<Vec<QJob>>,  // the whole stream, sorted by (arrival, id)
     mine: Vec<usize>,      // indices into `jobs` this intake releases, in order
     next: usize,           // position in `mine`
@@ -80,6 +81,22 @@ struct RouterProc {
 }
 
 impl RouterProc {
+    /// The intake of a one-shard world that admits everything: `jobs`
+    /// (sorted by arrival, then id) all go to shard 0, so nothing is
+    /// refused and the routing policy is never read.
+    pub(crate) fn open(jobs: Vec<QJob>) -> Self {
+        RouterProc {
+            mine: (0..jobs.len()).collect(),
+            jobs: Arc::new(jobs),
+            next: 0,
+            routed: vec![0],
+            wake: vec![false],
+            loads: Vec::new(),
+            admission: AdmissionPolicy::open(),
+            routing: RoutingPolicy::LeastLoaded,
+        }
+    }
+
     /// Routes `job` against the shards' live loads.
     fn route_live(&mut self, job: &QJob, shards: &[SchedState]) -> usize {
         self.loads.clear();

@@ -1,10 +1,11 @@
 //! # Service-mode front end: open traffic over sharded scheduler loops
 //!
 //! Every other harness in this repo is a *closed batch replay*: the whole
-//! job vector is materialised up front, a generator releases it, and the
-//! run ends when the backlog drains. This module turns the same scheduler
-//! disciplines into a long-running *open system* — the ROADMAP's
-//! production-service north star — with three cleanly separated layers:
+//! job vector is materialised up front, the same intake releases it under
+//! an admission policy that accepts everything, and the run ends when the
+//! backlog drains. This module turns the same scheduler disciplines into a
+//! long-running *open system* — the ROADMAP's production-service north
+//! star — with three cleanly separated layers:
 //!
 //! * **Intake** ([`AdmissionPolicy`], [`AdmissionTelemetry`]) — the front
 //!   door. Each arriving job is offered against the target shard's
@@ -80,6 +81,7 @@ mod latency;
 mod router;
 
 pub use admission::{AdmissionDecision, AdmissionPolicy, AdmissionTelemetry, RejectReason};
+pub(crate) use harness::RouterProc;
 pub use harness::{
     ParallelServiceHarness, ServiceConfig, ServiceHarness, ServiceOutcome, ServiceReport,
 };

@@ -11,8 +11,11 @@
 //! shared handles and no lock guards the state. Three kinds of coroutine
 //! cooperate on it:
 //!
-//! * a **generator** releases jobs into the shard's pending queue at their
-//!   arrival times and wakes the scheduler;
+//! * the **intake** releases jobs into the shard's pending queue at their
+//!   arrival times and wakes the scheduler. Batch and service share one
+//!   intake coroutine, the service engine's `RouterProc`: over the batch
+//!   environment's one shard, with an admission policy that accepts
+//!   everything, it never routes or refuses;
 //! * the **scheduler** drives a [`Scheduler`] discipline (see
 //!   [`crate::sched`]): on every wake it refreshes the incrementally
 //!   maintained [`crate::sched::CloudState`] — no per-consult snapshot
@@ -23,7 +26,12 @@
 //!   an execution coroutine. The paper's strict-FIFO broker consultation
 //!   survives unchanged behind [`crate::sched::FifoAdapter`] (bit-identical
 //!   records, pinned by `tests/seed_parity.rs`); queue-jumping disciplines
-//!   (EASY backfilling, priority orders) ride the same loop.
+//!   (EASY backfilling, priority orders) ride the same loop. The loop is
+//!   two crate-private functions: `consult` runs one wake (terminal check,
+//!   park on an empty queue, refresh, decide, telemetry) and
+//!   `apply_decision` applies one batch. The RL training environment
+//!   ([`crate::rlsched::SchedulerEnv`]) calls both from outside the kernel
+//!   to answer a parked consult with the agent's pick.
 //! * one **executor** per dispatched job sleeps through the execution time
 //!   (Eq. 3, `max` over its devices), then through the blocking
 //!   communication delay (Eq. 9), computes the final fidelity (Eqs. 4–8),
@@ -83,11 +91,11 @@ use crate::maintenance::{MaintenanceProc, MaintenanceWindow, OfflineFlags};
 use crate::model::fidelity::DeviceErrorRates;
 use crate::records::{JobRecord, JobRecordsManager, SummaryStats};
 use crate::sched::{
-    CloudState, DeviceSpec, FifoAdapter, SchedTelemetry, Scheduler, RELEASE_SLACK_S,
+    CloudState, DeviceSpec, FifoAdapter, SchedTelemetry, Scheduler, SchedulingDecision, WaitReason,
 };
-use crate::service::AdmissionTelemetry;
+use crate::service::{AdmissionTelemetry, RouterProc};
 use qcs_calibration::DeviceProfile;
-use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
+use qcs_desim::{Coroutine, Ctx, Effect, Kernel, ProcessId, Simulation, Step};
 
 /// Per-device constants the executors read.
 #[derive(Debug, Clone)]
@@ -118,8 +126,8 @@ struct RunningJob {
 #[derive(Default)]
 pub(crate) struct World {
     pub(crate) shards: Vec<SchedState>,
-    /// This kernel's admission verdicts; zero in batch runs. The service
-    /// engine sums them over its kernels at teardown.
+    /// This kernel's admission verdicts (in batch runs, one accept per
+    /// job). The service engine sums them over its kernels at teardown.
     pub(crate) admission: AdmissionTelemetry,
 }
 
@@ -278,36 +286,6 @@ fn fail_and_requeue(cx: &mut Ctx<'_, World>, shard: usize, job_id: u64, kill_exe
 // Coroutines
 // ---------------------------------------------------------------------
 
-/// Releases the batch environment's jobs into its one shard.
-struct Generator {
-    jobs: Vec<QJob>, // sorted by arrival, consumed front-to-back
-    next: usize,
-}
-
-impl Coroutine<World> for Generator {
-    fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
-        let now = cx.now();
-        let st = &mut cx.world.shards[0];
-        let first = self.next;
-        while self.next < self.jobs.len()
-            && self.jobs[self.next].arrival_time <= now + RELEASE_SLACK_S
-        {
-            let job = self.jobs[self.next].clone();
-            st.records.record_arrival(&job);
-            st.pending.push_back(job);
-            self.next += 1;
-        }
-        if self.next > first {
-            wake_scheduler(cx, 0);
-        }
-        if self.next < self.jobs.len() {
-            Step::Wait(Effect::Timeout(self.jobs[self.next].arrival_time - now))
-        } else {
-            Step::Done
-        }
-    }
-}
-
 /// Drives the shard's [`Scheduler`] discipline against its queue and state.
 struct SchedulerProc {
     shard: usize,
@@ -315,123 +293,147 @@ struct SchedulerProc {
 
 impl Coroutine<World> for SchedulerProc {
     fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
-        let now = cx.now();
-        let st = &mut cx.world.shards[self.shard];
-        loop {
-            // Terminal = completed or honestly out of retries: with faults
-            // armed an exhausted job never finishes but must not park the
-            // scheduler forever.
-            if st.records.terminal_count() == st.total_jobs {
-                return Step::Done;
+        consult(cx.kernel, cx.world, self.shard)
+    }
+}
+
+/// The scheduler loop of one wake of `shard`: consults its discipline and
+/// applies each decision until one parks, the queue empties or every job
+/// is terminal. [`SchedulerProc`] runs it on every wake; the training
+/// environment ([`crate::rlsched::SchedulerEnv`]) re-enters it after
+/// answering a consult itself, as the loop would continue inside one
+/// resume.
+pub(crate) fn consult(kernel: &mut Kernel<World>, world: &mut World, shard: usize) -> Step {
+    let now = kernel.now();
+    let st = &mut world.shards[shard];
+    loop {
+        // Terminal = completed or honestly out of retries: with faults
+        // armed an exhausted job never finishes but must not park the
+        // scheduler forever.
+        if st.records.terminal_count() == st.total_jobs {
+            return Step::Done;
+        }
+        if st.pending.is_empty() {
+            // Queue empty but jobs still in flight or yet to arrive.
+            // When the service-mode intake is holding throttled jobs,
+            // the idleness is admission-induced — attribute it
+            // honestly.
+            if st.throttled_inflight > 0 {
+                st.telemetry.waits_admission_throttled += 1;
+            } else {
+                st.telemetry.waits_queue_drained += 1;
             }
-            if st.pending.is_empty() {
-                // Queue empty but jobs still in flight or yet to arrive.
-                // When the service-mode intake is holding throttled jobs,
-                // the idleness is admission-induced — attribute it
-                // honestly.
-                if st.throttled_inflight > 0 {
-                    st.telemetry.waits_admission_throttled += 1;
-                } else {
-                    st.telemetry.waits_queue_drained += 1;
-                }
-                return Step::Wait(Effect::Suspend);
-            }
-            st.cloud_state.refresh(now, &st.offline);
-            let decision = st
-                .scheduler
-                .decide(st.pending.make_contiguous(), &st.cloud_state);
-            // Nothing dispatched means nothing changed: re-consulting at
-            // once would return the same decision forever.
-            assert!(
-                !decision.dispatches.is_empty() || decision.wait.is_some(),
-                "scheduler '{}' dispatched nothing and gave no wait reason",
-                st.scheduler.name()
-            );
-            st.telemetry.decisions += 1;
-            if decision.dispatches.len() >= 2 {
-                st.telemetry.multi_dispatch_batches += 1;
-            }
-            let tracked = st.faults.is_some();
-            for d in decision.dispatches {
-                assert!(
-                    d.queue_index < st.pending.len(),
-                    "scheduler '{}' dispatched queue index {} of {}",
-                    st.scheduler.name(),
-                    d.queue_index,
-                    st.pending.len()
-                );
-                if d.queue_index > 0 {
-                    st.telemetry.out_of_order += 1;
-                    // Every older job still waiting ahead of the jumper was
-                    // overtaken once: the per-job starvation signal behind
-                    // `QosReport`'s bypass metrics.
-                    st.telemetry.bypass_events += d.queue_index as u64;
-                    for bi in 0..d.queue_index {
-                        let overtaken = st.pending[bi].id;
-                        st.records.record_bypass(overtaken);
-                    }
-                }
-                let job = st
-                    .pending
-                    .remove(d.queue_index)
-                    .expect("index checked above");
-                let total: u64 = d.parts.iter().map(|&(_, a)| a).sum();
-                assert_eq!(
-                    total,
-                    job.num_qubits,
-                    "scheduler '{}' allocated {total} of {} qubits for job {:?}",
-                    st.scheduler.name(),
-                    job.num_qubits,
-                    job.id
-                );
-                if st.params.exact_connectivity {
-                    let tops: Vec<&qcs_topology::Graph> = st
-                        .cloud
-                        .devices()
-                        .iter()
-                        .map(|d| &d.profile.topology)
-                        .collect();
-                    assert!(
-                        crate::partition::connectivity_feasible(&d.parts, &tops),
-                        "partition violates device connectivity"
-                    );
-                }
-                let attempt = st.records.record_start(job.id, now, &d.parts);
-                // Reserve in the incremental state (panics on any
-                // over-commitment — the no-double-reservation guard).
-                st.cloud_state.reserve(&job, &d.parts, now);
-                st.telemetry.dispatched += 1;
-                let registration = tracked.then(|| (job.clone(), d.parts.clone()));
-                let exec_pid = cx.kernel.spawn(Box::new(Executor {
-                    job,
-                    parts: d.parts,
-                    shard: self.shard,
-                    phase: 0,
-                    comm_seconds: 0.0,
-                    attempt,
-                    tracked,
-                }));
-                if let Some((job, parts)) = registration {
-                    st.running.insert(
-                        job.id.0,
-                        RunningJob {
-                            job,
-                            parts,
-                            exec_pid,
-                            sub_pids: InlineVec::new(),
-                        },
-                    );
-                }
-            }
-            // Without a wait reason the discipline asked for an immediate
-            // re-consult (e.g. the snapshot parity adapter dispatches one
-            // job per decision).
-            if let Some(reason) = decision.wait {
-                st.telemetry.count_wait(reason);
-                return Step::Wait(Effect::Suspend);
-            }
+            return Step::Wait(Effect::Suspend);
+        }
+        st.cloud_state.refresh(now, &st.offline);
+        let decision = st
+            .scheduler
+            .decide(st.pending.make_contiguous(), &st.cloud_state);
+        // Nothing dispatched means nothing changed: re-consulting at
+        // once would return the same decision forever.
+        assert!(
+            !decision.dispatches.is_empty() || decision.wait.is_some(),
+            "scheduler '{}' dispatched nothing and gave no wait reason",
+            st.scheduler.name()
+        );
+        st.telemetry.decisions += 1;
+        if decision.dispatches.len() >= 2 {
+            st.telemetry.multi_dispatch_batches += 1;
+        }
+        // Without a wait reason the discipline asked for an immediate
+        // re-consult (e.g. the snapshot parity adapter dispatches one
+        // job per decision).
+        if let Some(reason) = apply_decision(kernel, st, shard, decision) {
+            st.telemetry.count_wait(reason);
+            return Step::Wait(Effect::Suspend);
         }
     }
+}
+
+/// Applies one decision's dispatch batch to shard `shard` (whose state is
+/// `st`) at the kernel's current instant, in order: validates each
+/// dispatch, records the bypasses and the start, reserves the qubits and
+/// spawns the executor. Returns the decision's wait reason.
+pub(crate) fn apply_decision(
+    kernel: &mut Kernel<World>,
+    st: &mut SchedState,
+    shard: usize,
+    decision: SchedulingDecision,
+) -> Option<WaitReason> {
+    let now = kernel.now();
+    let tracked = st.faults.is_some();
+    for d in decision.dispatches {
+        assert!(
+            d.queue_index < st.pending.len(),
+            "scheduler '{}' dispatched queue index {} of {}",
+            st.scheduler.name(),
+            d.queue_index,
+            st.pending.len()
+        );
+        if d.queue_index > 0 {
+            st.telemetry.out_of_order += 1;
+            // Every older job still waiting ahead of the jumper was
+            // overtaken once: the per-job starvation signal behind
+            // `QosReport`'s bypass metrics.
+            st.telemetry.bypass_events += d.queue_index as u64;
+            for bi in 0..d.queue_index {
+                let overtaken = st.pending[bi].id;
+                st.records.record_bypass(overtaken);
+            }
+        }
+        let job = st
+            .pending
+            .remove(d.queue_index)
+            .expect("index checked above");
+        let total: u64 = d.parts.iter().map(|&(_, a)| a).sum();
+        assert_eq!(
+            total,
+            job.num_qubits,
+            "scheduler '{}' allocated {total} of {} qubits for job {:?}",
+            st.scheduler.name(),
+            job.num_qubits,
+            job.id
+        );
+        if st.params.exact_connectivity {
+            let tops: Vec<&qcs_topology::Graph> = st
+                .cloud
+                .devices()
+                .iter()
+                .map(|d| &d.profile.topology)
+                .collect();
+            assert!(
+                crate::partition::connectivity_feasible(&d.parts, &tops),
+                "partition violates device connectivity"
+            );
+        }
+        let attempt = st.records.record_start(job.id, now, &d.parts);
+        // Reserve in the incremental state (panics on any
+        // over-commitment — the no-double-reservation guard).
+        st.cloud_state.reserve(&job, &d.parts, now);
+        st.telemetry.dispatched += 1;
+        let registration = tracked.then(|| (job.clone(), d.parts.clone()));
+        let exec_pid = kernel.spawn(Box::new(Executor {
+            job,
+            parts: d.parts,
+            shard,
+            phase: 0,
+            comm_seconds: 0.0,
+            attempt,
+            tracked,
+        }));
+        if let Some((job, parts)) = registration {
+            st.running.insert(
+                job.id.0,
+                RunningJob {
+                    job,
+                    parts,
+                    exec_pid,
+                    sub_pids: InlineVec::new(),
+                },
+            );
+        }
+    }
+    decision.wait
 }
 
 /// Releases one device's partition when its own sub-job finishes
@@ -704,7 +706,7 @@ impl RunResult {
 /// spawns its [`SchedulerProc`]. `total_jobs` is the shard's termination
 /// target; pass `usize::MAX` to leave the stream open (service mode — the
 /// intake router finalises it later). The caller is responsible for
-/// feeding the queue (a [`Generator`] or a service router).
+/// feeding the queue (a [`RouterProc`]: [`RouterProc::open`] in batch runs).
 pub(crate) fn spawn_shard(
     sim: &mut Simulation<World>,
     profiles: Vec<DeviceProfile>,
@@ -804,9 +806,9 @@ pub(crate) fn arm_faults(
 }
 
 /// The top-level simulation environment (paper's `QCloudSimEnv`): one
-/// shard, fed by a generator, on a kernel of its own.
+/// shard, fed by an intake that admits everything, on a kernel of its own.
 pub struct QCloudSimEnv {
-    sim: Simulation<World>,
+    pub(crate) sim: Simulation<World>,
 }
 
 impl QCloudSimEnv {
@@ -833,8 +835,9 @@ impl QCloudSimEnv {
     }
 
     /// Builds the environment around an arbitrary queue-aware [`Scheduler`]
-    /// discipline: registers devices, spawns the scheduler and the
-    /// generator, and queues `jobs` for release at their arrival times.
+    /// discipline: registers devices, spawns the scheduler and an open
+    /// intake (`RouterProc::open`), and queues `jobs` for release at
+    /// their arrival times.
     /// `seed` is unused, as in [`QCloudSimEnv::new`].
     pub fn with_scheduler(
         profiles: Vec<DeviceProfile>,
@@ -852,7 +855,7 @@ impl QCloudSimEnv {
                 .total_cmp(&b.arrival_time)
                 .then(a.id.cmp(&b.id))
         });
-        sim.spawn(Box::new(Generator { jobs, next: 0 }));
+        sim.spawn(Box::new(RouterProc::open(jobs)));
         QCloudSimEnv { sim }
     }
 

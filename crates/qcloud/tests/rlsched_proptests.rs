@@ -12,6 +12,12 @@
 //!   consistent (arrival ≤ start ≤ exec_end ≤ finish).
 //! * **Determinism** — identical seeds and action streams replay to
 //!   bit-identical returns and records.
+//! * **Training equals deployment** — driving the environment with a
+//!   random-weight policy's deterministic action reproduces the same policy
+//!   deployed as [`qcs_qcloud::RlSchedScheduler`] in
+//!   [`qcs_qcloud::QCloudSimEnv`], under every non-`rl:` placement, both
+//!   release policies and an optional maintenance window: bit-identical
+//!   records, and one step per deployed consult.
 //! * **Encoder parity** — the observation encoder, whose pooled features
 //!   stop walking the queue once they saturate, is bitwise equal to the
 //!   plain two-pass encoder kept below as the oracle, on queues up to 20k
@@ -20,14 +26,19 @@
 use proptest::prelude::*;
 use qcs_calibration::ibm_fleet;
 use qcs_desim::Xoshiro256StarStar;
+use qcs_qcloud::config::ReleasePolicy;
+use qcs_qcloud::jobgen::bimodal_arrivals;
 use qcs_qcloud::maintenance::OfflineFlags;
+use qcs_qcloud::policies::spec::PLACEMENTS;
 use qcs_qcloud::policies::Placement;
 use qcs_qcloud::rlsched::{
-    encode_sched_observation_into, episode_objective, SchedEnvConfig, SchedObsConfig, SchedulerEnv,
+    encode_sched_observation_into, episode_objective, RlSchedScheduler, SchedCheckpoint,
+    SchedEnvConfig, SchedObsConfig, SchedulerEnv,
 };
 use qcs_qcloud::sched::{CloudState, DeviceSpec, RELEASE_SLACK_S};
-use qcs_qcloud::{JobId, MaintenanceWindow, QJob, SimParams};
+use qcs_qcloud::{JobId, MaintenanceWindow, QCloudSimEnv, QJob, SimParams};
 use qcs_rl::env::Env;
+use qcs_rl::policy::{ActScratch, ActorCritic};
 
 /// Drives one full episode with a pseudo-random action stream derived from
 /// `action_seed`, returning (return, steps, terminated).
@@ -174,6 +185,105 @@ proptest! {
         prop_assert_eq!(ra.to_bits(), rb.to_bits(), "returns diverged");
         prop_assert_eq!(sa, sb, "step counts diverged");
         prop_assert_eq!(a.records(), b.records(), "record streams diverged");
+    }
+}
+
+/// Drives `env` with `policy`'s deterministic action from `reset(seed)`
+/// until the episode ends, returning (steps, terminated).
+fn drive(env: &mut SchedulerEnv, policy: &ActorCritic, seed: u64) -> (u64, bool) {
+    let mut scratch = ActScratch::new();
+    let mut action = vec![0.0f32; env.action_dim()];
+    let mut obs = env.reset(seed);
+    let mut steps = 0u64;
+    loop {
+        policy.act_deterministic_into(&obs, &mut scratch, &mut action);
+        let r = env.step(&action);
+        steps += 1;
+        if r.done() {
+            return (steps, r.terminated);
+        }
+        obs = r.obs;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Training equals deployment. One side drives `SchedulerEnv` with a
+    /// random-weight policy's deterministic action; the other runs the
+    /// same policy, through its checkpoint, as `RlSchedScheduler` in
+    /// `QCloudSimEnv` on the same bimodal trace, placement, release policy
+    /// and maintenance windows. The records must be bit-identical and the
+    /// step count must equal the deployed run's decision count.
+    #[test]
+    fn training_steps_are_deployed_consults(
+        policy_seed in 0u64..1_000_000,
+        trace_seed in 0u64..1000,
+        placement_ix in 0usize..64,
+        release_ix in 0usize..2,
+        window in (0usize..2, 0usize..5, 0.0f64..5000.0, 500.0f64..8000.0),
+    ) {
+        let placements: Vec<Placement> = PLACEMENTS
+            .iter()
+            .filter(|c| !c.token.starts_with("rl:"))
+            .map(|c| c.token.parse().expect("registered token"))
+            .collect();
+        let placement = placements[placement_ix % placements.len()].clone();
+        let release = [ReleasePolicy::PerDevice, ReleasePolicy::AtJobEnd][release_ix];
+        let (with_window, device, start, duration) = window;
+        let windows: Vec<MaintenanceWindow> = (with_window == 1)
+            .then_some(MaintenanceWindow { device, start, duration })
+            .into_iter()
+            .collect();
+        let params = SimParams {
+            release,
+            ..SimParams::default()
+        };
+        let cfg = SchedEnvConfig {
+            placement: placement.clone(),
+            n_jobs: 40,
+            maintenance: windows.clone(),
+            ..SchedEnvConfig::default()
+        };
+        let mut rng = Xoshiro256StarStar::new(policy_seed);
+        let policy = ActorCritic::new(cfg.obs.obs_dim(), cfg.obs.action_dim(), &mut rng);
+
+        let mut env = SchedulerEnv::new(&ibm_fleet(1), params.clone(), cfg.clone());
+        let (steps, terminated) = drive(&mut env, &policy, trace_seed);
+        prop_assert!(terminated, "{placement} under {release:?}: episode truncated");
+
+        let ck = SchedCheckpoint::from_json(&SchedCheckpoint::new(cfg.obs.clone(), &placement, policy).to_json())
+            .expect("a fresh checkpoint round-trips");
+        let jobs = bimodal_arrivals(cfg.n_jobs, cfg.arrival_rate, cfg.big_every, trace_seed);
+        let mut deployed = QCloudSimEnv::with_scheduler(
+            ibm_fleet(1),
+            Box::new(RlSchedScheduler::from_checkpoint(ck, trace_seed)),
+            jobs,
+            params,
+            trace_seed,
+        );
+        for &w in &windows {
+            deployed.schedule_maintenance(w);
+        }
+        let res = deployed.run();
+        // `{:?}` prints every f64 in its shortest round-trip form, so equal
+        // strings mean bit-identical records.
+        prop_assert_eq!(
+            format!("{:?}", env.records()),
+            format!("{:?}", res.records),
+            "{} under {:?} with windows {:?}: records differ",
+            placement,
+            release,
+            windows
+        );
+        prop_assert_eq!(
+            steps,
+            res.telemetry.decisions,
+            "{} under {:?} with windows {:?}: steps are not the deployed consults",
+            placement,
+            release,
+            windows
+        );
     }
 }
 
