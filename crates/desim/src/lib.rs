@@ -88,5 +88,5 @@ pub mod time;
 pub use kernel::{Kernel, Simulation};
 pub use process::{Coroutine, Ctx, Effect, ProcessId, Step};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
-pub use stats::{Histogram, TimeWeighted, Welford};
+pub use stats::{Histogram, LogHistogram, TimeWeighted, Welford};
 pub use time::SimTime;

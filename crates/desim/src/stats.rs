@@ -1,5 +1,9 @@
-//! Streaming statistics: time-weighted means, Welford accumulators and
-//! fixed-bin histograms used by the record manager and the bench harness.
+//! Streaming statistics: time-weighted means, Welford accumulators,
+//! fixed-bin histograms used by the record manager and the bench harness,
+//! and log-bucketed duration histograms ([`LogHistogram`]) for wall-clock
+//! latencies whose percentiles must be kept in bounded memory.
+
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
@@ -280,9 +284,233 @@ impl Histogram {
     }
 }
 
+/// Sub-buckets per octave of [`LogHistogram`], as a power of two.
+const LOG_SUB_BITS: u32 = 5;
+const LOG_SUB: u64 = 1 << LOG_SUB_BITS;
+/// `2 · LOG_SUB` exact buckets below `2 · LOG_SUB` ns, then `LOG_SUB` per
+/// octave for the `63 − LOG_SUB_BITS` octaves up to `u64::MAX` ns.
+const LOG_BUCKETS: usize = ((65 - LOG_SUB_BITS) as u64 * LOG_SUB) as usize;
+
+/// A histogram of durations in log-spaced buckets: bounded memory,
+/// mergeable, with quantiles of a documented relative error.
+///
+/// Durations are kept at nanosecond resolution (a sub-nanosecond duration
+/// counts as 0). Below 64 ns every nanosecond has a bucket of its own;
+/// above, each octave `[2^k, 2^(k+1))` is split into 32 equal sub-buckets,
+/// up to `u64::MAX` ns (about 584 years), where anything longer lands.
+/// A quantile is the midpoint of the bucket holding the order statistic it
+/// asks for, so it lies within [`LogHistogram::RELATIVE_ERROR`] (1/64,
+/// about 1.6%) of that sample. The count, the sum (and so the mean) and
+/// the maximum are kept exactly, not read off the buckets.
+///
+/// The resolution is fixed: every histogram has the same buckets, so any
+/// two merge, and 1,920 counters (15 KiB) hold any number of samples.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogHistogram {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: Duration,
+    max: Duration,
+}
+
+impl Default for LogHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LogHistogram {
+    /// Largest relative distance between a [`LogHistogram::quantile`] and
+    /// the order statistic it estimates: half a sub-bucket, `1/(2·32)`.
+    pub const RELATIVE_ERROR: f64 = 1.0 / (2 * LOG_SUB) as f64;
+
+    /// An empty histogram.
+    pub fn new() -> Self {
+        LogHistogram {
+            buckets: vec![0; LOG_BUCKETS],
+            count: 0,
+            sum: Duration::ZERO,
+            max: Duration::ZERO,
+        }
+    }
+
+    /// The bucket of a duration of `ns` nanoseconds.
+    fn index(ns: u64) -> usize {
+        if ns < 2 * LOG_SUB {
+            return ns as usize;
+        }
+        // `shift` drops all but the top `LOG_SUB_BITS + 1` bits, so
+        // `ns >> shift` lies in `[LOG_SUB, 2·LOG_SUB)`.
+        let shift = 63 - ns.leading_zeros() - LOG_SUB_BITS;
+        (shift as u64 * LOG_SUB + (ns >> shift)) as usize
+    }
+
+    /// The midpoint of bucket `i`, in nanoseconds (the exact value below
+    /// `2 · LOG_SUB`).
+    fn midpoint_ns(i: usize) -> f64 {
+        let i = i as u64;
+        if i < 2 * LOG_SUB {
+            return i as f64;
+        }
+        let shift = i / LOG_SUB - 1;
+        let low = (i - shift * LOG_SUB) << shift;
+        low as f64 + (1u64 << (shift - 1)) as f64
+    }
+
+    /// Adds one duration.
+    pub fn record(&mut self, d: Duration) {
+        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[Self::index(ns)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(d);
+        self.max = self.max.max(d);
+    }
+
+    /// Adds every sample of `other`: the result equals the histogram of
+    /// both sample sets recorded into one.
+    pub fn merge(&mut self, other: &LogHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Exact sum of the samples, in seconds.
+    pub fn sum(&self) -> f64 {
+        self.sum.as_secs_f64()
+    }
+
+    /// Exact mean of the samples, in seconds; 0 when empty.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum.as_secs_f64() / self.count as f64
+        }
+    }
+
+    /// The largest sample, in seconds; 0 when empty.
+    pub fn max(&self) -> f64 {
+        self.max.as_secs_f64()
+    }
+
+    /// The `p`-quantile (`0 ≤ p ≤ 1`) in seconds; 0 when empty.
+    ///
+    /// Estimates the order statistic of 0-based rank `round(p·(n − 1))`,
+    /// one of the two that a linearly interpolated percentile (as
+    /// `qcs_qcloud::sla::percentile` computes it) lies between, to within
+    /// [`LogHistogram::RELATIVE_ERROR`]. Never above the exact maximum.
+    pub fn quantile(&self, p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1]");
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = (p * (self.count - 1) as f64).round() as u64;
+        let mut seen = 0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return (Self::midpoint_ns(i) / 1e9).min(self.max());
+            }
+        }
+        unreachable!("the rank is below the sample count")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log_histogram_buckets_are_contiguous_and_bracket_their_values() {
+        let mut last = 0;
+        for ns in (0..200_000u64).chain((40..64).map(|b| (1u64 << b) + 12_345)) {
+            let i = LogHistogram::index(ns);
+            assert!(i >= last, "bucket order broke at {ns}");
+            if ns < 200_000 {
+                assert!(i <= last + 1, "gap at {ns}");
+            }
+            last = i;
+            let mid = LogHistogram::midpoint_ns(i);
+            assert!(
+                (mid - ns as f64).abs() <= ns as f64 * LogHistogram::RELATIVE_ERROR,
+                "{ns} ns -> bucket {i} midpoint {mid}"
+            );
+        }
+        assert_eq!(LogHistogram::index(u64::MAX), LOG_BUCKETS - 1);
+    }
+
+    #[test]
+    fn log_histogram_end_buckets_take_zero_sub_nanosecond_and_huge() {
+        let mut h = LogHistogram::new();
+        h.record(Duration::ZERO);
+        h.record(Duration::from_secs_f64(0.4e-9));
+        assert_eq!(h.buckets[0], 2);
+        h.record(Duration::MAX);
+        h.record(Duration::from_nanos(u64::MAX));
+        assert_eq!(h.buckets[LOG_BUCKETS - 1], 2);
+        assert_eq!(h.buckets.iter().sum::<u64>(), 4);
+        assert_eq!(h.count(), 4);
+        // The maximum stays exact past the top bucket's range.
+        assert_eq!(h.max(), Duration::MAX.as_secs_f64());
+        assert_eq!(h.quantile(0.0), 0.0);
+        assert!(h.quantile(1.0) <= h.max());
+    }
+
+    #[test]
+    fn log_histogram_count_mean_and_max_are_exact() {
+        let mut h = LogHistogram::new();
+        for us in [1u64, 2, 3, 4] {
+            h.record(Duration::from_micros(us));
+        }
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.sum(), 10e-6);
+        assert_eq!(h.mean(), 2.5e-6);
+        assert_eq!(h.max(), 4e-6);
+        // The interpolated median 2.5 µs lies between the order statistics
+        // 2 and 3 µs; the estimate is one of them, within the error.
+        let p50 = h.quantile(0.5);
+        assert!(
+            (p50 - 3e-6).abs() <= 3e-6 * LogHistogram::RELATIVE_ERROR,
+            "{p50}"
+        );
+        assert!((h.quantile(0.0) - 1e-6).abs() <= 1e-6 * LogHistogram::RELATIVE_ERROR);
+        assert_eq!(h.quantile(1.0), 4e-6);
+    }
+
+    #[test]
+    fn log_histogram_empty_summarises_to_zeros() {
+        let h = LogHistogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.sum(), 0.0);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.max(), 0.0);
+        assert_eq!(h.quantile(0.5), 0.0);
+        assert_eq!(h.quantile(0.99), 0.0);
+    }
+
+    #[test]
+    fn log_histogram_merge_equals_union() {
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
+        let mut all = LogHistogram::new();
+        for i in 0..500u64 {
+            let d = Duration::from_nanos(i * i * 37 + 5);
+            if i % 3 == 0 { &mut a } else { &mut b }.record(d);
+            all.record(d);
+        }
+        a.merge(&b);
+        assert_eq!(a, all);
+        a.merge(&LogHistogram::new());
+        assert_eq!(a, all);
+    }
 
     #[test]
     fn time_weighted_mean_piecewise() {

@@ -22,11 +22,19 @@
 //! placement policies: no queue state, no reservation bookkeeping.
 //!
 //! A discipline consults its broker several times per job, so `select`
-//! is kept allocation-free in the common case. Each policy owns a
-//! `Vec<DeviceId>` it sorts its device order into
-//! ([`CloudView::order_by`] fills a caller's buffer; the buffer stops
-//! growing at the fleet size), and a partition is a [`Parts`], which keeps
-//! up to four `(device, qubits)` pairs inline.
+//! is kept allocation-free in the common case, and sorts only what can
+//! have changed:
+//!
+//! * a policy whose device order reads only static columns (speed,
+//!   fidelity, hybrid) keeps it in a [`StaticOrder`], which sorts once per
+//!   fleet and hands the stored order back on every later `select`;
+//! * a policy whose order reads dynamic columns (fair reads utilisation,
+//!   minfrag free qubits) still sorts on every `select`, into a
+//!   `Vec<DeviceId>` it owns ([`CloudView::order_by`] fills a caller's
+//!   buffer; the buffer stops growing at the fleet size).
+//!
+//! A partition is a [`Parts`], which keeps up to four `(device, qubits)`
+//! pairs inline.
 
 use crate::device::DeviceId;
 use crate::inline_vec::InlineVec;
@@ -90,6 +98,54 @@ impl CloudView {
         for id in out.iter_mut() {
             *id = self.devices[id.index()].id;
         }
+    }
+}
+
+/// A device order that reads only a view's *static* columns — `id`,
+/// `clops` and `error_score` — sorted once per fleet instead of once per
+/// `select`.
+///
+/// A policy owns one in place of an order buffer and hands [`sorted`] the
+/// sort it would run ([`CloudView::order_by`] with its key). The sort runs
+/// again only when the view's ids, `clops` bits or `error_score` bits
+/// differ from those of the view it last sorted; otherwise the stored
+/// order is returned, which is the order the sort would produce again. So
+/// the closure's key may read those three columns and nothing else: not
+/// `free`, `busy_fraction` or `mean_utilization`, which change on every
+/// refresh. A fleet's static columns never change during a run, so after
+/// a policy's first `select` every later one skips the sort.
+///
+/// [`sorted`]: StaticOrder::sorted
+#[derive(Debug, Clone, Default)]
+pub struct StaticOrder {
+    /// `(id, clops bits, error_score bits)` of each device of the view the
+    /// order was last sorted on.
+    sorted_on: Vec<(DeviceId, u64, u64)>,
+    order: Vec<DeviceId>,
+}
+
+impl StaticOrder {
+    /// The device order of `view`: `sort(view, buffer)` fills the buffer
+    /// when the static columns changed since the last call, and the stored
+    /// order is returned as it is otherwise.
+    pub fn sorted(
+        &mut self,
+        view: &CloudView,
+        sort: impl FnOnce(&CloudView, &mut Vec<DeviceId>),
+    ) -> &[DeviceId] {
+        let columns = |d: &DeviceView| (d.id, d.clops.to_bits(), d.error_score.to_bits());
+        let unchanged = self.sorted_on.len() == view.devices.len()
+            && self
+                .sorted_on
+                .iter()
+                .zip(&view.devices)
+                .all(|(&seen, d)| seen == columns(d));
+        if !unchanged {
+            self.sorted_on.clear();
+            self.sorted_on.extend(view.devices.iter().map(columns));
+            sort(view, &mut self.order);
+        }
+        &self.order
     }
 }
 

@@ -1,11 +1,42 @@
 //! Quantum jobs: the unit of scheduling.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use qcs_desim::Xoshiro256StarStar;
 use serde::{Deserialize, Serialize};
 
 /// Unique job identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct JobId(pub u64);
+
+/// A hash map keyed by job ids (`JobId` or its raw `u64`), hashed by
+/// [`IdHasher`] instead of the default SipHash. Its iteration order is
+/// arbitrary, so a map of this type must only ever be looked up.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A fixed multiplicative hasher for integer keys, in the style of rustc's
+/// Fx hash: one rotate, xor and multiply per word. It gives up SipHash's
+/// resistance to crafted collisions: ids come from the job trace a run is
+/// given, so a trace built to collide can only slow its own simulation.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A quantum job `J = (q, d, s, t₂)` (paper §4) with an arrival time.
 ///

@@ -9,8 +9,7 @@
 //! at the price of roughly doubled makespan from queueing on the premium
 //! devices.
 
-use crate::broker::{AllocationPlan, Broker, CloudView};
-use crate::device::DeviceId;
+use crate::broker::{AllocationPlan, Broker, CloudView, StaticOrder};
 use crate::job::QJob;
 use crate::partition::capacity_fill;
 use crate::policies::speed::ordered;
@@ -18,8 +17,8 @@ use crate::policies::speed::ordered;
 /// Lowest-error-first, quality-strict.
 #[derive(Debug, Default, Clone)]
 pub struct FidelityBroker {
-    /// Device order buffer, reused across selects.
-    order: Vec<DeviceId>,
+    /// Lowest-error-first device order; its key reads only static columns.
+    order: StaticOrder,
 }
 
 impl FidelityBroker {
@@ -31,8 +30,10 @@ impl FidelityBroker {
 
 impl Broker for FidelityBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
-        view.order_by(|d| ordered(d.error_score), &mut self.order);
-        let target = capacity_fill(&self.order, view, job.num_qubits);
+        let order = self.order.sorted(view, |view, out| {
+            view.order_by(|d| ordered(d.error_score), out)
+        });
+        let target = capacity_fill(order, view, job.num_qubits);
         let satisfiable = target
             .iter()
             .all(|&(dev, amt)| view.devices[dev.index()].free >= amt);
@@ -52,6 +53,7 @@ impl Broker for FidelityBroker {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
+    use crate::device::DeviceId;
 
     #[test]
     fn targets_lowest_error_devices() {

@@ -12,8 +12,7 @@
 //! * sweeping `w` traces the speed–fidelity Pareto front
 //!   (`cargo run -p qcs-bench --release --bin pareto`).
 
-use crate::broker::{AllocationPlan, Broker, CloudView};
-use crate::device::DeviceId;
+use crate::broker::{AllocationPlan, Broker, CloudView, StaticOrder};
 use crate::job::QJob;
 use crate::partition::greedy_fill;
 use crate::policies::speed::ordered;
@@ -24,8 +23,9 @@ pub struct HybridBroker {
     weight: f64,
     strict: bool,
     name: String,
-    /// Device order buffer, reused across selects.
-    order: Vec<DeviceId>,
+    /// Ascending-score device order. The score and its normalisers read
+    /// only `clops` and `error_score`, so the order is static.
+    order: StaticOrder,
 }
 
 impl HybridBroker {
@@ -60,7 +60,7 @@ impl HybridBroker {
             weight,
             strict,
             name,
-            order: Vec::new(),
+            order: StaticOrder::default(),
         }
     }
 
@@ -77,28 +77,30 @@ impl HybridBroker {
 
 impl Broker for HybridBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
-        // Normalisers over the snapshot (guard against degenerate fleets).
-        let max_err = view
-            .devices
-            .iter()
-            .map(|d| d.error_score)
-            .fold(f64::EPSILON, f64::max);
-        let max_clops = view
-            .devices
-            .iter()
-            .map(|d| d.clops)
-            .fold(f64::EPSILON, f64::max);
         let w = self.weight;
-        view.order_by(
-            |d| {
-                let err_norm = d.error_score / max_err;
-                let slow_norm = 1.0 - d.clops / max_clops;
-                ordered(w * err_norm + (1.0 - w) * slow_norm)
-            },
-            &mut self.order,
-        );
+        let order = self.order.sorted(view, |view, out| {
+            // Normalisers over the snapshot (guard against degenerate fleets).
+            let max_err = view
+                .devices
+                .iter()
+                .map(|d| d.error_score)
+                .fold(f64::EPSILON, f64::max);
+            let max_clops = view
+                .devices
+                .iter()
+                .map(|d| d.clops)
+                .fold(f64::EPSILON, f64::max);
+            view.order_by(
+                |d| {
+                    let err_norm = d.error_score / max_err;
+                    let slow_norm = 1.0 - d.clops / max_clops;
+                    ordered(w * err_norm + (1.0 - w) * slow_norm)
+                },
+                out,
+            )
+        });
         if self.strict {
-            let target = crate::partition::capacity_fill(&self.order, view, job.num_qubits);
+            let target = crate::partition::capacity_fill(order, view, job.num_qubits);
             let satisfiable = target
                 .iter()
                 .all(|&(dev, amt)| view.devices[dev.index()].free >= amt);
@@ -108,7 +110,7 @@ impl Broker for HybridBroker {
                 AllocationPlan::Wait
             };
         }
-        match greedy_fill(&self.order, view, job.num_qubits) {
+        match greedy_fill(order, view, job.num_qubits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }
@@ -123,6 +125,7 @@ impl Broker for HybridBroker {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
+    use crate::device::DeviceId;
 
     #[test]
     fn zero_weight_matches_speed_ordering() {

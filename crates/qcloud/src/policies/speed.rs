@@ -2,16 +2,15 @@
 //! by preferring the fastest (highest-CLOPS) devices, spilling to slower
 //! ones when the fast devices lack free qubits.
 
-use crate::broker::{AllocationPlan, Broker, CloudView};
-use crate::device::DeviceId;
+use crate::broker::{AllocationPlan, Broker, CloudView, StaticOrder};
 use crate::job::QJob;
 use crate::partition::greedy_fill;
 
 /// Fastest-first, availability-greedy.
 #[derive(Debug, Default, Clone)]
 pub struct SpeedBroker {
-    /// Device order buffer, reused across selects.
-    order: Vec<DeviceId>,
+    /// Fastest-first device order; its key reads only static columns.
+    order: StaticOrder,
 }
 
 impl SpeedBroker {
@@ -24,11 +23,13 @@ impl SpeedBroker {
 impl Broker for SpeedBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
         // Highest CLOPS first; ties broken by lower error score, then id.
-        view.order_by(
-            |d| (std::cmp::Reverse(ordered(d.clops)), ordered(d.error_score)),
-            &mut self.order,
-        );
-        match greedy_fill(&self.order, view, job.num_qubits) {
+        let order = self.order.sorted(view, |view, out| {
+            view.order_by(
+                |d| (std::cmp::Reverse(ordered(d.clops)), ordered(d.error_score)),
+                out,
+            )
+        });
+        match greedy_fill(order, view, job.num_qubits) {
             Some(parts) => AllocationPlan::Dispatch(parts),
             None => AllocationPlan::Wait,
         }
@@ -57,6 +58,7 @@ impl Ord for Ordered {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
+    use crate::device::DeviceId;
 
     #[test]
     fn prefers_fastest_devices() {

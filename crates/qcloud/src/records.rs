@@ -2,7 +2,7 @@
 //! `JobRecordsManager`).
 
 use crate::device::DeviceId;
-use crate::job::{JobId, QJob};
+use crate::job::{IdMap, JobId, QJob};
 use qcs_desim::{Histogram, Welford};
 use serde::{Deserialize, Serialize};
 
@@ -165,7 +165,9 @@ impl JobRecord {
 #[derive(Debug, Default)]
 pub struct JobRecordsManager {
     records: Vec<JobRecord>,
-    index: std::collections::HashMap<JobId, usize>,
+    /// Position of each job's record in `records`. Only looked up, never
+    /// iterated, so its hash order cannot reach any result.
+    index: IdMap<JobId, usize>,
     finished: usize,
     exhausted: usize,
     rejected: usize,

@@ -17,8 +17,17 @@
 //! The same discipline extends to the forward-looking picture: the state
 //! owns an [`AvailabilityProfile`] (the fleet-total availability step
 //! function the backfilling timelines query) and keeps it in sync
-//! incrementally — each mutation re-derives only the touched device's
-//! slice instead of replaying the whole fleet per scheduler decision.
+//! incrementally, never replaying the whole fleet per scheduler decision:
+//!
+//! * a reserve, release or revocation on an online device with no
+//!   maintenance window moves the profile by that one lease's delta (its
+//!   return instant in the device's and the aggregate deltas, the level
+//!   change in the base); debug builds replay the device after every such
+//!   update and assert the two agree;
+//! * the same mutations on a crashed or offline device, or on one with a
+//!   window, re-derive (replay) only the touched device's slice, as do
+//!   window registration and `refresh` for devices whose offline flag is
+//!   set or just flipped.
 
 use crate::broker::{CloudView, DeviceView};
 use crate::config::{ReleasePolicy, SimParams};
@@ -89,8 +98,9 @@ pub struct CloudState {
     calendar: MaintenanceCalendar,
     now: f64,
     /// Incrementally maintained no-new-work availability step function
-    /// (see [`AvailabilityProfile`]); every mutation below re-derives the
-    /// touched device's slice so it always equals a from-scratch rebuild.
+    /// (see [`AvailabilityProfile`]); every mutation below moves the
+    /// touched device's slice by a lease delta or re-derives it, so it
+    /// always equals a from-scratch rebuild.
     profile: AvailabilityProfile,
 }
 
@@ -138,7 +148,8 @@ impl CloudState {
     }
 
     /// Re-derives one device's slice of the availability profile after a
-    /// mutation touching it (reserve/release/revocation/flag flip/window).
+    /// mutation touching it (flag flip, window, or a lease change the
+    /// lease-delta path does not cover).
     fn sync_profile_device(&mut self, di: usize) {
         let CloudState {
             devices,
@@ -148,6 +159,37 @@ impl CloudState {
             ..
         } = self;
         profile.rebuild_device(di, devices[di].level, devices[di].offline, leases, calendar);
+    }
+
+    /// Brings the profile up to date after one lease of `qubits` on
+    /// `device`, due at `release_at`, joined (`joined`) or left the lease
+    /// table, its level change already applied. On an online device whose
+    /// slice was derived online and that has no maintenance window the
+    /// lease moves the profile by its own delta
+    /// ([`AvailabilityProfile::shift_lease`]), which debug builds check
+    /// against a replay; anywhere else the device is replayed.
+    fn sync_profile_lease(&mut self, device: DeviceId, qubits: u64, release_at: f64, joined: bool) {
+        let di = device.index();
+        let fast = !self.devices[di].offline
+            && !self.profile.derived_offline_flag(di)
+            && self.calendar.windows_for(di).next().is_none();
+        if !fast {
+            self.sync_profile_device(di);
+            return;
+        }
+        let q = qubits as i64;
+        self.profile
+            .shift_lease(di, if joined { q } else { -q }, release_at);
+        if cfg!(debug_assertions) {
+            let CloudState {
+                devices,
+                leases,
+                calendar,
+                profile,
+                ..
+            } = self;
+            profile.assert_device_replays(di, devices[di].level, leases, calendar);
+        }
     }
 
     /// Registers a scheduled maintenance window with the state's calendar,
@@ -351,15 +393,14 @@ impl CloudState {
             let v = &mut self.view.devices[dev.index()];
             v.free = d.level;
             v.busy_fraction = busy_fraction(d.capacity, d.level);
+            let release_at = now + hold;
             self.leases.push(Lease {
                 job: job.id,
                 device: dev,
                 qubits: amt,
-                release_at: now + hold,
+                release_at,
             });
-        }
-        for &(dev, _) in parts {
-            self.sync_profile_device(dev.index());
+            self.sync_profile_lease(dev, amt, release_at, true);
         }
     }
 
@@ -391,7 +432,7 @@ impl CloudState {
             v.free = d.level;
             v.busy_fraction = busy_fraction(d.capacity, d.level);
         }
-        self.sync_profile_device(device.index());
+        self.sync_profile_lease(device, qubits, lease.release_at, false);
     }
 
     /// Revokes **every** lease of `job` at time `now`, returning the
@@ -425,12 +466,10 @@ impl CloudState {
                     v.busy_fraction = busy_fraction(d.capacity, d.level);
                 }
                 freed.push((lease.device, lease.qubits));
+                self.sync_profile_lease(lease.device, lease.qubits, lease.release_at, false);
             } else {
                 i += 1;
             }
-        }
-        for &(dev, _) in &freed {
-            self.sync_profile_device(dev.index());
         }
         freed
     }

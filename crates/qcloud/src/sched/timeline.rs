@@ -22,14 +22,23 @@
 //!
 //! * [`AvailabilityProfile`] — the no-new-work availability step function,
 //!   owned by [`CloudState`] and kept in sync *incrementally* by its
-//!   mutations: `reserve`/`release`/`revoke_job` replay only the touched
-//!   device's contribution, `refresh` advances the clock (folding due
-//!   deltas into the base, O(log n) per fold) and re-derives devices whose
-//!   offline flag flipped (crash and recovery repair, PR 6 semantics
-//!   included). The per-device replay is the *same code* the
-//!   [`AvailabilityProfile::from_state`] oracle runs, so the incremental
-//!   profile is equal to a from-scratch rebuild by construction
-//!   (differentially proptest-pinned in `tests/timeline_proptests.rs`).
+//!   mutations. `refresh` advances the clock (folding due deltas into the
+//!   base, O(log n) per fold) and re-derives devices whose offline flag is
+//!   set or flipped (crash and recovery repair).
+//!   A `reserve`/`release`/`revoke_job` lease on an online device with no
+//!   maintenance window moves the profile by that lease's own delta
+//!   ([`AvailabilityProfile::shift_lease`]: the level change in the base,
+//!   the return instant in the deltas). That is the whole effect a replay
+//!   would find there, where the visible level is the real level and
+//!   every return is a step of its own; debug builds replay the device
+//!   after each such update and assert equality. Everywhere else — a
+//!   crashed or offline device, a device with a window, a flag flip, a
+//!   new window — the touched device is **replayed**
+//!   ([`AvailabilityProfile::rebuild_device`]). The per-device replay is
+//!   the *same code* the [`AvailabilityProfile::from_state`] oracle runs,
+//!   so the incremental profile equals a from-scratch rebuild
+//!   (differentially proptest-pinned in `tests/timeline_proptests.rs`,
+//!   lease-delta path included).
 //!   A re-derivation writes to the aggregate delta map **by difference**:
 //!   it merges the device's old and new future deltas and applies only the
 //!   net change at each instant, so a reserve or release usually touches
@@ -333,8 +342,9 @@ impl AvailabilityProfile {
     }
 
     /// Re-derives one device's slice after a state mutation touching it
-    /// (reserve, release, revocation, flag flip, new window): replays the
-    /// device fresh, as [`AvailabilityProfile::from_state`] does, then
+    /// (flag flip, new window, or a reserve, release or revocation on a
+    /// device the lease-delta path does not cover): replays the device
+    /// fresh, as [`AvailabilityProfile::from_state`] does, then
     /// moves the base by the change in its contribution and the aggregate
     /// map by the difference between its old and new future deltas (see
     /// the module docs for why that equals removing the old slice and
@@ -364,6 +374,56 @@ impl AvailabilityProfile {
         std::mem::swap(&mut d.fut, &mut self.scratch.fut);
         d.contrib = contrib;
         d.offline_flag = flag_offline;
+    }
+
+    /// Moves device `di`'s slice by one lease of `qubits` due at
+    /// `release_at` joining the lease table (`qubits > 0`, a reserve) or
+    /// leaving it (`qubits < 0`, a release or revocation), together with
+    /// the level change that comes with it — without a replay.
+    ///
+    /// Valid only while the device is online, its slice was derived online
+    /// and the calendar holds no window for it: there the replay's visible
+    /// level is the real level and every lease return is a delta of its
+    /// own. A lease due after `now` moves the contribution by `−qubits`
+    /// (the level) and adds `qubits` at `release_at` to the device's and
+    /// the aggregate deltas; a lease already due changes nothing, because
+    /// the replay surfaces it at `now` where it cancels the level change.
+    /// That is exactly what [`AvailabilityProfile::rebuild_device`] would
+    /// derive. O(log deltas).
+    pub(crate) fn shift_lease(&mut self, di: usize, qubits: i64, release_at: f64) {
+        if release_at > self.now {
+            let d = &mut self.devices[di];
+            d.contrib -= qubits;
+            self.base -= qubits;
+            sorted_add(&mut d.fut, release_at, qubits);
+            map_add(&mut self.deltas, release_at, qubits);
+        }
+    }
+
+    /// Asserts that online device `di`'s slice equals a fresh replay — the
+    /// debug builds' cross-check of [`AvailabilityProfile::shift_lease`].
+    pub(crate) fn assert_device_replays(
+        &mut self,
+        di: usize,
+        level: u64,
+        leases: &[Lease],
+        calendar: &MaintenanceCalendar,
+    ) {
+        let contrib = replay_device(
+            di,
+            level,
+            false,
+            leases,
+            calendar,
+            self.now,
+            &mut self.scratch,
+        );
+        let d = &self.devices[di];
+        assert_eq!(
+            (d.contrib, &d.fut),
+            (contrib, &self.scratch.fut),
+            "lease-delta profile update of device {di} diverged from its replay"
+        );
     }
 
     /// The offline flag the device's slice was last derived under (used by

@@ -24,7 +24,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimParams;
@@ -37,10 +36,10 @@ use crate::simenv::{
     World,
 };
 use qcs_calibration::DeviceProfile;
-use qcs_desim::{Coroutine, Ctx, Effect, Simulation, Step};
+use qcs_desim::{Coroutine, Ctx, Effect, LogHistogram, Simulation, Step};
 
 use super::admission::{AdmissionDecision, AdmissionPolicy, AdmissionTelemetry};
-use super::latency::{InstrumentedScheduler, LatencySamples, LatencySummary};
+use super::latency::LatencySummary;
 use super::router::{RoutingPolicy, ShardLoad};
 
 /// Front-end configuration: intake policy plus shard routing.
@@ -372,7 +371,6 @@ fn run_kernels(kernels: Vec<(usize, Simulation<World>)>) -> Vec<(usize, Simulati
 /// neither does any result: only the wall clock moves.
 pub struct ParallelServiceHarness {
     kernels: Vec<Simulation<World>>,
-    latency: Vec<LatencySamples>,
     threads: usize,
 }
 
@@ -402,7 +400,6 @@ impl ParallelServiceHarness {
             .expect("invalid admission policy");
         let shared_kernel = config.routing.needs_load_feedback();
         let mut kernels = Vec::new();
-        let mut latency = Vec::with_capacity(regions.len());
         for (r, profiles) in regions.into_iter().enumerate() {
             if r == 0 || !shared_kernel {
                 kernels.push(Simulation::new(World::default()));
@@ -410,13 +407,9 @@ impl ParallelServiceHarness {
             let sim = kernels
                 .last_mut()
                 .expect("a kernel per shard or one shared");
-            let samples: LatencySamples = Arc::new(Mutex::new(Vec::new()));
-            let scheduler = Box::new(InstrumentedScheduler::new(
-                make_scheduler(r),
-                samples.clone(),
-            ));
-            spawn_shard(sim, profiles, scheduler, &params, usize::MAX);
-            latency.push(samples);
+            spawn_shard(sim, profiles, make_scheduler(r), &params, usize::MAX);
+            let shard = sim.world_mut().shards.last_mut().expect("just spawned");
+            shard.decide_latency = Some(LogHistogram::new());
         }
         // Region order: the shared kernel's world holds every shard in
         // order, and otherwise kernel `r` holds region `r`.
@@ -474,11 +467,7 @@ impl ParallelServiceHarness {
             }));
         }
 
-        ParallelServiceHarness {
-            kernels,
-            latency,
-            threads,
-        }
+        ParallelServiceHarness { kernels, threads }
     }
 
     /// Arms the same [`FaultScript`] on every region shard: each shard
@@ -502,6 +491,7 @@ impl ParallelServiceHarness {
     /// [`ServiceReport`].
     pub fn run(self) -> ServiceOutcome {
         let nkernels = self.kernels.len();
+        let nshards: usize = self.kernels.iter().map(|s| s.world().shards.len()).sum();
         let threads = self.threads.clamp(1, nkernels);
         let wall_start = Instant::now();
         let mut bundles: Vec<Vec<(usize, Simulation<World>)>> =
@@ -530,7 +520,6 @@ impl ParallelServiceHarness {
             .map(|(_, sim, _)| sim.now())
             .fold(0.0f64, f64::max);
 
-        let nshards = self.latency.len();
         let events_processed = ran.iter().map(|(_, sim, _)| sim.events_processed()).sum();
         let shard_busy_s = if nkernels == nshards {
             ran.iter().map(|(_, _, busy)| *busy).collect()
@@ -538,29 +527,22 @@ impl ParallelServiceHarness {
             Vec::new()
         };
         let mut shard_results = Vec::with_capacity(nshards);
+        let mut per_shard_latency = Vec::with_capacity(nshards);
+        let mut pooled_latency = LogHistogram::new();
         let mut admission = AdmissionTelemetry::default();
         for (_, sim, _) in ran {
             let events = sim.events_processed();
             let world = sim.into_world();
             admission.absorb(&world.admission);
-            // Finishing a shard drops its scheduler, which holds the other
-            // clone of the shard's latency-sample buffer.
-            shard_results.extend(
-                world
-                    .shards
-                    .into_iter()
-                    .map(|st| finish_shard(st, t_end, events)),
-            );
-        }
-        let mut per_shard_latency = Vec::with_capacity(nshards);
-        let mut all_samples = Vec::new();
-        for samples in self.latency {
-            let Ok(samples) = Arc::try_unwrap(samples) else {
-                panic!("latency buffer still shared after teardown");
-            };
-            let samples = samples.into_inner();
-            per_shard_latency.push(LatencySummary::from_samples(&samples));
-            all_samples.extend(samples);
+            for mut st in world.shards {
+                let latency = st
+                    .decide_latency
+                    .take()
+                    .expect("service shards time their decides");
+                per_shard_latency.push(LatencySummary::from_histogram(&latency));
+                pooled_latency.merge(&latency);
+                shard_results.push(finish_shard(st, t_end, events));
+            }
         }
         let terminal_total: usize = shard_results
             .iter()
@@ -573,7 +555,7 @@ impl ParallelServiceHarness {
             .collect();
 
         let report = ServiceReport {
-            decision_latency: LatencySummary::from_samples(&all_samples),
+            decision_latency: LatencySummary::from_histogram(&pooled_latency),
             per_shard_latency,
             admission,
             routed_per_shard,

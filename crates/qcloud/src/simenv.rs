@@ -31,7 +31,9 @@
 //!   park on an empty queue, refresh, decide, telemetry) and
 //!   `apply_decision` applies one batch. The RL training environment
 //!   ([`crate::rlsched::SchedulerEnv`]) calls both from outside the kernel
-//!   to answer a parked consult with the agent's pick.
+//!   to answer a parked consult with the agent's pick. When a shard carries
+//!   a decide-latency histogram (service shards do) `consult` wall-clocks
+//!   each `decide` into it; otherwise it reads no clock at all.
 //! * one **executor** per dispatched job sleeps through the execution time
 //!   (Eq. 3, `max` over its devices), then through the blocking
 //!   communication delay (Eq. 9), computes the final fidelity (Eqs. 4–8),
@@ -78,7 +80,8 @@
 //! Outages may overlap: a device is offline while any maintenance window
 //! or crash covers it, and comes back when the last of them ends.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::time::Instant;
 
 use crate::broker::{Broker, Parts};
 use crate::cloud::QCloud;
@@ -86,7 +89,7 @@ use crate::config::{ReleasePolicy, SimParams};
 use crate::device::DeviceId;
 use crate::faults::{AvoidSet, FaultInjector, FaultScript, RetryPolicy};
 use crate::inline_vec::InlineVec;
-use crate::job::{JobId, QJob};
+use crate::job::{IdMap, JobId, QJob};
 use crate::maintenance::{MaintenanceProc, MaintenanceWindow, OfflineFlags};
 use crate::model::fidelity::DeviceErrorRates;
 use crate::records::{JobRecord, JobRecordsManager, SummaryStats};
@@ -95,7 +98,7 @@ use crate::sched::{
 };
 use crate::service::{AdmissionTelemetry, RouterProc};
 use qcs_calibration::DeviceProfile;
-use qcs_desim::{Coroutine, Ctx, Effect, Kernel, ProcessId, Simulation, Step};
+use qcs_desim::{Coroutine, Ctx, Effect, Kernel, LogHistogram, ProcessId, Simulation, Step};
 
 /// Per-device constants the executors read.
 #[derive(Debug, Clone)]
@@ -143,6 +146,11 @@ pub(crate) struct SchedState {
     pub(crate) cloud_state: CloudState,
     pub(crate) records: JobRecordsManager,
     pub(crate) telemetry: SchedTelemetry,
+    /// Wall-clock durations of this shard's `decide` calls, when timed:
+    /// service shards set it, and [`consult`] reads the clock around
+    /// `decide` only then. The batch and training environments leave it
+    /// `None` and pay nothing. Timings never feed back into the run.
+    pub(crate) decide_latency: Option<LogHistogram>,
     /// Jobs this shard must drive to a terminal state before its scheduler
     /// loop may exit. Batch runs fix it at construction; service mode
     /// starts it at `usize::MAX` (stream still open) and the router
@@ -159,8 +167,9 @@ pub(crate) struct SchedState {
     /// Outages (maintenance windows and crashes) covering each device right
     /// now; a device is offline while its count is positive.
     outages: Vec<u32>,
-    /// In-flight attempts by job id; empty when `faults` is `None`.
-    running: HashMap<u64, RunningJob>,
+    /// In-flight attempts by job id; empty when `faults` is `None`. Only
+    /// looked up, never iterated, so its hash order cannot reach any result.
+    running: IdMap<u64, RunningJob>,
     faults: Option<FaultState>,
 }
 
@@ -302,7 +311,9 @@ impl Coroutine<World> for SchedulerProc {
 /// is terminal. [`SchedulerProc`] runs it on every wake; the training
 /// environment ([`crate::rlsched::SchedulerEnv`]) re-enters it after
 /// answering a consult itself, as the loop would continue inside one
-/// resume.
+/// resume. Each `decide` is timed into the shard's `decide_latency`
+/// histogram when it has one (service shards); with `None` (batch runs,
+/// training) no clock is read.
 pub(crate) fn consult(kernel: &mut Kernel<World>, world: &mut World, shard: usize) -> Step {
     let now = kernel.now();
     let st = &mut world.shards[shard];
@@ -326,9 +337,16 @@ pub(crate) fn consult(kernel: &mut Kernel<World>, world: &mut World, shard: usiz
             return Step::Wait(Effect::Suspend);
         }
         st.cloud_state.refresh(now, &st.offline);
-        let decision = st
-            .scheduler
-            .decide(st.pending.make_contiguous(), &st.cloud_state);
+        let queue = st.pending.make_contiguous();
+        let decision = match &mut st.decide_latency {
+            Some(latency) => {
+                let t0 = Instant::now();
+                let decision = st.scheduler.decide(queue, &st.cloud_state);
+                latency.record(t0.elapsed());
+                decision
+            }
+            None => st.scheduler.decide(queue, &st.cloud_state),
+        };
         // Nothing dispatched means nothing changed: re-consulting at
         // once would return the same decision forever.
         assert!(
@@ -747,12 +765,13 @@ pub(crate) fn spawn_shard(
         cloud_state: CloudState::new(&specs, params),
         records: JobRecordsManager::new(),
         telemetry: SchedTelemetry::default(),
+        decide_latency: None,
         total_jobs,
         throttled_inflight: 0,
         sched_pid,
         offline: OfflineFlags::new(info.len()),
         outages: vec![0; info.len()],
-        running: HashMap::new(),
+        running: IdMap::default(),
         faults: None,
         cloud,
         info,

@@ -27,13 +27,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     }
     let mut sorted: Vec<f64> = values.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
-    percentile_sorted(&sorted, p)
-}
-
-/// [`percentile`] of values already sorted ascending by `total_cmp`, so
-/// several percentiles of one sample share a single sort. `sorted` must be
-/// non-empty.
-pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;

@@ -24,11 +24,18 @@
 //!   [`JobRecord`] streams to the seed-mechanics snapshot oracle on random
 //!   workloads, for every policy (the pinned-golden complement lives in
 //!   `tests/seed_parity.rs`).
+//! * **Static-order cache ≡ fresh sort** — speed, fidelity and hybrid
+//!   (greedy and strict) sort their device order once per fleet; one
+//!   broker reused across random views plans every job exactly as a
+//!   broker built fresh for that call, whether the view changed only its
+//!   dynamic columns or its ids, `clops` or `error_score`.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use qcs_calibration::ibm_fleet;
+use qcs_desim::Xoshiro256StarStar;
+use qcs_qcloud::broker::{Broker, CloudView, DeviceView};
 use qcs_qcloud::config::ReleasePolicy;
 use qcs_qcloud::jobgen::poisson_arrivals;
 use qcs_qcloud::policies::{by_name, scheduler_by_name};
@@ -60,6 +67,51 @@ fn job(id: u64, q: u64) -> QJob {
         num_shots: 50_000,
         two_qubit_gates: 400,
         arrival_time: 0.0,
+    }
+}
+
+/// The policies whose device order reads only static view columns.
+const STATIC_ORDER_POLICIES: [&str; 4] = ["speed", "fidelity", "hybrid", "hybrid-strict"];
+
+/// Draws static columns from small sets, so ties in the sort keys are
+/// common.
+fn random_error_score(rng: &mut Xoshiro256StarStar) -> f64 {
+    [0.01, 0.02, 0.02, 0.05, 0.3][rng.choose_index(5)]
+}
+
+fn random_clops(rng: &mut Xoshiro256StarStar) -> f64 {
+    [30_000.0, 200_000.0, 220_000.0, 220_000.0][rng.choose_index(4)]
+}
+
+/// A fleet of 2–6 devices with shuffled ids and random static columns.
+fn random_fleet(rng: &mut Xoshiro256StarStar) -> CloudView {
+    let n = rng.range_u64(2, 6) as u32;
+    let mut ids: Vec<u32> = (0..n).collect();
+    rng.shuffle(&mut ids);
+    CloudView {
+        devices: ids
+            .into_iter()
+            .map(|id| DeviceView {
+                id: DeviceId(id),
+                free: 0,
+                capacity: rng.range_u64(27, 127),
+                busy_fraction: 1.0,
+                mean_utilization: 0.0,
+                error_score: random_error_score(rng),
+                clops: random_clops(rng),
+                qv_layers: 7.0,
+            })
+            .collect(),
+    }
+}
+
+/// Redraws the columns a refresh rewrites: free qubits, busy fraction and
+/// mean utilisation.
+fn redraw_dynamic(view: &mut CloudView, rng: &mut Xoshiro256StarStar) {
+    for d in &mut view.devices {
+        d.free = rng.range_u64(0, d.capacity);
+        d.busy_fraction = 1.0 - d.free as f64 / d.capacity as f64;
+        d.mean_utilization = rng.next_f64();
     }
 }
 
@@ -355,6 +407,47 @@ proptest! {
         let n = values.len() as f64;
         prop_assert!(j >= 1.0 / n - 1e-12, "index {} below 1/n for n = {}", j, n);
         prop_assert!(j <= 1.0 + 1e-12, "index {} above 1", j);
+    }
+
+    /// One broker instance per static-order policy, reused across a random
+    /// walk of views, plans every job as a broker constructed for that one
+    /// call: a step redraws only the dynamic columns, or changes one
+    /// device's `clops` or `error_score`, or replaces the fleet (size,
+    /// shuffled ids, static columns).
+    #[test]
+    fn static_order_cache_equals_a_fresh_sort(seed in 0u64..100_000, steps in 1usize..40) {
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let mut reused: Vec<Box<dyn Broker>> = STATIC_ORDER_POLICIES
+            .iter()
+            .map(|p| by_name(p, seed).unwrap())
+            .collect();
+        let mut view = random_fleet(&mut rng);
+        for step in 0..steps {
+            match rng.next_below(4) {
+                0 | 1 => {}
+                2 => {
+                    let i = rng.choose_index(view.devices.len());
+                    if rng.next_below(2) == 0 {
+                        view.devices[i].clops = random_clops(&mut rng);
+                    } else {
+                        view.devices[i].error_score = random_error_score(&mut rng);
+                    }
+                }
+                _ => view = random_fleet(&mut rng),
+            }
+            redraw_dynamic(&mut view, &mut rng);
+            let capacity: u64 = view.devices.iter().map(|d| d.capacity).sum();
+            for k in 0..3 {
+                let j = job(k, rng.range_u64(1, capacity));
+                for (p, broker) in STATIC_ORDER_POLICIES.iter().zip(&mut reused) {
+                    let fresh = by_name(p, seed).unwrap().select(&j, &view);
+                    prop_assert_eq!(
+                        broker.select(&j, &view), fresh,
+                        "{} at step {} (seed {})", p, step, seed
+                    );
+                }
+            }
+        }
     }
 
     /// The FIFO adapter and the seed-mechanics snapshot oracle produce

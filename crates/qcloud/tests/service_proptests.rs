@@ -15,6 +15,9 @@
 //! * **Sharded completeness golden** — one pinned fingerprint for a fixed
 //!   two-region diurnal run: any silent change to routing order, throttle
 //!   sequencing or admission verdicts fails loudly.
+//! * **Every decide timed once** — the pooled decision-latency count
+//!   equals the shards' decisions, and each shard's summary its own, in
+//!   both kernel layouts.
 
 use proptest::prelude::*;
 use qcs_calibration::{ibm_fleet, regional_fleet, DeviceProfile};
@@ -113,7 +116,8 @@ fn fingerprint(outcome: &ServiceOutcome) -> u64 {
 
 /// A single-region service with the intake wide open replays the batch
 /// environment's records exactly: the router degenerates into the batch
-/// generator, and latency instrumentation never touches sim time. Every
+/// generator, and decide timing (on in service shards, off in batch)
+/// never touches sim time. Every
 /// routing runs, so both kernel layouts (a shard's own kernel under hash
 /// and affinity, the shared kernel under least-loaded) meet the batch
 /// reference.
@@ -146,6 +150,43 @@ fn open_single_region_service_matches_batch_env() {
         assert_eq!(outcome.report.admission.submitted, 60);
         assert_eq!(outcome.report.admission.accepted, 60);
         assert!(outcome.report.decision_latency.count > 0);
+    }
+}
+
+/// The engine times every `decide` of a service shard exactly once: each
+/// shard's latency count is its `telemetry.decisions`, and the pooled
+/// count is their sum, whether the shards share one kernel (least-loaded)
+/// or each run their own (hash, affinity).
+#[test]
+fn decision_latency_counts_every_shard_decision() {
+    let seed = 5;
+    let jobs = poisson_arrivals(80, 0.02, &small_dist(), seed);
+    for routing in ROUTINGS {
+        let outcome = service(
+            small_regions(3, seed),
+            "backfill+speed",
+            jobs.clone(),
+            ServiceConfig {
+                admission: AdmissionPolicy::open(),
+                routing,
+            },
+            seed,
+        );
+        let report = &outcome.report;
+        assert_eq!(report.per_shard_latency.len(), outcome.shards.len());
+        let mut decisions = 0;
+        for (shard, lat) in outcome.shards.iter().zip(&report.per_shard_latency) {
+            assert_eq!(lat.count as u64, shard.telemetry.decisions, "{routing}");
+            decisions += shard.telemetry.decisions;
+        }
+        assert!(decisions > 0);
+        assert_eq!(report.decision_latency.count as u64, decisions, "{routing}");
+        let max = report
+            .per_shard_latency
+            .iter()
+            .map(|l| l.max_us)
+            .fold(0.0, f64::max);
+        assert_eq!(report.decision_latency.max_us, max, "{routing}");
     }
 }
 
