@@ -1,5 +1,6 @@
-//! The simulation kernel: slab-allocated processes and events over one
-//! event heap, plus the world the processes act on.
+//! The simulation kernel: slab-allocated processes and events over an
+//! event heap and a queue of events due now, plus the world the processes
+//! act on.
 //!
 //! A [`Simulation`] is a [`Kernel`] and a world `W`. The kernel knows two
 //! effects — [`Effect::Timeout`] and [`Effect::Suspend`] — and three
@@ -16,7 +17,7 @@
 //! The kernel stores processes and scheduled resume events in `Vec`-backed
 //! slabs with free lists, so a long run (100k+ jobs) reuses a small pool of
 //! slots instead of growing without bound. A [`ProcessId`] is an
-//! `(index, generation)` pair, and so is every heap entry's event handle:
+//! `(index, generation)` pair, and so is every queued entry's event handle:
 //!
 //! * the **index** names the slot in the slab;
 //! * the **generation** is bumped every time the slot is freed, so a handle
@@ -29,21 +30,37 @@
 //! registry holding a pid of an already-finished process cannot
 //! accidentally kill its successor.
 //!
-//! The event heap is a `BinaryHeap` of plain `(time, seq, event)` entries.
-//! Killing a sleeping process just frees its event slot; the heap entry
-//! stays behind and is recognised as stale by its generation when popped,
-//! and discarded without advancing the clock. Each process has at most one
-//! pending resume event (`pending_ev`), so cancellation is O(1).
+//! # Event order
+//!
+//! Events fire in `(time, seq)` order: by due time, then in the order they
+//! were scheduled. They wait in one of two queues:
+//!
+//! * an event due *later* than the clock goes into a `BinaryHeap` of plain
+//!   `(time, seq, event)` entries;
+//! * an event due *now* — a wake, a spawn without delay, a zero timeout —
+//!   goes to the back of a FIFO instead, skipping the heap's sift.
+//!
+//! [`Simulation::step`] takes the heap's top while it is due now, and the
+//! FIFO's front otherwise; only with the FIFO empty does the heap's top
+//! move the clock. That is the `(time, seq)` order by construction: every
+//! heap entry due now was scheduled before the clock reached now (an event
+//! scheduled at the current instant always takes the FIFO), so it precedes
+//! every FIFO entry, and each queue keeps its own scheduling order.
+//!
+//! Killing a sleeping process just frees its event slot; the heap or FIFO
+//! entry stays behind and is recognised as stale by its generation when
+//! taken, and discarded without advancing the clock. Each process has at
+//! most one pending resume event (`pending_ev`), so cancellation is O(1).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Deref, DerefMut};
 
 use crate::process::{Coroutine, Ctx, Effect, ProcessId, Step};
 use crate::time::SimTime;
 
 /// One slot of the event slab: which process the event resumes, plus the
-/// slot's current generation (bumped on free, so stale heap entries never
+/// slot's current generation (bumped on free, so stale queued entries never
 /// match).
 #[derive(Debug, Clone, Copy)]
 struct EventSlot {
@@ -54,7 +71,7 @@ struct EventSlot {
 /// Scheduling state of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
-    /// Has a resume event in the heap (or is being resumed right now).
+    /// Has a resume event queued (or is being resumed right now).
     Scheduled,
     /// Parked on [`Effect::Suspend`] until woken.
     Suspended,
@@ -71,7 +88,7 @@ struct ProcSlot<W> {
     gen: u32,
     /// The slab slot of this process's pending resume event, if any. Kept
     /// in lock-step with `state == Scheduled`; a kill frees the event here,
-    /// which is what invalidates the heap entry.
+    /// which is what invalidates the queued entry.
     pending_ev: Option<u32>,
 }
 
@@ -99,14 +116,28 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// The clock, the event heap and the process slabs of a [`Simulation`]:
+/// A FIFO entry: a slab event due at the kernel's current instant, with
+/// the slot generation it was issued under (a mismatch marks it stale).
+#[derive(Debug, Clone, Copy)]
+struct DueEntry {
+    ev: u32,
+    gen: u32,
+}
+
+/// The clock, the event queues and the process slabs of a [`Simulation`]:
 /// everything but the world.
 ///
-/// See the [module docs](self) for the slab/handle model.
+/// See the [module docs](self) for the slab/handle model and the event
+/// order.
 pub struct Kernel<W> {
     now: SimTime,
+    /// Sequence number of the next heap entry.
     seq: u64,
+    /// Events due after the instant they were scheduled at.
     heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Events scheduled for the instant the clock stood at, in scheduling
+    /// order; all due at `now`.
+    due_now: VecDeque<DueEntry>,
     procs: Vec<ProcSlot<W>>,
     /// Free-listed process slots (retired, generation already bumped).
     proc_free: Vec<u32>,
@@ -137,6 +168,7 @@ impl<W> Simulation<W> {
                 now: SimTime::ZERO,
                 seq: 0,
                 heap: BinaryHeap::with_capacity(1024),
+                due_now: VecDeque::with_capacity(256),
                 procs: Vec::with_capacity(256),
                 proc_free: Vec::new(),
                 events: Vec::with_capacity(1024),
@@ -174,9 +206,10 @@ impl<W> Simulation<W> {
         self.world
     }
 
-    /// Processes a single event. Returns `false` when the heap is empty.
-    /// Stale entries (their event slot was freed by a kill) are discarded
-    /// without advancing the clock; the call still returns `true`.
+    /// Processes a single event: the earliest by `(time, seq)`. Returns
+    /// `false` when no event is pending. Stale entries (their event slot
+    /// was freed by a kill) are discarded without advancing the clock; the
+    /// call still returns `true`.
     pub fn step(&mut self) -> bool {
         self.kernel.step(&mut self.world)
     }
@@ -260,7 +293,7 @@ impl<W> Kernel<W> {
         }
     }
 
-    /// Frees an event slot: bumps its generation (staling any heap entry
+    /// Frees an event slot: bumps its generation (staling any queued entry
     /// that names the old one) and returns it to the free list.
     fn free_event(&mut self, ev: u32) {
         let slot = &mut self.events[ev as usize];
@@ -353,9 +386,10 @@ impl<W> Kernel<W> {
         self.live_processes -= 1;
     }
 
-    /// Schedules a resume event for `pid`. A process has at most one
-    /// resume event in flight: only a process with none (just spawned,
-    /// woken, or yielding a timeout from its own resume) gets here.
+    /// Schedules a resume event for `pid`: into the FIFO when it is due
+    /// now, into the heap otherwise. A process has at most one resume
+    /// event in flight: only a process with none (just spawned, woken, or
+    /// yielding a timeout from its own resume) gets here.
     fn push_event(&mut self, time: SimTime, pid: ProcessId) {
         let idx = pid.index();
         debug_assert!(self.procs[idx].pending_ev.is_none());
@@ -368,34 +402,48 @@ impl<W> Kernel<W> {
         };
         let gen = self.events[ev as usize].gen;
         self.procs[idx].pending_ev = Some(ev);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(HeapEntry { time, seq, ev, gen }));
+        if time == self.now {
+            self.due_now.push_back(DueEntry { ev, gen });
+        } else {
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Reverse(HeapEntry { time, seq, ev, gen }));
+        }
     }
 
     // ------------------------------------------------------------------
     // Run loop
     // ------------------------------------------------------------------
 
-    /// [`Simulation::step`] over the simulation's world.
+    /// [`Simulation::step`] over the simulation's world: the heap's top
+    /// while it is due now (it was scheduled before every FIFO entry),
+    /// then the FIFO's front, and only then a later heap entry, which
+    /// moves the clock.
     fn step(&mut self, world: &mut W) -> bool {
-        let Some(Reverse(entry)) = self.heap.pop() else {
-            return false;
+        let (time, ev, gen) = match self.heap.peek() {
+            Some(Reverse(top)) if top.time == self.now || self.due_now.is_empty() => {
+                let Reverse(entry) = self.heap.pop().expect("peeked above");
+                debug_assert!(entry.time >= self.now, "event heap not monotone");
+                (entry.time, entry.ev, entry.gen)
+            }
+            _ => match self.due_now.pop_front() {
+                Some(entry) => (self.now, entry.ev, entry.gen),
+                None => return false,
+            },
         };
-        debug_assert!(entry.time >= self.now, "event heap not monotone");
-        let slot = self.events[entry.ev as usize];
-        if slot.gen != entry.gen {
+        let slot = self.events[ev as usize];
+        if slot.gen != gen {
             // The process this event would have resumed was killed.
             return true;
         }
         let pid = slot.pid;
-        self.free_event(entry.ev);
+        self.free_event(ev);
         let pslot = &mut self.procs[pid.index()];
         debug_assert_eq!(pslot.gen, pid.generation(), "live event on a retired slot");
-        debug_assert_eq!(pslot.pending_ev, Some(entry.ev));
+        debug_assert_eq!(pslot.pending_ev, Some(ev));
         debug_assert_eq!(pslot.state, ProcState::Scheduled);
         pslot.pending_ev = None;
-        self.now = entry.time;
+        self.now = time;
         self.events_processed += 1;
         self.run_process(pid, world);
         true
@@ -444,6 +492,7 @@ impl<W> std::fmt::Debug for Kernel<W> {
             .field("live_processes", &self.live_processes)
             .field("process_slots", &self.procs.len())
             .field("heap_len", &self.heap.len())
+            .field("due_now_len", &self.due_now.len())
             .finish()
     }
 }

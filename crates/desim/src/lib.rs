@@ -6,11 +6,12 @@
 //!
 //! ## Model
 //!
-//! * A [`Simulation<W>`] is a [`Kernel`] — a monotone event heap and a set
-//!   of *processes* (cooperative coroutines implementing [`Coroutine<W>`])
-//!   — plus the world `W` the processes act on: queues, capacity ledgers,
-//!   records. The simulation owns the world; [`Simulation::into_world`]
-//!   hands it back after the run.
+//! * A [`Simulation<W>`] is a [`Kernel`] — a monotone event heap, a FIFO
+//!   of the events due at the current instant, and a set of *processes*
+//!   (cooperative coroutines implementing [`Coroutine<W>`]) — plus the
+//!   world `W` the processes act on: queues, capacity ledgers, records.
+//!   The simulation owns the world; [`Simulation::into_world`] hands it
+//!   back after the run.
 //! * Each resume gets a [`Ctx`] whose two fields borrow the kernel and the
 //!   world separately, so a process can hold world state while it spawns,
 //!   wakes or kills. Nothing is shared behind a lock, and a world is
@@ -26,17 +27,20 @@
 //!   crash injection, where the killer cleans up what the victim held in
 //!   the world itself.
 //! * Everything is deterministic: events are ordered by `(time, seq)`, so
-//!   simultaneous events fire in the order they were scheduled. The kernel
-//!   draws no randomness; models that need it seed their own streams, for
-//!   instance from the bundled [`rng::Xoshiro256StarStar`] generator.
+//!   simultaneous events fire in the order they were scheduled. An event
+//!   due the instant it is scheduled (a spawn, a wake, a zero timeout)
+//!   skips the heap for the FIFO, which keeps that order by construction
+//!   (see [`kernel`]). The kernel draws no randomness; models that need it
+//!   seed their own streams, for instance from the bundled
+//!   [`rng::Xoshiro256StarStar`] generator.
 //!
 //! ## Slab allocation and handles
 //!
 //! Processes and scheduled resume events live in `Vec`-backed slabs with
 //! free lists: a finished or killed process returns its slot to a pool
-//! that the next spawn reuses, and every heap entry names a pooled event
-//! slot, so long runs (100k+ jobs) recycle a bounded set of allocations
-//! instead of growing without bound.
+//! that the next spawn reuses, and every heap or FIFO entry names a pooled
+//! event slot, so long runs (100k+ jobs) recycle a bounded set of
+//! allocations instead of growing without bound.
 //!
 //! Handles ([`ProcessId`], and the kernel's internal event handles) are
 //! `(index, generation)` pairs. Freeing a slot bumps its generation, so a
@@ -48,9 +52,9 @@
 //! * [`Kernel::is_done`] answers `true` for a stale handle (that
 //!   incarnation is gone).
 //!
-//! Killing a sleeping process frees its event slot and leaves the heap
-//! entry behind; the kernel recognises it as stale by its generation when
-//! popped and discards it without advancing the clock.
+//! Killing a sleeping process frees its event slot and leaves the heap or
+//! FIFO entry behind; the kernel recognises it as stale by its generation
+//! when taken and discards it without advancing the clock.
 //!
 //! ## Quick example
 //!

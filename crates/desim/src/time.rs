@@ -8,7 +8,9 @@ use std::fmt;
 /// `SimTime` is a thin wrapper over `f64` that guarantees finiteness and
 /// provides a total order (via [`f64::total_cmp`]) so it can key the event
 /// heap. Construction from a non-finite float panics: a NaN deadline is a
-/// logic error in the model, not a recoverable condition.
+/// logic error in the model, not a recoverable condition. `-0.0` is stored
+/// as `+0.0`, so equality (`f64 ==`) agrees with the order: two times are
+/// equal exactly when they compare `Equal`.
 #[derive(Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
@@ -17,13 +19,14 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0.0);
 
     /// Creates a time point, panicking on NaN/±∞ or negative values.
+    /// `-0.0` passes the check and becomes [`SimTime::ZERO`].
     #[inline]
     pub fn new(seconds: f64) -> Self {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
             "SimTime must be finite and non-negative, got {seconds}"
         );
-        SimTime(seconds)
+        SimTime(if seconds == 0.0 { 0.0 } else { seconds })
     }
 
     /// The value in seconds.
@@ -106,6 +109,14 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_increment_rejected() {
         let _ = SimTime::ZERO.after(-1.0);
+    }
+
+    #[test]
+    fn negative_zero_is_zero() {
+        let t = SimTime::new(-0.0);
+        assert_eq!(t, SimTime::ZERO);
+        assert_eq!(t.cmp(&SimTime::ZERO), Ordering::Equal);
+        assert!(t.seconds().is_sign_positive());
     }
 
     #[test]

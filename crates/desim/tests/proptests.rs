@@ -1,10 +1,10 @@
 //! Property-based tests for the DES kernel — determinism, clock
-//! monotonicity, wake latency, kill semantics and termination under
-//! randomized timeout/suspend/wake/kill workloads — plus statistics
-//! invariants.
+//! monotonicity, wake latency, kill semantics, termination and the
+//! `(due time, scheduling order)` event order under randomized
+//! timeout/suspend/wake/kill workloads — plus statistics invariants.
 
 use proptest::prelude::*;
-use qcs_desim::{Coroutine, Ctx, Effect, ProcessId, Simulation, Step};
+use qcs_desim::{Coroutine, Ctx, Effect, Kernel, ProcessId, Simulation, Step};
 
 /// One entry of a run's event log, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -323,6 +323,212 @@ proptest! {
             .collect();
         let expected: Vec<usize> = (0..n).chain(0..n).collect();
         prop_assert_eq!(workers, expected);
+    }
+}
+
+/// One act of an [`Actor`]'s script. On each resume an actor runs its
+/// next acts in order until one yields.
+#[derive(Debug, Clone, Copy)]
+enum Act {
+    /// Yields a timeout of this many seconds.
+    Sleep(f64),
+    /// Parks until woken.
+    Park,
+    /// Spawns an actor on script `script` (modulo the scripts) that first
+    /// runs `delay` seconds from now.
+    Spawn { script: usize, delay: f64 },
+    /// Wakes actor `target` (modulo the actors spawned so far).
+    Wake(usize),
+    /// Kills actor `target` (modulo the actors spawned so far); an actor
+    /// never kills itself.
+    Kill(usize),
+}
+
+/// Spawns stop here, so every run ends.
+const MAX_ACTORS: usize = 48;
+
+/// The world of an event-order run. Every act that schedules an event — a
+/// spawn, a timeout, a wake that took effect — takes the next ticket, and
+/// the actor it schedules remembers the event's due time and ticket until
+/// it resumes or is killed.
+struct OrderWorld {
+    scripts: Vec<Vec<Act>>,
+    actors: Vec<ProcessId>,
+    /// Each actor's pending resume: `(due time, ticket)`.
+    pending: Vec<Option<(f64, u64)>>,
+    next_ticket: u64,
+    /// Every resume as `(due time, ticket, clock)`, in the order the
+    /// kernel ran them.
+    resumes: Vec<(f64, u64, f64)>,
+}
+
+impl OrderWorld {
+    fn ticket(&mut self) -> u64 {
+        self.next_ticket += 1;
+        self.next_ticket
+    }
+
+    /// Spawns an actor on `script` through `kernel`, `delay` from now —
+    /// from inside a resume or from outside the kernel between steps.
+    fn spawn(&mut self, kernel: &mut Kernel<OrderWorld>, script: usize, delay: f64) {
+        if self.actors.len() == MAX_ACTORS {
+            return;
+        }
+        let id = self.actors.len();
+        let script = script % self.scripts.len();
+        let due = kernel.now() + delay;
+        let pid = kernel.spawn_after(delay, Box::new(Actor { id, script, pc: 0 }));
+        self.actors.push(pid);
+        let ticket = self.ticket();
+        self.pending.push(Some((due, ticket)));
+    }
+}
+
+/// Runs its script, logging each resume against the event that caused it.
+struct Actor {
+    id: usize,
+    script: usize,
+    pc: usize,
+}
+
+impl Coroutine<OrderWorld> for Actor {
+    fn resume(&mut self, cx: &mut Ctx<'_, OrderWorld>) -> Step {
+        let now = cx.now();
+        let w = &mut *cx.world;
+        let (due, ticket) = w.pending[self.id]
+            .take()
+            .expect("an actor resumed with no event pending");
+        w.resumes.push((due, ticket, now));
+        while let Some(&act) = w.scripts[self.script].get(self.pc) {
+            self.pc += 1;
+            match act {
+                Act::Sleep(dt) => {
+                    let ticket = w.ticket();
+                    w.pending[self.id] = Some((now + dt, ticket));
+                    return Step::Wait(Effect::Timeout(dt));
+                }
+                Act::Park => return Step::Wait(Effect::Suspend),
+                Act::Spawn { script, delay } => w.spawn(cx.kernel, script, delay),
+                Act::Wake(target) => {
+                    let target = target % w.actors.len();
+                    if cx.kernel.wake(w.actors[target]) {
+                        let ticket = w.ticket();
+                        w.pending[target] = Some((now, ticket));
+                    }
+                }
+                Act::Kill(target) => {
+                    let target = target % w.actors.len();
+                    if target != self.id && cx.kernel.kill(w.actors[target]) {
+                        w.pending[target] = None;
+                    }
+                }
+            }
+        }
+        Step::Done
+    }
+}
+
+/// A random event-order workload: the actors' scripts, the actors spawned
+/// before the run (`(script, delay)`), and spawns made from outside the
+/// kernel (`(after so many steps, script, delay)`, in step order).
+#[derive(Debug, Clone)]
+struct OrderScript {
+    scripts: Vec<Vec<Act>>,
+    roots: Vec<(usize, f64)>,
+    outside: Vec<(usize, usize, f64)>,
+}
+
+/// Most delays are zero (due the instant they are scheduled); the rest
+/// land on a coarse grid of shared instants.
+fn delay() -> impl Strategy<Value = f64> {
+    (0u32..8).prop_map(|d| if d < 4 { 0.0 } else { (d - 3) as f64 * 0.5 })
+}
+
+fn act() -> impl Strategy<Value = Act> {
+    (0u8..10, delay(), 0usize..16).prop_map(|(kind, delay, k)| match kind {
+        0..=2 => Act::Sleep(delay),
+        3 => Act::Park,
+        4 | 5 => Act::Spawn { script: k, delay },
+        6 | 7 => Act::Wake(k),
+        _ => Act::Kill(k),
+    })
+}
+
+fn order_script() -> impl Strategy<Value = OrderScript> {
+    (
+        proptest::collection::vec(proptest::collection::vec(act(), 0..8), 1..6),
+        proptest::collection::vec((0usize..6, delay()), 1..4),
+        proptest::collection::vec((0usize..40, 0usize..6, delay()), 0..6),
+    )
+        .prop_map(|(scripts, roots, mut outside)| {
+            outside.sort_by_key(|&(at, ..)| at);
+            OrderScript {
+                scripts,
+                roots,
+                outside,
+            }
+        })
+}
+
+/// Runs an order script to the end: the roots first, then one kernel step
+/// at a time, with each outside spawn made through [`Simulation::split`]
+/// once its step count is reached (or the kernel drained before it).
+fn run_order(script: &OrderScript) -> OrderWorld {
+    let mut sim = Simulation::new(OrderWorld {
+        scripts: script.scripts.clone(),
+        actors: Vec::new(),
+        pending: Vec::new(),
+        next_ticket: 0,
+        resumes: Vec::new(),
+    });
+    for &(s, delay) in &script.roots {
+        let (kernel, world) = sim.split();
+        world.spawn(kernel, s, delay);
+    }
+    let mut outside = script.outside.iter().peekable();
+    let mut steps = 0usize;
+    loop {
+        while let Some(&(_, s, delay)) = outside.next_if(|&&(at, ..)| at <= steps) {
+            let (kernel, world) = sim.split();
+            world.spawn(kernel, s, delay);
+        }
+        if sim.step() {
+            steps += 1;
+        } else if let Some(&&(at, ..)) = outside.peek() {
+            steps = at;
+        } else {
+            break;
+        }
+    }
+    sim.into_world()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Resumes come out sorted by (due time, ticket): the kernel runs the
+    /// earliest event first and same-instant events in the order they
+    /// were scheduled, whether due later (the heap) or due the instant
+    /// they were scheduled (the FIFO), from inside a resume or from
+    /// outside between steps. Each resume runs at its due time, and every
+    /// event scheduled is either resumed or cancelled by a kill.
+    #[test]
+    fn resumes_follow_due_time_then_scheduling_order(script in order_script()) {
+        let w = run_order(&script);
+        for &(due, ticket, clock) in &w.resumes {
+            prop_assert_eq!(due, clock, "ticket {} resumed off its due time", ticket);
+        }
+        for pair in w.resumes.windows(2) {
+            let (a, b) = ((pair[0].0, pair[0].1), (pair[1].0, pair[1].1));
+            prop_assert!(
+                a.0 < b.0 || (a.0 == b.0 && a.1 < b.1),
+                "resume {:?} ran before {:?}", a, b
+            );
+        }
+        prop_assert!(
+            w.pending.iter().all(Option::is_none),
+            "an event was neither resumed nor cancelled: {:?}", w.pending
+        );
     }
 }
 

@@ -179,6 +179,13 @@ impl JobRecordsManager {
         Self::default()
     }
 
+    /// Sizes the store for `n` more arrivals, so a run that knows its job
+    /// count grows neither the records nor the index while it runs.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.records.reserve_exact(n);
+        self.index.reserve(n);
+    }
+
     /// Records a job arrival.
     pub fn record_arrival(&mut self, job: &QJob) {
         let idx = self.records.len();

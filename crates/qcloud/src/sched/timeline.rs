@@ -39,15 +39,17 @@
 //!   so the incremental profile equals a from-scratch rebuild
 //!   (differentially proptest-pinned in `tests/timeline_proptests.rs`,
 //!   lease-delta path included).
-//!   A re-derivation writes to the aggregate delta map **by difference**:
-//!   it merges the device's old and new future deltas and applies only the
+//!   The aggregate deltas are one ascending `Vec` of `(instant, delta)`
+//!   pairs, the same sorted buffer each device keeps for its own: per
+//!   instant, the sum of every device's delta there, zero sums dropped.
+//!   Folding the clock forward drains its due prefix.
+//!   A re-derivation writes to the aggregate deltas **by difference**: it
+//!   merges the device's old and new future deltas and applies only the
 //!   net change at each instant, so a reserve or release usually touches
-//!   the one map entry of the lease return it adds or removes, not every
-//!   entry of the device.
-//!   The map holds, per instant, the sum of every device's delta there,
-//!   zero sums dropped; adding `new − old` per instant leaves exactly the
-//!   sums that removing all of `old` and adding all of `new` would, so the
-//!   oracle equality is unaffected.
+//!   the one entry of the lease return it adds or removes, not every
+//!   entry of the device. Adding `new − old` per instant leaves exactly
+//!   the sums that removing all of `old` and adding all of `new` would,
+//!   so the oracle equality is unaffected.
 //! * [`CapacityTimeline`] — the *scheduler-owned* view over a profile:
 //!   a persistent reservation **ledger** (conservative backfilling's
 //!   standing bookings, kept in a `BTreeMap` interval-delta structure with
@@ -114,7 +116,8 @@ fn map_add(map: &mut BTreeMap<TimeKey, i64>, t: f64, v: i64) {
 }
 
 /// [`map_add`] on a buffer kept sorted by time (`total_cmp`, as
-/// [`TimeKey`] orders) with distinct times.
+/// [`TimeKey`] orders) with distinct times. O(log n) to find the instant,
+/// plus a shift of the tail when an entry is added or dropped.
 fn sorted_add(deltas: &mut Vec<(f64, i64)>, t: f64, v: i64) {
     if v == 0 {
         return;
@@ -130,11 +133,11 @@ fn sorted_add(deltas: &mut Vec<(f64, i64)>, t: f64, v: i64) {
     }
 }
 
-/// Adds `new − old` to `map`: walks both delta lists (ascending, distinct
-/// times) in step, so an instant present in both moves by the difference
-/// (nothing at all when it is unchanged) and an instant in one list only
-/// is removed or added.
-fn apply_difference(map: &mut BTreeMap<TimeKey, i64>, old: &[(f64, i64)], new: &[(f64, i64)]) {
+/// Adds `new − old` to the sorted `deltas`: walks both delta lists
+/// (ascending, distinct times) in step, so an instant present in both
+/// moves by the difference (nothing at all when it is unchanged) and an
+/// instant in one list only is removed or added.
+fn apply_difference(deltas: &mut Vec<(f64, i64)>, old: &[(f64, i64)], new: &[(f64, i64)]) {
     let (mut i, mut j) = (0, 0);
     loop {
         let ord = match (old.get(i), new.get(j)) {
@@ -145,15 +148,15 @@ fn apply_difference(map: &mut BTreeMap<TimeKey, i64>, old: &[(f64, i64)], new: &
         };
         match ord {
             std::cmp::Ordering::Less => {
-                map_add(map, old[i].0, -old[i].1);
+                sorted_add(deltas, old[i].0, -old[i].1);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                map_add(map, new[j].0, new[j].1);
+                sorted_add(deltas, new[j].0, new[j].1);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                map_add(map, old[i].0, new[j].1 - old[i].1);
+                sorted_add(deltas, old[i].0, new[j].1 - old[i].1);
                 i += 1;
                 j += 1;
             }
@@ -170,7 +173,7 @@ struct DeviceProfile {
     /// re-derivation on the next [`AvailabilityProfile::refresh`].
     offline_flag: bool,
     /// This device's future visible-level deltas, ascending, all `> now`.
-    /// Mirrored into the aggregate delta map.
+    /// Mirrored into the aggregate deltas.
     fut: Vec<(f64, i64)>,
 }
 
@@ -183,8 +186,9 @@ pub struct AvailabilityProfile {
     now: f64,
     /// Total qubits placeable at `now`.
     base: i64,
-    /// Aggregate future deltas `(time → signed qubits)`, all `> now`.
-    deltas: BTreeMap<TimeKey, i64>,
+    /// Aggregate future deltas `(time, signed qubits)`, all `> now`,
+    /// ascending with distinct times and no zero entries.
+    deltas: Vec<(f64, i64)>,
     devices: Vec<DeviceProfile>,
     /// Buffers reused by every re-derivation; no state between calls.
     scratch: ReplayScratch,
@@ -301,7 +305,7 @@ impl AvailabilityProfile {
         AvailabilityProfile {
             now: 0.0,
             base: 0,
-            deltas: BTreeMap::new(),
+            deltas: Vec::new(),
             devices: Vec::new(),
             scratch: ReplayScratch::default(),
         }
@@ -330,7 +334,7 @@ impl AvailabilityProfile {
             let fut = std::mem::take(&mut p.scratch.fut);
             p.base += contrib;
             for &(t, v) in &fut {
-                map_add(&mut p.deltas, t, v);
+                sorted_add(&mut p.deltas, t, v);
             }
             p.devices.push(DeviceProfile {
                 contrib,
@@ -346,7 +350,7 @@ impl AvailabilityProfile {
     /// device the lease-delta path does not cover): replays the device
     /// fresh, as [`AvailabilityProfile::from_state`] does, then
     /// moves the base by the change in its contribution and the aggregate
-    /// map by the difference between its old and new future deltas (see
+    /// deltas by the difference between its old and new future deltas (see
     /// the module docs for why that equals removing the old slice and
     /// adding the new one). O(leases + device windows + (old + new
     /// deltas) · log deltas); allocates nothing once its buffers have
@@ -389,14 +393,14 @@ impl AvailabilityProfile {
     /// the aggregate deltas; a lease already due changes nothing, because
     /// the replay surfaces it at `now` where it cancels the level change.
     /// That is exactly what [`AvailabilityProfile::rebuild_device`] would
-    /// derive. O(log deltas).
+    /// derive. O(log deltas) plus the shift of [`sorted_add`].
     pub(crate) fn shift_lease(&mut self, di: usize, qubits: i64, release_at: f64) {
         if release_at > self.now {
             let d = &mut self.devices[di];
             d.contrib -= qubits;
             self.base -= qubits;
             sorted_add(&mut d.fut, release_at, qubits);
-            map_add(&mut self.deltas, release_at, qubits);
+            sorted_add(&mut self.deltas, release_at, qubits);
         }
     }
 
@@ -434,25 +438,34 @@ impl AvailabilityProfile {
 
     /// Advances the profile clock, folding every delta due at or before
     /// `now` into the base — the incremental counterpart of the oracle's
-    /// `t ≤ now` clamping. Time is monotone in the simulation; a
+    /// `t ≤ now` clamping. Each device folds its due prefix into its
+    /// contribution; the aggregate deltas, which sum those prefixes per
+    /// instant, drop theirs. Time is monotone in the simulation; a
     /// non-monotone `now` only folds (never unfolds).
     pub(crate) fn advance(&mut self, now: f64) {
         if now <= self.now {
             return;
         }
         self.now = now;
+        let folded = self.deltas.partition_point(|&(t, _)| t <= now);
+        let base_before = self.base;
         for d in &mut self.devices {
             let due = d.fut.partition_point(|&(t, _)| t <= now);
             if due == 0 {
                 continue;
             }
-            for &(t, v) in &d.fut[..due] {
+            for &(_, v) in &d.fut[..due] {
                 d.contrib += v;
                 self.base += v;
-                map_add(&mut self.deltas, t, -v);
             }
             d.fut.drain(..due);
         }
+        debug_assert_eq!(
+            self.base - base_before,
+            self.deltas[..folded].iter().map(|&(_, v)| v).sum::<i64>(),
+            "aggregate deltas out of step with the devices'"
+        );
+        self.deltas.drain(..folded);
     }
 
     /// The instant the profile is folded to.
@@ -633,7 +646,7 @@ impl CapacityTimeline {
 /// loops accumulate-then-test exactly as the seed's sorted-vector scan
 /// did.
 struct MergedDeltas<'a> {
-    a: std::collections::btree_map::Iter<'a, TimeKey, i64>,
+    a: std::slice::Iter<'a, (f64, i64)>,
     b: std::collections::btree_map::Iter<'a, TimeKey, i64>,
     c: std::slice::Iter<'a, (f64, i64)>,
     pa: Option<(f64, i64)>,
@@ -651,7 +664,7 @@ impl<'a> MergedDeltas<'a> {
             pb: None,
             pc: None,
         };
-        m.pa = m.a.next().map(|(k, v)| (k.0, *v));
+        m.pa = m.a.next().copied();
         m.pb = m.b.next().map(|(k, v)| (k.0, *v));
         m.pc = m.c.next().copied();
         m
@@ -672,7 +685,7 @@ impl<'a> MergedDeltas<'a> {
         if let Some((ta, v)) = self.pa {
             if ta == t {
                 dv += v;
-                self.pa = self.a.next().map(|(k, v)| (k.0, *v));
+                self.pa = self.a.next().copied();
             }
         }
         if let Some((tb, v)) = self.pb {

@@ -113,6 +113,17 @@ impl RouterProc {
 impl Coroutine<World> for RouterProc {
     fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         let now = cx.now();
+        if self.next == 0 {
+            if let [st] = &mut cx.world.shards[..] {
+                // A one-shard world records exactly the jobs this intake
+                // releases, so its store is sized once, before the first
+                // release. Sizing it here, on the thread that runs the
+                // kernel, allocates it where it is filled: sized on the
+                // caller's thread, it cost the caller's next set-up page
+                // faults.
+                st.records.reserve(self.mine.len());
+            }
+        }
         while let Some(&i) = self.mine.get(self.next) {
             if self.jobs[i].arrival_time > now + RELEASE_SLACK_S {
                 break;

@@ -34,11 +34,17 @@
 //!   to answer a parked consult with the agent's pick. When a shard carries
 //!   a decide-latency histogram (service shards do) `consult` wall-clocks
 //!   each `decide` into it; otherwise it reads no clock at all.
-//! * one **executor** per dispatched job sleeps through the execution time
-//!   (Eq. 3, `max` over its devices), then through the blocking
-//!   communication delay (Eq. 9), computes the final fidelity (Eqs. 4–8),
-//!   releases its qubits back into the lease-tracked state, logs
-//!   completion, and wakes the scheduler.
+//! * one **executor** per dispatched job: `apply_decision` computes the
+//!   execution time (Eq. 3, `max` over its devices) and spawns the
+//!   executor straight into it, so its first resume is the end of
+//!   execution. It then sleeps through the blocking communication delay
+//!   (Eq. 9), computes the final fidelity (Eqs. 4–8), releases its qubits
+//!   back into the lease-tracked state, logs completion, and wakes the
+//!   scheduler. Under per-device release each part gets a
+//!   **sub-executor**, spawned straight into that device's own execution
+//!   time, which releases the part's qubits and wakes the scheduler. A
+//!   batch spawns every executor first, then every sub-executor, each in
+//!   dispatch order, so same-instant releases fire in that order.
 //!
 //! The batch environment's world holds one shard; the [`crate::service`]
 //! engine puts every region shard in one world or gives each a kernel of
@@ -171,6 +177,10 @@ pub(crate) struct SchedState {
     /// looked up, never iterated, so its hash order cannot reach any result.
     running: IdMap<u64, RunningJob>,
     faults: Option<FaultState>,
+    /// The sub-executors of the batch [`apply_decision`] is applying, with
+    /// their durations, spawned after all of its executors; empty between
+    /// batches.
+    sub_spawns: Vec<(f64, SubExec)>,
 }
 
 impl SchedState {
@@ -370,8 +380,11 @@ pub(crate) fn consult(kernel: &mut Kernel<World>, world: &mut World, shard: usiz
 
 /// Applies one decision's dispatch batch to shard `shard` (whose state is
 /// `st`) at the kernel's current instant, in order: validates each
-/// dispatch, records the bypasses and the start, reserves the qubits and
-/// spawns the executor. Returns the decision's wait reason.
+/// dispatch, records the bypasses and the start, reserves the qubits,
+/// computes the execution time (Eq. 3) and spawns the executor straight
+/// into it. Under [`ReleasePolicy::PerDevice`] each part's [`SubExec`] is
+/// then spawned straight into its own release, after every executor of
+/// the batch, in dispatch order. Returns the decision's wait reason.
 pub(crate) fn apply_decision(
     kernel: &mut Kernel<World>,
     st: &mut SchedState,
@@ -380,6 +393,7 @@ pub(crate) fn apply_decision(
 ) -> Option<WaitReason> {
     let now = kernel.now();
     let tracked = st.faults.is_some();
+    let per_device = st.params.release == ReleasePolicy::PerDevice;
     for d in decision.dispatches {
         assert!(
             d.queue_index < st.pending.len(),
@@ -429,16 +443,39 @@ pub(crate) fn apply_decision(
         // over-commitment — the no-double-reservation guard).
         st.cloud_state.reserve(&job, &d.parts, now);
         st.telemetry.dispatched += 1;
+        // Parallel execution: the job runs as long as its slowest sub-job
+        // (§4: T(a) = max_i T_i).
+        let mut exec = 0.0f64;
+        for &(device, qubits) in &d.parts {
+            let dev = &st.info[device.index()];
+            let duration =
+                st.params
+                    .exec
+                    .execution_seconds(job.num_shots, dev.qv_layers, dev.clops);
+            exec = exec.max(duration);
+            if per_device {
+                let sub = SubExec {
+                    job: job.id,
+                    device,
+                    qubits,
+                    shard,
+                };
+                st.sub_spawns.push((duration, sub));
+            }
+        }
         let registration = tracked.then(|| (job.clone(), d.parts.clone()));
-        let exec_pid = kernel.spawn(Box::new(Executor {
-            job,
-            parts: d.parts,
-            shard,
-            phase: 0,
-            comm_seconds: 0.0,
-            attempt,
-            tracked,
-        }));
+        let exec_pid = kernel.spawn_after(
+            exec,
+            Box::new(Executor {
+                job,
+                parts: d.parts,
+                shard,
+                phase: 0,
+                comm_seconds: 0.0,
+                attempt,
+                tracked,
+            }),
+        );
         if let Some((job, parts)) = registration {
             st.running.insert(
                 job.id.0,
@@ -451,42 +488,43 @@ pub(crate) fn apply_decision(
             );
         }
     }
+    for (duration, sub) in st.sub_spawns.drain(..) {
+        let job = sub.job;
+        let pid = kernel.spawn_after(duration, Box::new(sub));
+        if tracked {
+            // Registered so a crash can kill it before its release fires.
+            if let Some(run) = st.running.get_mut(&job.0) {
+                run.sub_pids.push(pid);
+            }
+        }
+    }
     decision.wait
 }
 
 /// Releases one device's partition when its own sub-job finishes
-/// ([`ReleasePolicy::PerDevice`]).
+/// ([`ReleasePolicy::PerDevice`]): spawned by [`apply_decision`] into the
+/// device's execution time, it resumes once, at the release.
 struct SubExec {
     job: JobId,
     device: DeviceId,
     qubits: u64,
-    duration: f64,
     shard: usize,
-    phase: u8,
 }
 
 impl Coroutine<World> for SubExec {
     fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
-        match self.phase {
-            0 => {
-                self.phase = 1;
-                Step::Wait(Effect::Timeout(self.duration))
-            }
-            _ => {
-                let now = cx.now();
-                cx.world.shards[self.shard].cloud_state.release(
-                    self.job,
-                    self.device,
-                    self.qubits,
-                    now,
-                );
-                wake_scheduler(cx, self.shard);
-                Step::Done
-            }
-        }
+        let now = cx.now();
+        cx.world.shards[self.shard]
+            .cloud_state
+            .release(self.job, self.device, self.qubits, now);
+        wake_scheduler(cx, self.shard);
+        Step::Done
     }
 }
 
+/// Runs one dispatched job attempt: spawned into its execution time by
+/// [`apply_decision`], it first resumes when execution ends (phase 0) and
+/// then when the communication delay ends (phase 1).
 struct Executor {
     job: QJob,
     parts: Parts,
@@ -503,51 +541,6 @@ impl Coroutine<World> for Executor {
     fn resume(&mut self, cx: &mut Ctx<'_, World>) -> Step {
         match self.phase {
             0 => {
-                // Parallel execution: the job runs as long as its slowest
-                // sub-job (§4: T(a) = max_i T_i).
-                let st = &cx.world.shards[self.shard];
-                let durations: InlineVec<f64, 4> = self
-                    .parts
-                    .iter()
-                    .map(|&(d, _)| {
-                        let dev = &st.info[d.index()];
-                        st.params.exec.execution_seconds(
-                            self.job.num_shots,
-                            dev.qv_layers,
-                            dev.clops,
-                        )
-                    })
-                    .collect();
-                let exec = durations.iter().fold(0.0f64, |a, &b| a.max(b));
-                if st.params.release == ReleasePolicy::PerDevice {
-                    let sub_pids: InlineVec<ProcessId, 4> = self
-                        .parts
-                        .iter()
-                        .zip(&durations)
-                        .map(|(&(device, qubits), &duration)| {
-                            cx.kernel.spawn(Box::new(SubExec {
-                                job: self.job.id,
-                                device,
-                                qubits,
-                                duration,
-                                shard: self.shard,
-                                phase: 0,
-                            }))
-                        })
-                        .collect();
-                    if self.tracked {
-                        // Register the sub-executors so a crash can kill
-                        // them before their releases fire.
-                        let running = &mut cx.world.shards[self.shard].running;
-                        if let Some(run) = running.get_mut(&self.job.id.0) {
-                            run.sub_pids = sub_pids;
-                        }
-                    }
-                }
-                self.phase = 1;
-                Step::Wait(Effect::Timeout(exec))
-            }
-            1 => {
                 let now = cx.now();
                 let st = &mut cx.world.shards[self.shard];
                 let failed = self.tracked
@@ -566,10 +559,10 @@ impl Coroutine<World> for Executor {
                     .params
                     .comm
                     .comm_seconds(self.job.num_qubits, self.parts.len());
-                self.phase = 2;
+                self.phase = 1;
                 Step::Wait(Effect::Timeout(self.comm_seconds))
             }
-            2 => {
+            1 => {
                 // Final fidelity (Eqs. 4–8).
                 let now = cx.now();
                 let st = &mut cx.world.shards[self.shard];
@@ -773,6 +766,7 @@ pub(crate) fn spawn_shard(
         outages: vec![0; info.len()],
         running: IdMap::default(),
         faults: None,
+        sub_spawns: Vec::new(),
         cloud,
         info,
         params: params.clone(),

@@ -260,12 +260,18 @@ fn fifo_adapter_and_snapshot_oracle_agree_on_fresh_workloads() {
 /// Captured at the commit that introduced `ConservativeBackfillScheduler`;
 /// any refactor of the reservation timeline, the compression pass, or the
 /// admission rule that silently changes dispatch order fails here loudly.
+///
+/// The kernel event counts are pinned too. Each of the 300 dispatched
+/// attempts and each of its sub-executors (576 under speed, 575 under
+/// fair) is spawned straight into its timeout, so none spends an event on
+/// a zero-delay first resume: 2,422 = 3,298 − 300 − 576 and
+/// 2,408 = 3,283 − 300 − 575 (the counts with one such event each).
 #[test]
 fn conservative_backfill_bimodal_fingerprints_pinned() {
     let jobs = bimodal_arrivals(300, 0.1, 4, 7);
-    for (spec, golden) in [
-        ("conservative+speed", 0x37809333fa41e82au64),
-        ("conservative+fair", 0xada53bc32d0629b8u64),
+    for (spec, golden, events) in [
+        ("conservative+speed", 0x37809333fa41e82au64, 2_422u64),
+        ("conservative+fair", 0xada53bc32d0629b8u64, 2_408),
     ] {
         let env = QCloudSimEnv::with_scheduler(
             ibm_fleet(7),
@@ -285,6 +291,7 @@ fn conservative_backfill_bimodal_fingerprints_pinned() {
             golden,
             "{spec}: conservative dispatch stream changed on the pinned scenario"
         );
+        assert_eq!(res.events_processed, events, "{spec}: kernel event count");
     }
 }
 

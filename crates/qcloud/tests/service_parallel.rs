@@ -251,6 +251,9 @@ fn parallel_reproduces_sharded_diurnal_golden() {
         GOLDEN_SHARDED_DIURNAL,
         "two-thread run diverged from the golden fingerprint"
     );
+    // 795 = 997 − 73 − 129, as in the one-thread suite: 73 dispatched
+    // attempts and 129 sub-executors, none with a zero-delay first resume.
+    assert_eq!(outcome.report.events_processed, 795);
 }
 
 /// Crash outages and execution faults ride on their shard's kernel: a

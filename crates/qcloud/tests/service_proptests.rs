@@ -290,6 +290,11 @@ fn sharded_diurnal_golden_fingerprint() {
         GOLDEN_SHARDED_DIURNAL,
         "sharded service run diverged from its golden fingerprint"
     );
+    // 795 = 997 − 73 − 129: the run dispatches 73 attempts holding 129
+    // parts, and each executor and sub-executor is spawned straight into
+    // its timeout, so none spends an event on a zero-delay first resume
+    // (with one each, the run took 997 events).
+    assert_eq!(outcome.report.events_processed, 795);
 }
 
 const GOLDEN_SHARDED_DIURNAL: u64 = 11643465090471230075;

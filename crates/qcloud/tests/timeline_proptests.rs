@@ -8,7 +8,7 @@
 //!   / maintenance-registration / time-advance interleaving. This is the
 //!   pin that lets the schedulers drop the per-decision rebuild: the two
 //!   code paths share the per-device replay, and this test proves the
-//!   bookkeeping around it (aggregate delta maps, fold-on-advance, flag
+//!   bookkeeping around it (aggregate delta lists, fold-on-advance, flag
 //!   transitions) never drifts.
 //! * **Queries ≡ brute force** — [`CapacityTimeline::earliest_fit`] /
 //!   [`CapacityTimeline::earliest_slot`] / `available_now` over a random
