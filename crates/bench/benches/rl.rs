@@ -1,13 +1,14 @@
 //! RL stack benchmarks: policy inference latency (the per-decision cost of
 //! the RL broker), rollout-collection throughput (per-env vs batched — the
 //! dominant cost of every training experiment), GEMM micro-kernel
-//! throughput (baseline 4×8 tile vs the runtime-selected wide tile), and
+//! throughput (baseline 4×8 tile vs the runtime-selected wide tile, on a
+//! 256-row batch and on the 16-row shard product the PPO update runs), and
 //! PPO update-phase throughput at 1/2/4/8 update workers.
 //!
 //! The rollout benchmarks also emit `BENCH_rollout.json` at the repository
-//! root with before/after steps-per-second plus `update_phase` and `gemm`
-//! sections, so the perf trajectory of both training phases is tracked
-//! across PRs (and guarded by the CI `bench_guard` bin).
+//! root with before/after steps-per-second plus `update_phase`, `gemm` and
+//! `gemm_shard` sections, so the perf trajectory of both training phases is
+//! tracked across PRs (and guarded by the CI `bench_guard` bin).
 
 use std::time::Instant;
 
@@ -18,7 +19,7 @@ use qcs_rl::envs::bandit::ContinuousBandit;
 use qcs_rl::envs::pointmass::PointMass;
 use qcs_rl::nn::{available_kernels, gemm_bias_with, select_kernel, GemmKernel, Matrix};
 use qcs_rl::policy::{ActScratch, ActorCritic};
-use qcs_rl::{Ppo, PpoConfig, RolloutBuffer, VecEnv};
+use qcs_rl::{Ppo, PpoConfig, RolloutBuffer, VecEnv, SHARD_ROWS};
 use serde::Serialize;
 
 const N_ENVS: usize = 16;
@@ -30,6 +31,11 @@ const UPD_ROWS: usize = 2048;
 const UPD_BATCH: usize = 256;
 const UPD_OBS: usize = 16;
 const UPD_ACT: usize = 5;
+
+/// The GEMM shapes timed per kernel: a 256-row batch of the 64-wide hidden
+/// layer, and the same layer on one 16-row update shard (the product
+/// `Ppo::learn` actually runs).
+const GEMM_SHAPES: [(usize, usize, usize); 2] = [(UPD_BATCH, 64, 64), (SHARD_ROWS, 64, 64)];
 
 /// Builds a deterministic synthetic rollout for timing the optimisation
 /// phase in isolation (contents don't matter for throughput, shapes do).
@@ -303,6 +309,7 @@ struct RolloutReport {
     host_cores: usize,
     update_phase: UpdatePhaseReport,
     gemm: GemmReport,
+    gemm_shard: GemmReport,
 }
 
 #[derive(Serialize)]
@@ -378,28 +385,8 @@ fn write_rollout_json(ac: &ActorCritic) {
     };
     let update_speedup_4w = rate_at(4) / rate_at(1);
 
-    // ---- GEMM micro-kernels on a policy-shaped product ----
-    let (gm, gk, gn) = (UPD_BATCH, 64usize, 64usize);
-    let a: Vec<f32> = (0..gm * gk)
-        .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013)
-        .collect();
-    let b: Vec<f32> = (0..gk * gn)
-        .map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.021)
-        .collect();
-    let bias: Vec<f32> = (0..gn).map(|j| j as f32 * 0.01).collect();
-    let mut out = vec![0.0f32; gm * gn];
-    let gflop = (2.0 * (gm * gk * gn) as f64) / 1e9;
-    let mut kernel_rate = |kern: GemmKernel| {
-        best_rate(0.4, gflop, &mut || {
-            gemm_bias_with(kern, gm, gk, gn, &a, &b, Some(&bias), &mut out);
-            std::hint::black_box(&out);
-        })
-    };
-    let baseline_kernel = GemmKernel::Tile4x8;
-    let selected_kernel = select_kernel(gm);
-    let baseline_gflops = kernel_rate(baseline_kernel);
-    let selected_gflops = kernel_rate(selected_kernel);
-    let tile_speedup = selected_gflops / baseline_gflops;
+    // ---- GEMM micro-kernels on policy-shaped products ----
+    let [gemm, gemm_shard] = GEMM_SHAPES.map(|(m, k, n)| gemm_report(m, k, n));
 
     let host_cores = qcs_bench::cli::host_cores();
     let report = RolloutReport {
@@ -420,16 +407,8 @@ fn write_rollout_json(ac: &ActorCritic) {
             workers: worker_rates,
             speedup_4_workers: round_to(update_speedup_4w, 2),
         },
-        gemm: GemmReport {
-            m: gm,
-            k: gk,
-            n: gn,
-            baseline_kernel: baseline_kernel.name().to_string(),
-            baseline_gflops: round_to(baseline_gflops, 2),
-            selected_kernel: selected_kernel.name().to_string(),
-            selected_gflops: round_to(selected_gflops, 2),
-            tile_speedup: round_to(tile_speedup, 2),
-        },
+        gemm,
+        gemm_shard,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialisation cannot fail");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rollout.json");
@@ -449,11 +428,53 @@ fn write_rollout_json(ac: &ActorCritic) {
             .collect::<Vec<_>>()
             .join("/")
     );
-    println!(
-        "gemm {gm}x{gk}x{gn}: {} {baseline_gflops:.2} GF/s -> {} {selected_gflops:.2} GF/s ({tile_speedup:.2}x) -> BENCH_rollout.json",
-        baseline_kernel.name(),
-        selected_kernel.name(),
-    );
+    for g in [&report.gemm, &report.gemm_shard] {
+        println!(
+            "gemm {}x{}x{}: {} {:.2} GF/s -> {} {:.2} GF/s ({:.2}x) -> BENCH_rollout.json",
+            g.m,
+            g.k,
+            g.n,
+            g.baseline_kernel,
+            g.baseline_gflops,
+            g.selected_kernel,
+            g.selected_gflops,
+            g.tile_speedup
+        );
+    }
+}
+
+/// Times the baseline 4×8 tile and the kernel [`select_kernel`] picks on an
+/// `m×k×n` biased product (best rate over 0.4 s each).
+fn gemm_report(m: usize, k: usize, n: usize) -> GemmReport {
+    let a: Vec<f32> = (0..m * k)
+        .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013)
+        .collect();
+    let b: Vec<f32> = (0..k * n)
+        .map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.021)
+        .collect();
+    let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01).collect();
+    let mut out = vec![0.0f32; m * n];
+    let gflop = (2.0 * (m * k * n) as f64) / 1e9;
+    let mut kernel_rate = |kern: GemmKernel| {
+        best_rate(0.4, gflop, &mut || {
+            gemm_bias_with(kern, m, k, n, &a, &b, Some(&bias), &mut out);
+            std::hint::black_box(&out);
+        })
+    };
+    let baseline_kernel = GemmKernel::Tile4x8;
+    let selected_kernel = select_kernel(m);
+    let baseline_gflops = kernel_rate(baseline_kernel);
+    let selected_gflops = kernel_rate(selected_kernel);
+    GemmReport {
+        m,
+        k,
+        n,
+        baseline_kernel: baseline_kernel.name().to_string(),
+        baseline_gflops: round_to(baseline_gflops, 2),
+        selected_kernel: selected_kernel.name().to_string(),
+        selected_gflops: round_to(selected_gflops, 2),
+        tile_speedup: round_to(selected_gflops / baseline_gflops, 2),
+    }
 }
 
 /// The PPO optimisation phase in isolation (one epoch over a prepared
@@ -472,25 +493,26 @@ fn bench_update_phase(c: &mut Criterion) {
     group.finish();
 }
 
-/// The GEMM micro-kernels on a policy-shaped product (baseline 4×8 tile vs
+/// The GEMM micro-kernels on policy-shaped products (baseline 4×8 tile vs
 /// every wide tile available on this machine).
 fn bench_gemm_kernels(c: &mut Criterion) {
-    let (m, k, n) = (UPD_BATCH, 64usize, 64usize);
-    let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 * 0.07).collect();
-    let b: Vec<f32> = (0..k * n).map(|i| (i % 11) as f32 * 0.05).collect();
-    let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01).collect();
-    let mut out = vec![0.0f32; m * n];
-    let mut group = c.benchmark_group(format!("rl/gemm_{m}x{k}x{n}"));
-    group.throughput(Throughput::Elements((m * k * n) as u64));
-    for kern in available_kernels() {
-        group.bench_function(kern.name(), |bch| {
-            bch.iter(|| {
-                gemm_bias_with(kern, m, k, n, &a, &b, Some(&bias), &mut out);
-                std::hint::black_box(&out);
-            })
-        });
+    for (m, k, n) in GEMM_SHAPES {
+        let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 * 0.07).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 11) as f32 * 0.05).collect();
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01).collect();
+        let mut out = vec![0.0f32; m * n];
+        let mut group = c.benchmark_group(format!("rl/gemm_{m}x{k}x{n}"));
+        group.throughput(Throughput::Elements((m * k * n) as u64));
+        for kern in available_kernels() {
+            group.bench_function(kern.name(), |bch| {
+                bch.iter(|| {
+                    gemm_bias_with(kern, m, k, n, &a, &b, Some(&bias), &mut out);
+                    std::hint::black_box(&out);
+                })
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 fn bench_ppo_iteration(c: &mut Criterion) {

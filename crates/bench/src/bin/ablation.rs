@@ -15,7 +15,7 @@
 //!   exec     — execution-time constants (M·K) sweep
 //! ```
 
-use qcs_bench::cli::arg;
+use qcs_bench::cli::{arg, reject_unread};
 use qcs_bench::runner::{results_dir, run_strategy, StrategySpec};
 use qcs_bench::table::AsciiTable;
 use qcs_bench::train::train_allocation_policy;
@@ -178,9 +178,7 @@ fn release_sweep(n_jobs: usize, seed: u64) {
     save("release", &table);
 }
 
-fn reward_sweep(seed: u64) {
-    let timesteps: u64 = arg("--timesteps", 40_000);
-    let n_jobs: usize = arg("--jobs", 300);
+fn reward_sweep(n_jobs: usize, seed: u64, timesteps: u64) {
     let jobs = {
         let mut s = paper_case_study(seed);
         s.jobs.truncate(n_jobs);
@@ -267,11 +265,10 @@ fn scale_sweep(seed: u64) {
     save("scale", &table);
 }
 
-fn algo_sweep(seed: u64) {
+fn algo_sweep(seed: u64, timesteps: u64) {
     use qcs_qcloud::{JobDistribution, QCloudGymEnv};
     use qcs_rl::{Reinforce, ReinforceConfig};
 
-    let timesteps: u64 = arg("--timesteps", 30_000);
     let gym = GymConfig::default();
     let mk_env = || {
         QCloudGymEnv::new(
@@ -406,30 +403,34 @@ fn main() {
     let which = std::env::args().nth(1).unwrap_or_default();
     let n_jobs: usize = arg("--jobs", 300);
     let seed: u64 = arg("--seed", 42);
+    // The two training sweeps default to different budgets.
+    let reward_timesteps: u64 = arg("--timesteps", 40_000);
+    let algo_timesteps: u64 = arg("--timesteps", 30_000);
+    reject_unread();
     match which.as_str() {
         "phi" => phi_sweep(n_jobs, seed),
         "lambda" => lambda_sweep(n_jobs, seed),
         "weights" => weight_sweep(n_jobs, seed),
         "release" => release_sweep(n_jobs, seed),
-        "reward" => reward_sweep(seed),
+        "reward" => reward_sweep(n_jobs, seed, reward_timesteps),
         "scale" => scale_sweep(seed),
         "exec" => exec_sweep(n_jobs, seed),
         "backfill" => backfill_sweep(n_jobs, seed),
-        "algo" => algo_sweep(seed),
+        "algo" => algo_sweep(seed, algo_timesteps),
         "all" => {
             phi_sweep(n_jobs, seed);
             lambda_sweep(n_jobs, seed);
             weight_sweep(n_jobs, seed);
             release_sweep(n_jobs, seed);
-            reward_sweep(seed);
+            reward_sweep(n_jobs, seed, reward_timesteps);
             scale_sweep(seed);
             exec_sweep(n_jobs, seed);
             backfill_sweep(n_jobs, seed);
-            algo_sweep(seed);
+            algo_sweep(seed, algo_timesteps);
         }
         other => {
             eprintln!("unknown ablation '{other}'");
-            eprintln!("usage: ablation <phi|lambda|weights|release|reward|scale|exec|backfill|algo|all> [--jobs N] [--seed S]");
+            eprintln!("usage: ablation <phi|lambda|weights|release|reward|scale|exec|backfill|algo|all> [--jobs N] [--seed S] [--timesteps T]");
             std::process::exit(2);
         }
     }

@@ -54,8 +54,10 @@
 //!   FIFO and EASY (recorded ≈ 1.08× / ≈ 1.33×), and the conservative
 //!   head-to-heads must be recorded as finite ratios (conservative still
 //!   wins them — tracked honestly, not floored);
-//! * wide-GEMM-tile speedup over the 4×8 baseline ≥ 1.05× — only enforced
-//!   when the recording machine actually selected a wide kernel;
+//! * wide-GEMM-tile speedup over the 4×8 baseline ≥ 1.05× on both recorded
+//!   shapes (`gemm`: 256×64×64, `gemm_shard`: the 16×64×64 update shard) —
+//!   only enforced when the recording machine actually selected a wide
+//!   kernel;
 //! * update-phase speedup at 4 workers ≥ 1.5× — only enforced when the
 //!   recording machine had ≥ 4 cores (a 1-core recorder cannot show
 //!   wall-clock parallel speedup; `host_cores` is recorded alongside).
@@ -148,7 +150,8 @@ const RL_SCHED_VS_FIFO_SLOWDOWN_FLOOR: f64 = 1.0;
 /// recorded honestly but not floored; it is the open head-to-head the
 /// training budget has not closed.
 const RL_SCHED_VS_EASY_SLOWDOWN_FLOOR: f64 = 1.0;
-/// Floor for `gemm.tile_speedup` (wide tile vs 4×8 baseline).
+/// Floor for `gemm.tile_speedup` and `gemm_shard.tile_speedup` (wide tile
+/// vs 4×8 baseline).
 const TILE_SPEEDUP_FLOOR: f64 = 1.05;
 /// Floor for `update_phase.speedup_4_workers`.
 const UPDATE_SPEEDUP_4W_FLOOR: f64 = 1.5;
@@ -264,32 +267,34 @@ fn main() {
                 ROLLOUT_SPEEDUP_FLOOR,
             );
 
-            // The gemm section and both kernel names are required; the
-            // floor is waived only on the recorded fact that the recorder
-            // had no wide kernel to select. A missing section is a loud
-            // failure — silent drift is exactly what this guard exists for.
-            let baseline = rollout
-                .get_field("gemm")
-                .and_then(|g| g.get_field("baseline_kernel"))
-                .and_then(Value::as_str);
-            let selected = rollout
-                .get_field("gemm")
-                .and_then(|g| g.get_field("selected_kernel"))
-                .and_then(Value::as_str);
-            match (baseline, selected) {
-                (Some(b), Some(s)) if b == s => guard.skip(
-                    "gemm tile speedup",
-                    "recorder selected the baseline kernel (no wide tiles available)",
-                ),
-                (Some(_), Some(_)) => guard.check(
-                    "gemm tile speedup",
-                    field_f64(&rollout, &["gemm", "tile_speedup"]),
-                    TILE_SPEEDUP_FLOOR,
-                ),
-                _ => guard.fail(
-                    "gemm section",
-                    "missing gemm.baseline_kernel/gemm.selected_kernel".to_string(),
-                ),
+            // Both gemm sections (the 256-row batch and the 16-row shard
+            // product) and their kernel names are required; the floor is
+            // waived only on the recorded fact that the recorder had no
+            // wide kernel to select. A missing section is a loud failure —
+            // silent drift is exactly what this guard exists for.
+            for section in ["gemm", "gemm_shard"] {
+                let kernel = |field: &str| {
+                    rollout
+                        .get_field(section)
+                        .and_then(|g| g.get_field(field))
+                        .and_then(Value::as_str)
+                };
+                let what = format!("{section} tile speedup");
+                match (kernel("baseline_kernel"), kernel("selected_kernel")) {
+                    (Some(b), Some(s)) if b == s => guard.skip(
+                        &what,
+                        "recorder selected the baseline kernel (no wide tiles available)",
+                    ),
+                    (Some(_), Some(_)) => guard.check(
+                        &what,
+                        field_f64(&rollout, &[section, "tile_speedup"]),
+                        TILE_SPEEDUP_FLOOR,
+                    ),
+                    _ => guard.fail(
+                        &format!("{section} section"),
+                        format!("missing {section}.baseline_kernel/{section}.selected_kernel"),
+                    ),
+                }
             }
 
             // host_cores is required too: it gates the multi-worker floor.

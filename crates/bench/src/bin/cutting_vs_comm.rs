@@ -13,7 +13,7 @@
 //! each workload family. Output: `results/cutting_vs_comm.csv` +
 //! `results/cutting_families.csv`.
 
-use qcs_bench::cli::arg;
+use qcs_bench::cli::{arg, reject_unread};
 use qcs_bench::runner::results_dir;
 use qcs_bench::table::AsciiTable;
 use qcs_circuit::{cut_circuit, CutCostModel};
@@ -61,6 +61,7 @@ fn template_job(q: u64, t2: u64) -> QJob {
 
 fn main() {
     let seed: u64 = arg("--seed", 42);
+    reject_unread();
     let exec = ExecTimeModel::default();
     let fid = FidelityModel::default();
     let comm = CommModel::default();

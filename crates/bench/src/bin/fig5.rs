@@ -11,7 +11,7 @@
 //! optimisation phase over `N` threads (bit-identical results at any `N`;
 //! `0` = one per core).
 
-use qcs_bench::cli::{arg, flag, update_workers_arg};
+use qcs_bench::cli::{arg, flag, reject_unread, update_workers_arg};
 use qcs_bench::runner::results_dir;
 use qcs_bench::train::{train_allocation_policy_opts, TrainOpts};
 use qcs_qcloud::GymConfig;
@@ -43,6 +43,7 @@ fn main() {
     let update_workers = update_workers_arg();
     let comm_aware = flag("--comm-aware");
     let queue_aware = flag("--queue-aware");
+    reject_unread();
 
     eprintln!(
         "[fig5] training PPO for {timesteps} timesteps on {n_envs} envs \

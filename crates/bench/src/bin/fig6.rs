@@ -12,7 +12,7 @@
 //! disciplines like `backfill+speed` or `conservative+fair`) instead of
 //! the paper's four.
 
-use qcs_bench::cli::arg;
+use qcs_bench::cli::{arg, reject_unread};
 use qcs_bench::runner::{results_dir, run_strategies, table2_strategies, StrategySpec};
 use qcs_bench::train::train_allocation_policy;
 use qcs_qcloud::{GymConfig, SimParams, SummaryStats};
@@ -24,6 +24,7 @@ fn main() {
     let bins: usize = arg("--bins", 40);
     let timesteps: u64 = arg("--timesteps", 60_000);
     let strategies: String = arg("--strategies", "speed,fidelity,fair,rl".to_string());
+    reject_unread();
     let wants_rl = StrategySpec::list_wants_rl(&strategies);
 
     let dir = results_dir();

@@ -14,7 +14,7 @@
 //! reproducing Table 2's speed/fidelity gap as a continuum. Output:
 //! `results/pareto.csv` + an ASCII table.
 
-use qcs_bench::cli::arg;
+use qcs_bench::cli::{arg, reject_unread};
 use qcs_bench::runner::results_dir;
 use qcs_bench::table::AsciiTable;
 use qcs_calibration::ibm_fleet;
@@ -26,6 +26,7 @@ fn main() {
     let n_jobs: usize = arg("--jobs", 300);
     let seed: u64 = arg("--seed", 42);
     let steps: usize = arg("--steps", 11);
+    reject_unread();
 
     let params = SimParams::default();
     let jobs = smoke(n_jobs, seed).jobs;

@@ -16,7 +16,7 @@
 //!
 //! Output: `results/queueing.csv` + ASCII tables per arrival rate.
 
-use qcs_bench::cli::arg;
+use qcs_bench::cli::{arg, reject_unread};
 use qcs_bench::runner::results_dir;
 use qcs_bench::table::AsciiTable;
 use qcs_calibration::ibm_fleet;
@@ -29,6 +29,7 @@ fn main() {
     let n_jobs: usize = arg("--jobs", 200);
     let seed: u64 = arg("--seed", 42);
     let faults = arg("--faults", String::new());
+    reject_unread();
     let faults = (!faults.is_empty())
         .then(|| FaultScript::parse(&faults).unwrap_or_else(|e| panic!("bad --faults spec: {e}")));
     let params = SimParams::default();

@@ -18,7 +18,7 @@
 //! Output: per-shard ASCII table + service report on stdout, plus
 //! `results/service.csv` (one row per shard and a `service` total row).
 
-use qcs_bench::cli::{arg, flag};
+use qcs_bench::cli::{arg, flag, reject_unread};
 use qcs_bench::runner::results_dir;
 use qcs_bench::table::AsciiTable;
 use qcs_calibration::regional_fleet;
@@ -52,6 +52,7 @@ fn main() {
             max_throttle_attempts: arg("--attempts", 3),
         }
     };
+    reject_unread();
     let config = ServiceConfig { admission, routing };
 
     let jobs = diurnal_arrivals(n_jobs, rate, amplitude, period, big_every, seed);

@@ -15,8 +15,7 @@
 //! The RL row requires a trained policy; the binary trains one (caching it
 //! in `results/rl_policy.json`) unless `--no-cache` is passed.
 
-use qcs_bench::cli::arg;
-use qcs_bench::cli::flag;
+use qcs_bench::cli::{arg, flag, reject_unread};
 use qcs_bench::runner::{results_dir, run_strategies_with_faults, table2_strategies, StrategySpec};
 use qcs_bench::table::AsciiTable;
 use qcs_bench::train::train_allocation_policy;
@@ -47,6 +46,7 @@ fn main() {
     let no_cache = flag("--no-cache");
     let strategies: String = arg("--strategies", "speed,fidelity,fair,rl".to_string());
     let faults = arg("--faults", String::new());
+    reject_unread();
     let faults = (!faults.is_empty())
         .then(|| FaultScript::parse(&faults).unwrap_or_else(|e| panic!("bad --faults spec: {e}")));
     let wants_rl = StrategySpec::list_wants_rl(&strategies);

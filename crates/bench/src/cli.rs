@@ -1,8 +1,26 @@
 //! Minimal CLI parsing shared by the bench bins and the repository
 //! examples (one copy instead of one per binary).
+//!
+//! [`arg`] and [`flag`] record every name they are asked for, and a
+//! program calls [`reject_unread`] once it has read its flags: a flag it
+//! never asked for (a typo, or `--help` where there is none) then stops
+//! it with status 2 instead of running on the defaults.
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Mutex;
+
+/// Every flag name asked for so far, in first-asked order, with whether
+/// it takes a value ([`arg`]) or stands alone ([`flag`]).
+static ASKED: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
+
+/// Records that this program reads `name`.
+fn ask(name: &str, takes_value: bool) {
+    let mut asked = ASKED.lock().unwrap_or_else(|e| e.into_inner());
+    if !asked.iter().any(|(n, _)| n == name) {
+        asked.push((name.to_string(), takes_value));
+    }
+}
 
 /// Parses `--name value` from `std::env::args`. An absent flag takes
 /// `default`. A flag whose value is missing or does not parse is a usage
@@ -12,6 +30,7 @@ pub fn arg<T: FromStr>(name: &str, default: T) -> T
 where
     T::Err: fmt::Display,
 {
+    ask(name, true);
     let args: Vec<String> = std::env::args().collect();
     parse_arg(&args, name, default).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -40,7 +59,53 @@ where
 
 /// Whether a bare `--name` flag is present.
 pub fn flag(name: &str) -> bool {
+    ask(name, false);
     std::env::args().any(|a| a == name)
+}
+
+/// Exits with status 2 if the command line holds a flag that no [`arg`] or
+/// [`flag`] call has asked for, naming it and listing the flags this run
+/// reads. Call it once every flag has been read and before any work, so a
+/// misspelt flag, or `--help` in a program without one, never runs a
+/// default simulation or overwrites its results.
+pub fn reject_unread() {
+    let args: Vec<String> = std::env::args().collect();
+    let asked = ASKED.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(flag) = unread(args.get(1..).unwrap_or_default(), &asked) else {
+        return;
+    };
+    let program = args
+        .first()
+        .and_then(|p| std::path::Path::new(p).file_name())
+        .map_or("this program".into(), |f| f.to_string_lossy());
+    let reads: Vec<String> = asked
+        .iter()
+        .map(|(name, takes_value)| {
+            if *takes_value {
+                format!("{name} <value>")
+            } else {
+                name.clone()
+            }
+        })
+        .collect();
+    eprintln!("error: {program} does not read {flag}");
+    eprintln!("{program} reads: {}", reads.join(", "));
+    std::process::exit(2)
+}
+
+/// The first argument that looks like a flag (starts with `-`) and is
+/// neither an asked name nor the value after one that takes a value.
+/// Positional words (such as `ablation`'s sweep name) pass.
+fn unread<'a>(args: &'a [String], asked: &[(String, bool)]) -> Option<&'a str> {
+    let mut i = 0;
+    while i < args.len() {
+        match asked.iter().find(|(name, _)| *name == args[i]) {
+            Some(&(_, takes_value)) => i += 1 + usize::from(takes_value),
+            None if args[i].starts_with('-') => return Some(&args[i]),
+            None => i += 1,
+        }
+    }
+    None
 }
 
 /// Parses `--update-workers N` (default `1` = single-threaded) and
@@ -111,6 +176,37 @@ mod tests {
         let err = parse_arg(&args(&["bin", "--threads"]), "--threads", 1usize)
             .expect_err("no value after the flag");
         assert!(err.contains("--threads"), "{err}");
+    }
+
+    #[test]
+    fn unread_flags_are_found_and_values_are_skipped() {
+        let asked = vec![
+            ("--jobs".to_string(), true),
+            ("--rate".to_string(), true),
+            ("--open".to_string(), false),
+        ];
+        let read = args(&["--jobs", "5", "--rate", "-0.5", "--open", "phi"]);
+        assert_eq!(unread(&read, &asked), None);
+        assert_eq!(unread(&args(&["--help"]), &asked), Some("--help"));
+        assert_eq!(unread(&args(&["--jbos", "5"]), &asked), Some("--jbos"));
+        assert_eq!(unread(&args(&["--open", "-h"]), &asked), Some("-h"));
+        // A bare flag does not swallow the word after it.
+        assert_eq!(
+            unread(&args(&["--open", "--jobs", "1", "--x"]), &asked),
+            Some("--x")
+        );
+    }
+
+    #[test]
+    fn asked_names_are_recorded_once() {
+        arg("--recorded-value", 1u8);
+        arg("--recorded-value", 2u8);
+        flag("--recorded-flag");
+        let asked = ASKED.lock().unwrap_or_else(|e| e.into_inner());
+        let count = |name: &str| asked.iter().filter(|(n, _)| n == name).count();
+        assert_eq!(count("--recorded-value"), 1);
+        assert!(asked.contains(&("--recorded-value".to_string(), true)));
+        assert!(asked.contains(&("--recorded-flag".to_string(), false)));
     }
 
     #[test]

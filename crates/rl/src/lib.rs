@@ -32,7 +32,6 @@ pub mod env;
 pub mod envs;
 pub mod eval;
 pub mod nn;
-pub mod normalize;
 pub mod opt;
 pub mod policy;
 pub mod ppo;
@@ -47,7 +46,6 @@ pub use checkpoint::{load_policy, save_policy};
 pub use env::{Env, StepResult};
 pub use eval::{evaluate, EvalStats};
 pub use nn::{Activation, Linear, Matrix, Mlp};
-pub use normalize::{NormalizedEnv, RunningMeanStd};
 pub use opt::Adam;
 pub use policy::ActorCritic;
 pub use ppo::{Ppo, PpoConfig, TrainLog, TrainLogEntry};

@@ -10,24 +10,59 @@
 //! The blocked GEMM is generic over its register-tile shape `MR × NR`
 //! (`gemm_bias_tiled`): `MR` rows of `A` share every load of a `B` row,
 //! and `NR` output columns are held in accumulator registers across the
-//! whole `k` loop. Three tile shapes are compiled:
+//! whole `k` loop. Four tile shapes are compiled:
 //!
 //! * **4×8** — the baseline, sized so the full accumulator block fits the
 //!   16 SSE registers every `x86_64` target guarantees;
 //! * **4×16** — compiled with AVX2 enabled (two YMM registers per
-//!   accumulator row); the default wherever AVX2 is available — fewest
-//!   loads+broadcasts per flop on the MLP shapes this crate runs;
+//!   accumulator row); the default for short products wherever AVX2 is
+//!   available — fewest loads+broadcasts per flop on the MLP shapes this
+//!   crate runs;
 //! * **8×8** — also AVX2 (one YMM register per accumulator row, each `b`
 //!   load amortised over 8 rows); kept compiled and benched as the
-//!   alternative wide shape.
+//!   alternative wide shape;
+//! * **4×32** — compiled with AVX-512F (two ZMM registers per accumulator
+//!   row), plus a rows-in-lanes *head tile* for the columns left after the
+//!   last whole 32-column tile. The policy and value heads are 9, 5 or 1
+//!   outputs wide, so in an output-in-the-lanes tile they fall to one
+//!   scalar chain per column. The head tile instead packs a 16-row block
+//!   of `A` transposed once, holds the 16 rows in the lanes of one
+//!   accumulator per output column, and broadcasts that column's `b`
+//!   value at every ascending `k` step.
 //!
-//! The kernel is picked per call by [`select_kernel`]: AVX2 availability
-//! is detected once at runtime, so a generic baseline build still uses
-//! the wide tiles on capable hardware.
+//! The kernel is picked per call by [`select_kernel`]: AVX2 and AVX-512F
+//! are detected once at runtime, so a generic baseline build still uses
+//! the wide tiles on capable hardware. The **16-row rule**: the 4×32 tile
+//! is picked only for products of at least 16 rows, one
+//! `update::SHARD_ROWS` shard, which is every forward and backward product
+//! of a PPO or A2C update. Shorter products — the deployed policies'
+//! one-row decisions and the rollouts' few-env batches — keep the 4×16
+//! tile: their rows run the shared row tail, which a wider tile does not
+//! help, they fill no 16-row head block, and between simulation events
+//! they are too short to pay for waking the 512-bit units. A machine
+//! without AVX-512F selects exactly the AVX2 and baseline kernels.
+//!
 //! Every tile accumulates each output element over `k` in ascending order
-//! from `bias[j]`, and rustc never contracts `mul + add` into FMA, so all
-//! kernels produce **bit-identical** results — selection is a pure
-//! throughput decision, pinned by the `all_kernels_bit_identical` test.
+//! from `bias[j]` with a separate multiply and add, and rustc never
+//! contracts `mul + add` into FMA, so all kernels produce
+//! **bit-identical** results — selection is a pure throughput decision,
+//! pinned by the `all_kernels_bit_identical` test.
+//!
+//! **No gathers.** No tile body may contain a gather or scatter: strided
+//! element loads are what a tile exists to avoid, and on this crate's
+//! shapes a gathering loop runs slower than the scalar one it replaces.
+//! The auto-vectoriser emits them readily once AVX-512 is enabled. A
+//! whole-program `-C target-cpu=native` build inlines every tile into
+//! `gemm_bias_with` and `weight_grad_with`, which then hold hundreds of
+//! gathers, and PPO's `learn` ran 3.5× slower than in the baseline build
+//! (2.21 s against 0.62 s in a traced perfbench `rl_train` run on a
+//! 2-vCPU AVX-512 Xeon). A plain-Rust head tile put the columns in the
+//! lanes and kept its accumulators in memory behind gathers and scatters,
+//! so the head tile is written with AVX-512 intrinsics (a register-shuffle
+//! transpose and masked loads and stores). After changing a tile, check
+//! the release build's `objdump -d` of the `gemm_bias_avx*`,
+//! `weight_grad_avx*` and `head::head_block` functions for `vgather`,
+//! `vpgather` and `vscatter`.
 //!
 //! For the backward-pass product `d_out · Wᵀ`, `nn::linear` keeps a packed
 //! transpose of `W` so the product runs through this blocked kernel instead
@@ -37,8 +72,9 @@
 //!
 //! The other backward product, `grad_W += xᵀ·dY`
 //! ([`Matrix::matmul_transpose_a_accum`]), has its own register-blocked
-//! body ([`weight_grad_with`]), picked by the same [`select_kernel`]: a
-//! 4×16 tile inside an AVX2 region, or the 4×8 baseline tile. A tile is an
+//! body ([`weight_grad_with`]), picked by the same [`select_kernel`] (with
+//! `m` the batch rows): a 4×32 tile inside an AVX-512 region, a 4×16 tile
+//! inside an AVX2 region, or the 4×8 baseline tile. A tile is an
 //! `MR × NR` block of `grad_W` (inputs × outputs). It is loaded from
 //! `grad_W` once, gets one rank-1 update per batch row in ascending row
 //! order, and is stored once, so the accumulators stay in registers for
@@ -291,7 +327,7 @@ impl Matrix {
     }
 }
 
-/// The register-tile micro-kernels compiled for `gemm_bias`. All three
+/// The register-tile micro-kernels compiled for `gemm_bias`. All of them
 /// produce bit-identical outputs (ascending-`k` accumulation per element);
 /// they differ only in throughput. See the module docs for the selection
 /// rule.
@@ -303,6 +339,9 @@ pub enum GemmKernel {
     Tile8x8,
     /// 4-row × 16-column tiles, compiled with AVX2 (x86_64 + AVX2 only).
     Tile4x16,
+    /// 4-row × 32-column tiles plus the rows-in-lanes head tile, compiled
+    /// with AVX-512F (x86_64 + AVX-512F only).
+    Tile4x32,
 }
 
 impl GemmKernel {
@@ -312,6 +351,7 @@ impl GemmKernel {
             GemmKernel::Tile4x8 => "tile4x8",
             GemmKernel::Tile8x8 => "tile8x8",
             GemmKernel::Tile4x16 => "tile4x16",
+            GemmKernel::Tile4x32 => "tile4x32",
         }
     }
 }
@@ -330,6 +370,20 @@ fn avx2_available() -> bool {
     }
 }
 
+/// Whether the AVX-512 tiles can run on this machine (detected once).
+fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::sync::OnceLock;
+        static AVX512: OnceLock<bool> = OnceLock::new();
+        *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// The kernels usable on this machine, baseline first. Benches and the
 /// kernel-parity test iterate this.
 pub fn available_kernels() -> Vec<GemmKernel> {
@@ -338,22 +392,37 @@ pub fn available_kernels() -> Vec<GemmKernel> {
         ks.push(GemmKernel::Tile8x8);
         ks.push(GemmKernel::Tile4x16);
     }
+    if avx512_available() {
+        ks.push(GemmKernel::Tile4x32);
+    }
     ks
 }
 
-/// Picks the micro-kernel for an `m`-row product: the wide 4×16 tile
-/// wherever AVX2 is available, 4×8 otherwise.
+/// The fewest rows a product needs before [`select_kernel`] picks the
+/// AVX-512 tile: one `update::SHARD_ROWS` shard, which is also the height
+/// of the rows-in-lanes head tile.
+const AVX512_MIN_ROWS: usize = HEAD_ROWS;
+
+/// Picks the micro-kernel for an `m`-row product: the AVX-512 4×32 tile
+/// for products of at least 16 rows where AVX-512F is available, else the
+/// 4×16 tile wherever AVX2 is available, else 4×8.
 ///
 /// 4×16 wins over 8×8 on the MLP shapes this crate runs (measured in
 /// `benches/rl.rs`: ~1.7× vs ~1.3× over the baseline at `256×64×64`):
 /// per `k` step it issues two `b`-row vector loads and four broadcasts
 /// against 8×8's one load and eight broadcasts, and its 4-row blocks
-/// leave shorter row tails. Both wide kernels stay compiled and benched
-/// so the choice remains evidence-based per machine generation. `m` is
-/// accepted so shape-dependent selection stays an internal detail.
+/// leave shorter row tails. Both AVX2 kernels stay compiled and benched
+/// so the choice remains evidence-based per machine generation.
+///
+/// The row rule keeps the AVX-512 tile to the update's shard products.
+/// Shorter products (the deployed policies' one-row decisions, the
+/// rollouts' few-env batches) run the row tail, which a 32-column tile
+/// does not help, and would fill no head tile; between simulation events
+/// they are also too short to pay for waking the 512-bit units.
 pub fn select_kernel(m: usize) -> GemmKernel {
-    let _ = m;
-    if avx2_available() {
+    if m >= AVX512_MIN_ROWS && avx512_available() {
+        GemmKernel::Tile4x32
+    } else if avx2_available() {
         GemmKernel::Tile4x16
     } else {
         GemmKernel::Tile4x8
@@ -389,7 +458,7 @@ pub fn gemm_bias_with(
     out: &mut [f32],
 ) {
     match kernel {
-        GemmKernel::Tile4x8 => gemm_bias_tiled::<4, 8>(m, k, n, a, b, bias, out),
+        GemmKernel::Tile4x8 => gemm_bias_tiled::<4, 8>(m, k, n, a, b, bias, out, 0),
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Tile8x8 => {
             assert!(avx2_available(), "AVX2 kernel forced on non-AVX2 machine");
@@ -402,9 +471,18 @@ pub fn gemm_bias_with(
             // SAFETY: the target_feature fn only requires AVX2, checked above.
             unsafe { gemm_bias_avx2_4x16(m, k, n, a, b, bias, out) }
         }
+        #[cfg(target_arch = "x86_64")]
+        GemmKernel::Tile4x32 => {
+            assert!(
+                avx512_available(),
+                "AVX-512 kernel forced on non-AVX-512 machine"
+            );
+            // SAFETY: the target_feature fn only requires AVX-512F, checked above.
+            unsafe { gemm_bias_avx512_4x32(m, k, n, a, b, bias, out) }
+        }
         #[cfg(not(target_arch = "x86_64"))]
-        GemmKernel::Tile8x8 | GemmKernel::Tile4x16 => {
-            panic!("AVX2 kernels are only compiled on x86_64")
+        GemmKernel::Tile8x8 | GemmKernel::Tile4x16 | GemmKernel::Tile4x32 => {
+            panic!("AVX kernels are only compiled on x86_64")
         }
     }
 }
@@ -425,7 +503,7 @@ unsafe fn gemm_bias_avx2_8x8(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    gemm_bias_tiled::<8, 8>(m, k, n, a, b, bias, out);
+    gemm_bias_tiled::<8, 8>(m, k, n, a, b, bias, out, 0);
 }
 
 /// The 4×16 tile instantiated inside an AVX2 region (two YMM registers per
@@ -444,7 +522,32 @@ unsafe fn gemm_bias_avx2_4x16(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    gemm_bias_tiled::<4, 16>(m, k, n, a, b, bias, out);
+    gemm_bias_tiled::<4, 16>(m, k, n, a, b, bias, out, 0);
+}
+
+/// The 4×32 tile instantiated inside an AVX-512 region (two ZMM registers
+/// per accumulator row), with the narrow columns of each 16-row block on
+/// the rows-in-lanes head tile (one ZMM register per output column).
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_bias_avx512_4x32(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let n_wide = n - n % 32;
+    let head_rows = if n_wide < n { m - m % HEAD_ROWS } else { 0 };
+    gemm_bias_tiled::<4, 32>(m, k, n, a, b, bias, out, head_rows);
+    for i in (0..head_rows).step_by(HEAD_ROWS) {
+        head::head_block(i, k, n, n_wide, a, b, bias, out);
+    }
 }
 
 /// The generic register-blocked GEMM body: `out[i][j] = bias[j] + Σ_k a·b`.
@@ -458,8 +561,13 @@ unsafe fn gemm_bias_avx2_4x16(
 /// `bias[j]`, so results are independent of `MR`/`NR` (and per-row
 /// bit-identical for any batch size).
 ///
+/// The columns left after the last whole `NR` tile run one column at a
+/// time per row block, from row `tail_from` on: the AVX-512 kernel gives
+/// the rows before it to its rows-in-lanes head tile.
+///
 /// `#[inline(always)]` so each monomorphisation inlines into its
 /// `#[target_feature]` wrapper and is vectorised for that feature set.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn gemm_bias_tiled<const MR: usize, const NR: usize>(
     m: usize,
@@ -469,14 +577,14 @@ fn gemm_bias_tiled<const MR: usize, const NR: usize>(
     b: &[f32],
     bias: Option<&[f32]>,
     out: &mut [f32],
+    tail_from: usize,
 ) {
     let bias_at = |j: usize| bias.map_or(0.0, |bv| bv[j]);
+    let m_blocks = m - m % MR;
+    let n_wide = n - n % NR;
 
-    let mut i = 0;
-    while i + MR <= m {
-        // Full-height row block.
-        let mut j = 0;
-        while j + NR <= n {
+    for i in (0..m_blocks).step_by(MR) {
+        for j in (0..n_wide).step_by(NR) {
             let mut acc = [[0.0f32; NR]; MR];
             for acc_row in acc.iter_mut() {
                 for (jj, v) in acc_row.iter_mut().enumerate() {
@@ -495,10 +603,11 @@ fn gemm_bias_tiled<const MR: usize, const NR: usize>(
             for (r, acc_row) in acc.iter().enumerate() {
                 out[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(acc_row);
             }
-            j += NR;
         }
-        // Column tail: scalar accumulators per column.
-        while j < n {
+    }
+    // Column tail of the full-height row blocks.
+    for i in (tail_from..m_blocks).step_by(MR) {
+        for j in n_wide..n {
             let mut acc = [bias_at(j); MR];
             for kk in 0..k {
                 let bv = b[kk * n + j];
@@ -509,16 +618,14 @@ fn gemm_bias_tiled<const MR: usize, const NR: usize>(
             for (r, &v) in acc.iter().enumerate() {
                 out[(i + r) * n + j] = v;
             }
-            j += 1;
         }
-        i += MR;
     }
     // Row tail: one row at a time. This is every one-row forward (the
     // deployed policies decide on one observation per call), so the column
     // blocks are sized to keep independent accumulator chains in flight:
     // ROW_TILES tiles of NR share one k loop, then single NR tiles, an
     // 8-wide sub-tile when NR is wider, and scalar columns last.
-    while i < m {
+    for i in m_blocks..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
         let mut j = 0;
@@ -538,16 +645,205 @@ fn gemm_bias_tiled<const MR: usize, const NR: usize>(
             row_block::<1, 1>(a_row, b, n, j, bias, out_row);
             j += 1;
         }
-        i += 1;
     }
 }
 
 /// Column tiles of `NR` that one k loop of the row tail feeds together.
 const ROW_TILES: usize = 4;
 
+/// Rows of a rows-in-lanes head block: one AVX-512 vector of `f32`.
+const HEAD_ROWS: usize = 16;
+
+/// The rows-in-lanes head tile: rows `i..i + HEAD_ROWS`, columns `j0..n`
+/// of `out = bias + a·b`. The `A` block is packed transposed once per
+/// slice of 64 inputs, each output column keeps one 16-lane
+/// accumulator, and every `k` step broadcasts that column's `b` value.
+/// This serves the policy and value heads (9, 5 or 1 outputs), which are
+/// narrower than any column tile. A slice after the first resumes each
+/// accumulator from `out`, which holds it exactly, so every element still
+/// sums over ascending `k` from its bias with a separate multiply and add.
+///
+/// Written with AVX-512 intrinsics: left to the auto-vectoriser, the same
+/// loops put the columns in the lanes and keep the accumulators in memory
+/// behind gathers and scatters. Every transposition here is a 16×16
+/// register-shuffle transpose, and partial rows use masked loads and
+/// stores, so the tile touches no element outside its operands.
+#[cfg(target_arch = "x86_64")]
+mod head {
+    use super::HEAD_ROWS;
+    use std::arch::x86_64::*;
+
+    /// Inputs per packed slice of a head block's `A` (a 4 KiB stack
+    /// buffer; the hidden width, so a head product packs once).
+    const HEAD_K: usize = 64;
+
+    /// See the module docs. Panics unless the operands hold rows
+    /// `i..i + HEAD_ROWS` of an `[m,k]·[k,n]` product with `j0 ≤ n`.
+    ///
+    /// # Safety
+    /// The caller must ensure the CPU supports AVX-512F.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn head_block(
+        i: usize,
+        k: usize,
+        n: usize,
+        j0: usize,
+        a: &[f32],
+        b: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        assert!(
+            (i + HEAD_ROWS) * k <= a.len() && k * n <= b.len(),
+            "head operands"
+        );
+        assert!((i + HEAD_ROWS) * n <= out.len() && j0 <= n, "head output");
+        assert!(bias.is_none_or(|bv| bv.len() >= n), "head bias");
+        let mut at = [_mm512_setzero_ps(); HEAD_K];
+        let mut k0 = 0;
+        loop {
+            let kc = HEAD_K.min(k - k0);
+            // `at` holds HEAD_K / HEAD_ROWS blocks of 16 inputs; the
+            // columns read only its first `kc` vectors.
+            for (s, block) in (0..kc)
+                .step_by(HEAD_ROWS)
+                .zip(at.chunks_exact_mut(HEAD_ROWS))
+            {
+                let block: &mut [__m512; HEAD_ROWS] = block.try_into().expect("16 vectors");
+                let w = HEAD_ROWS.min(kc - s);
+                for (r, v) in block.iter_mut().enumerate() {
+                    // SAFETY: the `w` lanes read are inputs `k0 + s..k0 + s + w`
+                    // of row `i + r`, inside `a` by the assert above.
+                    *v = unsafe {
+                        _mm512_maskz_loadu_ps(lanes(w), a.as_ptr().add((i + r) * k + k0 + s))
+                    };
+                }
+                transpose(block);
+            }
+            let slice = Slice {
+                at: &at[..kc],
+                b,
+                n,
+                k0,
+                i,
+                bias,
+            };
+            let mut j = j0;
+            while j + 8 <= n {
+                slice.columns::<8>(j, out);
+                j += 8;
+            }
+            if j + 4 <= n {
+                slice.columns::<4>(j, out);
+                j += 4;
+            }
+            while j < n {
+                slice.columns::<1>(j, out);
+                j += 1;
+            }
+            k0 += HEAD_K;
+            if k0 >= k {
+                break;
+            }
+        }
+    }
+
+    /// One packed slice of a head block.
+    struct Slice<'a> {
+        /// Inputs `k0..k0 + at.len()` of the block's rows, one vector each.
+        at: &'a [__m512],
+        b: &'a [f32],
+        n: usize,
+        k0: usize,
+        i: usize,
+        bias: Option<&'a [f32]>,
+    }
+
+    impl Slice<'_> {
+        /// Columns `j..j + C` (`C ≤ 16`), one accumulator vector each.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn columns<const C: usize>(&self, j: usize, out: &mut [f32]) {
+            let (n, i) = (self.n, self.i);
+            let mut acc = [_mm512_setzero_ps(); HEAD_ROWS];
+            if self.k0 == 0 {
+                for (c, v) in acc[..C].iter_mut().enumerate() {
+                    *v = _mm512_set1_ps(self.bias.map_or(0.0, |bv| bv[j + c]));
+                }
+            } else {
+                for (r, v) in acc.iter_mut().enumerate() {
+                    // SAFETY: lanes `j..j + C` of output row `i + r`, inside
+                    // `out` by `head_block`'s asserts.
+                    *v = unsafe {
+                        _mm512_maskz_loadu_ps(lanes(C), out.as_ptr().add((i + r) * n + j))
+                    };
+                }
+                transpose(&mut acc);
+            }
+            for (kk, &av) in self.at.iter().enumerate() {
+                let b_row = &self.b[(self.k0 + kk) * n + j..][..C];
+                for (v, &bv) in acc.iter_mut().zip(b_row) {
+                    *v = _mm512_add_ps(*v, _mm512_mul_ps(av, _mm512_set1_ps(bv)));
+                }
+            }
+            transpose(&mut acc);
+            for (r, &v) in acc.iter().enumerate() {
+                // SAFETY: as for the load above.
+                unsafe {
+                    _mm512_mask_storeu_ps(out.as_mut_ptr().add((i + r) * n + j), lanes(C), v)
+                };
+            }
+        }
+    }
+
+    /// The mask of the first `w ≤ 16` lanes.
+    #[inline(always)]
+    fn lanes(w: usize) -> __mmask16 {
+        ((1u32 << w) - 1) as __mmask16
+    }
+
+    /// Transposes a 16×16 block held as 16 row vectors, in four rounds of
+    /// register shuffles: 32-bit pairs, 64-bit pairs, then 128-bit lanes
+    /// twice.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(rows: &mut [__m512; HEAD_ROWS]) {
+        let mut t = [_mm512_setzero_ps(); HEAD_ROWS];
+        for p in 0..8 {
+            t[2 * p] = _mm512_unpacklo_ps(rows[2 * p], rows[2 * p + 1]);
+            t[2 * p + 1] = _mm512_unpackhi_ps(rows[2 * p], rows[2 * p + 1]);
+        }
+        // u[4g + c], lane l: column 4l + c of rows 4g..4g + 4.
+        let mut u = [_mm512_setzero_ps(); HEAD_ROWS];
+        for g in 0..4 {
+            let (lo, hi) = (t[4 * g], t[4 * g + 1]);
+            let (lo2, hi2) = (t[4 * g + 2], t[4 * g + 3]);
+            u[4 * g] = _mm512_shuffle_ps(lo, lo2, 0x44);
+            u[4 * g + 1] = _mm512_shuffle_ps(lo, lo2, 0xEE);
+            u[4 * g + 2] = _mm512_shuffle_ps(hi, hi2, 0x44);
+            u[4 * g + 3] = _mm512_shuffle_ps(hi, hi2, 0xEE);
+        }
+        // v[c] and v[4 + c]: columns c, 8 + c and 4 + c, 12 + c of rows
+        // 0..8; v[8 + c] and v[12 + c]: the same columns of rows 8..16.
+        let mut v = [_mm512_setzero_ps(); HEAD_ROWS];
+        for h in 0..2 {
+            for c in 0..4 {
+                let (x, y) = (u[8 * h + c], u[8 * h + 4 + c]);
+                v[8 * h + c] = _mm512_shuffle_f32x4(x, y, 0x88);
+                v[8 * h + 4 + c] = _mm512_shuffle_f32x4(x, y, 0xDD);
+            }
+        }
+        for c in 0..8 {
+            rows[c] = _mm512_shuffle_f32x4(v[c], v[8 + c], 0x88);
+            rows[8 + c] = _mm512_shuffle_f32x4(v[c], v[8 + c], 0xDD);
+        }
+    }
+}
+
 /// The kernels [`weight_grad_with`] runs on this machine, baseline first:
-/// the 4×8 tile and, with AVX2, the 4×16 tile. The weight gradient has no
-/// 8×8 form.
+/// the 4×8 tile, with AVX2 the 4×16 tile and with AVX-512F the 4×32 tile.
+/// The weight gradient has no 8×8 form.
 pub fn weight_grad_kernels() -> Vec<GemmKernel> {
     available_kernels()
         .into_iter()
@@ -582,8 +878,19 @@ pub fn weight_grad_with(
             // SAFETY: the target_feature fn only requires AVX2, checked above.
             unsafe { weight_grad_avx2_4x16(m, k, n, x, dy, out) }
         }
+        #[cfg(target_arch = "x86_64")]
+        GemmKernel::Tile4x32 => {
+            assert!(
+                avx512_available(),
+                "AVX-512 kernel forced on non-AVX-512 machine"
+            );
+            // SAFETY: the target_feature fn only requires AVX-512F, checked above.
+            unsafe { weight_grad_avx512_4x32(m, k, n, x, dy, out) }
+        }
         #[cfg(not(target_arch = "x86_64"))]
-        GemmKernel::Tile4x16 => panic!("AVX2 kernels are only compiled on x86_64"),
+        GemmKernel::Tile4x16 | GemmKernel::Tile4x32 => {
+            panic!("AVX kernels are only compiled on x86_64")
+        }
     }
 }
 
@@ -602,6 +909,25 @@ unsafe fn weight_grad_avx2_4x16(
     out: &mut [f32],
 ) {
     weight_grad_tiled::<4, 16>(m, k, n, x, dy, out);
+}
+
+/// The 4×32 weight-gradient tile instantiated inside an AVX-512 region:
+/// wide tiles hold two ZMM registers per input, and the narrow heads put
+/// 32 inputs in the lanes of two.
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn weight_grad_avx512_4x32(
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f32],
+    dy: &[f32],
+    out: &mut [f32],
+) {
+    weight_grad_tiled::<4, 32>(m, k, n, x, dy, out);
 }
 
 /// The generic weight-gradient body: `out[kk][j] += Σ_i x[i][kk]·dy[i][j]`,
@@ -873,7 +1199,7 @@ mod tests {
             rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((rng_state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
         };
-        for &(m, k, n) in &[
+        let shapes = [
             (1usize, 1usize, 1usize),
             (1, 16, 64),
             (1, 60, 64),
@@ -891,7 +1217,23 @@ mod tests {
             (16, 64, 5),
             (17, 13, 9),
             (23, 31, 33),
-        ] {
+            // The head tile resumes its accumulators once per 64 inputs,
+            // starts from the bias alone without inputs, and takes every
+            // column group (8, 4, 1) of a 31-column tail.
+            (16, 130, 9),
+            (32, 65, 5),
+            (20, 64, 37),
+            (16, 0, 5),
+            (48, 64, 31),
+        ];
+        // The policy and value heads around the 16-row selection boundary:
+        // every m in {15, 16, 17, 33, 64}, n in {1, 5, 9}, k in {16, 60, 64}.
+        let heads = [15usize, 16, 17, 33, 64].into_iter().flat_map(|m| {
+            [16usize, 60, 64]
+                .into_iter()
+                .flat_map(move |k| [1usize, 5, 9].into_iter().map(move |n| (m, k, n)))
+        });
+        for (m, k, n) in shapes.into_iter().chain(heads) {
             let a = Matrix::from_vec(m, k, (0..m * k).map(|_| next()).collect());
             let b = Matrix::from_vec(k, n, (0..k * n).map(|_| next()).collect());
             let bias: Vec<f32> = (0..n).map(|_| next()).collect();
@@ -916,11 +1258,11 @@ mod tests {
         }
     }
 
-    /// Every compiled micro-kernel (baseline 4×8, and the AVX2 8×8 / 4×16
-    /// tiles where available) must produce bit-identical outputs: kernel
-    /// selection is a pure throughput decision, never a numerics one. This
-    /// is what lets the baseline and `target-cpu=native` CI legs share all
-    /// golden values.
+    /// Every compiled micro-kernel (baseline 4×8, the AVX2 8×8 / 4×16 and
+    /// the AVX-512 4×32 tiles where available) must produce bit-identical
+    /// outputs: kernel selection is a pure throughput decision, never a
+    /// numerics one. This is what lets the baseline and `target-cpu=native`
+    /// CI legs share all golden values.
     #[test]
     fn all_kernels_bit_identical() {
         let kernels = available_kernels();
@@ -931,6 +1273,9 @@ mod tests {
             (7, 9, 17),
             (8, 64, 64),
             (11, 3, 16),
+            (16, 64, 64),
+            (16, 130, 9),
+            (17, 64, 1),
             (33, 17, 21),
             (64, 64, 5),
         ] {
@@ -943,12 +1288,13 @@ mod tests {
             let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 5.0) * 0.11).collect();
             let mut reference = vec![0.0f32; m * n];
             gemm_bias_with(kernels[0], m, k, n, &a, &b, Some(&bias), &mut reference);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for &kern in &kernels[1..] {
                 let mut out = vec![0.0f32; m * n];
                 gemm_bias_with(kern, m, k, n, &a, &b, Some(&bias), &mut out);
                 assert_eq!(
-                    out,
-                    reference,
+                    bits(&out),
+                    bits(&reference),
                     "{} differs from baseline on {m}x{k}x{n}",
                     kern.name()
                 );
@@ -958,12 +1304,26 @@ mod tests {
 
     #[test]
     fn kernel_selection_prefers_wide_tiles_when_available() {
-        if available_kernels().len() > 1 {
-            assert_eq!(select_kernel(64), GemmKernel::Tile4x16);
-            assert_eq!(select_kernel(1), GemmKernel::Tile4x16);
+        let kernels = available_kernels();
+        let short = if kernels.contains(&GemmKernel::Tile4x16) {
+            GemmKernel::Tile4x16
         } else {
-            assert_eq!(select_kernel(64), GemmKernel::Tile4x8);
+            GemmKernel::Tile4x8
+        };
+        let tall = if kernels.contains(&GemmKernel::Tile4x32) {
+            GemmKernel::Tile4x32
+        } else {
+            short
+        };
+        // One-row decisions and few-env rollout batches keep the AVX2 tile;
+        // products of at least one 16-row update shard take AVX-512.
+        for m in [0, 1, 4, AVX512_MIN_ROWS - 1] {
+            assert_eq!(select_kernel(m), short, "{m} rows");
         }
+        for m in [AVX512_MIN_ROWS, AVX512_MIN_ROWS + 1, 64, 256] {
+            assert_eq!(select_kernel(m), tall, "{m} rows");
+        }
+        assert_eq!(AVX512_MIN_ROWS, crate::SHARD_ROWS);
     }
 
     #[test]
@@ -981,31 +1341,41 @@ mod tests {
     #[test]
     fn batched_rows_bit_identical_to_single_rows() {
         // Row r of a batched product must equal the 1-row product of row r:
-        // the bit-identity contract batched inference relies on.
-        let m = 11;
-        let (k, n) = (16, 64);
-        let a = Matrix::from_vec(
-            m,
-            k,
-            (0..m * k)
-                .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013)
-                .collect(),
-        );
-        let b = Matrix::from_vec(
-            k,
-            n,
-            (0..k * n)
-                .map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.021)
-                .collect(),
-        );
-        let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 32.0) * 0.05).collect();
-        let mut full = Matrix::zeros(0, 0);
-        a.matmul_bias_into(&b, &bias, &mut full);
-        let mut single = Matrix::zeros(0, 0);
-        for r in 0..m {
-            let row = Matrix::from_vec(1, k, a.row(r).to_vec());
-            row.matmul_bias_into(&b, &bias, &mut single);
-            assert_eq!(full.row(r), single.row(0), "row {r}");
+        // the bit-identity contract batched inference relies on. From 16
+        // rows up the batch runs on the AVX-512 tile where it is available
+        // while one row stays on the AVX2 tile, so the hidden layer and
+        // both heads are checked on each side of that boundary.
+        for m in [11usize, 16, 17, 64] {
+            for (k, n) in [(16usize, 64usize), (64, 9), (64, 1)] {
+                let a = Matrix::from_vec(
+                    m,
+                    k,
+                    (0..m * k)
+                        .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013)
+                        .collect(),
+                );
+                let b = Matrix::from_vec(
+                    k,
+                    n,
+                    (0..k * n)
+                        .map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.021)
+                        .collect(),
+                );
+                let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 32.0) * 0.05).collect();
+                let mut full = Matrix::zeros(0, 0);
+                a.matmul_bias_into(&b, &bias, &mut full);
+                let mut single = Matrix::zeros(0, 0);
+                for r in 0..m {
+                    let row = Matrix::from_vec(1, k, a.row(r).to_vec());
+                    row.matmul_bias_into(&b, &bias, &mut single);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(full.row(r)),
+                        bits(single.row(0)),
+                        "row {r} of {m}x{k}x{n}"
+                    );
+                }
+            }
         }
     }
 

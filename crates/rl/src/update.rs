@@ -32,8 +32,10 @@ use crate::policy::ActorCritic;
 /// Rows per minibatch shard. A compile-time constant so the shard
 /// partition — and therefore the gradient summation tree — is a pure
 /// function of the minibatch size, independent of worker count. 16 rows
-/// keep the shard GEMMs inside full 8-row register blocks while giving a
-/// default 64-row minibatch four shards to spread over workers.
+/// fill whole register blocks and exactly one rows-in-lanes head block of
+/// the AVX-512 GEMM, which `nn::matrix::select_kernel` picks from 16 rows
+/// up, while giving a default 64-row minibatch four shards to spread over
+/// workers.
 pub const SHARD_ROWS: usize = 16;
 
 /// Scalar training diagnostics summed across the samples of one shard (and

@@ -13,7 +13,7 @@ use qcs::prelude::*;
 use qcs::qcloud::QCloudGymEnv;
 use qcs::rl::env::Env;
 use qcs::rl::Schedule;
-use qcs_bench::cli::update_workers_arg;
+use qcs_bench::cli::{reject_unread, update_workers_arg};
 
 fn make_envs(n: usize, seed: u64) -> VecEnv {
     let envs: Vec<Box<dyn Env>> = (0..n)
@@ -32,6 +32,7 @@ fn make_envs(n: usize, seed: u64) -> VecEnv {
 fn main() {
     let timesteps = 30_000u64;
     let update_workers = update_workers_arg();
+    reject_unread();
     let gym = GymConfig::default();
     let obs_dim = gym.obs_dim();
     let action_dim = gym.max_devices;

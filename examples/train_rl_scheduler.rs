@@ -12,8 +12,11 @@
 //!   scheduler, picking which queued job to dispatch next against the
 //!   live fleet state; the checkpoint deploys as a full discipline via
 //!   `rl:<path>` and is evaluated head-to-head against `conservative+*`.
-//! * `--smoke`: a few updates on a fixed seed with finite-loss and
-//!   round-trip assertions — the CI guard for the training path.
+//! * `--smoke` (with `--env sched`): a few updates on a fixed seed with
+//!   finite-loss and round-trip assertions — the CI guard for the training
+//!   path.
+//! * A flag the chosen run does not read (a typo, or `--smoke` with
+//!   `--env gym`) exits with status 2 and lists the flags it reads.
 //! * `--update-workers N` spreads the PPO optimisation phase over `N`
 //!   threads (`0` = one per core). Training results are bit-identical at
 //!   any worker count — the knob only changes wall-clock time.
@@ -22,22 +25,28 @@ use qcs::prelude::*;
 use qcs::qcloud::policies::{scheduler_by_name, RlBroker};
 use qcs::qcloud::rlsched::{SchedCheckpoint, SchedEnvConfig, SchedulerEnv};
 use qcs::rl::env::Env;
-use qcs_bench::cli::{arg, flag, update_workers_arg};
+use qcs_bench::cli::{arg, flag, reject_unread, update_workers_arg};
 
 fn main() {
-    match arg("--env", "gym".to_string()).as_str() {
-        "sched" => train_sched(),
-        "gym" => train_gym(),
-        other => panic!("unknown --env '{other}' (expected 'gym' or 'sched')"),
+    let env = arg("--env", "gym".to_string());
+    let update_workers = update_workers_arg();
+    // Only the scheduler training has a smoke mode.
+    let smoke = env == "sched" && flag("--smoke");
+    reject_unread();
+    match env.as_str() {
+        "sched" => train_sched(smoke, update_workers),
+        "gym" => train_gym(update_workers),
+        other => {
+            eprintln!("error: --env {other:?} is neither 'gym' nor 'sched'");
+            std::process::exit(2)
+        }
     }
 }
 
 /// The queue-deep scheduler loop: train, checkpoint, reload through
 /// `rl:<path>`, and race the static disciplines on a bimodal trace.
-fn train_sched() {
+fn train_sched(smoke: bool, update_workers: usize) {
     let seed = 7;
-    let smoke = flag("--smoke");
-    let update_workers = update_workers_arg();
     let env_cfg = SchedEnvConfig::default();
     let obs_cfg = env_cfg.obs.clone();
 
@@ -134,10 +143,9 @@ fn train_sched() {
 }
 
 /// The paper's single-step placement gym (the original example).
-fn train_gym() {
+fn train_gym(update_workers: usize) {
     let seed = 7;
     let gym_cfg = GymConfig::default();
-    let update_workers = update_workers_arg();
 
     // --- 1. Build the vectorised training environment (4 worker threads).
     let factories: Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>> = (0..4)
