@@ -1,15 +1,12 @@
-//! Scheduler-loop benchmarks for the queue-aware redesign: jobs/second
-//! through the full simulation at 1k/10k pending jobs, seed-style
-//! snapshot-rebuild-per-consult (`SnapshotAdapter`) vs the incremental
-//! `CloudState` path (`FifoAdapter`), plus the discipline scenarios the
-//! old API could not express — EASY and conservative backfilling vs FIFO
-//! on a fragmented mixed-size workload, and EASY vs conservative on a
+//! Scheduler-loop benchmarks for the queue-aware disciplines the seed's
+//! per-job API could not express — EASY and conservative backfilling vs
+//! FIFO on a fragmented mixed-size workload, and EASY vs conservative on a
 //! maintenance-heavy variant (scheduled windows carving capacity out of
 //! the busy period).
 //!
 //! Release runs (`cargo bench -p qcs-bench --bench sched`) also emit
-//! `BENCH_sched.json` at the repository root: scheduler-loop throughput
-//! for both paths, the `fifo+speed` vs `backfill+speed` comparison
+//! `BENCH_sched.json` at the repository root: the `fifo+speed` vs
+//! `backfill+speed` comparison
 //! (makespan, mean wait, mean device utilisation), the EASY-vs-
 //! conservative makespan/fairness comparison (wait tails, mean slowdown,
 //! Jain index over slowdowns) on both the bimodal and maintenance-heavy
@@ -139,7 +136,7 @@ fn run_spec_with_faults(spec: &str, jobs: Vec<QJob>) -> RunResult {
         SEED,
     );
     let (script, retry) = failure_scenario();
-    env.install_faults(script, retry, None);
+    env.install_faults(&script, retry);
     env.run()
 }
 
@@ -241,29 +238,6 @@ fn bench_admission() -> AdmissionPolicy {
     }
 }
 
-fn bench_pending_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sched/pending_scaling");
-    group.sample_size(10);
-    let sizes: &[usize] = if cfg!(debug_assertions) {
-        &[1_000]
-    } else {
-        &[1_000, 10_000]
-    };
-    for &n in sizes {
-        let jobs = batch_at_zero(n, &JobDistribution::default(), SEED);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("snapshot_rebuild", n), &jobs, |b, jobs| {
-            b.iter(|| run_spec("snapshot+speed", jobs.clone()).summary.t_sim)
-        });
-        group.bench_with_input(
-            BenchmarkId::new("incremental_state", n),
-            &jobs,
-            |b, jobs| b.iter(|| run_spec("speed", jobs.clone()).summary.t_sim),
-        );
-    }
-    group.finish();
-}
-
 fn bench_disciplines(c: &mut Criterion) {
     let mut group = c.benchmark_group("sched/disciplines_1k_fragmented");
     group.sample_size(10);
@@ -338,7 +312,7 @@ fn bench_fleet_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Measures both scheduler-loop paths and the backfill-vs-FIFO scenario
+/// Measures the discipline, service, fleet-scale and RL scenarios
 /// directly, recording to `BENCH_sched.json` at the repository root.
 fn write_sched_json() {
     if cfg!(debug_assertions) {
@@ -346,38 +320,6 @@ fn write_sched_json() {
         // only measure from `cargo bench` (release) builds.
         return;
     }
-    let budget = 0.7f64;
-    let jobs_per_sec = |spec: &str, jobs: &[QJob]| -> f64 {
-        let _ = std::hint::black_box(run_spec(spec, jobs.to_vec()));
-        let start = Instant::now();
-        let mut best = 0.0f64;
-        loop {
-            let t0 = Instant::now();
-            let _ = std::hint::black_box(run_spec(spec, jobs.to_vec()));
-            let dt = t0.elapsed().as_secs_f64();
-            best = best.max(jobs.len() as f64 / dt);
-            if start.elapsed().as_secs_f64() > budget {
-                break;
-            }
-        }
-        best
-    };
-
-    // On the default 5-device fleet the per-consult snapshot rebuild is a
-    // five-element copy, so `snapshot+speed` and the incremental `speed`
-    // path run at parity here — the recorded speedup hovers around 1.0 and
-    // any deviation (the long-standing 0.97) is run-to-run noise, not a
-    // regression. These sections exist to pin that parity (the incremental
-    // path must never be meaningfully *slower* — bench_guard holds a 0.85
-    // band); the incremental core's actual win is measured where state
-    // maintenance dominates: `fleet_scale.deep_10k` on 120 devices.
-    let jobs_1k = batch_at_zero(1_000, &JobDistribution::default(), SEED);
-    let jobs_10k = batch_at_zero(10_000, &JobDistribution::default(), SEED);
-    let snap_1k = jobs_per_sec("snapshot+speed", &jobs_1k);
-    let incr_1k = jobs_per_sec("speed", &jobs_1k);
-    let snap_10k = jobs_per_sec("snapshot+speed", &jobs_10k);
-    let incr_10k = jobs_per_sec("speed", &jobs_10k);
-
     // Discipline comparisons (deterministic — single runs, not
     // timing-sensitive): FIFO vs EASY vs conservative on the bimodal
     // trace, then EASY vs conservative with maintenance windows carving
@@ -716,9 +658,7 @@ fn write_sched_json() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"sched_loop\",\n  \"pending_1k\": {{ \"snapshot_jobs_per_sec\": {snap_1k:.1}, \"incremental_jobs_per_sec\": {incr_1k:.1}, \"speedup\": {:.2} }},\n  \"pending_10k\": {{ \"snapshot_jobs_per_sec\": {snap_10k:.1}, \"incremental_jobs_per_sec\": {incr_10k:.1}, \"speedup\": {:.2} }},\n  \"fragmented_1k\": {{\n    \"fifo_speed\": {s_fifo},\n    \"backfill_speed\": {s_easy},\n    \"conservative_speed\": {s_cons},\n    \"makespan_improvement\": {:.4},\n    \"utilization_improvement\": {:.4},\n    \"conservative_vs_easy\": {bimodal_vs}\n  }},\n  \"maintenance_1k\": {{\n    \"windows\": {},\n    \"backfill_speed\": {sm_easy},\n    \"conservative_speed\": {sm_cons},\n    \"conservative_vs_easy\": {maint_vs}\n  }},\n  \"faulty_1k\": {{\n    \"crashes\": 2,\n    \"exec_fail_prob\": 0.05,\n    \"fifo_speed\": {sf_fifo},\n    \"backfill_speed\": {sf_easy},\n    \"conservative_speed\": {sf_cons},\n    \"recovery_makespan_overhead\": {:.4}\n  }},\n  \"rl_sched\": {s_rl_sched},\n  \"service_1k\": {s_service},\n  \"sharded_4x\": {s_sharded},\n  \"fleet_scale\": {s_fleet}\n}}\n",
-        incr_1k / snap_1k,
-        incr_10k / snap_10k,
+        "{{\n  \"bench\": \"sched_loop\",\n  \"fragmented_1k\": {{\n    \"fifo_speed\": {s_fifo},\n    \"backfill_speed\": {s_easy},\n    \"conservative_speed\": {s_cons},\n    \"makespan_improvement\": {:.4},\n    \"utilization_improvement\": {:.4},\n    \"conservative_vs_easy\": {bimodal_vs}\n  }},\n  \"maintenance_1k\": {{\n    \"windows\": {},\n    \"backfill_speed\": {sm_easy},\n    \"conservative_speed\": {sm_cons},\n    \"conservative_vs_easy\": {maint_vs}\n  }},\n  \"faulty_1k\": {{\n    \"crashes\": 2,\n    \"exec_fail_prob\": 0.05,\n    \"fifo_speed\": {sf_fifo},\n    \"backfill_speed\": {sf_easy},\n    \"conservative_speed\": {sf_cons},\n    \"recovery_makespan_overhead\": {:.4}\n  }},\n  \"rl_sched\": {s_rl_sched},\n  \"service_1k\": {s_service},\n  \"sharded_4x\": {s_sharded},\n  \"fleet_scale\": {s_fleet}\n}}\n",
         fifo.summary.t_sim / easy.summary.t_sim,
         easy_util / fifo_util,
         windows.len(),
@@ -729,9 +669,7 @@ fn write_sched_json() {
         eprintln!("could not write {path}: {e}");
     }
     println!(
-        "sched loop: 1k snapshot {snap_1k:.0} vs incremental {incr_1k:.0} jobs/s; \
-         10k snapshot {snap_10k:.0} vs incremental {incr_10k:.0} jobs/s; \
-         backfill makespan x{:.3}, utilization x{:.3}; \
+        "sched loop: backfill makespan x{:.3}, utilization x{:.3}; \
          conservative vs EASY slowdown x{:.3}, jain x{:.3} \
          (maintenance: slowdown x{:.3}, jain x{:.3}); \
          faulty conservative goodput {:.3}, recovery overhead x{:.3}; \
@@ -768,11 +706,5 @@ fn write_sched_json() {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_pending_scaling,
-    bench_disciplines,
-    bench_service,
-    bench_fleet_scale
-);
+criterion_group!(benches, bench_disciplines, bench_service, bench_fleet_scale);
 criterion_main!(benches);

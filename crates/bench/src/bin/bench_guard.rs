@@ -36,10 +36,6 @@
 //!   ≥ 1.5× (recorded ≈ 7.2×), plus the hash-routed service's wall-clock
 //!   speedup at 4 worker threads ≥ 1.5× — only enforced when the
 //!   recording machine had ≥ 4 cores (`sharded_4x.host_cores`);
-//! * pending-10k incremental/snapshot parity ≥ 0.85 — on the default
-//!   5-device fleet the per-consult rebuild is nearly free, so the
-//!   recorded "speedup" pins parity (≈ 1.0), not a win; the incremental
-//!   core's advantage is floored in `fleet_scale.deep_10k`;
 //! * fleet-scale section (`fleet_scale`: a 100k-job bimodal stream over
 //!   120 devices plus a 10k-deep backlogged queue): conservative/EASY
 //!   decide-throughput ratio at 10k depth ≥ 0.2× (the incremental
@@ -101,15 +97,6 @@ const SHARDED_DECIDE_SCALING_FLOOR: f64 = 1.5;
 const WALL_CLOCK_SPEEDUP_FLOOR: f64 = 1.5;
 /// Cores the recording machine needs before the wall-clock floor applies.
 const WALL_CLOCK_FLOOR_MIN_CORES: u64 = 4;
-/// Parity band for `pending_10k.speedup` (incremental `speed` vs the
-/// seed-mechanics `snapshot+speed` on the default 5-device fleet). A
-/// five-device snapshot rebuild is a five-element copy, so this section
-/// *cannot* show an incremental win — it pins parity: the incremental
-/// path must never be meaningfully slower than the rebuild-per-consult
-/// baseline (recorded ≈ 1.0; deviations of a few percent are run-to-run
-/// noise). The incremental core's real advantage is floored where state
-/// maintenance dominates: `fleet_scale.deep_10k` on 120 devices.
-const PENDING_10K_PARITY_FLOOR: f64 = 0.85;
 /// Floor for `fleet_scale.deep_10k.conservative_vs_easy`: conservative's
 /// decide throughput over EASY's on a 10k-deep backlogged queue across a
 /// 120-device fleet. The incremental availability profile + persistent
@@ -479,14 +466,6 @@ fn main() {
                 "sharded decide-cost scaling vs monolithic",
                 field_f64(&sched, &["sharded_4x", "decide_cost_scaling"]),
                 SHARDED_DECIDE_SCALING_FLOOR,
-            );
-            // Incremental-vs-snapshot parity on the default fleet: the
-            // 5-device snapshot rebuild is nearly free, so the honest
-            // expectation is ≈ 1.0, guarded as a band, not a speedup.
-            guard.check(
-                "pending-10k incremental/snapshot parity",
-                field_f64(&sched, &["pending_10k", "speedup"]),
-                PENDING_10K_PARITY_FLOOR,
             );
             // Parallel-backend wall-clock scaling: keyed on the cores of
             // the *recording* host (the committed fact), mirroring the

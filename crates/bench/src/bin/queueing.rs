@@ -11,27 +11,25 @@
 //! `--faults <spec>` injects unplanned outages and execution failures
 //! into every run (same script for every policy), e.g.
 //! `--faults 'crash:0@500+300;pfail:0.05;retries:4'` — see
-//! [`FaultScript::parse`] for the grammar. The goodput/retry columns
-//! then separate disciplines by how much work the failures wasted.
+//! [`qcs_qcloud::FaultScript::parse`] for the grammar; a script that does
+//! not parse exits 2. The goodput/retry columns then separate disciplines
+//! by how much work the failures wasted.
 //!
 //! Output: `results/queueing.csv` + ASCII tables per arrival rate.
 
-use qcs_bench::cli::{arg, reject_unread};
+use qcs_bench::cli::{arg, faults_arg, reject_unread};
 use qcs_bench::runner::results_dir;
 use qcs_bench::table::AsciiTable;
 use qcs_calibration::ibm_fleet;
 use qcs_qcloud::policies::scheduler_by_name;
-use qcs_qcloud::{DeadlinePolicy, QCloudSimEnv, QosReport, SimParams};
-use qcs_qcloud::{FaultScript, JobDistribution};
+use qcs_qcloud::{DeadlinePolicy, JobDistribution, QCloudSimEnv, QosReport, SimParams};
 use qcs_workload::arrival::{jobs_with_arrivals, poisson_process};
 
 fn main() {
     let n_jobs: usize = arg("--jobs", 200);
     let seed: u64 = arg("--seed", 42);
-    let faults = arg("--faults", String::new());
+    let faults = faults_arg();
     reject_unread();
-    let faults = (!faults.is_empty())
-        .then(|| FaultScript::parse(&faults).unwrap_or_else(|e| panic!("bad --faults spec: {e}")));
     let params = SimParams::default();
     // Policies under FIFO, plus the queue-aware disciplines the redesign
     // added — exactly where wait-time tails separate them.
@@ -87,7 +85,7 @@ fn main() {
                 seed,
             );
             if let Some((script, retry)) = &faults {
-                env.install_faults(script.clone(), *retry, None);
+                env.install_faults(script, *retry);
             }
             let result = env.run();
             let qos = QosReport::from_records(&result.records, DeadlinePolicy::default());

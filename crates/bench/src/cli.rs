@@ -10,6 +10,8 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Mutex;
 
+use qcs_qcloud::{FaultScript, RetryPolicy};
+
 /// Every flag name asked for so far, in first-asked order, with whether
 /// it takes a value ([`arg`]) or stands alone ([`flag`]).
 static ASKED: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
@@ -32,10 +34,13 @@ where
 {
     ask(name, true);
     let args: Vec<String> = std::env::args().collect();
-    parse_arg(&args, name, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    parse_arg(&args, name, default).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// Prints a usage error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// [`arg`] over an explicit argument list: `Ok(default)` when `name` is
@@ -55,6 +60,28 @@ where
     value
         .parse()
         .map_err(|e| format!("{name} {value:?} does not parse: {e}"))
+}
+
+/// Parses `--faults SPEC` (the [`FaultScript::parse`] grammar) into the
+/// fault script and retry policy every run of the program arms. `None`
+/// when the flag is absent or empty. A spec that does not parse is a usage
+/// error, as in [`arg`]: the process prints the flag, the value and the
+/// parse error, and exits with status 2.
+pub fn faults_arg() -> Option<(FaultScript, RetryPolicy)> {
+    ask("--faults", true);
+    let args: Vec<String> = std::env::args().collect();
+    parse_faults(&args).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// [`faults_arg`] over an explicit argument list.
+fn parse_faults(args: &[String]) -> Result<Option<(FaultScript, RetryPolicy)>, String> {
+    let spec: String = parse_arg(args, "--faults", String::new())?;
+    if spec.is_empty() {
+        return Ok(None);
+    }
+    FaultScript::parse(&spec)
+        .map(Some)
+        .map_err(|e| format!("--faults {spec:?} does not parse: {e}"))
 }
 
 /// Whether a bare `--name` flag is present.
@@ -169,6 +196,25 @@ mod tests {
         .expect_err("spede is not a placement");
         assert!(err.contains("--spec") && err.contains("spede"), "{err}");
         assert!(err.contains("expected one of"), "{err}");
+    }
+
+    #[test]
+    fn faults_parse_to_a_script_or_an_error_naming_the_clause() {
+        assert_eq!(parse_faults(&args(&["bin", "--jobs", "5"])), Ok(None));
+        assert_eq!(parse_faults(&args(&["bin", "--faults", ""])), Ok(None));
+        let (script, retry) =
+            parse_faults(&args(&["bin", "--faults", "pfail:0.2;seed:3;retries:4"]))
+                .expect("valid spec")
+                .expect("flag present");
+        assert_eq!(script.exec_fail_prob, 0.2);
+        assert_eq!(script.seed, 3);
+        assert_eq!(retry.max_attempts, 4);
+        for (spec, clause) in [("bogus", "'bogus'"), ("pfail:0.1;avoid", "'avoid'")] {
+            let err = parse_faults(&args(&["bin", "--faults", spec])).expect_err(spec);
+            assert!(err.contains("--faults") && err.contains(spec), "{err}");
+            assert!(err.contains(clause), "{err}");
+        }
+        assert!(parse_faults(&args(&["bin", "--faults"])).is_err());
     }
 
     #[test]

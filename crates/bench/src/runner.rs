@@ -80,7 +80,7 @@ pub fn run_strategy_with_faults(
         seed,
     );
     if let Some((script, retry)) = faults {
-        env.install_faults(script.clone(), *retry, None);
+        env.install_faults(script, *retry);
     }
     env.run()
 }

@@ -28,11 +28,6 @@ impl QCloud {
         &self.devices
     }
 
-    /// Mutable device access (drift studies).
-    pub fn devices_mut(&mut self) -> &mut [QDevice] {
-        &mut self.devices
-    }
-
     /// Device lookup.
     pub fn device(&self, id: DeviceId) -> &QDevice {
         &self.devices[id.index()]

@@ -47,17 +47,6 @@ impl QDevice {
         }
     }
 
-    /// Refreshes cached aggregates after the profile's calibration changed
-    /// (drift studies).
-    pub fn refresh_calibration(&mut self, weights: &ErrorScoreWeights) {
-        self.error_rates = DeviceErrorRates {
-            single_qubit: self.profile.calibration.avg_rx_error(),
-            two_qubit: self.profile.calibration.avg_two_qubit_error(),
-            readout: self.profile.calibration.avg_readout_error(),
-        };
-        self.error_score = self.profile.error_score(weights);
-    }
-
     /// Qubit capacity.
     #[inline]
     pub fn capacity(&self) -> u64 {
@@ -97,18 +86,5 @@ mod tests {
         assert_eq!(d.qv_layers(), 7.0);
         assert!(d.error_score > 0.0);
         assert!(d.error_rates.readout > 0.0);
-    }
-
-    #[test]
-    fn refresh_tracks_calibration_changes() {
-        let profile = ibm_fleet(2).remove(0);
-        let w = ErrorScoreWeights::default();
-        let mut d = QDevice::register(DeviceId(0), profile, &w);
-        let before = d.error_score;
-        for q in &mut d.profile.calibration.qubits {
-            q.readout_error *= 2.0;
-        }
-        d.refresh_calibration(&w);
-        assert!(d.error_score > before);
     }
 }

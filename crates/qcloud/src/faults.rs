@@ -31,20 +31,14 @@
 //! in `tests/chaos_proptests.rs`).
 //!
 //! Victims re-enter the pending queue through a [`RetryPolicy`]:
-//! exponential backoff with deterministic jitter, a hard attempt cap (a
+//! exponential backoff with deterministic jitter and a hard attempt cap (a
 //! job that exhausts its attempts is recorded as
 //! [`crate::records::FinalStatus::RetriesExhausted`] — never silently
-//! lost), and optional prefer-different-device resubmission via
-//! [`DeviceAvoidingBroker`] + [`AvoidSet`].
+//! lost). A resubmitted job is placed like any other queued job; nothing
+//! steers it away from the devices its failed attempt ran on.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use crate::broker::{AllocationPlan, Broker, CloudView};
 use crate::device::DeviceId;
-use crate::job::{JobId, QJob};
+use crate::job::JobId;
 use qcs_calibration::{error_score, DeviceProfile, DriftModel, ErrorScoreWeights};
 use qcs_desim::Xoshiro256StarStar;
 use serde::{Deserialize, Serialize};
@@ -191,8 +185,7 @@ impl FaultScript {
     ///   `HORIZON`-second staleness window (default [`DriftModel`]);
     /// * `seed:S` — fault seed (default 0);
     /// * `retries:N` — max attempts per job (default 3);
-    /// * `backoff:B` — base backoff seconds (default 30);
-    /// * `avoid` — prefer a different device on resubmission.
+    /// * `backoff:B` — base backoff seconds (default 30).
     ///
     /// Example: `crash:0@500+300,2@1000+200;pfail:0.05;retries:4`.
     pub fn parse(spec: &str) -> Result<(FaultScript, RetryPolicy), String> {
@@ -255,7 +248,6 @@ impl FaultScript {
                         .parse()
                         .map_err(|_| format!("bad backoff seconds '{val}'"))?;
                 }
-                "avoid" => retry.prefer_different_device = true,
                 other => return Err(format!("unknown fault clause '{other}'")),
             }
         }
@@ -279,9 +271,6 @@ pub struct RetryPolicy {
     /// Symmetric jitter fraction: the backoff is scaled by a deterministic
     /// factor in `[1 − jitter_frac, 1 + jitter_frac]`.
     pub jitter_frac: f64,
-    /// Record the failed attempt's devices so a [`DeviceAvoidingBroker`]
-    /// steers the resubmission elsewhere (requires wiring an [`AvoidSet`]).
-    pub prefer_different_device: bool,
 }
 
 impl Default for RetryPolicy {
@@ -292,7 +281,6 @@ impl Default for RetryPolicy {
             backoff_factor: 2.0,
             max_backoff_s: 600.0,
             jitter_frac: 0.1,
-            prefer_different_device: false,
         }
     }
 }
@@ -433,96 +421,6 @@ impl FaultInjector {
     }
 }
 
-/// Shared record of which devices each job has failed on, feeding
-/// [`DeviceAvoidingBroker`]. Cloned handles share one table.
-#[derive(Debug, Clone, Default)]
-pub struct AvoidSet {
-    inner: Arc<Mutex<HashMap<u64, u64>>>,
-}
-
-impl AvoidSet {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `job` failed while holding `devices` (bit per device
-    /// index; fleets larger than 64 devices saturate silently — avoidance
-    /// is best-effort by design).
-    pub fn record_failure(&self, job: JobId, devices: impl IntoIterator<Item = DeviceId>) {
-        let mut t = self.inner.lock();
-        let mask = t.entry(job.0).or_insert(0);
-        for d in devices {
-            if d.index() < 64 {
-                *mask |= 1 << d.index();
-            }
-        }
-    }
-
-    /// The avoid bitmask for `job` (0 = nothing to avoid).
-    pub fn mask(&self, job: JobId) -> u64 {
-        self.inner.lock().get(&job.0).copied().unwrap_or(0)
-    }
-
-    /// Forgets `job` (called on completion).
-    pub fn clear(&self, job: JobId) {
-        self.inner.lock().remove(&job.0);
-    }
-}
-
-/// Best-effort prefer-different-device resubmission: consults the inner
-/// policy against a view with the job's previously failed devices masked
-/// out (zero free qubits); if the masked consult declines, falls back to
-/// the unmasked view — availability beats avoidance.
-pub struct DeviceAvoidingBroker {
-    inner: Box<dyn Broker>,
-    avoid: AvoidSet,
-    scratch: CloudView,
-}
-
-impl DeviceAvoidingBroker {
-    /// Wraps `inner`; `avoid` is the table the simulation's retry handler
-    /// fills in (pass a clone of the same handle to
-    /// `QCloudSimEnv::install_faults`).
-    pub fn new(inner: Box<dyn Broker>, avoid: AvoidSet) -> Self {
-        DeviceAvoidingBroker {
-            inner,
-            avoid,
-            scratch: CloudView {
-                devices: Vec::new(),
-            },
-        }
-    }
-}
-
-impl Broker for DeviceAvoidingBroker {
-    fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
-        let mask = self.avoid.mask(job.id);
-        if mask != 0 {
-            self.scratch.devices.clear();
-            self.scratch.devices.extend_from_slice(&view.devices);
-            let mut masked_any = false;
-            for v in &mut self.scratch.devices {
-                if v.id.index() < 64 && mask & (1 << v.id.index()) != 0 && v.free > 0 {
-                    v.free = 0;
-                    v.busy_fraction = 1.0;
-                    masked_any = true;
-                }
-            }
-            if masked_any {
-                if let AllocationPlan::Dispatch(parts) = self.inner.select(job, &self.scratch) {
-                    return AllocationPlan::Dispatch(parts);
-                }
-            }
-        }
-        self.inner.select(job, view)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,11 +489,15 @@ mod tests {
         );
         assert_eq!(r.max_attempts, 4);
 
-        let (s, r) = FaultScript::parse("pfail:0.1;drift:3600;avoid;backoff:5").unwrap();
+        let (s, r) = FaultScript::parse("pfail:0.1;drift:3600;backoff:5").unwrap();
         assert!(s.drift.is_some());
         assert_eq!(s.drift.unwrap().horizon, 3600.0);
-        assert!(r.prefer_different_device);
         assert_eq!(r.base_backoff_s, 5.0);
+
+        // Retries are never steered away from the failed devices, so there
+        // is no `avoid` clause to accept.
+        let err = FaultScript::parse("pfail:0.1;avoid").unwrap_err();
+        assert!(err.contains("'avoid'"), "{err}");
 
         assert!(FaultScript::parse("crash:0@5").is_err());
         assert!(FaultScript::parse("bogus:1").is_err());
@@ -610,7 +512,6 @@ mod tests {
             backoff_factor: 2.0,
             max_backoff_s: 100.0,
             jitter_frac: 0.1,
-            prefer_different_device: false,
         };
         let b1 = p.backoff_seconds(1, JobId(5), 1);
         let b2 = p.backoff_seconds(1, JobId(5), 2);
@@ -667,51 +568,5 @@ mod tests {
         // Deterministic resolution.
         let again = FaultInjector::resolve(&script, &profiles, &ErrorScoreWeights::default());
         assert_eq!(probs, again.per_device_fail());
-    }
-
-    #[test]
-    fn avoid_set_records_and_clears() {
-        let a = AvoidSet::new();
-        assert_eq!(a.mask(JobId(1)), 0);
-        a.record_failure(JobId(1), [DeviceId(0), DeviceId(2)]);
-        assert_eq!(a.mask(JobId(1)), 0b101);
-        let clone = a.clone();
-        clone.record_failure(JobId(1), [DeviceId(1)]);
-        assert_eq!(a.mask(JobId(1)), 0b111, "handles share one table");
-        a.clear(JobId(1));
-        assert_eq!(a.mask(JobId(1)), 0);
-    }
-
-    #[test]
-    fn avoiding_broker_masks_failed_devices_and_falls_back() {
-        use crate::broker::tests::test_view;
-        use crate::policies::SpeedBroker;
-        let avoid = AvoidSet::new();
-        let mut b = DeviceAvoidingBroker::new(Box::new(SpeedBroker::new()), avoid.clone());
-        let job = QJob {
-            id: JobId(1),
-            num_qubits: 100,
-            depth: 10,
-            num_shots: 50_000,
-            two_qubit_gates: 400,
-            arrival_time: 0.0,
-        };
-        let view = test_view(&[127, 127]);
-        // Unrestricted: speed picks device 0 (fastest).
-        let plan = b.select(&job, &view);
-        let AllocationPlan::Dispatch(parts) = plan else {
-            panic!("must dispatch");
-        };
-        assert_eq!(parts[0].0, DeviceId(0));
-        // Device 0 failed: the retry must land elsewhere.
-        avoid.record_failure(JobId(1), [DeviceId(0)]);
-        let AllocationPlan::Dispatch(parts) = b.select(&job, &view) else {
-            panic!("must dispatch");
-        };
-        assert!(parts.iter().all(|&(d, _)| d != DeviceId(0)), "{parts:?}");
-        // Everything failed: fall back to the unmasked view rather than
-        // blocking forever.
-        avoid.record_failure(JobId(1), [DeviceId(1)]);
-        assert!(matches!(b.select(&job, &view), AllocationPlan::Dispatch(_)));
     }
 }

@@ -122,16 +122,6 @@ impl JobDistribution {
             arrival_time,
         }
     }
-
-    /// Checks the paper's Eq. 1 constraint: every sampled job must exceed
-    /// the largest single device yet fit in the cloud's total capacity.
-    pub fn satisfies_distribution_constraint(
-        &self,
-        max_single_device: u64,
-        total_capacity: u64,
-    ) -> bool {
-        self.qubits.0 > max_single_device && self.qubits.1 < total_capacity
-    }
 }
 
 #[cfg(test)]
@@ -151,17 +141,6 @@ mod tests {
             assert!((0.10..=0.40).contains(&density), "density {density}");
             j.validate().unwrap();
         }
-    }
-
-    #[test]
-    fn distribution_constraint_eq1() {
-        let dist = JobDistribution::default();
-        // 5 × 127-qubit devices: max single = 127 < 130, total = 635 > 250.
-        assert!(dist.satisfies_distribution_constraint(127, 635));
-        // A single big device would violate the "must split" property.
-        assert!(!dist.satisfies_distribution_constraint(200, 635));
-        // A tiny cloud cannot fit the largest jobs.
-        assert!(!dist.satisfies_distribution_constraint(127, 250));
     }
 
     #[test]

@@ -69,9 +69,7 @@ pub use cutting::{
     FragmentSite,
 };
 pub use device::{DeviceId, QDevice};
-pub use faults::{
-    AvoidSet, CrashEvent, DeviceAvoidingBroker, FaultInjector, FaultScript, RetryPolicy,
-};
+pub use faults::{CrashEvent, FaultInjector, FaultScript, RetryPolicy};
 pub use gym::{GymConfig, QCloudGymEnv};
 pub use inline_vec::InlineVec;
 pub use job::{JobDistribution, JobId, QJob};
@@ -87,7 +85,7 @@ pub use rlsched::{
 pub use sched::{
     BackfillScheduler, CloudState, ConservativeBackfillScheduler, Dispatch, FifoAdapter,
     PriorityDiscipline, PriorityScheduler, SchedTelemetry, Scheduler, SchedulingDecision,
-    SnapshotAdapter, WaitReason,
+    WaitReason,
 };
 pub use service::{
     AdmissionDecision, AdmissionPolicy, AdmissionTelemetry, LatencySummary, ParallelServiceHarness,

@@ -15,8 +15,8 @@
 //! single registry every help listing derives from. The stringly surface
 //! is a thin wrapper: [`by_name`] (including `rl:<checkpoint-path>` for a
 //! trained RL policy) and [`scheduler_by_name`] (`backfill+speed`,
-//! `priority:edf+fair`, …) parse to the typed form and build from it,
-//! accepting exactly the strings they always did; [`names`] and
+//! `priority:edf+fair`, …) parse to the typed form and build from it, so
+//! they accept exactly the registry's strings; [`names`] and
 //! [`discipline_names`] feed CLI help text from the registry.
 
 pub mod fair;
@@ -43,7 +43,7 @@ use crate::broker::Broker;
 use crate::gym::GymConfig;
 use crate::sched::{
     BackfillScheduler, ConservativeBackfillScheduler, FifoAdapter, PriorityDiscipline,
-    PriorityScheduler, Scheduler, SnapshotAdapter,
+    PriorityScheduler, Scheduler,
 };
 use crate::sla::DeadlinePolicy;
 
@@ -90,9 +90,9 @@ impl Placement {
 }
 
 impl SchedSpec {
-    /// Instantiates the composed scheduler. `window` is the FIFO /
-    /// snapshot scan depth (the seed semantics; `window = backfill_depth
-    /// + 1` reproduces `SimParams`), ignored by the other disciplines.
+    /// Instantiates the composed scheduler. `window` is the FIFO scan
+    /// depth (the seed semantics; `window = backfill_depth + 1` reproduces
+    /// `SimParams`), ignored by the other disciplines.
     pub fn build(&self, seed: u64, window: usize) -> Box<dyn Scheduler> {
         // An `rl:` checkpoint can hold either a per-job placement policy
         // (a plain ActorCritic, composable under any discipline) or a
@@ -113,7 +113,6 @@ impl SchedSpec {
         let broker = self.placement.build(seed);
         match self.discipline {
             Discipline::Fifo => Box::new(FifoAdapter::new(broker, window)),
-            Discipline::Snapshot => Box::new(SnapshotAdapter::new(broker, window)),
             Discipline::Backfill => Box::new(BackfillScheduler::new(broker)),
             Discipline::Conservative => Box::new(ConservativeBackfillScheduler::new(broker)),
             Discipline::Priority(rule) => {
@@ -159,9 +158,7 @@ pub fn discipline_names() -> Vec<&'static str> {
 ///   ([`ConservativeBackfillScheduler`]);
 /// * `priority+<policy>` (alias `priority:sjf`), `priority:edf+<policy>`,
 ///   `priority:aging+<policy>` run the ranked-queue disciplines
-///   ([`PriorityScheduler`]);
-/// * `snapshot+<policy>` runs the seed-mechanics parity baseline
-///   ([`SnapshotAdapter`]) — for benchmarking, not production.
+///   ([`PriorityScheduler`]).
 ///
 /// Returns `None` when either component is unknown; parse via
 /// [`SchedSpec`] directly for an error naming the offending token.
@@ -277,12 +274,13 @@ mod tests {
             ("priority:sjf+minfrag", "priority:sjf+minfrag"),
             ("priority:edf+fair", "priority:edf+fair"),
             ("priority:aging+speed", "priority:aging+speed"),
-            ("snapshot+speed", "speed"),
         ] {
             let s = scheduler_by_name(spec, 0, 1).unwrap_or_else(|| panic!("{spec} unresolved"));
             assert_eq!(s.name(), name, "{spec}");
         }
         assert!(scheduler_by_name("warp+speed", 0, 1).is_none());
+        // The seed-mechanics oracle is a test fixture, not a discipline.
+        assert!(scheduler_by_name("snapshot+speed", 0, 1).is_none());
         assert!(scheduler_by_name("backfill+warp", 0, 1).is_none());
         for d in discipline_names() {
             assert!(

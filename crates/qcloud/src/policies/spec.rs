@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! spec        := [ discipline "+" ] placement
-//! discipline  := "fifo" | "snapshot" | "backfill" | "conservative"
+//! discipline  := "fifo" | "backfill" | "conservative"
 //!              | "priority" [ ":" ("sjf" | "edf" | "aging") ]
 //! placement   := "speed" | "fidelity" | "fair" | "roundrobin" | "random"
 //!              | "minfrag" | "hybrid" | "hybrid-strict" | "rl:" path
@@ -27,8 +27,8 @@
 //! bare placement stays bare), and the two round-trip:
 //! `spec.to_string().parse() == Ok(spec)` for every well-formed spec.
 //! The stringly surface ([`super::by_name`], [`super::scheduler_by_name`])
-//! is a thin wrapper over this parser and accepts exactly the same
-//! strings it always did.
+//! is a thin wrapper over this parser, so it accepts exactly the
+//! registry's tokens.
 
 use std::fmt;
 use std::str::FromStr;
@@ -116,10 +116,6 @@ pub const DISCIPLINES: &[SpecComponent] = &[
         token: "priority:aging",
         summary: "qubit-demand ranking with waiting-time aging",
     },
-    SpecComponent {
-        token: "snapshot",
-        summary: "seed-mechanics parity baseline (benchmarking only)",
-    },
 ];
 
 /// A placement policy (the paper's §5 strategies plus baselines), parsed.
@@ -164,8 +160,6 @@ pub enum PriorityRule {
 pub enum Discipline {
     /// Head-of-line FIFO (the default for a bare placement).
     Fifo,
-    /// Seed-mechanics snapshot baseline.
-    Snapshot,
     /// EASY backfilling.
     Backfill,
     /// Conservative backfilling.
@@ -271,7 +265,6 @@ impl FromStr for Discipline {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "fifo" => Ok(Discipline::Fifo),
-            "snapshot" => Ok(Discipline::Snapshot),
             "backfill" => Ok(Discipline::Backfill),
             "conservative" => Ok(Discipline::Conservative),
             "priority" | "priority:sjf" => Ok(Discipline::Priority(PriorityRule::Sjf)),
@@ -324,7 +317,6 @@ impl fmt::Display for Discipline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Discipline::Fifo => f.write_str("fifo"),
-            Discipline::Snapshot => f.write_str("snapshot"),
             Discipline::Backfill => f.write_str("backfill"),
             Discipline::Conservative => f.write_str("conservative"),
             Discipline::Priority(PriorityRule::Sjf) => f.write_str("priority:sjf"),

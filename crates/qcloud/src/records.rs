@@ -300,11 +300,6 @@ impl JobRecordsManager {
         &self.records
     }
 
-    /// Number of jobs that have arrived.
-    pub fn arrived_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Number of completed jobs.
     pub fn finished_count(&self) -> usize {
         self.finished

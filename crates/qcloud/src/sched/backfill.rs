@@ -49,6 +49,9 @@ pub struct HeadGuarantee {
 /// Shared log of issued guarantees (test instrumentation).
 pub type GuaranteeLog = Arc<Mutex<Vec<HeadGuarantee>>>;
 
+/// How many queued jobs behind the head are considered per decision.
+const CANDIDATE_LIMIT: usize = 64;
+
 /// EASY backfilling over any [`Broker`] policy; see the module docs.
 pub struct BackfillScheduler {
     broker: Box<dyn Broker>,
@@ -60,8 +63,6 @@ pub struct BackfillScheduler {
     /// availability profile; EASY keeps no standing bookings, so only the
     /// per-decision overlay is used.
     timeline: CapacityTimeline,
-    /// How many queued jobs behind the head are considered per decision.
-    candidate_limit: usize,
     guarantees: Option<GuaranteeLog>,
 }
 
@@ -78,15 +79,8 @@ impl BackfillScheduler {
             },
             alive: Vec::new(),
             timeline: CapacityTimeline::new(),
-            candidate_limit: 64,
             guarantees: None,
         }
-    }
-
-    /// Caps how many queued jobs behind the head are examined per decision.
-    pub fn with_candidate_limit(mut self, limit: usize) -> Self {
-        self.candidate_limit = limit.max(1);
-        self
     }
 
     /// Records every issued [`HeadGuarantee`] into `log` (testing hook).
@@ -146,7 +140,7 @@ impl Scheduler for BackfillScheduler {
             }
             let mut vi = 1;
             let mut examined = 0usize;
-            while vi < self.alive.len() && examined < self.candidate_limit {
+            while vi < self.alive.len() && examined < CANDIDATE_LIMIT {
                 examined += 1;
                 let cand = &queue[self.alive[vi] as usize];
                 // No broker can place a job the fleet lacks free qubits

@@ -88,6 +88,11 @@ struct Booking {
     qubits: u64,
 }
 
+/// How many queued jobs are re-slotted per decision (compression horizon;
+/// jobs beyond it keep their standing booking untouched and stay
+/// protected, but cannot be admitted this round).
+const LOOKAHEAD: usize = 64;
+
 /// Conservative backfilling over any [`Broker`] policy; see the module
 /// docs.
 pub struct ConservativeBackfillScheduler {
@@ -103,10 +108,6 @@ pub struct ConservativeBackfillScheduler {
     timeline: CapacityTimeline,
     /// Standing bookings, re-compressed (one at a time) every decision.
     bookings: Vec<Booking>,
-    /// How many queued jobs are re-slotted per decision (compression
-    /// horizon; jobs beyond it keep their standing booking untouched and
-    /// stay protected, but cannot be admitted this round).
-    lookahead: usize,
     reservations: Option<ReservationLog>,
 }
 
@@ -124,15 +125,8 @@ impl ConservativeBackfillScheduler {
             alive: Vec::new(),
             timeline: CapacityTimeline::new(),
             bookings: Vec::new(),
-            lookahead: 64,
             reservations: None,
         }
-    }
-
-    /// Caps how many queued jobs are re-slotted per decision.
-    pub fn with_lookahead(mut self, lookahead: usize) -> Self {
-        self.lookahead = lookahead.max(1);
-        self
     }
 
     /// Records every issued [`StartReservation`] into `log` (testing
@@ -177,7 +171,7 @@ impl Scheduler for ConservativeBackfillScheduler {
         // upcoming window or a standing booking its run would collide
         // with) — a backfill-discipline hold, not a policy decision.
         let mut head_timeline_parked = false;
-        while vi < self.alive.len() && planned < self.lookahead {
+        while vi < self.alive.len() && planned < LOOKAHEAD {
             planned += 1;
             let job = &queue[self.alive[vi] as usize];
             let booked = self.bookings.iter().position(|b| b.job == job.id);

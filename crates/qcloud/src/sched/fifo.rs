@@ -4,10 +4,10 @@
 //! [`FifoAdapter`] preserves the seed scheduler's exact semantics — head-of
 //! -line blocking with an optional bounded scan window — while batching all
 //! dispatches reachable at one instant into a single decision against the
-//! incrementally maintained state. [`SnapshotAdapter`] preserves the seed's
-//! *mechanics* too (a freshly allocated snapshot per consult, one dispatch
-//! per decision): it exists as the parity oracle for `tests/seed_parity.rs`
-//! and as the "before" baseline in `benches/sched.rs`.
+//! incrementally maintained state. The seed's *mechanics* (a freshly
+//! allocated snapshot per consult, one dispatch per decision) live on only
+//! as the test oracle in `tests/common`, which `tests/seed_parity.rs` and
+//! `tests/scheduler_proptests.rs` hold this adapter to bit for bit.
 
 use super::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
 use crate::broker::{AllocationPlan, Broker, CloudView};
@@ -99,51 +99,6 @@ impl Scheduler for FifoAdapter {
             dispatches,
             wait: Some(wait),
         }
-    }
-
-    fn name(&self) -> &str {
-        self.broker.name()
-    }
-}
-
-/// The seed scheduler's mechanics, verbatim: rebuild a fresh fleet snapshot
-/// for every consult (allocating), scan the window once, and return at most
-/// **one** dispatch with `wait: None` so the simulation immediately
-/// re-consults — exactly the consult-rebuild-dispatch cycle the seed's
-/// scheduling coroutine ran.
-pub struct SnapshotAdapter {
-    broker: Box<dyn Broker>,
-    window: usize,
-}
-
-impl SnapshotAdapter {
-    /// Wraps `broker`; `window` as in [`FifoAdapter::new`].
-    pub fn new(broker: Box<dyn Broker>, window: usize) -> Self {
-        assert!(window >= 1, "scan window must be at least 1");
-        SnapshotAdapter { broker, window }
-    }
-}
-
-impl Scheduler for SnapshotAdapter {
-    fn decide(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
-        // Deliberate per-consult snapshot allocation (the seed's
-        // `build_view`); do not optimise — this is the measured baseline.
-        let view: CloudView = state.view().clone();
-        let scan = self.window.min(queue.len());
-        for (vi, job) in queue.iter().enumerate().take(scan) {
-            let plan = self.broker.select(job, &view);
-            if let AllocationPlan::Dispatch(parts) = plan {
-                validate_plan(&*self.broker, job, &parts, &view);
-                return SchedulingDecision {
-                    dispatches: vec![Dispatch {
-                        queue_index: vi,
-                        parts,
-                    }],
-                    wait: None,
-                };
-            }
-        }
-        SchedulingDecision::wait(blocked_reason(&queue[0], state, &view))
     }
 
     fn name(&self) -> &str {
@@ -306,16 +261,6 @@ mod tests {
         let d = s.decide(&q, &st);
         assert_eq!(d.dispatches.len(), 1);
         assert_eq!(d.wait, Some(WaitReason::PolicyHold));
-    }
-
-    #[test]
-    fn snapshot_adapter_single_steps() {
-        let st = state(&[127, 127, 127, 127, 127]);
-        let mut s = SnapshotAdapter::new(Box::new(SpeedBroker::new()), 1);
-        let q = jobs(&[190, 190]);
-        let d = s.decide(&q, &st);
-        assert_eq!(d.dispatches.len(), 1);
-        assert_eq!(d.wait, None, "snapshot adapter asks for a re-consult");
     }
 
     #[test]

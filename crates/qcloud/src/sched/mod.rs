@@ -14,10 +14,9 @@
 //!   [`WaitReason`];
 //! * [`FifoAdapter`] ports every per-job [`crate::broker::Broker`] policy
 //!   onto the new trait while preserving the seed scheduler's head-of-line
-//!   semantics *bit for bit* (pinned by `tests/seed_parity.rs`);
-//! * [`SnapshotAdapter`] keeps the seed's snapshot-rebuild-per-consult
-//!   behaviour alive as a parity oracle and performance baseline
-//!   (`benches/sched.rs` measures it against the incremental path);
+//!   semantics *bit for bit* (pinned by `tests/seed_parity.rs`, against
+//!   the seed's goldens and against the seed-mechanics oracle kept in
+//!   `tests/common`);
 //! * [`BackfillScheduler`] (EASY backfilling),
 //!   [`ConservativeBackfillScheduler`] (availability-aware start
 //!   reservations protecting *every* queued job, not just the head) and
@@ -44,7 +43,7 @@ mod timeline;
 pub use backfill::{BackfillScheduler, GuaranteeLog, HeadGuarantee};
 pub use conservative::{ConservativeBackfillScheduler, ReservationLog, StartReservation};
 pub(crate) use fifo::first_placeable;
-pub use fifo::{FifoAdapter, SnapshotAdapter};
+pub use fifo::FifoAdapter;
 pub use priority::{PriorityDiscipline, PriorityScheduler};
 pub use state::{CloudState, DeviceSpec, Lease};
 pub use timeline::{AvailabilityProfile, CapacityTimeline};

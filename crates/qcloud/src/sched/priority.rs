@@ -51,6 +51,9 @@ impl PriorityDiscipline {
     }
 }
 
+/// How many top-priority jobs are examined per decision.
+const SCAN_LIMIT: usize = 64;
+
 /// Serves the queue greedily in priority order over any [`Broker`] policy.
 pub struct PriorityScheduler {
     broker: Box<dyn Broker>,
@@ -63,8 +66,6 @@ pub struct PriorityScheduler {
     ranked: Vec<u32>,
     /// Scratch: ranking keys, indexed by queue position.
     keys: Vec<f64>,
-    /// How many top-priority jobs are examined per decision.
-    scan_limit: usize,
 }
 
 impl PriorityScheduler {
@@ -81,14 +82,7 @@ impl PriorityScheduler {
             alive: Vec::new(),
             ranked: Vec::new(),
             keys: Vec::new(),
-            scan_limit: 64,
         }
-    }
-
-    /// Caps how many top-priority jobs are examined per decision.
-    pub fn with_scan_limit(mut self, limit: usize) -> Self {
-        self.scan_limit = limit.max(1);
-        self
     }
 
     /// The ranking key: lower is served first.
@@ -124,7 +118,7 @@ impl Scheduler for PriorityScheduler {
         self.alive.extend(0..queue.len() as u32);
 
         let mut dispatches = Vec::new();
-        for ri in 0..self.ranked.len().min(self.scan_limit) {
+        for ri in 0..self.ranked.len().min(SCAN_LIMIT) {
             let qi = self.ranked[ri];
             let job = &queue[qi as usize];
             let plan = self.broker.select(job, &self.view);

@@ -492,7 +492,7 @@ impl ParallelServiceHarness {
     pub fn install_faults(&mut self, script: &FaultScript, retry: RetryPolicy) {
         for sim in &mut self.kernels {
             for shard in 0..sim.world().shards.len() {
-                arm_faults(sim, shard, script, retry, None);
+                arm_faults(sim, shard, script, retry);
             }
         }
     }

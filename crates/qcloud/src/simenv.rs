@@ -93,7 +93,7 @@ use crate::broker::{Broker, Parts};
 use crate::cloud::QCloud;
 use crate::config::{ReleasePolicy, SimParams};
 use crate::device::DeviceId;
-use crate::faults::{AvoidSet, FaultInjector, FaultScript, RetryPolicy};
+use crate::faults::{FaultInjector, FaultScript, RetryPolicy};
 use crate::inline_vec::InlineVec;
 use crate::job::{IdMap, JobId, QJob};
 use crate::maintenance::{MaintenanceProc, MaintenanceWindow, OfflineFlags};
@@ -118,14 +118,12 @@ struct DeviceStatic {
 struct FaultState {
     injector: FaultInjector,
     retry: RetryPolicy,
-    avoid: Option<AvoidSet>,
 }
 
 /// One in-flight job attempt, tracked only while faults are armed so a
 /// crash (or execution failure) can kill its coroutines and resubmit it.
 struct RunningJob {
     job: QJob,
-    parts: Parts,
     exec_pid: ProcessId,
     sub_pids: InlineVec<ProcessId, 4>,
 }
@@ -278,11 +276,6 @@ fn fail_and_requeue(cx: &mut Ctx<'_, World>, shard: usize, job_id: u64, kill_exe
         .as_ref()
         .expect("failure path reached without faults armed");
     let retry = faults.retry;
-    if retry.prefer_different_device {
-        if let Some(av) = &faults.avoid {
-            av.record_failure(run.job.id, run.parts.iter().map(|&(d, _)| d));
-        }
-    }
     let attempts = st.records.record_requeue(run.job.id, now);
     if attempts < retry.max_attempts {
         let delay = retry.backoff_seconds(faults.injector.seed(), run.job.id, attempts);
@@ -295,9 +288,6 @@ fn fail_and_requeue(cx: &mut Ctx<'_, World>, shard: usize, job_id: u64, kill_exe
         );
     } else {
         st.records.record_exhausted(run.job.id);
-        if let Some(av) = &faults.avoid {
-            av.clear(run.job.id);
-        }
     }
 }
 
@@ -369,8 +359,10 @@ pub(crate) fn consult(kernel: &mut Kernel<World>, world: &mut World, shard: usiz
             st.telemetry.multi_dispatch_batches += 1;
         }
         // Without a wait reason the discipline asked for an immediate
-        // re-consult (e.g. the snapshot parity adapter dispatches one
-        // job per decision).
+        // re-consult: the RL scheduler after each pick, the idle-fleet
+        // fallback of conservative and of the RL scheduler, and the
+        // seed-mechanics oracle of the FIFO parity tests, which dispatches
+        // one job per decision.
         if let Some(reason) = apply_decision(kernel, st, shard, decision) {
             st.telemetry.count_wait(reason);
             return Step::Wait(Effect::Suspend);
@@ -463,7 +455,7 @@ pub(crate) fn apply_decision(
                 st.sub_spawns.push((duration, sub));
             }
         }
-        let registration = tracked.then(|| (job.clone(), d.parts.clone()));
+        let registration = tracked.then(|| job.clone());
         let exec_pid = kernel.spawn_after(
             exec,
             Box::new(Executor {
@@ -476,12 +468,11 @@ pub(crate) fn apply_decision(
                 tracked,
             }),
         );
-        if let Some((job, parts)) = registration {
+        if let Some(job) = registration {
             st.running.insert(
                 job.id.0,
                 RunningJob {
                     job,
-                    parts,
                     exec_pid,
                     sub_pids: InlineVec::new(),
                 },
@@ -593,9 +584,6 @@ impl Coroutine<World> for Executor {
                     .record_finish(self.job.id, now, fidelity, self.comm_seconds);
                 if self.tracked {
                     st.running.remove(&self.job.id.0);
-                    if let Some(av) = st.faults.as_ref().and_then(|f| f.avoid.as_ref()) {
-                        av.clear(self.job.id);
-                    }
                 }
                 wake_scheduler(cx, self.shard);
                 Step::Done
@@ -777,15 +765,13 @@ pub(crate) fn spawn_shard(
 /// deterministic [`FaultInjector`] from the shard's calibration data,
 /// stores the [`FaultState`] in the shard, and spawns one [`CrashProc`]
 /// per scripted outage on `sim`. Single copy of the arming logic shared by
-/// [`QCloudSimEnv::install_faults`] (which may also wire an [`AvoidSet`])
-/// and the service engine (which arms the same script on every region
-/// shard).
+/// [`QCloudSimEnv::install_faults`] and the service engine (which arms the
+/// same script on every region shard).
 pub(crate) fn arm_faults(
     sim: &mut Simulation<World>,
     shard: usize,
     script: &FaultScript,
     retry: RetryPolicy,
-    avoid: Option<AvoidSet>,
 ) {
     let st = &mut sim.world_mut().shards[shard];
     script
@@ -799,11 +785,7 @@ pub(crate) fn arm_faults(
         .map(|d| d.profile.clone())
         .collect();
     let injector = FaultInjector::resolve(script, &profiles, &st.params.error_weights);
-    st.faults = Some(FaultState {
-        injector,
-        retry,
-        avoid,
-    });
+    st.faults = Some(FaultState { injector, retry });
     for c in &script.crashes {
         // Deliberately no synchronous outage for `at == 0`: a crash is
         // unplanned, so even a t=0 outage lands only when its event
@@ -875,24 +857,13 @@ impl QCloudSimEnv {
     /// Arms a [`FaultScript`]: resolves the deterministic
     /// [`FaultInjector`] against the fleet's calibration data, stores the
     /// [`RetryPolicy`], and spawns one crash coroutine per scripted outage.
-    /// See the module docs for the failure/recovery semantics.
-    ///
-    /// `avoid` wires prefer-different-device resubmission: pass the *same*
-    /// [`AvoidSet`] handle given to a
-    /// [`crate::faults::DeviceAvoidingBroker`] wrapping the scheduler's
-    /// policy, and each failed attempt masks the devices it died on from
-    /// the next placement. Without it (`None`),
-    /// [`RetryPolicy::prefer_different_device`] records nothing.
+    /// See the module docs for the failure/recovery semantics. The service
+    /// harnesses arm a script the same way, on every region shard.
     ///
     /// Call before [`QCloudSimEnv::run`]; panics on an invalid script or
     /// policy.
-    pub fn install_faults(
-        &mut self,
-        script: FaultScript,
-        retry: RetryPolicy,
-        avoid: Option<AvoidSet>,
-    ) {
-        arm_faults(&mut self.sim, 0, &script, retry, avoid);
+    pub fn install_faults(&mut self, script: &FaultScript, retry: RetryPolicy) {
+        arm_faults(&mut self.sim, 0, script, retry);
     }
 
     /// Schedules a maintenance window: the device is marked *offline* from
@@ -1501,7 +1472,7 @@ mod tests {
     // --- Fault injection and recovery ---------------------------------
 
     use crate::config::ReleasePolicy;
-    use crate::faults::{AvoidSet, DeviceAvoidingBroker, FaultScript, RetryPolicy};
+    use crate::faults::{FaultScript, RetryPolicy};
     use crate::records::FinalStatus;
 
     fn faulty_run(
@@ -1525,7 +1496,7 @@ mod tests {
             params,
             seed,
         );
-        env.install_faults(script, retry, None);
+        env.install_faults(&script, retry);
         env.run()
     }
 
@@ -1653,40 +1624,10 @@ mod tests {
             SimParams::default(),
             71,
         );
-        env.install_faults(FaultScript::new(0), RetryPolicy::default(), None);
+        env.install_faults(&FaultScript::new(0), RetryPolicy::default());
         let armed = env.run();
         assert_eq!(plain.records, armed.records);
         assert_eq!(plain.telemetry, armed.telemetry);
-    }
-
-    #[test]
-    fn avoid_set_steers_resubmission_and_clears_on_completion() {
-        // prefer_different_device wiring: the same AvoidSet handle goes to
-        // the broker wrapper and install_faults. After the run every mask
-        // must be cleared (completion or exhaustion tidies up).
-        let avoid = AvoidSet::new();
-        let broker = Box::new(DeviceAvoidingBroker::new(
-            Box::new(SpeedBroker::new()),
-            avoid.clone(),
-        ));
-        let jobs = fragmented_jobs(30, 83);
-        let mut env = QCloudSimEnv::new(ibm_fleet(83), broker, jobs, SimParams::default(), 83);
-        let script = FaultScript::new(7).with_exec_failures(0.3);
-        let retry = RetryPolicy {
-            prefer_different_device: true,
-            max_attempts: 6,
-            ..RetryPolicy::default()
-        };
-        env.install_faults(script, retry, Some(avoid.clone()));
-        let res = env.run();
-        assert!(res.records.iter().all(|r| r.terminal()));
-        assert!(
-            res.records.iter().any(|r| r.attempts > 1),
-            "p = 0.3 over 30 jobs must fail someone"
-        );
-        for r in &res.records {
-            assert_eq!(avoid.mask(r.job_id), 0, "mask leaked for {:?}", r.job_id);
-        }
     }
 
     #[test]
@@ -1708,12 +1649,11 @@ mod tests {
                 seed,
             );
             env.install_faults(
-                FaultScript::new(seed).with_exec_failures(0.05),
+                &FaultScript::new(seed).with_exec_failures(0.05),
                 RetryPolicy {
                     max_attempts: 4,
                     ..RetryPolicy::default()
                 },
-                None,
             );
             let res = env.run();
             assert_eq!(res.records.len(), n);
@@ -1873,9 +1813,8 @@ mod tests {
     fn a_crash_overlapping_a_maintenance_window_holds_the_device_until_both_end() {
         let mut env = outage_env();
         env.install_faults(
-            FaultScript::new(3).with_crash(0, 100.0, 1_000.0),
+            &FaultScript::new(3).with_crash(0, 100.0, 1_000.0),
             RetryPolicy::default(),
-            None,
         );
         env.schedule_maintenance(crate::maintenance::MaintenanceWindow {
             device: 0,
@@ -1906,12 +1845,11 @@ mod tests {
             97,
         );
         env.install_faults(
-            FaultScript::new(1).with_crash(0, 100.0, 20_000.0),
+            &FaultScript::new(1).with_crash(0, 100.0, 20_000.0),
             RetryPolicy {
                 max_attempts: 10,
                 ..RetryPolicy::default()
             },
-            None,
         );
         let res = env.run();
         assert!(res.records.iter().all(|r| r.terminal()));

@@ -86,7 +86,7 @@ fn faulty_env(
         params,
         seed,
     );
-    env.install_faults(script, retry, None);
+    env.install_faults(&script, retry);
     env
 }
 
@@ -229,7 +229,7 @@ proptest! {
         let mut env = QCloudSimEnv::with_scheduler(
             ibm_fleet(seed), Box::new(sched), jobs, SimParams::default(), seed,
         );
-        env.install_faults(script, retry, None);
+        env.install_faults(&script, retry);
         let res = env.run();
         prop_assert!(res.records.iter().all(|r| r.terminal()));
 

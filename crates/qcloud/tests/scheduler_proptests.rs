@@ -21,17 +21,20 @@
 //!   conservative produce identical record streams across every seed
 //!   policy.
 //! * **FIFO adapter parity** — the adapter produces bit-identical
-//!   [`JobRecord`] streams to the seed-mechanics snapshot oracle on random
-//!   workloads, for every policy (the pinned-golden complement lives in
-//!   `tests/seed_parity.rs`).
+//!   [`JobRecord`] streams to the seed-mechanics snapshot oracle
+//!   (`tests/common`) on random workloads, for every policy (the
+//!   pinned-golden complement lives in `tests/seed_parity.rs`).
 //! * **Static-order cache ≡ fresh sort** — speed, fidelity and hybrid
 //!   (greedy and strict) sort their device order once per fleet; one
 //!   broker reused across random views plans every job exactly as a
 //!   broker built fresh for that call, whether the view changed only its
 //!   dynamic columns or its ids, `clops` or `error_score`.
 
+mod common;
+
 use std::collections::HashMap;
 
+use common::SnapshotAdapter;
 use proptest::prelude::*;
 use qcs_calibration::ibm_fleet;
 use qcs_desim::Xoshiro256StarStar;
@@ -45,7 +48,6 @@ use qcs_qcloud::sched::{
 };
 use qcs_qcloud::{
     DeviceId, JobDistribution, JobId, MaintenanceWindow, QCloudSimEnv, QJob, SimParams,
-    SnapshotAdapter,
 };
 
 const ALL_POLICIES: [&str; 8] = [

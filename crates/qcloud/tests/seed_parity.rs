@@ -9,19 +9,23 @@
 //!
 //! * [`QCloudSimEnv::new`] — every [`Broker`] ported through
 //!   [`FifoAdapter`] over the incremental `CloudState`;
-//! * [`SnapshotAdapter`] — the seed mechanics retained as an in-tree
-//!   oracle (one dispatch per decision, snapshot clone per consult).
+//! * [`SnapshotAdapter`] — the seed mechanics kept as a test oracle in
+//!   `tests/common` (one dispatch per decision, snapshot clone per
+//!   consult).
 //!
 //! The fingerprint folds every field of every [`JobRecord`] — start,
 //! execution end, finish, fidelity, communication delay, partition — at
 //! full `f64` bit precision (FNV-1a over `to_bits`), so any divergence in
 //! dispatch order, device choice, or timing arithmetic fails loudly.
 
+mod common;
+
+use common::SnapshotAdapter;
 use qcs_calibration::ibm_fleet;
 use qcs_qcloud::jobgen::{batch_at_zero, bimodal_arrivals, poisson_arrivals};
 use qcs_qcloud::policies::{by_name, scheduler_by_name};
 use qcs_qcloud::records::JobRecord;
-use qcs_qcloud::{FifoAdapter, JobDistribution, QCloudSimEnv, QJob, SimParams, SnapshotAdapter};
+use qcs_qcloud::{FifoAdapter, JobDistribution, QCloudSimEnv, QJob, SimParams};
 
 fn fingerprint(records: &[JobRecord]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -255,6 +259,36 @@ fn fifo_adapter_and_snapshot_oracle_agree_on_fresh_workloads() {
     }
 }
 
+#[test]
+fn snapshot_adapter_single_steps() {
+    use qcs_qcloud::policies::SpeedBroker;
+    use qcs_qcloud::sched::{CloudState, DeviceSpec, Scheduler};
+    use qcs_qcloud::JobId;
+    let specs: Vec<DeviceSpec> = (0..5)
+        .map(|i| DeviceSpec {
+            capacity: 127,
+            error_score: 0.01 + i as f64 * 0.001,
+            clops: 220_000.0 - i as f64 * 10_000.0,
+            qv_layers: 7.0,
+        })
+        .collect();
+    let state = CloudState::new(&specs, &SimParams::default());
+    let queue: Vec<QJob> = (0..2)
+        .map(|i| QJob {
+            id: JobId(i),
+            num_qubits: 190,
+            depth: 10,
+            num_shots: 50_000,
+            two_qubit_gates: 500,
+            arrival_time: 0.0,
+        })
+        .collect();
+    let mut s = SnapshotAdapter::new(Box::new(SpeedBroker::new()), 1);
+    let d = s.decide(&queue, &state);
+    assert_eq!(d.dispatches.len(), 1);
+    assert_eq!(d.wait, None, "snapshot adapter asks for a re-consult");
+}
+
 /// Golden fingerprints for the conservative-backfilling discipline on the
 /// bimodal head-of-line-blocking scenario (the `sched` bench workload).
 /// Captured at the commit that introduced `ConservativeBackfillScheduler`;
@@ -369,14 +403,13 @@ fn utilization_run(
     );
     if faults {
         env.install_faults(
-            qcs_qcloud::FaultScript::new(seed)
+            &qcs_qcloud::FaultScript::new(seed)
                 .with_crash(1, 400.0, 900.0)
                 .with_exec_failures(0.05),
             qcs_qcloud::RetryPolicy {
                 max_attempts: 6,
                 ..qcs_qcloud::RetryPolicy::default()
             },
-            None,
         );
     }
     if maintenance {

@@ -1,5 +1,5 @@
-//! Policy output distributions: diagonal Gaussian (continuous actions, as
-//! used for allocation weights) and categorical (discrete actions).
+//! The policy output distribution: a diagonal Gaussian over continuous
+//! actions, as used for allocation weights and queue-slot scores.
 
 use qcs_desim::dist::standard_normal;
 use qcs_desim::Xoshiro256StarStar;
@@ -71,65 +71,6 @@ impl DiagGaussian<'_> {
             let sigma = (self.log_std[j] as f64).exp();
             let z = (action[j] as f64 - self.mean[j] as f64) / sigma;
             out[j] = (z * z - 1.0) as f32;
-        }
-    }
-}
-
-/// A categorical distribution over logits (softmax policy head).
-#[derive(Debug, Clone)]
-pub struct Categorical<'a> {
-    /// Unnormalised logits, one per category.
-    pub logits: &'a [f32],
-}
-
-impl Categorical<'_> {
-    /// Normalised probabilities (softmax with max-subtraction).
-    pub fn probs(&self) -> Vec<f64> {
-        let max = self
-            .logits
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, &x| m.max(x as f64));
-        let exps: Vec<f64> = self
-            .logits
-            .iter()
-            .map(|&x| (x as f64 - max).exp())
-            .collect();
-        let sum: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / sum).collect()
-    }
-
-    /// Samples a category index.
-    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
-        let probs = self.probs();
-        let mut target = rng.next_f64();
-        for (i, &p) in probs.iter().enumerate() {
-            target -= p;
-            if target < 0.0 {
-                return i;
-            }
-        }
-        probs.len() - 1
-    }
-
-    /// Log-probability of category `k`.
-    pub fn log_prob(&self, k: usize) -> f64 {
-        self.probs()[k].max(1e-300).ln()
-    }
-
-    /// Shannon entropy.
-    pub fn entropy(&self) -> f64 {
-        self.probs()
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.ln())
-            .sum()
-    }
-
-    /// Gradient of `log_prob(k)` w.r.t. the logits: `1{j=k} - p_j`.
-    pub fn dlogp_dlogits(&self, k: usize, out: &mut [f32]) {
-        let probs = self.probs();
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = (if j == k { 1.0 } else { 0.0 }) - probs[j] as f32;
         }
     }
 }
@@ -229,50 +170,6 @@ mod tests {
             .log_prob(&action);
             let num = ((up - dn) / (2.0 * eps as f64)) as f32;
             assert!((num - dls[j]).abs() < 1e-2, "dls[{j}]: {num} vs {}", dls[j]);
-        }
-    }
-
-    #[test]
-    fn categorical_probs_normalised() {
-        let logits = [1.0f32, 2.0, 3.0];
-        let c = Categorical { logits: &logits };
-        let p = c.probs();
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(p[2] > p[1] && p[1] > p[0]);
-    }
-
-    #[test]
-    fn categorical_sample_frequencies() {
-        let logits = [0.0f32, (3.0f32).ln()]; // probs 0.25 / 0.75
-        let c = Categorical { logits: &logits };
-        let mut rng = Xoshiro256StarStar::new(5);
-        let hits = (0..100_000).filter(|_| c.sample(&mut rng) == 1).count();
-        assert!((hits as f64 / 100_000.0 - 0.75).abs() < 0.01);
-    }
-
-    #[test]
-    fn categorical_entropy_uniform_is_max() {
-        let logits = [0.5f32, 0.5, 0.5, 0.5];
-        let c = Categorical { logits: &logits };
-        assert!((c.entropy() - (4.0f64).ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn categorical_grad_matches_finite_difference() {
-        let logits = [0.1f32, -0.4, 0.8];
-        let c = Categorical { logits: &logits };
-        let mut g = [0.0f32; 3];
-        c.dlogp_dlogits(1, &mut g);
-        let eps = 1e-4f32;
-        for j in 0..3 {
-            let mut lp = logits;
-            lp[j] += eps;
-            let mut lm = logits;
-            lm[j] -= eps;
-            let up = Categorical { logits: &lp }.log_prob(1);
-            let dn = Categorical { logits: &lm }.log_prob(1);
-            let num = ((up - dn) / (2.0 * eps as f64)) as f32;
-            assert!((num - g[j]).abs() < 1e-2, "dlogits[{j}]: {num} vs {}", g[j]);
         }
     }
 }

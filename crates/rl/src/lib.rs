@@ -8,7 +8,7 @@
 //! * [`nn`] — small dense neural networks (`f32`, manual backprop,
 //!   orthogonal initialisation) sized for MLP policies;
 //! * [`opt::Adam`] — the Adam optimiser;
-//! * [`dist`] — diagonal Gaussian and categorical policy heads;
+//! * [`dist`] — the diagonal Gaussian policy head;
 //! * [`buffer::RolloutBuffer`] — rollout storage with GAE(λ) advantage
 //!   estimation;
 //! * [`ppo::Ppo`] — Proximal Policy Optimization with the clipped surrogate

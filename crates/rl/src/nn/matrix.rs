@@ -10,17 +10,16 @@
 //! The blocked GEMM is generic over its register-tile shape `MR × NR`
 //! (`gemm_bias_tiled`): `MR` rows of `A` share every load of a `B` row,
 //! and `NR` output columns are held in accumulator registers across the
-//! whole `k` loop. Four tile shapes are compiled:
+//! whole `k` loop. Three tile shapes are compiled:
 //!
 //! * **4×8** — the baseline, sized so the full accumulator block fits the
 //!   16 SSE registers every `x86_64` target guarantees;
 //! * **4×16** — compiled with AVX2 enabled (two YMM registers per
 //!   accumulator row); the default for short products wherever AVX2 is
-//!   available — fewest loads+broadcasts per flop on the MLP shapes this
-//!   crate runs;
-//! * **8×8** — also AVX2 (one YMM register per accumulator row, each `b`
-//!   load amortised over 8 rows); kept compiled and benched as the
-//!   alternative wide shape;
+//!   available. It beat an AVX2 8×8 tile on this crate's MLP shapes
+//!   (~1.7× against ~1.3× over the baseline at `256×64×64`) because per
+//!   `k` step it issues two `b`-row loads and four broadcasts against
+//!   8×8's one load and eight;
 //! * **4×32** — compiled with AVX-512F (two ZMM registers per accumulator
 //!   row), plus a rows-in-lanes *head tile* for the columns left after the
 //!   last whole 32-column tile. The policy and value heads are 9, 5 or 1
@@ -335,8 +334,6 @@ impl Matrix {
 pub enum GemmKernel {
     /// 4-row × 8-column tiles — the SSE-sized baseline, always available.
     Tile4x8,
-    /// 8-row × 8-column tiles, compiled with AVX2 (x86_64 + AVX2 only).
-    Tile8x8,
     /// 4-row × 16-column tiles, compiled with AVX2 (x86_64 + AVX2 only).
     Tile4x16,
     /// 4-row × 32-column tiles plus the rows-in-lanes head tile, compiled
@@ -349,7 +346,6 @@ impl GemmKernel {
     pub fn name(self) -> &'static str {
         match self {
             GemmKernel::Tile4x8 => "tile4x8",
-            GemmKernel::Tile8x8 => "tile8x8",
             GemmKernel::Tile4x16 => "tile4x16",
             GemmKernel::Tile4x32 => "tile4x32",
         }
@@ -384,12 +380,13 @@ fn avx512_available() -> bool {
     }
 }
 
-/// The kernels usable on this machine, baseline first. Benches and the
-/// kernel-parity test iterate this.
+/// The kernels usable on this machine, baseline first: the 4×8 tile, with
+/// AVX2 the 4×16 tile and with AVX-512F the 4×32 tile. Benches and the
+/// kernel-parity tests iterate this, for the GEMM and the weight gradient
+/// alike.
 pub fn available_kernels() -> Vec<GemmKernel> {
     let mut ks = vec![GemmKernel::Tile4x8];
     if avx2_available() {
-        ks.push(GemmKernel::Tile8x8);
         ks.push(GemmKernel::Tile4x16);
     }
     if avx512_available() {
@@ -406,13 +403,6 @@ const AVX512_MIN_ROWS: usize = HEAD_ROWS;
 /// Picks the micro-kernel for an `m`-row product: the AVX-512 4×32 tile
 /// for products of at least 16 rows where AVX-512F is available, else the
 /// 4×16 tile wherever AVX2 is available, else 4×8.
-///
-/// 4×16 wins over 8×8 on the MLP shapes this crate runs (measured in
-/// `benches/rl.rs`: ~1.7× vs ~1.3× over the baseline at `256×64×64`):
-/// per `k` step it issues two `b`-row vector loads and four broadcasts
-/// against 8×8's one load and eight broadcasts, and its 4-row blocks
-/// leave shorter row tails. Both AVX2 kernels stay compiled and benched
-/// so the choice remains evidence-based per machine generation.
 ///
 /// The row rule keeps the AVX-512 tile to the update's shard products.
 /// Shorter products (the deployed policies' one-row decisions, the
@@ -460,12 +450,6 @@ pub fn gemm_bias_with(
     match kernel {
         GemmKernel::Tile4x8 => gemm_bias_tiled::<4, 8>(m, k, n, a, b, bias, out, 0),
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Tile8x8 => {
-            assert!(avx2_available(), "AVX2 kernel forced on non-AVX2 machine");
-            // SAFETY: the target_feature fn only requires AVX2, checked above.
-            unsafe { gemm_bias_avx2_8x8(m, k, n, a, b, bias, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
         GemmKernel::Tile4x16 => {
             assert!(avx2_available(), "AVX2 kernel forced on non-AVX2 machine");
             // SAFETY: the target_feature fn only requires AVX2, checked above.
@@ -481,29 +465,10 @@ pub fn gemm_bias_with(
             unsafe { gemm_bias_avx512_4x32(m, k, n, a, b, bias, out) }
         }
         #[cfg(not(target_arch = "x86_64"))]
-        GemmKernel::Tile8x8 | GemmKernel::Tile4x16 | GemmKernel::Tile4x32 => {
+        GemmKernel::Tile4x16 | GemmKernel::Tile4x32 => {
             panic!("AVX kernels are only compiled on x86_64")
         }
     }
-}
-
-/// The 8×8 tile instantiated inside an AVX2 region: the scalar body
-/// auto-vectorises to one YMM register per accumulator row.
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_bias_avx2_8x8(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    gemm_bias_tiled::<8, 8>(m, k, n, a, b, bias, out, 0);
 }
 
 /// The 4×16 tile instantiated inside an AVX2 region (two YMM registers per
@@ -841,22 +806,12 @@ mod head {
     }
 }
 
-/// The kernels [`weight_grad_with`] runs on this machine, baseline first:
-/// the 4×8 tile, with AVX2 the 4×16 tile and with AVX-512F the 4×32 tile.
-/// The weight gradient has no 8×8 form.
-pub fn weight_grad_kernels() -> Vec<GemmKernel> {
-    available_kernels()
-        .into_iter()
-        .filter(|&k| k != GemmKernel::Tile8x8)
-        .collect()
-}
-
 /// The weight-gradient product `out += xᵀ·dy` (`x: [m,k]`, `dy: [m,n]`,
 /// `out: [k,n]`, all row-major) with an explicit micro-kernel — the body
 /// of [`Matrix::matmul_transpose_a_accum`], exposed for benches and parity
 /// tests. Every kernel gives the same bits (see the module docs). Panics
 /// if a slice length does not match its shape, or if `kernel` is not in
-/// [`weight_grad_kernels`] on this machine.
+/// [`available_kernels`] on this machine.
 pub fn weight_grad_with(
     kernel: GemmKernel,
     m: usize,
@@ -871,7 +826,6 @@ pub fn weight_grad_with(
     assert_eq!(out.len(), k * n, "weight_grad out shape mismatch");
     match kernel {
         GemmKernel::Tile4x8 => weight_grad_tiled::<4, 8>(m, k, n, x, dy, out),
-        GemmKernel::Tile8x8 => panic!("the weight gradient has no 8x8 tile"),
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Tile4x16 => {
             assert!(avx2_available(), "AVX2 kernel forced on non-AVX2 machine");
@@ -1258,8 +1212,8 @@ mod tests {
         }
     }
 
-    /// Every compiled micro-kernel (baseline 4×8, the AVX2 8×8 / 4×16 and
-    /// the AVX-512 4×32 tiles where available) must produce bit-identical
+    /// Every compiled micro-kernel (baseline 4×8, the AVX2 4×16 and the
+    /// AVX-512 4×32 tiles where available) must produce bit-identical
     /// outputs: kernel selection is a pure throughput decision, never a
     /// numerics one. This is what lets the baseline and `target-cpu=native`
     /// CI legs share all golden values.

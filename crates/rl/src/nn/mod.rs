@@ -7,7 +7,6 @@ pub mod mlp;
 
 pub use linear::{LayerGrads, Linear};
 pub use matrix::{
-    available_kernels, gemm_bias_with, select_kernel, weight_grad_kernels, weight_grad_with,
-    GemmKernel, Matrix,
+    available_kernels, gemm_bias_with, select_kernel, weight_grad_with, GemmKernel, Matrix,
 };
 pub use mlp::{Activation, Mlp, MlpCache};

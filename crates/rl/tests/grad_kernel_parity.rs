@@ -6,7 +6,7 @@
 //! the lanes, a branch-free loop for input blocks without exact zeros and
 //! the zero-skip everywhere else. The oracle below is the row-at-a-time
 //! axpy formulation those tiles replaced, copied verbatim; every kernel
-//! in `weight_grad_kernels()` (the baseline tile too, reached through
+//! in `available_kernels()` (the baseline tile too, reached through
 //! `weight_grad_with` on AVX2 hosts) and the dispatched method must match
 //! it bit for bit.
 //!
@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use qcs_desim::Xoshiro256StarStar;
-use qcs_rl::nn::{weight_grad_kernels, weight_grad_with, Matrix};
+use qcs_rl::nn::{available_kernels, weight_grad_with, Matrix};
 
 /// The parent formulation of `Matrix::matmul_transpose_a_accum`, verbatim
 /// but for the private-field accesses: `out += aᵀ · b`, one output row
@@ -137,7 +137,7 @@ fn assert_all_kernels_match(m: usize, k: usize, n: usize, zeros: Zeros, seed: u6
         expected.data().iter().all(|v| v.is_finite()),
         "poison leaked into the oracle at {m}x{k}x{n}"
     );
-    for kern in weight_grad_kernels() {
+    for kern in available_kernels() {
         let mut got = out0.clone();
         weight_grad_with(kern, m, k, n, x.data(), dy.data(), got.data_mut());
         assert_eq!(
@@ -207,7 +207,7 @@ fn zero_inputs_add_nothing() {
         .enumerate()
         .for_each(|(i, v)| *v = [1.0, f32::NAN, f32::INFINITY][i % 3]);
     let out0 = Matrix::from_vec(k, n, vec![-0.0; k * n]);
-    for kern in weight_grad_kernels() {
+    for kern in available_kernels() {
         let mut got = out0.clone();
         weight_grad_with(kern, m, k, n, x.data(), dy.data(), got.data_mut());
         assert_eq!(bits(got.data()), bits(out0.data()), "{}", kern.name());

@@ -3,7 +3,7 @@
 //! Replaces the `networkx` layer of the paper's Python framework: compact
 //! undirected graphs describing which physical qubits of a QPU can interact,
 //! plus the algorithms the scheduler needs (connectivity checks, connected
-//! sub-graph extraction for partition feasibility, and basic graph metrics).
+//! sub-graph extraction for partition feasibility, and the diameter).
 //!
 //! The flagship builder is [`builders::heavy_hex_eagle`], a reconstruction
 //! of the 127-qubit IBM Eagle-class heavy-hex lattice used by all five
@@ -15,8 +15,6 @@
 pub mod algo;
 pub mod builders;
 pub mod graph;
-pub mod paths;
-pub mod structure;
 
 pub use algo::{
     bfs_order, connected_components, connected_subgraph_from, diameter,
@@ -27,11 +25,3 @@ pub use builders::{
     random_connected, ring, torus,
 };
 pub use graph::Graph;
-pub use paths::{
-    all_pairs_distances, bfs_distances, eccentricity, mean_distance, radius, shortest_path,
-    UNREACHABLE,
-};
-pub use structure::{
-    articulation_points, bridges, clustering_coefficient, core_numbers, edge_cut, k_core,
-    mean_clustering, multiway_cut,
-};

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qcs_topology::{
     bfs_order, complete, connected_components, connected_subgraph_from, diameter,
-    disjoint_connected_partition, grid, heavy_hex, is_connected, line, ring, Graph,
+    disjoint_connected_partition, grid, heavy_hex, is_connected, line, ring, torus, Graph,
 };
 
 /// Induces the subgraph on `nodes` and checks it is connected.
@@ -110,6 +110,17 @@ proptest! {
         prop_assert_eq!(diameter(&complete(n)), 1);
     }
 
+    /// Tori are connected and 4-regular with `2·rows·cols` links, and their
+    /// diameter is the sum of the two ring diameters.
+    #[test]
+    fn torus_regularity(rows in 3usize..7, cols in 3usize..7) {
+        let g = torus(rows, cols);
+        prop_assert!(is_connected(&g));
+        prop_assert_eq!(g.num_edges(), 2 * rows * cols);
+        prop_assert!((0..g.num_nodes() as u32).all(|v| g.degree(v) == 4));
+        prop_assert_eq!(diameter(&g), rows / 2 + cols / 2);
+    }
+
     /// Edge count identities.
     #[test]
     fn edge_count_identities(rows in 1usize..10, cols in 1usize..10) {
@@ -119,147 +130,5 @@ proptest! {
         // Handshake lemma.
         let degree_sum: usize = (0..g.num_nodes() as u32).map(|v| g.degree(v)).sum();
         prop_assert_eq!(degree_sum, 2 * g.num_edges());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Properties of the path / structure extensions
-// ---------------------------------------------------------------------------
-
-use qcs_topology::{
-    articulation_points, bfs_distances, bridges, core_numbers, edge_cut, mean_clustering,
-    mean_distance, multiway_cut, random_connected, shortest_path, torus, UNREACHABLE,
-};
-
-/// Removes node `x` and counts components among the remaining nodes.
-fn components_without(g: &Graph, x: u32) -> usize {
-    let n = g.num_nodes();
-    let mut visited = vec![false; n];
-    visited[x as usize] = true; // pretend removed
-    let mut comps = 0;
-    for s in 0..n as u32 {
-        if visited[s as usize] {
-            continue;
-        }
-        comps += 1;
-        let mut queue = std::collections::VecDeque::new();
-        visited[s as usize] = true;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &w in g.neighbors(v) {
-                if !visited[w as usize] {
-                    visited[w as usize] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    comps
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// BFS distance satisfies the triangle inequality along edges:
-    /// |d(s,a) − d(s,b)| ≤ 1 for every edge (a,b).
-    #[test]
-    fn bfs_distance_lipschitz_on_edges(seed in 0u64..500, extra in 0usize..30) {
-        let g = random_connected(25, extra, seed);
-        let d = bfs_distances(&g, 0);
-        for (a, b) in g.edges() {
-            let (da, db) = (d[a as usize] as i64, d[b as usize] as i64);
-            prop_assert!((da - db).abs() <= 1, "edge ({a},{b}): {da} vs {db}");
-        }
-    }
-
-    /// shortest_path length equals the BFS distance, and every hop is an edge.
-    #[test]
-    fn shortest_path_matches_bfs_distance(seed in 0u64..500, a in 0u32..25, b in 0u32..25) {
-        let g = random_connected(25, 10, seed);
-        let d = bfs_distances(&g, a);
-        let p = shortest_path(&g, a, b).expect("connected");
-        prop_assert_eq!(p.len() as u32 - 1, d[b as usize]);
-        for w in p.windows(2) {
-            prop_assert!(g.has_edge(w[0], w[1]));
-        }
-        prop_assert_eq!(*p.first().unwrap(), a);
-        prop_assert_eq!(*p.last().unwrap(), b);
-    }
-
-    /// Articulation points are exactly the nodes whose removal increases
-    /// the component count (brute-force cross-check on small graphs).
-    #[test]
-    fn articulation_points_match_bruteforce(seed in 0u64..300, extra in 0usize..12) {
-        let g = random_connected(12, extra, seed);
-        let fast: std::collections::HashSet<u32> =
-            articulation_points(&g).into_iter().collect();
-        for v in 0..12u32 {
-            let is_cut = components_without(&g, v) > 1;
-            prop_assert_eq!(fast.contains(&v), is_cut, "node {}", v);
-        }
-    }
-
-    /// Bridges are exactly the edges not on any cycle: removing a bridge
-    /// disconnects its endpoints (brute-force cross-check).
-    #[test]
-    fn bridges_match_bruteforce(seed in 0u64..300, extra in 0usize..12) {
-        let g = random_connected(12, extra, seed);
-        let fast: std::collections::HashSet<(u32, u32)> = bridges(&g).into_iter().collect();
-        for (a, b) in g.edges() {
-            // Rebuild without (a,b) and test reachability a→b.
-            let edges: Vec<(u32, u32)> =
-                g.edges().filter(|&e| e != (a.min(b), a.max(b))).collect();
-            let h = Graph::from_edges(12, &edges);
-            let d = bfs_distances(&h, a);
-            let disconnects = d[b as usize] == UNREACHABLE;
-            prop_assert_eq!(fast.contains(&(a.min(b), a.max(b))), disconnects,
-                "edge ({},{})", a, b);
-        }
-    }
-
-    /// Core numbers: every node in the k-core has ≥ k neighbors in the
-    /// k-core, and core numbers never exceed degree.
-    #[test]
-    fn core_number_invariants(seed in 0u64..300, extra in 0usize..40) {
-        let g = random_connected(20, extra, seed);
-        let core = core_numbers(&g);
-        for v in 0..20u32 {
-            prop_assert!(core[v as usize] <= g.degree(v));
-            let k = core[v as usize];
-            let in_core_nbrs = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&w| core[w as usize] >= k)
-                .count();
-            prop_assert!(in_core_nbrs >= k, "node {} core {} nbrs {}", v, k, in_core_nbrs);
-        }
-    }
-
-    /// edge_cut is symmetric under complementing the mask and bounded by
-    /// the edge count; multiway_cut with 2 labels agrees with edge_cut.
-    #[test]
-    fn cut_identities(seed in 0u64..300, mask_bits in 0u32..(1 << 15)) {
-        let g = random_connected(15, 10, seed);
-        let in_a: Vec<bool> = (0..15).map(|i| mask_bits >> i & 1 == 1).collect();
-        let flipped: Vec<bool> = in_a.iter().map(|&b| !b).collect();
-        let cut = edge_cut(&g, &in_a);
-        prop_assert_eq!(cut, edge_cut(&g, &flipped));
-        prop_assert!(cut <= g.num_edges());
-        let labels: Vec<u32> = in_a.iter().map(|&b| b as u32).collect();
-        prop_assert_eq!(cut, multiway_cut(&g, &labels));
-    }
-
-    /// Tori are 2-connected with no bridges; with both dims ≥ 4 the
-    /// wrap-around cycles are too long to form triangles, so clustering
-    /// is exactly zero (a 3-long dimension wraps into column 3-cycles).
-    #[test]
-    fn torus_regularity(rows in 3usize..7, cols in 3usize..7) {
-        let g = torus(rows, cols);
-        prop_assert!(mean_distance(&g).is_some());
-        if rows >= 4 && cols >= 4 {
-            prop_assert_eq!(mean_clustering(&g), 0.0);
-        }
-        prop_assert!(articulation_points(&g).is_empty());
-        prop_assert!(bridges(&g).is_empty());
     }
 }

@@ -1,24 +1,17 @@
-//! Arrival processes beyond Poisson: Markov-modulated bursts and diurnal
-//! cycles.
+//! Open-system arrival processes: Poisson and Markov-modulated bursts.
 //!
 //! The paper's case study submits all 1,000 jobs at `t = 0` (closed
 //! backlog). Real quantum clouds see *open* arrivals whose rate varies —
 //! interactive daytime load, batch queues overnight, and correlated bursts
 //! when a conference deadline nears. These processes generate arrival-time
 //! sequences for such scenarios; combine them with a
-//! [`JobDistribution`] via [`jobs_with_arrivals`].
+//! [`JobDistribution`] via [`jobs_with_arrivals`]. Day/night cycles come
+//! from `qcs_qcloud::jobgen::diurnal_arrivals`.
 
 use qcs_desim::dist::exponential;
 use qcs_desim::Xoshiro256StarStar;
 use qcs_qcloud::{JobDistribution, JobId, QJob};
 use serde::{Deserialize, Serialize};
-
-/// Deterministic uniform spacing: `n` arrivals `gap` seconds apart,
-/// starting at `t = gap`.
-pub fn uniform_arrivals(n: usize, gap: f64) -> Vec<f64> {
-    assert!(gap >= 0.0 && gap.is_finite(), "gap must be finite and ≥ 0");
-    (1..=n).map(|i| i as f64 * gap).collect()
-}
 
 /// Homogeneous Poisson process: exponential inter-arrivals at `rate`
 /// jobs/second.
@@ -100,43 +93,6 @@ impl Mmpp2 {
     }
 }
 
-/// Diurnal (sinusoidal-rate) Poisson process via Lewis–Shedler thinning:
-/// `λ(t) = base · (1 + amplitude · sin(2πt / period))`, `amplitude ∈ [0,1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiurnalProcess {
-    /// Mean arrival rate (jobs/s).
-    pub base_rate: f64,
-    /// Relative swing of the rate (0 = homogeneous, →1 = rate touches 0).
-    pub amplitude: f64,
-    /// Cycle length in seconds (86,400 for a day).
-    pub period: f64,
-}
-
-impl DiurnalProcess {
-    /// Generates `n` arrival times.
-    pub fn arrivals(&self, n: usize, seed: u64) -> Vec<f64> {
-        assert!(self.base_rate > 0.0, "base rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&self.amplitude),
-            "amplitude must lie in [0, 1)"
-        );
-        assert!(self.period > 0.0, "period must be positive");
-        let mut rng = Xoshiro256StarStar::new(seed);
-        let lambda_max = self.base_rate * (1.0 + self.amplitude);
-        let mut out = Vec::with_capacity(n);
-        let mut t = 0.0f64;
-        while out.len() < n {
-            t += exponential(&mut rng, lambda_max);
-            let lambda_t = self.base_rate
-                * (1.0 + self.amplitude * (std::f64::consts::TAU * t / self.period).sin());
-            if rng.next_f64() * lambda_max <= lambda_t {
-                out.push(t);
-            }
-        }
-        out
-    }
-}
-
 /// Binds an arrival-time sequence to sampled job bodies: job `i` gets
 /// `JobId(i)` (offset by `id_base`) and `arrivals[i]`.
 pub fn jobs_with_arrivals(
@@ -161,13 +117,6 @@ mod tests {
         for w in ts.windows(2) {
             assert!(w[1] >= w[0], "arrivals must be non-decreasing");
         }
-    }
-
-    #[test]
-    fn uniform_spacing() {
-        let ts = uniform_arrivals(5, 2.0);
-        assert_eq!(ts, vec![2.0, 4.0, 6.0, 8.0, 10.0]);
-        assert!(uniform_arrivals(0, 1.0).is_empty());
     }
 
     #[test]
@@ -234,41 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_rate_oscillates() {
-        let d = DiurnalProcess {
-            base_rate: 1.0,
-            amplitude: 0.8,
-            period: 1000.0,
-        };
-        let ts = d.arrivals(50_000, 5);
-        assert_monotone(&ts);
-        // Count arrivals in peak vs trough quarter-cycles of the first
-        // cycles: peak quarter is t ∈ [0, 250) + k·1000 (sin > 0 rising),
-        // trough is [500, 750).
-        let mut peak = 0usize;
-        let mut trough = 0usize;
-        for &t in &ts {
-            let phase = t % 1000.0;
-            if phase < 250.0 {
-                peak += 1;
-            } else if (500.0..750.0).contains(&phase) {
-                trough += 1;
-            }
-        }
-        assert!(
-            peak as f64 > 1.5 * trough as f64,
-            "peak {peak} vs trough {trough}"
-        );
-        let empirical = ts.len() as f64 / ts.last().unwrap();
-        assert!(
-            (empirical - 1.0).abs() < 0.1,
-            "mean rate ≈ base, got {empirical}"
-        );
-    }
-
-    #[test]
     fn jobs_bind_ids_and_arrival_times() {
-        let arrivals = uniform_arrivals(10, 5.0);
+        let arrivals: Vec<f64> = (1..=10).map(|i| i as f64 * 5.0).collect();
         let jobs = jobs_with_arrivals(&arrivals, &JobDistribution::default(), 100, 1);
         assert_eq!(jobs.len(), 10);
         for (i, j) in jobs.iter().enumerate() {
@@ -282,16 +198,5 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn poisson_rejects_zero_rate() {
         poisson_process(1, 0.0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude")]
-    fn diurnal_rejects_amplitude_one() {
-        DiurnalProcess {
-            base_rate: 1.0,
-            amplitude: 1.0,
-            period: 100.0,
-        }
-        .arrivals(1, 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Named workload presets.
 
-use qcs_qcloud::jobgen::{batch_at_zero, bursty_arrivals, poisson_arrivals};
+use qcs_qcloud::jobgen::batch_at_zero;
 use qcs_qcloud::{JobDistribution, QJob};
 use serde::{Deserialize, Serialize};
 
@@ -30,50 +30,6 @@ pub fn smoke(n: usize, seed: u64) -> Suite {
     }
 }
 
-/// A bursty open-system workload: 2-state MMPP arrivals (calm background
-/// with 20x bursts), the conference-deadline traffic pattern. Long-run
-/// rate ≈ `rate`.
-pub fn bursty_mmpp(n: usize, rate: f64, seed: u64) -> Suite {
-    // Split the target rate 1:20 between states with a 10:1 sojourn ratio:
-    // mean = (10·calm + 20·calm·1)/11 = rate ⇒ calm = rate·11/30.
-    let calm = rate * 11.0 / 30.0;
-    let mmpp = crate::arrival::Mmpp2 {
-        calm_rate: calm,
-        burst_rate: calm * 20.0,
-        calm_mean_sojourn: 100.0 / rate,
-        burst_mean_sojourn: 10.0 / rate,
-    };
-    let arrivals = mmpp.arrivals(n, seed);
-    Suite {
-        name: "bursty_mmpp".into(),
-        jobs: crate::arrival::jobs_with_arrivals(
-            &arrivals,
-            &JobDistribution::default(),
-            0,
-            seed ^ 0x5EED,
-        ),
-    }
-}
-
-/// A stress workload: Poisson arrivals at `rate` jobs/s followed by
-/// periodic bursts — exercises both open-system queueing and backlog
-/// drain.
-pub fn stress(n: usize, rate: f64, seed: u64) -> Suite {
-    let dist = JobDistribution::default();
-    let mut jobs = poisson_arrivals(n / 2, rate, &dist, seed);
-    let t0 = jobs.last().map(|j| j.arrival_time).unwrap_or(0.0);
-    let mut burst = bursty_arrivals(4, (n / 2) / 4, 500.0, &dist, seed ^ 0xBEEF);
-    for (i, j) in burst.iter_mut().enumerate() {
-        j.arrival_time += t0;
-        j.id = qcs_qcloud::JobId((n / 2 + i) as u64);
-    }
-    jobs.extend(burst);
-    Suite {
-        name: "stress".into(),
-        jobs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,37 +56,7 @@ mod tests {
     }
 
     #[test]
-    fn stress_suite_ids_unique_and_sorted_by_phase() {
-        let s = stress(40, 0.01, 3);
-        assert_eq!(s.jobs.len(), 40);
-        let mut ids: Vec<u64> = s.jobs.iter().map(|j| j.id.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 40, "duplicate job ids");
-    }
-
-    #[test]
     fn smoke_size() {
         assert_eq!(smoke(17, 1).jobs.len(), 17);
-    }
-
-    #[test]
-    fn bursty_mmpp_rate_and_shape() {
-        let s = bursty_mmpp(5_000, 0.01, 9);
-        assert_eq!(s.jobs.len(), 5_000);
-        // Arrival times strictly ordered by construction of the MMPP.
-        for w in s.jobs.windows(2) {
-            assert!(w[1].arrival_time >= w[0].arrival_time);
-        }
-        // Long-run rate within 15% of the target.
-        let span = s.jobs.last().unwrap().arrival_time;
-        let rate = s.jobs.len() as f64 / span;
-        assert!(
-            (rate - 0.01).abs() / 0.01 < 0.15,
-            "empirical rate {rate} vs target 0.01"
-        );
-        // Job bodies still follow the case-study distribution.
-        assert!(s.jobs.iter().all(|j| (130..=250).contains(&j.num_qubits)));
-        assert_eq!(bursty_mmpp(100, 0.01, 9), bursty_mmpp(100, 0.01, 9));
     }
 }
