@@ -11,6 +11,10 @@ use qcs_rl::policy::{ActScratch, ActorCritic};
 /// Deploys a trained [`ActorCritic`] as an allocation policy. Uses the
 /// deterministic (mean) action, matching SB3's `predict(deterministic=True)`
 /// deployment convention.
+///
+/// A job larger than the view's free qubits waits before the observation
+/// is encoded: no partition of the free qubits holds it, whatever the
+/// weights, so the forward pass could not change the answer.
 pub struct RlBroker {
     policy: ActorCritic,
     cfg: GymConfig,
@@ -72,6 +76,9 @@ fn check_layout(policy: &ActorCritic, cfg: &GymConfig) -> Result<(), String> {
 
 impl Broker for RlBroker {
     fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
+        if job.num_qubits > view.total_free() {
+            return AllocationPlan::Wait;
+        }
         // The deployed broker has no queue context: an empty queue.
         let queue = QueueFeatures::default();
         encode_observation_into(&mut self.obs, job.num_qubits, view, &queue, &self.cfg);
@@ -102,6 +109,7 @@ impl Broker for RlBroker {
 mod tests {
     use super::*;
     use crate::broker::tests::{test_job, test_view};
+    use proptest::prelude::*;
     use qcs_desim::Xoshiro256StarStar;
 
     fn untrained_broker() -> RlBroker {
@@ -167,6 +175,72 @@ mod tests {
         let view = test_view(&[127, 127, 127, 127, 127]);
         let job = test_job(170);
         assert_eq!(b1.select(&job, &view), b2.select(&job, &view));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The guarded `select` is the plain chain — encode, act,
+        /// `weights_to_parts_into` — bit for bit, on generated views of one
+        /// to five devices and jobs on both sides of the free qubits. A job
+        /// larger than the free qubits waits without an observation being
+        /// encoded; every third job is one by construction.
+        #[test]
+        fn guard_answers_as_the_plain_chain(seed in 0u64..1_000_000_000) {
+            let mut rng = Xoshiro256StarStar::new(seed);
+            let cfg = GymConfig::default();
+            let policy = ActorCritic::new(cfg.obs_dim(), cfg.max_devices, &mut rng);
+            let mut broker = RlBroker::new(policy.clone(), cfg.clone());
+            let mut obs = vec![0.0f32; cfg.obs_dim()];
+            let mut weights = vec![0.0f32; cfg.max_devices];
+            let mut scratch = ActScratch::new();
+            let mut partition = PartitionScratch::default();
+            let selects = 12;
+            let mut guarded = 0;
+            for i in 0..selects {
+                let n = rng.range_u64(1, cfg.max_devices as u64) as usize;
+                let frees: Vec<u64> = (0..n)
+                    .map(|_| match rng.next_below(3) {
+                        0 => 0,
+                        _ => rng.range_u64(0, 127),
+                    })
+                    .collect();
+                let view = test_view(&frees);
+                let free = view.total_free();
+                let job = test_job(match i % 3 {
+                    0 => free + rng.range_u64(1, 250),
+                    1 => rng.range_u64(1, free.max(1)),
+                    _ => rng.range_u64(1, 400),
+                });
+                broker.obs.fill(f32::NAN);
+                let got = broker.select(&job, &view);
+
+                let queue = QueueFeatures::default();
+                encode_observation_into(&mut obs, job.num_qubits, &view, &queue, &cfg);
+                policy.act_deterministic_into(&obs, &mut scratch, &mut weights);
+                let mut parts = Parts::new();
+                let want = if weights_to_parts_into(
+                    &weights[..n],
+                    job.num_qubits,
+                    &frees,
+                    &mut partition,
+                    &mut parts,
+                ) {
+                    AllocationPlan::Dispatch(parts)
+                } else {
+                    AllocationPlan::Wait
+                };
+                prop_assert_eq!(&got, &want, "frees {:?} job {}", frees, job.num_qubits);
+
+                let too_big = job.num_qubits > free;
+                prop_assert_eq!(broker.obs.iter().all(|v| v.is_nan()), too_big);
+                if too_big {
+                    prop_assert_eq!(got, AllocationPlan::Wait);
+                    guarded += 1;
+                }
+            }
+            prop_assert!(guarded * 3 >= selects, "{guarded} of {selects} guarded");
+        }
     }
 
     #[test]

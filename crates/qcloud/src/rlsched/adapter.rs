@@ -140,6 +140,13 @@ pub fn try_load_scheduler(path: &str, seed: u64) -> Option<Box<dyn Scheduler>> {
 /// [`WaitReason`]. The idle-fleet fallback (a wait with nothing in flight
 /// dispatches the first placeable job in FIFO order instead) lives in the
 /// `Picker` alone, so training and deployment cannot disagree on it.
+///
+/// A consult where no job of the queue window fits the online free qubits
+/// skips the observation and the forward pass: every action would pick an
+/// infeasible job, an empty slot or the wait slot, and the `Picker` answers
+/// all three with the same hold, so the adapter goes straight to it. The
+/// decision, and every broker call, is the one the network's pick would
+/// have produced.
 pub struct RlSchedScheduler {
     policy: ActorCritic,
     cfg: SchedObsConfig,
@@ -173,6 +180,9 @@ impl RlSchedScheduler {
 
 impl Scheduler for RlSchedScheduler {
     fn decide(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
+        if !self.picker.window_fits(queue, state) {
+            return self.picker.hold_or_fallback(queue, state);
+        }
         encode_sched_observation_into(&mut self.obs, queue, state, &self.cfg);
         self.policy
             .act_deterministic_into(&self.obs, &mut self.scratch, &mut self.action);
@@ -191,7 +201,14 @@ impl Scheduler for RlSchedScheduler {
 ///
 /// A pick inside the queue window dispatches that job when the placement
 /// broker can place it now; anything else — the wait slot, an empty slot,
-/// a placement refusal — waits. A wait is only safe when something in
+/// a job the online free qubits cannot hold, a placement refusal — waits.
+/// The broker is consulted only for a picked job the online free qubits
+/// can hold (the rule EASY's candidate scan follows): no broker places
+/// more than is free, and not asking keeps a stateful policy (the `random`
+/// RNG) in step between a training step, which always picks, and a
+/// deployed consult, which skips the network when no window job fits.
+///
+/// A wait is only safe when something in
 /// flight will wake the scheduler again. With an idle fleet
 /// (`state.leases()` empty) only a future arrival could, and the picker
 /// cannot see whether one exists, so it falls back to dispatching the
@@ -217,6 +234,18 @@ impl Picker {
         }
     }
 
+    /// The addressable prefix of `queue`: its first `queue_slots` jobs.
+    fn window<'q>(&self, queue: &'q [QJob]) -> &'q [QJob] {
+        &queue[..queue.len().min(self.queue_slots)]
+    }
+
+    /// Whether some window job fits the online free qubits. When none
+    /// does, [`Picker::decide`] holds whatever the pick.
+    fn window_fits(&self, queue: &[QJob], state: &CloudState) -> bool {
+        let free = state.total_free();
+        self.window(queue).iter().any(|job| job.num_qubits <= free)
+    }
+
     /// The decision for `pick` against a non-empty `queue` and `state`.
     pub(crate) fn decide(
         &mut self,
@@ -224,11 +253,12 @@ impl Picker {
         queue: &[QJob],
         state: &CloudState,
     ) -> SchedulingDecision {
-        if pick >= self.queue_slots || pick >= queue.len() {
-            return self.hold_or_fallback(queue, state);
-        }
+        let job = match self.window(queue).get(pick) {
+            Some(job) if job.num_qubits <= state.total_free() => job,
+            _ => return self.hold_or_fallback(queue, state),
+        };
         state.copy_view_into(&mut self.view);
-        match self.broker.select(&queue[pick], &self.view) {
+        match self.broker.select(job, &self.view) {
             AllocationPlan::Dispatch(parts) => SchedulingDecision {
                 dispatches: vec![Dispatch {
                     queue_index: pick,
@@ -282,8 +312,12 @@ fn wait_reason(queue: &[QJob], state: &CloudState) -> WaitReason {
 mod tests {
     use super::*;
     use crate::config::SimParams;
+    use crate::device::DeviceId;
     use crate::job::JobId;
+    use crate::maintenance::OfflineFlags;
+    use crate::policies::spec::PLACEMENTS;
     use crate::sched::DeviceSpec;
+    use proptest::prelude::*;
     use qcs_desim::Xoshiro256StarStar;
 
     fn checkpoint() -> SchedCheckpoint {
@@ -420,6 +454,174 @@ mod tests {
         let d = sched.picker.hold_or_fallback(&queue, &st);
         assert!(d.dispatches.is_empty());
         assert_eq!(d.wait, Some(WaitReason::PolicyHold));
+    }
+
+    /// The one behaviour change of the picker's rule: under `random`, a
+    /// pick the online free qubits cannot hold no longer shuffles, so the
+    /// broker's stream stays where a fresh picker's is.
+    #[test]
+    fn infeasible_pick_leaves_the_random_stream_untouched() {
+        let mut st = state();
+        // A lease in flight, so a hold stays a hold (no idle-fleet
+        // fallback, which would consult the broker on its own).
+        st.reserve(&job(9, 40), &[(DeviceId(0), 40)], 0.0);
+        let too_big = vec![job(0, 161), job(1, 30)];
+        let fits = vec![job(1, 30)];
+        let picks = |p: &mut Picker| -> Vec<SchedulingDecision> {
+            (0..8).map(|_| p.decide(0, &fits, &st)).collect()
+        };
+        let mut asked = Picker::new(Placement::Random.build(5), 8);
+        let d = asked.decide(0, &too_big, &st);
+        assert!(d.dispatches.is_empty());
+        assert_eq!(d.wait, Some(WaitReason::InsufficientCapacity));
+        let mut fresh = Picker::new(Placement::Random.build(5), 8);
+        assert_eq!(picks(&mut asked), picks(&mut fresh));
+        // The stream does show in the picks: one shuffle more shifts them.
+        let mut shifted = Picker::new(Placement::Random.build(5), 8);
+        shifted.broker.select(&fits[0], st.view());
+        let mut fresh = Picker::new(Placement::Random.build(5), 8);
+        assert_ne!(picks(&mut shifted), picks(&mut fresh));
+    }
+
+    /// `specs` refreshed to `now`, each device offline with probability
+    /// 1/4, then each online device leased a random share of its qubits
+    /// with probability 1/2. With `busy`, some qubit is always taken:
+    /// device 0 gets a lease when the fleet came out all online and idle.
+    fn random_state(
+        rng: &mut Xoshiro256StarStar,
+        specs: &[DeviceSpec],
+        now: f64,
+        busy: bool,
+    ) -> CloudState {
+        let mut state = CloudState::new(specs, &SimParams::default());
+        let mut offline = OfflineFlags::new(specs.len());
+        for d in 0..specs.len() {
+            offline.set_offline(d, rng.next_below(4) == 0);
+        }
+        state.refresh(now, &offline);
+        let lease = |state: &mut CloudState, d: usize, amt: u64| {
+            let holder = job(1_000_000 + d as u64, amt);
+            state.reserve(&holder, &[(DeviceId(d as u32), amt)], now);
+        };
+        for (d, spec) in specs.iter().enumerate() {
+            if !offline.is_offline(d) && rng.next_below(2) == 0 {
+                lease(&mut state, d, rng.range_u64(1, spec.capacity));
+            }
+        }
+        let capacity: u64 = specs.iter().map(|s| s.capacity).sum();
+        if busy && state.total_free() == capacity {
+            lease(&mut state, 0, rng.range_u64(1, specs[0].capacity));
+        }
+        state
+    }
+
+    /// A queue of one to 3,000 jobs that arrived before `now`, none larger
+    /// than the fleet's `capacity` (Eq. 1). `kind` 0 makes every job of
+    /// the first `slots` larger than `free` (which must be below
+    /// `capacity`), kind 1 puts a job that fits `free` (when `free > 0`)
+    /// in the window, kind 2 draws every size from 1 to 250 qubits.
+    fn random_queue(
+        rng: &mut Xoshiro256StarStar,
+        kind: usize,
+        (free, capacity): (u64, u64),
+        slots: usize,
+        now: f64,
+    ) -> Vec<QJob> {
+        let depth = match rng.next_below(3) {
+            0 => rng.range_u64(1, slots as u64),
+            1 => rng.range_u64(1, 200),
+            _ => rng.range_u64(1, 3_000),
+        } as usize;
+        let mut queue: Vec<QJob> = (0..depth)
+            .map(|i| {
+                let q = if kind == 0 && i < slots {
+                    rng.range_u64(free + 1, capacity)
+                } else {
+                    rng.range_u64(1, capacity.min(250))
+                };
+                QJob {
+                    arrival_time: now - rng.range_f64(0.0, now),
+                    ..job(i as u64, q)
+                }
+            })
+            .collect();
+        if kind == 1 && free > 0 {
+            let i = rng.choose_index(depth.min(slots));
+            queue[i].num_qubits = rng.range_u64(1, free.min(250));
+        }
+        queue
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Skipping the network never changes a decision. A random-weight
+        /// policy deployed as `RlSchedScheduler` answers a run of consults
+        /// on generated fleets (devices offline, random leases) and queues
+        /// up to 3,000 deep exactly as the unskipped path does: the
+        /// observation, the deterministic action, its argmax and a
+        /// `Picker` over the same placement and seed. Both sides keep
+        /// their brokers across the run, so a stateful placement must stay
+        /// in step too. The skipped consults are seen directly: they leave
+        /// the scheduler's observation and action buffers unwritten, and
+        /// they are exactly the consults with no window job that fits.
+        #[test]
+        fn skipped_consults_decide_as_the_network_would(
+            seed in 0u64..1_000_000_000,
+            placement_ix in 0usize..64,
+        ) {
+            let mut rng = Xoshiro256StarStar::new(seed);
+            let placements: Vec<Placement> = PLACEMENTS
+                .iter()
+                .filter(|c| !c.token.starts_with("rl:"))
+                .map(|c| c.token.parse().expect("registered token"))
+                .collect();
+            let placement = &placements[placement_ix % placements.len()];
+            let cfg = SchedObsConfig::default();
+            let policy = ActorCritic::new(cfg.obs_dim(), cfg.action_dim(), &mut rng);
+            let ck = SchedCheckpoint::new(cfg.clone(), placement, policy.clone());
+            let mut sched = RlSchedScheduler::from_checkpoint(ck, seed);
+            let mut picker = Picker::new(placement.build(seed), cfg.queue_slots);
+            let mut obs = vec![0.0f32; cfg.obs_dim()];
+            let mut action = vec![0.0f32; cfg.action_dim()];
+            let mut scratch = ActScratch::new();
+            let n_devices = rng.range_u64(1, cfg.max_devices as u64) as usize;
+            let specs: Vec<DeviceSpec> = (0..n_devices)
+                .map(|_| DeviceSpec {
+                    capacity: rng.range_u64(20, 150),
+                    error_score: rng.range_f64(0.01, 0.05),
+                    clops: rng.range_f64(1e5, 3e5),
+                    qv_layers: 7.0,
+                })
+                .collect();
+            let capacity: u64 = specs.iter().map(|s| s.capacity).sum();
+            let consults = 9;
+            let mut skipped_count = 0;
+            for c in 0..consults {
+                let now = rng.range_f64(0.0, 1e5);
+                let state = random_state(&mut rng, &specs, now, c % 3 == 0);
+                let free = state.total_free();
+                let queue = random_queue(&mut rng, c % 3, (free, capacity), cfg.queue_slots, now);
+                sched.obs.fill(f32::NAN);
+                sched.action.fill(f32::NAN);
+                let got = sched.decide(&queue, &state);
+                let skipped = sched.obs.iter().all(|v| v.is_nan());
+                prop_assert_eq!(sched.action.iter().all(|v| v.is_nan()), skipped);
+
+                encode_sched_observation_into(&mut obs, &queue, &state, &cfg);
+                policy.act_deterministic_into(&obs, &mut scratch, &mut action);
+                let want = picker.decide(argmax(&action), &queue, &state);
+                prop_assert_eq!(&got, &want, "{} consult {}", placement, c);
+
+                let window = &queue[..queue.len().min(cfg.queue_slots)];
+                let any_fits = window.iter().any(|j| j.num_qubits <= free);
+                prop_assert_eq!(skipped, !any_fits, "{} consult {}", placement, c);
+                skipped_count += usize::from(skipped);
+            }
+            // Every third consult has no window job that fits by
+            // construction, so at least that share must skip.
+            prop_assert!(skipped_count * 3 >= consults, "{skipped_count} of {consults} skipped");
+        }
     }
 
     #[test]
