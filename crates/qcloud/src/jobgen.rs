@@ -139,29 +139,6 @@ pub fn diurnal_arrivals(
     out
 }
 
-/// Generates bursty arrivals: `bursts` groups of `per_burst` jobs, the
-/// groups separated by `gap` seconds (jobs within a burst arrive together).
-pub fn bursty_arrivals(
-    bursts: usize,
-    per_burst: usize,
-    gap: f64,
-    dist: &JobDistribution,
-    seed: u64,
-) -> Vec<QJob> {
-    assert!(gap >= 0.0, "gap must be non-negative");
-    let mut rng = Xoshiro256StarStar::new(seed);
-    let mut out = Vec::with_capacity(bursts * per_burst);
-    let mut id = 0u64;
-    for b in 0..bursts {
-        let t = b as f64 * gap;
-        for _ in 0..per_burst {
-            out.push(dist.sample(JobId(id), t, &mut rng));
-            id += 1;
-        }
-    }
-    out
-}
-
 /// Validates a job list against a fleet: every job must satisfy Eq. 1
 /// (larger than any single device — i.e. forced to split — yet within the
 /// cloud's total capacity), and no two jobs may share an id
@@ -260,15 +237,6 @@ mod tests {
         for w in jobs.windows(2) {
             assert!(w[1].arrival_time > w[0].arrival_time);
         }
-    }
-
-    #[test]
-    fn bursts_are_spaced_by_gap() {
-        let jobs = bursty_arrivals(3, 4, 100.0, &JobDistribution::default(), 3);
-        assert_eq!(jobs.len(), 12);
-        assert!(jobs[..4].iter().all(|j| j.arrival_time == 0.0));
-        assert!(jobs[4..8].iter().all(|j| j.arrival_time == 100.0));
-        assert!(jobs[8..].iter().all(|j| j.arrival_time == 200.0));
     }
 
     #[test]

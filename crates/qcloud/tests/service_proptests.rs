@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use qcs_calibration::{ibm_fleet, regional_fleet, DeviceProfile};
-use qcs_qcloud::jobgen::{diurnal_arrivals, poisson_arrivals};
+use qcs_qcloud::jobgen::{batch_at_zero, diurnal_arrivals, poisson_arrivals};
 use qcs_qcloud::policies::scheduler_by_name;
 use qcs_qcloud::{
     AdmissionPolicy, FinalStatus, JobDistribution, QCloudSimEnv, QJob, RoutingPolicy,
@@ -190,14 +190,15 @@ fn decision_latency_counts_every_shard_decision() {
     }
 }
 
-/// A throttling intake defers the whole burst: jobs are admitted only
-/// after their backoff, the scheduler's idle waits are attributed to
-/// admission (not a drained queue), and nothing is lost.
+/// A throttling intake defers the whole burst (eight jobs arriving at
+/// t = 0): jobs are admitted only after their backoff, the scheduler's
+/// idle waits are attributed to admission (not a drained queue), and
+/// nothing is lost.
 #[test]
 fn throttled_burst_is_deferred_then_admitted() {
     let seed = 11;
     let dist = small_dist();
-    let jobs: Vec<QJob> = qcs_qcloud::jobgen::bursty_arrivals(1, 8, 0.0, &dist, seed);
+    let jobs: Vec<QJob> = batch_at_zero(8, &dist, seed);
     let config = ServiceConfig {
         admission: AdmissionPolicy {
             throttle_watermark: 0, // everything throttles at least once

@@ -12,7 +12,6 @@
 use std::collections::VecDeque;
 
 use crate::buffer::RolloutBuffer;
-use crate::dist::DiagGaussian;
 use crate::env::StepInfo;
 use crate::nn::Matrix;
 use crate::opt::Adam;
@@ -218,24 +217,16 @@ impl A2c {
 
         let per_sample = |ctx: &mut SampleCtx| {
             let b = ctx.minibatch as f64;
-            let dist = DiagGaussian {
-                mean: ctx.mean,
-                log_std: ctx.log_std,
-            };
             let action = buffer.action_row(ctx.buffer_index);
-            let logp = dist.log_prob(action);
+            let logp = ctx.gauss.log_prob(ctx.mean, action, ctx.z);
             let adv = (buffer.advantages[ctx.buffer_index] - mean_adv) / std_adv;
             ctx.diag.policy_loss += -logp * adv;
-            ctx.diag.entropy_sum += dist.entropy();
+            ctx.diag.entropy_sum += ctx.gauss.entropy();
 
             // d(-logp·adv)/dθ — every sample contributes (no clipping).
             let scale = (-adv / b) as f32;
-            dist.dlogp_dmean(action, ctx.dmu);
-            dist.dlogp_dlogstd(action, ctx.dls);
-            for j in 0..ctx.d_mean.len() {
-                ctx.d_mean[j] = ctx.dmu[j] * scale;
-                ctx.grad_log_std[j] += ctx.dls[j] * scale;
-            }
+            ctx.gauss
+                .add_scaled_grads(ctx.z, scale, ctx.d_mean, ctx.grad_log_std);
             if cfg.ent_coef != 0.0 {
                 let g = -(cfg.ent_coef / b) as f32;
                 for gls in ctx.grad_log_std.iter_mut() {

@@ -11,7 +11,7 @@ const LN_2PI: f64 = 1.8378770664093453;
 /// action spaces).
 #[derive(Debug, Clone)]
 pub struct DiagGaussian<'a> {
-    /// Per-sample means, row-major `[batch? — callers use single rows]`.
+    /// The means of one sample, one per action dimension.
     pub mean: &'a [f32],
     /// Shared log-std vector, one per action dimension.
     pub log_std: &'a [f32],
@@ -71,6 +71,86 @@ impl DiagGaussian<'_> {
             let sigma = (self.log_std[j] as f64).exp();
             let z = (action[j] as f64 - self.mean[j] as f64) / sigma;
             out[j] = (z * z - 1.0) as f32;
+        }
+    }
+}
+
+/// The terms of a [`DiagGaussian`] that depend on its `log_std` alone:
+/// `σ_j = exp(log_std_j)` (in `f64` for densities and gradients, in `f32`
+/// for sampling) and the entropy. Every row of a batch shares one
+/// `log_std`, so its users compute these once per batch (per minibatch in
+/// the update, per step in the rollout) instead of an `exp` per row and
+/// action dimension. Each method gives the bits of its [`DiagGaussian`]
+/// counterpart.
+#[derive(Debug, Clone, Default)]
+pub struct StdTerms {
+    log_std: Vec<f32>,
+    sigma: Vec<f64>,
+    sigma_f32: Vec<f32>,
+    entropy: f64,
+}
+
+impl StdTerms {
+    /// An empty set of terms; call [`StdTerms::set`] before use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Computes the terms of `log_std`, reusing the buffers.
+    pub fn set(&mut self, log_std: &[f32]) {
+        self.log_std.clear();
+        self.log_std.extend_from_slice(log_std);
+        self.sigma.clear();
+        self.sigma
+            .extend(log_std.iter().map(|&ls| (ls as f64).exp()));
+        self.sigma_f32.clear();
+        self.sigma_f32.extend(log_std.iter().map(|&ls| ls.exp()));
+        self.entropy = DiagGaussian { mean: &[], log_std }.entropy();
+    }
+
+    /// [`DiagGaussian::entropy`].
+    pub fn entropy(&self) -> f64 {
+        self.entropy
+    }
+
+    /// [`DiagGaussian::sample_into`] for the row `mean`: the same draws
+    /// from `rng` and the same bits.
+    pub fn sample_into(&self, mean: &[f32], rng: &mut Xoshiro256StarStar, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), mean.len());
+        for ((o, &mu), &sigma) in out.iter_mut().zip(mean).zip(&self.sigma_f32) {
+            *o = mu + sigma * standard_normal(rng) as f32;
+        }
+    }
+
+    /// [`DiagGaussian::log_prob`] of `action` for the row `mean`. Leaves
+    /// each `z_j = (a_j − μ_j)/σ_j` in `z` for [`StdTerms::add_scaled_grads`].
+    pub fn log_prob(&self, mean: &[f32], action: &[f32], z: &mut [f64]) -> f64 {
+        debug_assert_eq!(action.len(), mean.len());
+        debug_assert_eq!(z.len(), mean.len());
+        let mut lp = 0.0f64;
+        let terms = self.sigma.iter().zip(&self.log_std);
+        for (((z, &a), &mu), (&sigma, &ls)) in z.iter_mut().zip(action).zip(mean).zip(terms) {
+            *z = (a as f64 - mu as f64) / sigma;
+            lp += -0.5 * *z * *z - ls as f64 - 0.5 * LN_2PI;
+        }
+        lp
+    }
+
+    /// From the `z` that [`StdTerms::log_prob`] left: writes
+    /// `scale·∂logp/∂μ_j` into `d_mean` and adds `scale·∂logp/∂logσ_j` into
+    /// `d_log_std` — the bits of [`DiagGaussian::dlogp_dmean`] and
+    /// [`DiagGaussian::dlogp_dlogstd`], each multiplied by `scale` in `f32`.
+    pub fn add_scaled_grads(
+        &self,
+        z: &[f64],
+        scale: f32,
+        d_mean: &mut [f32],
+        d_log_std: &mut [f32],
+    ) {
+        let grads = d_mean.iter_mut().zip(d_log_std.iter_mut());
+        for ((dm, dls), (&z, &sigma)) in grads.zip(z.iter().zip(&self.sigma)) {
+            *dm = (z / sigma) as f32 * scale;
+            *dls += (z * z - 1.0) as f32 * scale;
         }
     }
 }
@@ -170,6 +250,101 @@ mod tests {
             .log_prob(&action);
             let num = ((up - dn) / (2.0 * eps as f64)) as f32;
             assert!((num - dls[j]).abs() < 1e-2, "dls[{j}]: {num} vs {}", dls[j]);
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every [`StdTerms`] method against its [`DiagGaussian`] counterpart,
+    /// bitwise, on one case: the log-density (and the `z` it leaves), both
+    /// gradients scaled and accumulated as the losses do, the entropy, and
+    /// sampling with its draws from the generator.
+    fn check_std_terms(mean: &[f32], log_std: &[f32], action: &[f32], scale: f32, seed: u64) {
+        let n = mean.len();
+        let d = DiagGaussian { mean, log_std };
+        let mut terms = StdTerms::new();
+        terms.set(log_std);
+        let mut z = vec![f64::NAN; n];
+        let lp = terms.log_prob(mean, action, &mut z);
+        assert_eq!(lp.to_bits(), d.log_prob(action).to_bits(), "log_prob");
+        assert_eq!(terms.entropy().to_bits(), d.entropy().to_bits(), "entropy");
+
+        let (mut dmu, mut dls) = (vec![0.0f32; n], vec![0.0f32; n]);
+        d.dlogp_dmean(action, &mut dmu);
+        d.dlogp_dlogstd(action, &mut dls);
+        let mut d_mean = vec![f32::NAN; n];
+        let mut d_log_std: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 0.5).collect();
+        let want_mean: Vec<f32> = dmu.iter().map(|&g| g * scale).collect();
+        let want_log_std: Vec<f32> = d_log_std
+            .iter()
+            .zip(&dls)
+            .map(|(&acc, &g)| acc + g * scale)
+            .collect();
+        terms.add_scaled_grads(&z, scale, &mut d_mean, &mut d_log_std);
+        assert_eq!(bits(&d_mean), bits(&want_mean), "dlogp_dmean");
+        assert_eq!(bits(&d_log_std), bits(&want_log_std), "dlogp_dlogstd");
+
+        let (mut r1, mut r2) = (Xoshiro256StarStar::new(seed), Xoshiro256StarStar::new(seed));
+        let (mut a1, mut a2) = (vec![0.0f32; n], vec![0.0f32; n]);
+        d.sample_into(&mut r1, &mut a1);
+        terms.sample_into(mean, &mut r2, &mut a2);
+        assert_eq!(bits(&a1), bits(&a2), "sample_into");
+        assert_eq!(r1.next_u64(), r2.next_u64(), "draws");
+    }
+
+    #[test]
+    fn std_terms_match_diag_gaussian_on_policy_shapes() {
+        // The gym (5 actions) and scheduler (9 actions) heads at SB3's
+        // initial σ = 1 and after log_std has moved either way.
+        for n in [1usize, 5, 9] {
+            let mean: Vec<f32> = (0..n).map(|j| j as f32 * 0.3 - 1.1).collect();
+            let action: Vec<f32> = (0..n).map(|j| 0.7 - j as f32 * 0.45).collect();
+            for ls in [0.0f32, -0.7, 0.35] {
+                let log_std: Vec<f32> = (0..n).map(|j| ls + j as f32 * 0.05).collect();
+                check_std_terms(&mean, &log_std, &action, -0.015625, n as u64);
+                check_std_terms(&mean, &log_std, &action, 1.0, 7);
+            }
+        }
+    }
+
+    #[test]
+    fn std_terms_follow_log_std_changes() {
+        let mean = [0.2f32, -0.4];
+        let action = [0.5f32, 0.1];
+        let mut terms = StdTerms::new();
+        let mut z = [0.0f64; 2];
+        for log_std in [[0.0f32, 0.0], [0.0, 0.0], [-0.5, 0.25], [0.0, -0.0]] {
+            terms.set(&log_std);
+            let d = DiagGaussian {
+                mean: &mean,
+                log_std: &log_std,
+            };
+            let lp = terms.log_prob(&mean, &action, &mut z);
+            assert_eq!(lp.to_bits(), d.log_prob(&action).to_bits(), "{log_std:?}");
+            assert_eq!(
+                terms.entropy().to_bits(),
+                d.entropy().to_bits(),
+                "{log_std:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// [`check_std_terms`] on random rows, log-stds and loss scales.
+        #[test]
+        fn std_terms_match_diag_gaussian(
+            rows in proptest::collection::vec((-3.0f64..3.0, -3.0f64..2.0, -3.0f64..3.0), 1..=12),
+            scale in -2.0f64..2.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mean: Vec<f32> = rows.iter().map(|r| r.0 as f32).collect();
+            let log_std: Vec<f32> = rows.iter().map(|r| r.1 as f32).collect();
+            let action: Vec<f32> = rows.iter().map(|r| r.2 as f32).collect();
+            check_std_terms(&mean, &log_std, &action, scale as f32, seed);
         }
     }
 }

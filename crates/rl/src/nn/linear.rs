@@ -38,7 +38,9 @@ impl LayerGrads {
 /// refreshed by [`Linear::zero_grad`] / [`Linear::refresh_packed`]; callers
 /// that mutate `w` directly must call one of them before the next backward
 /// pass (the standard zero-grad-then-backward discipline does this for
-/// free).
+/// free). A network's first layer never computes its input gradient, so
+/// the minibatch update leaves that layer's pack stale and only keeps its
+/// shape (see `Mlp::refresh_backward_packs`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
     /// Weight matrix `[in_dim, out_dim]`.
@@ -104,6 +106,12 @@ impl Linear {
     /// [`Linear::zero_grad`] calls it automatically.
     pub fn refresh_packed(&mut self) {
         self.w.transpose_into(&mut self.w_t);
+    }
+
+    /// Whether the packed transpose has the shape of `Wᵀ` (its contents
+    /// may be stale).
+    pub(crate) fn packed_shape_matches(&self) -> bool {
+        self.w_t.rows() == self.w.cols() && self.w_t.cols() == self.w.rows()
     }
 
     /// Forward pass: `out = x · W + b`, as one fused blocked kernel (the

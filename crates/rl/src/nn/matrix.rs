@@ -31,21 +31,31 @@
 //!
 //! The kernel is picked per call by [`select_kernel`]: AVX2 and AVX-512F
 //! are detected once at runtime, so a generic baseline build still uses
-//! the wide tiles on capable hardware. The **16-row rule**: the 4×32 tile
-//! is picked only for products of at least 16 rows, one
-//! `update::SHARD_ROWS` shard, which is every forward and backward product
-//! of a PPO or A2C update. Shorter products — the deployed policies'
-//! one-row decisions and the rollouts' few-env batches — keep the 4×16
-//! tile: their rows run the shared row tail, which a wider tile does not
-//! help, they fill no 16-row head block, and between simulation events
-//! they are too short to pay for waking the 512-bit units. A machine
-//! without AVX-512F selects exactly the AVX2 and baseline kernels.
+//! the wide tiles on capable hardware. The **one-row rule**: the AVX-512
+//! kernel is picked for one-row products and for products of at least 16
+//! rows, one `update::SHARD_ROWS` shard (every forward and backward
+//! product of a PPO or A2C update). A one-row product — each decision of a
+//! deployed policy — runs the AVX-512 *one-row kernel* (`one_row::gemv`),
+//! which holds every output column of a layer in accumulator registers
+//! (a 64-wide hidden layer is four ZMM registers, a 9-, 5- or 1-wide head
+//! one masked register) and sums each from its bias over ascending `k`.
+//! Such a forward is bound by the latency of its add chains, so it gains
+//! from having a whole layer's chains in flight at 16 lanes each: a
+//! one-row `Mlp::forward` of the deployed scheduler's 60→64→64→9 policy
+//! took a median 0.55 µs against 0.73 µs on the AVX2 row tail, and the
+//! gym's 16→64→64→5 policy 0.36 µs against 0.92 µs, whose 5-wide head the
+//! row tail ran as five serial chains (5 alternating runs on a 2-vCPU
+//! AVX-512 Xeon). Products of 2–15 rows (the rollouts' few-env batches)
+//! keep the 4×16 tile: they fill no 16-row head block. Rows after the
+//! last whole block of an AVX-512 product also run the one-row kernel. A
+//! machine without AVX-512F selects exactly the AVX2 and baseline kernels.
 //!
 //! Every tile accumulates each output element over `k` in ascending order
 //! from `bias[j]` with a separate multiply and add, and rustc never
 //! contracts `mul + add` into FMA, so all kernels produce
 //! **bit-identical** results — selection is a pure throughput decision,
-//! pinned by the `all_kernels_bit_identical` test.
+//! pinned by the `all_kernels_bit_identical` and
+//! `one_row_kernel_matches_every_tile` tests.
 //!
 //! **No gathers.** No tile body may contain a gather or scatter: strided
 //! element loads are what a tile exists to avoid, and on this crate's
@@ -57,11 +67,11 @@
 //! (2.21 s against 0.62 s in a traced perfbench `rl_train` run on a
 //! 2-vCPU AVX-512 Xeon). A plain-Rust head tile put the columns in the
 //! lanes and kept its accumulators in memory behind gathers and scatters,
-//! so the head tile is written with AVX-512 intrinsics (a register-shuffle
-//! transpose and masked loads and stores). After changing a tile, check
-//! the release build's `objdump -d` of the `gemm_bias_avx*`,
-//! `weight_grad_avx*` and `head::head_block` functions for `vgather`,
-//! `vpgather` and `vscatter`.
+//! so the head tile and the one-row kernel are written with AVX-512
+//! intrinsics (a register-shuffle transpose and masked loads and stores).
+//! CI's baseline leg disassembles the release build and fails if any
+//! `#[target_feature]` kernel of this crate holds a `vgather`, `vpgather`
+//! or `vscatter`.
 //!
 //! For the backward-pass product `d_out · Wᵀ`, `nn::linear` keeps a packed
 //! transpose of `W` so the product runs through this blocked kernel instead
@@ -366,8 +376,9 @@ fn avx2_available() -> bool {
     }
 }
 
-/// Whether the AVX-512 tiles can run on this machine (detected once).
-fn avx512_available() -> bool {
+/// Whether the AVX-512 kernels can run on this machine (detected once).
+/// The activation loops in `nn::mlp` follow the same detection.
+pub(crate) fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
@@ -395,22 +406,21 @@ pub fn available_kernels() -> Vec<GemmKernel> {
     ks
 }
 
-/// The fewest rows a product needs before [`select_kernel`] picks the
-/// AVX-512 tile: one `update::SHARD_ROWS` shard, which is also the height
-/// of the rows-in-lanes head tile.
+/// The fewest rows of a multi-row product for which [`select_kernel`]
+/// picks the AVX-512 tile: one `update::SHARD_ROWS` shard, which is also
+/// the height of the rows-in-lanes head tile.
 const AVX512_MIN_ROWS: usize = HEAD_ROWS;
 
-/// Picks the micro-kernel for an `m`-row product: the AVX-512 4×32 tile
-/// for products of at least 16 rows where AVX-512F is available, else the
-/// 4×16 tile wherever AVX2 is available, else 4×8.
+/// Picks the micro-kernel for an `m`-row product by the one-row rule (see
+/// the module docs): where AVX-512F is available, the AVX-512 kernel for
+/// one row (the one-row kernel) and for at least 16 rows (the 4×32 and
+/// head tiles); otherwise, and for 2–15 rows, the 4×16 tile wherever AVX2
+/// is available, else 4×8.
 ///
-/// The row rule keeps the AVX-512 tile to the update's shard products.
-/// Shorter products (the deployed policies' one-row decisions, the
-/// rollouts' few-env batches) run the row tail, which a 32-column tile
-/// does not help, and would fill no head tile; between simulation events
-/// they are also too short to pay for waking the 512-bit units.
+/// Products of 2–15 rows are the rollouts' few-env batches: they fill no
+/// head block, and their rows run the 4×16 tile's full row blocks.
 pub fn select_kernel(m: usize) -> GemmKernel {
-    if m >= AVX512_MIN_ROWS && avx512_available() {
+    if (m == 1 || m >= AVX512_MIN_ROWS) && avx512_available() {
         GemmKernel::Tile4x32
     } else if avx2_available() {
         GemmKernel::Tile4x16
@@ -448,7 +458,10 @@ pub fn gemm_bias_with(
     out: &mut [f32],
 ) {
     match kernel {
-        GemmKernel::Tile4x8 => gemm_bias_tiled::<4, 8>(m, k, n, a, b, bias, out, 0),
+        GemmKernel::Tile4x8 => {
+            gemm_bias_tiled::<4, 8>(m, k, n, a, b, bias, out, 0);
+            gemm_bias_rows::<8>(m - m % 4, m, k, n, a, b, bias, out);
+        }
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Tile4x16 => {
             assert!(avx2_available(), "AVX2 kernel forced on non-AVX2 machine");
@@ -488,11 +501,14 @@ unsafe fn gemm_bias_avx2_4x16(
     out: &mut [f32],
 ) {
     gemm_bias_tiled::<4, 16>(m, k, n, a, b, bias, out, 0);
+    gemm_bias_rows::<16>(m - m % 4, m, k, n, a, b, bias, out);
 }
 
 /// The 4×32 tile instantiated inside an AVX-512 region (two ZMM registers
 /// per accumulator row), with the narrow columns of each 16-row block on
-/// the rows-in-lanes head tile (one ZMM register per output column).
+/// the rows-in-lanes head tile (one ZMM register per output column), and
+/// the rows after the last whole 4-row block (all of a one-row product)
+/// on the one-row kernel.
 ///
 /// # Safety
 /// The caller must ensure the CPU supports AVX-512F.
@@ -513,6 +529,9 @@ unsafe fn gemm_bias_avx512_4x32(
     for i in (0..head_rows).step_by(HEAD_ROWS) {
         head::head_block(i, k, n, n_wide, a, b, bias, out);
     }
+    for i in m - m % 4..m {
+        one_row::gemv(k, n, &a[i * k..], b, bias, &mut out[i * n..]);
+    }
 }
 
 /// The generic register-blocked GEMM body: `out[i][j] = bias[j] + Σ_k a·b`.
@@ -528,7 +547,9 @@ unsafe fn gemm_bias_avx512_4x32(
 ///
 /// The columns left after the last whole `NR` tile run one column at a
 /// time per row block, from row `tail_from` on: the AVX-512 kernel gives
-/// the rows before it to its rows-in-lanes head tile.
+/// the rows before it to its rows-in-lanes head tile. Rows after the last
+/// whole block are left to the caller ([`gemm_bias_rows`] or the one-row
+/// kernel).
 ///
 /// `#[inline(always)]` so each monomorphisation inlines into its
 /// `#[target_feature]` wrapper and is vectorised for that feature set.
@@ -585,12 +606,27 @@ fn gemm_bias_tiled<const MR: usize, const NR: usize>(
             }
         }
     }
-    // Row tail: one row at a time. This is every one-row forward (the
-    // deployed policies decide on one observation per call), so the column
-    // blocks are sized to keep independent accumulator chains in flight:
-    // ROW_TILES tiles of NR share one k loop, then single NR tiles, an
-    // 8-wide sub-tile when NR is wider, and scalar columns last.
-    for i in m_blocks..m {
+}
+
+/// Rows `from..m` of the product `gemm_bias_tiled` computes, one row at a
+/// time: the row tail of the 4×8 and 4×16 kernels, which is every one-row
+/// forward on a machine without AVX-512F. The column blocks are sized to
+/// keep independent accumulator chains in flight: ROW_TILES tiles of NR
+/// share one k loop, then single NR tiles, an 8-wide sub-tile when NR is
+/// wider, and scalar columns last.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gemm_bias_rows<const NR: usize>(
+    from: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    for i in from..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
         let mut j = 0;
@@ -644,10 +680,13 @@ mod head {
 
     /// See the module docs. Panics unless the operands hold rows
     /// `i..i + HEAD_ROWS` of an `[m,k]·[k,n]` product with `j0 ≤ n`.
+    /// Never inlined, so the release build's disassembly shows it by name
+    /// (CI checks it for gathers).
     ///
     /// # Safety
     /// The caller must ensure the CPU supports AVX-512F.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn head_block(
         i: usize,
@@ -764,7 +803,7 @@ mod head {
 
     /// The mask of the first `w ≤ 16` lanes.
     #[inline(always)]
-    fn lanes(w: usize) -> __mmask16 {
+    pub(super) fn lanes(w: usize) -> __mmask16 {
         ((1u32 << w) - 1) as __mmask16
     }
 
@@ -802,6 +841,149 @@ mod head {
         for c in 0..8 {
             rows[c] = _mm512_shuffle_f32x4(v[c], v[8 + c], 0x88);
             rows[8 + c] = _mm512_shuffle_f32x4(v[c], v[8 + c], 0xDD);
+        }
+    }
+}
+
+/// The one-row kernel: `out = bias + a·b` for one row `a` of `k` inputs
+/// and `b: [k,n]`, on AVX-512F. Each pass over the inputs holds up to
+/// `ROW_VECS` vectors of 16 output columns in accumulator registers, so a
+/// 64-wide hidden layer is four registers and a 9-, 5- or 1-wide head one
+/// masked register. Each column sums from its bias over ascending `k` with
+/// a separate multiply and add, as every tile does. The forward of one row
+/// is bound by the latency of those add chains, so what it needs is a
+/// whole layer's chains in flight at once.
+///
+/// Written with AVX-512 intrinsics: the last vector of a pass loads and
+/// stores through a lane mask, so the kernel touches no element outside
+/// its operands and never gathers.
+#[cfg(target_arch = "x86_64")]
+mod one_row {
+    use super::head::lanes;
+    use std::arch::x86_64::*;
+
+    /// Accumulator vectors per pass over the inputs: 64 output columns,
+    /// the hidden width.
+    const ROW_VECS: usize = 4;
+
+    /// See the module docs. Reads `a[..k]`, the first `k` rows of `b` and
+    /// `bias[..n]`, and writes `out[..n]`; panics if one is too short.
+    /// Never inlined, like `head::head_block`.
+    ///
+    /// # Safety
+    /// The caller must ensure the CPU supports AVX-512F.
+    #[inline(never)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gemv(
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        assert!(a.len() >= k && k * n <= b.len(), "one-row operands");
+        assert!(out.len() >= n, "one-row output");
+        assert!(bias.is_none_or(|bv| bv.len() >= n), "one-row bias");
+        let mut j = 0;
+        while j < n {
+            let w = (n - j).min(ROW_VECS * 16);
+            let pass = Pass {
+                a: &a[..k],
+                b,
+                n,
+                j,
+                w,
+                bias,
+            };
+            match w.div_ceil(16) {
+                1 => pass.run::<1>(out),
+                2 => pass.run::<2>(out),
+                3 => pass.run::<3>(out),
+                _ => pass.run::<ROW_VECS>(out),
+            }
+            j += w;
+        }
+    }
+
+    /// Output columns `j..j + w` of one pass over the inputs.
+    struct Pass<'a> {
+        a: &'a [f32],
+        b: &'a [f32],
+        n: usize,
+        j: usize,
+        w: usize,
+        bias: Option<&'a [f32]>,
+    }
+
+    impl Pass<'_> {
+        /// The pass with `V = ⌈w / 16⌉` accumulator vectors; only the last
+        /// one is masked.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn run<const V: usize>(&self, out: &mut [f32]) {
+            // SAFETY (every `load` and `store` below): vector `v` covers
+            // columns `j + 16v..` of a row `n` wide, all of them below
+            // `j + w ≤ n` for `v < V - 1`, and the last vector's mask keeps
+            // it below `j + w` too; `gemv`'s asserts put `bias[..n]`,
+            // `out[..n]` and rows `0..k` of `b` in bounds.
+            let last = lanes(self.w - 16 * (V - 1));
+            let mut acc = [_mm512_setzero_ps(); V];
+            if let Some(bv) = self.bias {
+                let p = bv.as_ptr().wrapping_add(self.j);
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    *acc = unsafe { load::<V>(p, v, last) };
+                }
+            }
+            let b = self.b.as_ptr().wrapping_add(self.j);
+            for (kk, &x) in self.a.iter().enumerate() {
+                let x = _mm512_set1_ps(x);
+                let row = b.wrapping_add(kk * self.n);
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    let bv = unsafe { load::<V>(row, v, last) };
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(x, bv));
+                }
+            }
+            let dst = out.as_mut_ptr().wrapping_add(self.j);
+            for (v, &acc) in acc.iter().enumerate() {
+                unsafe { store::<V>(dst, v, last, acc) };
+            }
+        }
+    }
+
+    /// Vector `v` of a `V`-vector pass starting at `p`: 16 lanes for
+    /// `v < V - 1`, the lanes of `last` (zero elsewhere) for the last.
+    ///
+    /// # Safety
+    /// The lanes read must be inside one allocation.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load<const V: usize>(p: *const f32, v: usize, last: __mmask16) -> __m512 {
+        let p = p.wrapping_add(16 * v);
+        unsafe {
+            if v + 1 < V {
+                _mm512_loadu_ps(p)
+            } else {
+                _mm512_maskz_loadu_ps(last, p)
+            }
+        }
+    }
+
+    /// Stores vector `v` of a `V`-vector pass starting at `p`, as `load`
+    /// reads it.
+    ///
+    /// # Safety
+    /// The lanes written must be inside one allocation.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store<const V: usize>(p: *mut f32, v: usize, last: __mmask16, x: __m512) {
+        let p = p.wrapping_add(16 * v);
+        unsafe {
+            if v + 1 < V {
+                _mm512_storeu_ps(p, x)
+            } else {
+                _mm512_mask_storeu_ps(p, last, x)
+            }
         }
     }
 }
@@ -1144,10 +1326,10 @@ mod tests {
     fn blocked_gemm_matches_reference_all_tail_shapes() {
         // Cover every blocking path: full 4-row/8-col blocks, row tails
         // (m % 4 ≠ 0), column tails (n % 8 ≠ 0), and tiny shapes. The row
-        // tail is shared by every kernel, so `all_kernels_bit_identical`
-        // cannot see a change to it: its column blocks (several NR tiles
-        // per k loop, single tiles, the 8-wide sub-tile, scalar columns)
-        // and the deployed policy's one-row layer shapes are pinned here.
+        // tails (the 4×8 and 4×16 kernels' column blocks: several NR tiles
+        // per k loop, single tiles, the 8-wide sub-tile, scalar columns;
+        // the AVX-512 kernel's one-row kernel) and the deployed policy's
+        // one-row layer shapes are pinned here against the reference.
         let mut rng_state = 0x12345u64;
         let mut next = move || {
             rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1197,7 +1379,7 @@ mod tests {
             a.matmul_bias_into(&b, &bias, &mut out);
             let reference = matmul_reference(&a, &b, Some(&bias));
             assert_eq!(out, reference, "biased {m}x{k}x{n}");
-            // Each kernel instantiates the row tail with its own NR.
+            // Each kernel runs its own row tail.
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for &kern in &available_kernels() {
                 let mut out = vec![f32::NAN; m * n];
@@ -1256,6 +1438,117 @@ mod tests {
         }
     }
 
+    /// Exact values of either sign, subnormals and a spread of magnitudes
+    /// for the one-row differential: an xorshift stream from `seed`.
+    fn one_row_values(seed: u64, len: usize) -> Vec<f32> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match x % 16 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::from_bits((x >> 40) as u32 & 0x007f_ffff) * 1e-3,
+                    _ => ((x >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 4.0,
+                }
+            })
+            .collect()
+    }
+
+    /// The one-row kernel, reached as `gemm_bias_with(Tile4x32, 1, ..)`
+    /// and through the dispatched product, against every available tile
+    /// and the reference, bitwise, with and without a bias: widths from one
+    /// masked lane to past two 64-column passes, inputs from none to past
+    /// one head slice.
+    fn check_one_row_grid(seed: u64) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [1usize, 5, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 130] {
+            for k in [0usize, 1, 16, 60, 64, 65] {
+                let case = seed.wrapping_mul(1_000_003) ^ (n * 131 + k) as u64;
+                let a = Matrix::from_vec(1, k, one_row_values(case, k));
+                let b = Matrix::from_vec(k, n, one_row_values(case ^ 0x5eed, k * n));
+                let bias = one_row_values(case ^ 0xb1a5, n);
+                for bias in [None, Some(bias.as_slice())] {
+                    let reference = matmul_reference(&a, &b, bias);
+                    for &kern in &available_kernels() {
+                        let mut out = vec![f32::NAN; n];
+                        gemm_bias_with(kern, 1, k, n, a.data(), b.data(), bias, &mut out);
+                        assert_eq!(
+                            bits(&out),
+                            bits(reference.data()),
+                            "{} 1x{k}x{n}, bias {}, seed {seed}",
+                            kern.name(),
+                            bias.is_some()
+                        );
+                    }
+                    let mut out = Matrix::zeros(0, 0);
+                    match bias {
+                        Some(bv) => a.matmul_bias_into(&b, bv, &mut out),
+                        None => a.matmul_into(&b, &mut out),
+                    }
+                    assert_eq!(
+                        bits(out.data()),
+                        bits(reference.data()),
+                        "dispatched 1x{k}x{n}, bias {}, seed {seed}",
+                        bias.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_kernel_matches_every_tile() {
+        check_one_row_grid(0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// [`check_one_row_grid`] on fresh data per case.
+        #[test]
+        fn one_row_kernel_matches_every_tile_on_random_data(seed in 1u64..u64::MAX) {
+            check_one_row_grid(seed);
+        }
+    }
+
+    /// The one-row kernel writes no element past its row: the AVX-512
+    /// kernel hands it each tail row with the rows after it, and the last
+    /// row ends the output slice, so canaries after that slice stay NaN.
+    #[test]
+    fn one_row_kernel_writes_only_its_row() {
+        if !available_kernels().contains(&GemmKernel::Tile4x32) {
+            return;
+        }
+        for (m, k, n) in [
+            (17usize, 60usize, 9usize),
+            (18, 64, 64),
+            (19, 16, 130),
+            (1, 5, 33),
+        ] {
+            let a = one_row_values(m as u64, m * k);
+            let b = one_row_values(n as u64, k * n);
+            let mut out = vec![f32::NAN; m * n + 3];
+            gemm_bias_with(
+                GemmKernel::Tile4x32,
+                m,
+                k,
+                n,
+                &a,
+                &b,
+                None,
+                &mut out[..m * n],
+            );
+            let reference =
+                matmul_reference(&Matrix::from_vec(m, k, a), &Matrix::from_vec(k, n, b), None);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out[..m * n]), bits(reference.data()), "{m}x{k}x{n}");
+            assert!(out[m * n..].iter().all(|v| v.is_nan()), "{m}x{k}x{n}");
+        }
+    }
+
     #[test]
     fn kernel_selection_prefers_wide_tiles_when_available() {
         let kernels = available_kernels();
@@ -1269,12 +1562,13 @@ mod tests {
         } else {
             short
         };
-        // One-row decisions and few-env rollout batches keep the AVX2 tile;
-        // products of at least one 16-row update shard take AVX-512.
-        for m in [0, 1, 4, AVX512_MIN_ROWS - 1] {
+        // One-row decisions take the AVX-512 one-row kernel, few-env
+        // rollout batches keep the AVX2 tile, and products of at least one
+        // 16-row update shard take the AVX-512 tiles.
+        for m in [0, 2, 4, AVX512_MIN_ROWS - 1] {
             assert_eq!(select_kernel(m), short, "{m} rows");
         }
-        for m in [AVX512_MIN_ROWS, AVX512_MIN_ROWS + 1, 64, 256] {
+        for m in [1, AVX512_MIN_ROWS, AVX512_MIN_ROWS + 1, 64, 256] {
             assert_eq!(select_kernel(m), tall, "{m} rows");
         }
         assert_eq!(AVX512_MIN_ROWS, crate::SHARD_ROWS);
@@ -1295,10 +1589,10 @@ mod tests {
     #[test]
     fn batched_rows_bit_identical_to_single_rows() {
         // Row r of a batched product must equal the 1-row product of row r:
-        // the bit-identity contract batched inference relies on. From 16
-        // rows up the batch runs on the AVX-512 tile where it is available
-        // while one row stays on the AVX2 tile, so the hidden layer and
-        // both heads are checked on each side of that boundary.
+        // the bit-identity contract batched inference relies on. Where
+        // AVX-512F is available one row runs the one-row kernel, 11 rows
+        // the AVX2 tile and from 16 rows up the AVX-512 tiles, so the
+        // hidden layer and both heads are checked across every kernel.
         for m in [11usize, 16, 17, 64] {
             for (k, n) in [(16usize, 64usize), (64, 9), (64, 1)] {
                 let a = Matrix::from_vec(

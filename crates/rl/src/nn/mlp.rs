@@ -2,6 +2,8 @@
 //! backpropagation.
 
 use super::linear::{LayerGrads, Linear};
+#[cfg(target_arch = "x86_64")]
+use super::matrix::avx512_available;
 use super::matrix::Matrix;
 use qcs_desim::Xoshiro256StarStar;
 use serde::{Deserialize, Serialize};
@@ -21,7 +23,7 @@ pub enum Activation {
 /// auto-vectoriser cannot touch; this formulation is straight-line
 /// arithmetic, so whole activation rows vectorise — the single largest cost
 /// of MLP policy inference on the rollout hot path.
-#[inline]
+#[inline(always)]
 fn tanh_fast(x: f32) -> f32 {
     // |x| ≥ ~7.91 saturates to ±1 in f32 anyway.
     let x = x.clamp(-7.905_311, 7.905_311);
@@ -42,20 +44,85 @@ fn tanh_fast(x: f32) -> f32 {
     p / q
 }
 
+/// `x ← tanh_fast(x)` over a buffer. `#[inline(always)]` so each
+/// instantiation vectorises for its caller's features: 4 lanes in the
+/// baseline build, 16 inside [`tanh_avx512`].
+#[inline(always)]
+fn tanh_loop(xs: &mut [f32]) {
+    for x in xs {
+        *x = tanh_fast(*x);
+    }
+}
+
+/// `g ← g·(1 − y²)`: the tanh derivative, from the layer's output `y`,
+/// folded into the upstream gradient `g`. Instantiated like [`tanh_loop`].
+#[inline(always)]
+fn tanh_grad_loop(g: &mut [f32], y: &[f32]) {
+    for (g, &y) in g.iter_mut().zip(y) {
+        *g *= 1.0 - y * y;
+    }
+}
+
+/// [`tanh_loop`] inside an AVX-512 region. Each lane does the same
+/// operations as in the baseline loop, so the bits are the same.
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_avx512(xs: &mut [f32]) {
+    tanh_loop(xs);
+}
+
+/// [`tanh_grad_loop`] inside an AVX-512 region (see [`tanh_avx512`]).
+///
+/// # Safety
+/// The caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_grad_avx512(g: &mut [f32], y: &[f32]) {
+    tanh_grad_loop(g, y);
+}
+
 impl Activation {
     /// Applies the activation to a whole buffer (the form the
-    /// auto-vectoriser handles best).
+    /// auto-vectoriser handles best). The tanh runs at AVX-512 width where
+    /// AVX-512F is available (detected once, as for the GEMM tiles).
     #[inline]
     fn apply_slice(self, xs: &mut [f32]) {
         match self {
             Activation::Tanh => {
-                for x in xs {
-                    *x = tanh_fast(*x);
+                #[cfg(target_arch = "x86_64")]
+                if avx512_available() {
+                    // SAFETY: AVX-512F is available, checked above.
+                    return unsafe { tanh_avx512(xs) };
                 }
+                tanh_loop(xs);
             }
             Activation::Relu => {
                 for x in xs {
                     *x = x.max(0.0);
+                }
+            }
+        }
+    }
+
+    /// `g ← g·f′(x)` over a buffer of upstream gradients `g`, from the
+    /// layer's outputs `y = f(x)`, at AVX-512 width as in
+    /// [`Activation::apply_slice`].
+    fn fold_derivative(self, g: &mut [f32], y: &[f32]) {
+        match self {
+            Activation::Tanh => {
+                #[cfg(target_arch = "x86_64")]
+                if avx512_available() {
+                    // SAFETY: AVX-512F is available, checked above.
+                    return unsafe { tanh_grad_avx512(g, y) };
+                }
+                tanh_grad_loop(g, y);
+            }
+            Activation::Relu => {
+                for (g, &y) in g.iter_mut().zip(y) {
+                    *g *= self.derivative_from_output(y);
                 }
             }
         }
@@ -201,6 +268,22 @@ impl Mlp {
         }
     }
 
+    /// Refreshes the packed transposes that [`Mlp::backward_into`] reads
+    /// after the weights changed: those of every layer but the first. The
+    /// first layer's input gradient is never computed, so its pack is
+    /// never read; it is rebuilt only when its shape does not match `Wᵀ`
+    /// (a network deserialised without [`Mlp::zero_grad`]), which keeps it
+    /// valid for the backward pass's debug shape checks. The minibatch
+    /// update calls this in place of [`Mlp::zero_grad`], whose zeroing its
+    /// reduction makes redundant.
+    pub(crate) fn refresh_backward_packs(&mut self) {
+        for (i, l) in self.layers.iter_mut().enumerate() {
+            if i > 0 || !l.packed_shape_matches() {
+                l.refresh_packed();
+            }
+        }
+    }
+
     /// Forward pass for a batch `x: [batch, in_dim]`, caching activations
     /// for [`Mlp::backward`]. Returns a reference to the output
     /// `[batch, out_dim]` stored in the cache.
@@ -254,9 +337,8 @@ impl Mlp {
             // fold the activation derivative into the upstream gradient.
             if i + 1 < n {
                 let act_out = &cache.activations[i + 1];
-                for (g, &y) in cache.d_a.data_mut().iter_mut().zip(act_out.data()) {
-                    *g *= self.activation.derivative_from_output(y);
-                }
+                self.activation
+                    .fold_derivative(cache.d_a.data_mut(), act_out.data());
             }
             let input = &cache.activations[i];
             if i == 0 {
@@ -290,9 +372,8 @@ impl Mlp {
         for i in (0..n).rev() {
             if i + 1 < n {
                 let act_out = &cache.activations[i + 1];
-                for (g, &y) in cache.d_a.data_mut().iter_mut().zip(act_out.data()) {
-                    *g *= self.activation.derivative_from_output(y);
-                }
+                self.activation
+                    .fold_derivative(cache.d_a.data_mut(), act_out.data());
             }
             let input = &cache.activations[i];
             if i == 0 {
@@ -488,6 +569,137 @@ mod tests {
         // Odd symmetry.
         for x in [0.1f32, 0.7, 2.3, 6.9] {
             assert_eq!(tanh_fast(-x), -tanh_fast(x));
+        }
+    }
+
+    /// Every edge of `tanh_fast` and its derivative: signed zeros and
+    /// infinities, a NaN, both clamp edges with their neighbours, the
+    /// smallest and largest subnormals and normals of either sign, and the
+    /// extremes.
+    fn activation_edges() -> Vec<f32> {
+        let clamp = 7.905_311f32;
+        let mut xs = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for c in [clamp, -clamp] {
+            xs.extend([
+                c,
+                f32::from_bits(c.to_bits() - 1),
+                f32::from_bits(c.to_bits() + 1),
+            ]);
+        }
+        for bits in [1u32, 0x007f_ffff, 0x0080_0000, 0x7f7f_ffff] {
+            xs.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+        }
+        xs
+    }
+
+    /// The dense sweep of [-9.5, 9.5) in steps of 0.001, past both clamps.
+    fn activation_sweep() -> Vec<f32> {
+        (0..19_000).map(|i| -9.5 + i as f32 * 0.001).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `(offset, len)` of a whole buffer of `n` and of every slice of it
+    /// with length 0–70 starting at offsets 0–16, which covers every
+    /// vector-body, remainder and alignment case of both widths.
+    fn slices(n: usize) -> impl Iterator<Item = (usize, usize)> {
+        let parts =
+            (0..=70.min(n)).flat_map(move |len| (0..=16.min(n - len)).map(move |off| (off, len)));
+        std::iter::once((0, n)).chain(parts)
+    }
+
+    /// The dispatched tanh and the AVX-512 loop (where the CPU has
+    /// AVX-512F) against the baseline loop, bitwise, on every slice of
+    /// `xs` that [`slices`] lists.
+    fn check_tanh(xs: &[f32]) {
+        for (off, len) in slices(xs.len()) {
+            let input = &xs[off..off + len];
+            let mut want = input.to_vec();
+            tanh_loop(&mut want);
+            let mut got = input.to_vec();
+            Activation::Tanh.apply_slice(&mut got);
+            assert_eq!(bits(&got), bits(&want), "dispatched, {len} at {off}");
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                let mut got = input.to_vec();
+                // SAFETY: AVX-512F is available, checked above.
+                unsafe { tanh_avx512(&mut got) };
+                assert_eq!(bits(&got), bits(&want), "avx512, {len} at {off}");
+            }
+        }
+    }
+
+    /// As [`check_tanh`], for the derivative folded into gradients `g`
+    /// from outputs `y` (equal lengths).
+    fn check_tanh_grad(g: &[f32], y: &[f32]) {
+        for (off, len) in slices(g.len()) {
+            let (g, y) = (&g[off..off + len], &y[off..off + len]);
+            let mut want = g.to_vec();
+            tanh_grad_loop(&mut want, y);
+            let mut got = g.to_vec();
+            Activation::Tanh.fold_derivative(&mut got, y);
+            assert_eq!(bits(&got), bits(&want), "dispatched, {len} at {off}");
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                let mut got = g.to_vec();
+                // SAFETY: AVX-512F is available, checked above.
+                unsafe { tanh_grad_avx512(&mut got, y) };
+                assert_eq!(bits(&got), bits(&want), "avx512, {len} at {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn avx512_tanh_matches_baseline_loop() {
+        let edges = activation_edges();
+        check_tanh(&edges);
+        // Each edge in every lane position of a 70-element slice.
+        let mut tiled: Vec<f32> = edges.iter().cycle().take(86).copied().collect();
+        check_tanh(&tiled);
+        tiled.reverse();
+        check_tanh(&tiled);
+        check_tanh(&activation_sweep());
+    }
+
+    #[test]
+    fn avx512_tanh_derivative_matches_baseline_loop() {
+        // Each edge as an output `y` against finite gradients, and as a
+        // gradient against the sweep's outputs. A lane never holds two
+        // NaNs: which payload a product keeps is not specified.
+        let edges = activation_edges();
+        let sweep = activation_sweep();
+        let mut y_sweep = sweep.clone();
+        tanh_loop(&mut y_sweep);
+        let y: Vec<f32> = edges.iter().cycle().take(86).copied().collect();
+        let g: Vec<f32> = sweep[..86].to_vec();
+        check_tanh_grad(&g, &y);
+        check_tanh_grad(&y, &y_sweep[5_000..5_086]);
+        check_tanh_grad(&sweep, &y_sweep);
+        check_tanh_grad(&y_sweep, &sweep);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The tanh and its derivative on arbitrary bit patterns (NaNs
+        /// with any payload included) of every length 0–70.
+        #[test]
+        fn avx512_activations_match_baseline_on_random_bits(
+            raw in proptest::collection::vec((0u64..1 << 32, 0u64..1 << 32), 0..=70),
+        ) {
+            let xs: Vec<f32> = raw.iter().map(|r| f32::from_bits(r.0 as u32)).collect();
+            check_tanh(&xs);
+            let g: Vec<f32> = raw
+                .iter()
+                .zip(&xs)
+                .map(|(r, y)| {
+                    let g = f32::from_bits(r.1 as u32);
+                    if g.is_nan() && y.is_nan() { 0.5 } else { g }
+                })
+                .collect();
+            check_tanh_grad(&g, &xs);
         }
     }
 

@@ -1,7 +1,7 @@
 //! The actor-critic model: a Gaussian MLP policy plus an MLP value function,
 //! mirroring Stable-Baselines3's `MlpPolicy` for Box action spaces.
 
-use crate::dist::DiagGaussian;
+use crate::dist::{DiagGaussian, StdTerms};
 use crate::nn::{Matrix, Mlp, MlpCache};
 use crate::opt::Adam;
 use qcs_desim::Xoshiro256StarStar;
@@ -55,6 +55,15 @@ impl ActorCritic {
         self.grad_log_std.iter_mut().for_each(|g| *g = 0.0);
     }
 
+    /// Readies the model for the update's backward passes after an
+    /// optimiser step: refreshes the packed weight transposes they read
+    /// (see `Mlp::refresh_backward_packs`). The gradients are left as they
+    /// are: the update's reduction overwrites them.
+    pub(crate) fn refresh_backward_packs(&mut self) {
+        self.pi.refresh_backward_packs();
+        self.vf.refresh_backward_packs();
+    }
+
     /// Samples an action for a single observation; returns
     /// `(action, log_prob, value)`.
     pub fn act(
@@ -95,11 +104,12 @@ impl ActorCritic {
 
     /// Batched [`ActorCritic::act`] over a `[n, obs_dim]` observation
     /// matrix: one policy GEMM and one value GEMM for all environments
-    /// instead of `n` per-row GEMVs. Actions are sampled row by row from
-    /// the batched means in the same order (and with the same RNG stream)
-    /// as `n` sequential `act` calls, so actions, log-probs and values are
-    /// bit-identical to the per-env path. Writes into caller-provided
-    /// buffers; performs no heap allocation after warm-up.
+    /// instead of `n` per-row GEMVs, and the Gaussian's `σ` taken once for
+    /// every row. Actions are sampled row by row from the batched means in
+    /// the same order (and with the same RNG stream) as `n` sequential
+    /// `act` calls, so actions, log-probs and values are bit-identical to
+    /// the per-env path. Writes into caller-provided buffers; performs no
+    /// heap allocation after warm-up.
     pub fn act_batch(
         &self,
         obs: &Matrix,
@@ -115,14 +125,14 @@ impl ActorCritic {
         assert_eq!(values.len(), n, "one value slot per row");
         actions.reshape_for_overwrite(n, self.action_dim());
         let means = self.pi.forward(obs, &mut scratch.pi_cache);
+        scratch.gauss.set(&self.log_std);
+        scratch.z.resize(self.action_dim(), 0.0);
         for (r, lp) in log_probs.iter_mut().enumerate() {
-            let dist = DiagGaussian {
-                mean: means.row(r),
-                log_std: &self.log_std,
-            };
             let action_row = actions.row_mut(r);
-            dist.sample_into(rng, action_row);
-            *lp = dist.log_prob(action_row);
+            scratch.gauss.sample_into(means.row(r), rng, action_row);
+            *lp = scratch
+                .gauss
+                .log_prob(means.row(r), action_row, &mut scratch.z);
         }
         let vals = self.vf.forward(obs, &mut scratch.vf_cache);
         for (r, v) in values.iter_mut().enumerate() {
@@ -172,20 +182,19 @@ impl ActorCritic {
 
     /// Applies accumulated gradients with Adam. The tensor registration
     /// order is stable: policy layers (w, b), value layers (w, b), log_std.
+    /// The pairs stream to the optimiser without being collected, so a step
+    /// allocates nothing.
     pub fn apply_gradients(&mut self, opt: &mut Adam) {
-        let mut tensors: Vec<(&mut [f32], &[f32])> = Vec::new();
-        for l in self.pi.layers_mut() {
-            let (w, gw) = (&mut l.w, &l.grad_w);
-            tensors.push((w.data_mut(), gw.data()));
-            tensors.push((l.b.as_mut_slice(), l.grad_b.as_slice()));
-        }
-        for l in self.vf.layers_mut() {
-            let (w, gw) = (&mut l.w, &l.grad_w);
-            tensors.push((w.data_mut(), gw.data()));
-            tensors.push((l.b.as_mut_slice(), l.grad_b.as_slice()));
-        }
-        tensors.push((self.log_std.as_mut_slice(), self.grad_log_std.as_slice()));
-        opt.step(&mut tensors);
+        let layers = self.pi.layers_mut().iter_mut();
+        let layers = layers.chain(self.vf.layers_mut().iter_mut());
+        let tensors = layers.flat_map(|l| {
+            [
+                (l.w.data_mut(), l.grad_w.data()),
+                (l.b.as_mut_slice(), l.grad_b.as_slice()),
+            ]
+        });
+        let log_std = (self.log_std.as_mut_slice(), self.grad_log_std.as_slice());
+        opt.step(tensors.chain([log_std]));
     }
 
     /// Global L2 norm of all gradients (for clipping / logging).
@@ -262,6 +271,10 @@ pub struct ActScratch {
     pub vf_cache: MlpCache,
     /// Single-row observation staging buffer for the per-sample paths.
     obs_mat: Matrix,
+    /// The policy's Gaussian terms for [`ActorCritic::act_batch`].
+    gauss: StdTerms,
+    /// `z` scratch row for [`StdTerms::log_prob`].
+    z: Vec<f64>,
 }
 
 impl ActScratch {
@@ -328,8 +341,9 @@ mod tests {
         let obs: Vec<f32> = (0..4 * 60)
             .map(|i| ((i * 7) % 17) as f32 / 17.0 - 0.3)
             .collect();
-        // A four-row batch runs the GEMM's full row blocks; one row at a
-        // time runs its row tail. Both must give the same bits.
+        // A four-row batch runs the 4×16 tile's full row blocks; one row
+        // at a time runs the one-row kernel (the tile's row tail without
+        // AVX-512F). Both must give the same bits.
         let batch = Matrix::from_vec(4, 60, obs.clone());
         let mut cache = MlpCache::new();
         let means = ac.pi.forward(&batch, &mut cache);

@@ -4,7 +4,6 @@
 use std::collections::VecDeque;
 
 use crate::buffer::RolloutBuffer;
-use crate::dist::DiagGaussian;
 use crate::env::StepInfo;
 use crate::nn::Matrix;
 use crate::opt::Adam;
@@ -141,6 +140,8 @@ pub struct Ppo {
     // Reusable scratch.
     scratch: ActScratch,
     exec: MinibatchExecutor,
+    /// The rollout's row order, reshuffled every epoch.
+    indices: Vec<usize>,
 }
 
 impl Ppo {
@@ -158,6 +159,7 @@ impl Ppo {
             ep_returns: VecDeque::with_capacity(100),
             scratch: ActScratch::new(),
             exec: MinibatchExecutor::new(config.n_update_workers),
+            indices: Vec::new(),
             config,
         }
     }
@@ -259,7 +261,8 @@ impl Ppo {
     /// shuffled minibatches, each minibatch executed by the shard-parallel
     /// [`MinibatchExecutor`] (`n_update_workers` threads, bit-identical
     /// results at any worker count — see [`crate::update`]), followed by
-    /// gradient clipping and one Adam step per minibatch.
+    /// gradient clipping and one Adam step per minibatch. After the first
+    /// call on a buffer of this size it allocates nothing.
     ///
     /// Public so the update phase can be driven (and timed) in isolation on
     /// a prepared buffer; [`Ppo::learn`] is the normal entry point.
@@ -279,7 +282,8 @@ impl Ppo {
             / n as f64;
         let std_adv = var_adv.sqrt().max(1e-8);
 
-        let mut indices: Vec<usize> = (0..n).collect();
+        self.indices.clear();
+        self.indices.extend(0..n);
         let mut diag = UpdateDiagnostics::default();
         let mut diag_count = 0u64;
 
@@ -289,12 +293,8 @@ impl Ppo {
         // threads; everything captured is read-only.
         let per_sample = |ctx: &mut SampleCtx| {
             let b = ctx.minibatch as f64;
-            let dist = DiagGaussian {
-                mean: ctx.mean,
-                log_std: ctx.log_std,
-            };
             let action = buffer.action_row(ctx.buffer_index);
-            let logp_new = dist.log_prob(action);
+            let logp_new = ctx.gauss.log_prob(ctx.mean, action, ctx.z);
             let logp_old = buffer.log_probs[ctx.buffer_index];
             let adv = (buffer.advantages[ctx.buffer_index] - mean_adv) / std_adv;
             let ratio = (logp_new - logp_old).exp();
@@ -307,7 +307,7 @@ impl Ppo {
             }
             // SB3's approx_kl: mean((ratio-1) - log(ratio)).
             ctx.diag.approx_kl += (ratio - 1.0) - (logp_new - logp_old);
-            ctx.diag.entropy_sum += dist.entropy();
+            ctx.diag.entropy_sum += ctx.gauss.entropy();
 
             // Policy gradient flows only through the unclipped branch.
             let dlogp = if surr1 <= surr2 {
@@ -316,13 +316,8 @@ impl Ppo {
                 0.0
             };
             if dlogp != 0.0 {
-                dist.dlogp_dmean(action, ctx.dmu);
-                dist.dlogp_dlogstd(action, ctx.dls);
-                let scale = dlogp as f32;
-                for j in 0..ctx.d_mean.len() {
-                    ctx.d_mean[j] = ctx.dmu[j] * scale;
-                    ctx.grad_log_std[j] += ctx.dls[j] * scale;
-                }
+                ctx.gauss
+                    .add_scaled_grads(ctx.z, dlogp as f32, ctx.d_mean, ctx.grad_log_std);
             }
             // Entropy bonus: d(-ent_coef·mean(entropy))/dlogσ = -ent_coef/b.
             if cfg.ent_coef != 0.0 {
@@ -339,8 +334,8 @@ impl Ppo {
         };
 
         for _epoch in 0..cfg.n_epochs {
-            self.rng.shuffle(&mut indices);
-            for chunk in indices.chunks(cfg.batch_size) {
+            self.rng.shuffle(&mut self.indices);
+            for chunk in self.indices.chunks(cfg.batch_size) {
                 let b = chunk.len() as f64;
                 // Forward, per-sample loss and backward across the shards;
                 // shard gradients land reduced on `self.ac`.
