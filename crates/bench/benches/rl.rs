@@ -3,7 +3,7 @@
 //! dominant cost of every training experiment), GEMM micro-kernel
 //! throughput (baseline 4×8 tile vs the runtime-selected wide tile, on a
 //! 256-row batch and on the 16-row shard product the PPO update runs), and
-//! PPO update-phase throughput at 1/2/4/8 update workers.
+//! PPO update-phase throughput.
 //!
 //! The rollout benchmarks also emit `BENCH_rollout.json` at the repository
 //! root with before/after steps-per-second plus `update_phase`, `gemm` and
@@ -65,14 +65,13 @@ fn update_buffer() -> RolloutBuffer {
 }
 
 /// A PPO trainer configured to run exactly one optimisation epoch over
-/// [`update_buffer`] per `update` call, with the given worker count.
-fn update_ppo(workers: usize) -> Ppo {
+/// [`update_buffer`] per `update` call.
+fn update_ppo() -> Ppo {
     let cfg = PpoConfig {
         n_steps: UPD_ROWS,
         batch_size: UPD_BATCH,
         n_epochs: 1,
         seed: 3,
-        n_update_workers: workers,
         ..PpoConfig::default()
     };
     Ppo::new(UPD_OBS, UPD_ACT, cfg)
@@ -319,13 +318,6 @@ struct UpdatePhaseReport {
     obs_dim: usize,
     action_dim: usize,
     n_epochs: usize,
-    workers: Vec<WorkerRate>,
-    speedup_4_workers: f64,
-}
-
-#[derive(Serialize)]
-struct WorkerRate {
-    workers: usize,
     samples_per_sec: f64,
 }
 
@@ -341,8 +333,8 @@ struct GemmReport {
     tile_speedup: f64,
 }
 
-/// Measures both rollout paths, the update phase at 1/2/4/8 workers and
-/// the GEMM micro-kernels, and records the rates (and speedups) in
+/// Measures both rollout paths, the update phase and the GEMM
+/// micro-kernels, and records the rates (and speedups) in
 /// `BENCH_rollout.json` at the repository root.
 fn write_rollout_json(ac: &ActorCritic) {
     if cfg!(debug_assertions) {
@@ -365,25 +357,10 @@ fn write_rollout_json(ac: &ActorCritic) {
 
     // ---- update phase: samples/s through one optimisation epoch ----
     let buffer = update_buffer();
-    let mut worker_rates: Vec<WorkerRate> = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let mut ppo = update_ppo(workers);
-        let sps = best_rate(0.6, UPD_ROWS as f64, &mut || {
-            std::hint::black_box(ppo.update(&buffer));
-        });
-        worker_rates.push(WorkerRate {
-            workers,
-            samples_per_sec: round_to(sps, 1),
-        });
-    }
-    let rate_at = |w: usize| {
-        worker_rates
-            .iter()
-            .find(|r| r.workers == w)
-            .expect("worker count measured")
-            .samples_per_sec
-    };
-    let update_speedup_4w = rate_at(4) / rate_at(1);
+    let mut ppo = update_ppo();
+    let update_sps = best_rate(0.6, UPD_ROWS as f64, &mut || {
+        std::hint::black_box(ppo.update(&buffer));
+    });
 
     // ---- GEMM micro-kernels on policy-shaped products ----
     let [gemm, gemm_shard] = GEMM_SHAPES.map(|(m, k, n)| gemm_report(m, k, n));
@@ -404,8 +381,7 @@ fn write_rollout_json(ac: &ActorCritic) {
             obs_dim: UPD_OBS,
             action_dim: UPD_ACT,
             n_epochs: 1,
-            workers: worker_rates,
-            speedup_4_workers: round_to(update_speedup_4w, 2),
+            samples_per_sec: round_to(update_sps, 1),
         },
         gemm,
         gemm_shard,
@@ -418,16 +394,7 @@ fn write_rollout_json(ac: &ActorCritic) {
     println!(
         "rollout throughput: per-env {per_env_sps:.0} steps/s, batched {batched_sps:.0} steps/s ({speedup:.2}x)"
     );
-    println!(
-        "update throughput: {} samples/s at 1/2/4/8 workers ({update_speedup_4w:.2}x at 4; {host_cores} cores)",
-        report
-            .update_phase
-            .workers
-            .iter()
-            .map(|r| format!("{:.0}", r.samples_per_sec))
-            .collect::<Vec<_>>()
-            .join("/")
-    );
+    println!("update throughput: {update_sps:.0} samples/s ({host_cores} cores)");
     for g in [&report.gemm, &report.gemm_shard] {
         println!(
             "gemm {}x{}x{}: {} {:.2} GF/s -> {} {:.2} GF/s ({:.2}x) -> BENCH_rollout.json",
@@ -478,18 +445,16 @@ fn gemm_report(m: usize, k: usize, n: usize) -> GemmReport {
 }
 
 /// The PPO optimisation phase in isolation (one epoch over a prepared
-/// fig5-sized rollout) at 1/2/4/8 update workers.
+/// fig5-sized rollout).
 fn bench_update_phase(c: &mut Criterion) {
     let buffer = update_buffer();
     let mut group = c.benchmark_group("rl/update_2048rows_256batch");
     group.sample_size(10);
     group.throughput(Throughput::Elements(UPD_ROWS as u64));
-    for workers in [1usize, 2, 4, 8] {
-        let mut ppo = update_ppo(workers);
-        group.bench_function(format!("{workers}w"), |b| {
-            b.iter(|| std::hint::black_box(ppo.update(&buffer)))
-        });
-    }
+    let mut ppo = update_ppo();
+    group.bench_function("one_epoch", |b| {
+        b.iter(|| std::hint::black_box(ppo.update(&buffer)))
+    });
     group.finish();
 }
 

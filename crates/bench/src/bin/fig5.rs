@@ -2,19 +2,15 @@
 //! (left axis) and entropy loss (right axis) over training timesteps.
 //!
 //! ```text
-//! cargo run -p qcs-bench --release --bin fig5 [-- --timesteps 100000 --seed 42 --envs 4 --update-workers 1 --comm-aware --queue-aware]
+//! cargo run -p qcs-bench --release --bin fig5 [-- --timesteps 100000 --seed 42 --envs 4 --comm-aware]
 //! ```
 //!
-//! `--queue-aware` trains on the 19-dim observation with the three queue
-//! features appended (see `GymConfig::queue_aware`); the default is the
-//! paper's 16-dim state. `--update-workers N` parallelises the PPO
-//! optimisation phase over `N` threads (bit-identical results at any `N`;
-//! `0` = one per core).
+//! Training runs on one thread. `--comm-aware` trains with the
+//! communication-aware reward shaping and writes its own result files.
 
-use qcs_bench::cli::{arg, flag, reject_unread, update_workers_arg};
+use qcs_bench::cli::{arg, flag, reject_unread};
 use qcs_bench::runner::results_dir;
-use qcs_bench::train::{train_allocation_policy_opts, TrainOpts};
-use qcs_qcloud::GymConfig;
+use qcs_bench::train::train_allocation_policy;
 
 fn sparkline(values: &[f64], width: usize) -> String {
     if values.is_empty() {
@@ -40,31 +36,15 @@ fn main() {
     let timesteps: u64 = arg("--timesteps", 100_000);
     let seed: u64 = arg("--seed", 42);
     let n_envs: usize = arg("--envs", 4);
-    let update_workers = update_workers_arg();
     let comm_aware = flag("--comm-aware");
-    let queue_aware = flag("--queue-aware");
     reject_unread();
 
     eprintln!(
         "[fig5] training PPO for {timesteps} timesteps on {n_envs} envs \
-         ({update_workers} update workers, comm_aware = {comm_aware}, \
-         queue_aware = {queue_aware})..."
+         (comm_aware = {comm_aware})..."
     );
-    let gym = GymConfig {
-        comm_aware_reward: comm_aware,
-        queue_aware,
-        ..GymConfig::default()
-    };
     let t0 = std::time::Instant::now();
-    let out = train_allocation_policy_opts(
-        gym,
-        TrainOpts {
-            total_timesteps: timesteps,
-            n_envs,
-            seed,
-            n_update_workers: update_workers,
-        },
-    );
+    let out = train_allocation_policy(timesteps, n_envs, seed, comm_aware);
     eprintln!("[fig5] done in {:.1}s", t0.elapsed().as_secs_f64());
 
     let log = out.ppo.log();
@@ -93,15 +73,9 @@ fn main() {
     );
 
     let dir = results_dir();
-    // Variant-specific filenames: a queue-aware policy has a different
-    // observation layout and must not clobber the cached 16-dim policy
+    // A comm-aware policy must not clobber the cached policy that
     // `table2`/`fig6` deploy.
-    let variant = match (comm_aware, queue_aware) {
-        (false, false) => "",
-        (true, false) => "_comm_aware",
-        (false, true) => "_queue_aware",
-        (true, true) => "_comm_queue_aware",
-    };
+    let variant = if comm_aware { "_comm_aware" } else { "" };
     let csv_path = dir.join(format!("fig5_training{variant}.csv"));
     std::fs::write(&csv_path, log.to_csv()).expect("cannot write training CSV");
     let policy_path = dir.join(format!("rl_policy{variant}.json"));

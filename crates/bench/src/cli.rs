@@ -116,7 +116,11 @@ pub fn reject_unread() {
         })
         .collect();
     eprintln!("error: {program} does not read {flag}");
-    eprintln!("{program} reads: {}", reads.join(", "));
+    if reads.is_empty() {
+        eprintln!("{program} takes no flags");
+    } else {
+        eprintln!("{program} reads: {}", reads.join(", "));
+    }
     std::process::exit(2)
 }
 
@@ -133,17 +137,6 @@ fn unread<'a>(args: &'a [String], asked: &[(String, bool)]) -> Option<&'a str> {
         }
     }
     None
-}
-
-/// Parses `--update-workers N` (default `1` = single-threaded) and
-/// resolves `0` to one worker per available core. Training results are
-/// bit-identical at any worker count (see `qcs_rl::update`); the knob
-/// only changes wall-clock time.
-pub fn update_workers_arg() -> usize {
-    match arg("--update-workers", 1usize) {
-        0 => qcs_desim::parallel::default_threads(),
-        n => n,
-    }
 }
 
 /// Cores available to this process, via
@@ -258,10 +251,5 @@ mod tests {
     #[test]
     fn host_cores_detects_at_least_one() {
         assert!(host_cores() >= 1);
-    }
-
-    #[test]
-    fn update_workers_defaults_single_threaded() {
-        assert_eq!(update_workers_arg(), 1);
     }
 }

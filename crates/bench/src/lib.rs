@@ -20,7 +20,4 @@ pub mod train;
 
 pub use runner::{run_strategy, StrategySpec};
 pub use table::AsciiTable;
-pub use train::{
-    train_allocation_policy, train_allocation_policy_opts, train_allocation_policy_with, TrainOpts,
-    TrainOutcome,
-};
+pub use train::{train_allocation_policy, TrainOutcome};

@@ -25,38 +25,13 @@ impl TrainOutcome {
     }
 }
 
-/// Tunables of a training run. `n_update_workers` is pure throughput:
-/// training is bit-identical at any value (see `qcs_rl::update`). `n_envs`
-/// is NOT — it changes the per-iteration rollout shape (`n_steps` is
-/// derived from it) and therefore the collected data and the trained
-/// policy; keep it fixed when comparing against recorded results.
-#[derive(Debug, Clone)]
-pub struct TrainOpts {
-    /// Environment steps to train for.
-    pub total_timesteps: u64,
-    /// Vectorised rollout environments (worker threads).
-    pub n_envs: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Threads for the PPO optimisation phase (`0`/`1` = single-threaded).
-    pub n_update_workers: usize,
-}
-
-impl Default for TrainOpts {
-    fn default() -> Self {
-        TrainOpts {
-            total_timesteps: 100_000,
-            n_envs: 4,
-            seed: 42,
-            n_update_workers: 1,
-        }
-    }
-}
-
 /// Trains the §4.1 allocation policy for `total_timesteps` environment
-/// steps on `n_envs` vectorised copies of [`QCloudGymEnv`] (worker threads).
+/// steps on `n_envs` vectorised copies of [`QCloudGymEnv`].
 ///
 /// `comm_aware` enables the reward-shaping extension (§6.6 future work).
+/// `n_envs` sets the rollout shape (`n_steps` is derived from it), so it
+/// changes the collected data and the trained policy: keep it fixed when
+/// comparing against recorded results.
 pub fn train_allocation_policy(
     total_timesteps: u64,
     n_envs: usize,
@@ -67,62 +42,24 @@ pub fn train_allocation_policy(
         comm_aware_reward: comm_aware,
         ..GymConfig::default()
     };
-    train_allocation_policy_with(gym, total_timesteps, n_envs, seed)
-}
-
-/// [`train_allocation_policy`] with an explicit [`GymConfig`] — e.g. to
-/// train on the queue-aware observation extension
-/// ([`GymConfig::queue_aware`], `fig5 --queue-aware`).
-pub fn train_allocation_policy_with(
-    gym: GymConfig,
-    total_timesteps: u64,
-    n_envs: usize,
-    seed: u64,
-) -> TrainOutcome {
-    train_allocation_policy_opts(
-        gym,
-        TrainOpts {
-            total_timesteps,
-            n_envs,
-            seed,
-            n_update_workers: 1,
-        },
-    )
-}
-
-/// The full-control entry point: [`GymConfig`] plus [`TrainOpts`]
-/// (including the `n_update_workers` knob surfaced by the training CLIs as
-/// `--update-workers`).
-pub fn train_allocation_policy_opts(gym: GymConfig, opts: TrainOpts) -> TrainOutcome {
-    let TrainOpts {
-        total_timesteps,
-        n_envs,
-        seed,
-        n_update_workers,
-    } = opts;
-    let mk_env = |fleet_seed: u64, gym: GymConfig| -> Box<dyn Env> {
-        Box::new(QCloudGymEnv::new(
-            &ibm_fleet(fleet_seed),
-            JobDistribution::default(),
-            SimParams::default(),
-            gym,
-        ))
-    };
-
-    let factories: Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>> = (0..n_envs.max(1))
+    let n_envs = n_envs.max(1);
+    let envs: Vec<Box<dyn Env>> = (0..n_envs)
         .map(|_| {
-            let gym = gym.clone();
-            Box::new(move || mk_env(seed, gym)) as Box<dyn FnOnce() -> Box<dyn Env> + Send>
+            Box::new(QCloudGymEnv::new(
+                &ibm_fleet(seed),
+                JobDistribution::default(),
+                SimParams::default(),
+                gym.clone(),
+            )) as Box<dyn Env>
         })
         .collect();
-    let mut envs = VecEnv::parallel(factories);
+    let mut envs = VecEnv::sequential(envs);
 
     let cfg = PpoConfig {
         seed,
         // The paper trains single-step episodes with SB3 defaults; a
         // smaller n_steps keeps logging granularity useful for Fig. 5.
-        n_steps: 2048 / n_envs.max(1),
-        n_update_workers,
+        n_steps: 2048 / n_envs,
         ..PpoConfig::default()
     };
     let mut ppo = Ppo::new(gym.obs_dim(), gym.max_devices, cfg);
@@ -162,33 +99,35 @@ mod tests {
         );
     }
 
-    #[test]
-    fn queue_aware_training_runs_on_wider_observations() {
-        let gym = GymConfig {
-            queue_aware: true,
-            ..GymConfig::default()
+    /// FNV-1a over the bits of every parameter, in the optimiser's tensor
+    /// order: policy layers (w, b), value layers (w, b), `log_std`.
+    fn param_hash(ppo: &Ppo) -> u64 {
+        let ac = &ppo.ac;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |vs: &[f32]| {
+            for v in vs {
+                for byte in v.to_bits().to_le_bytes() {
+                    h ^= byte as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
         };
-        let out = train_allocation_policy_with(gym, 2_000, 2, 17);
-        assert_eq!(out.gym.obs_dim(), 19);
-        assert_eq!(out.ppo.ac.obs_dim(), 19);
-        assert!(out.ppo.log().final_reward() > 0.0);
+        for layer in ac.pi.layers().iter().chain(ac.vf.layers()) {
+            eat(layer.w.data());
+            eat(&layer.b);
+        }
+        eat(&ac.log_std);
+        h
     }
 
+    /// Golden parameter bits of a training run as the bins make it (4
+    /// envs, `n_steps` 512, two PPO iterations). The value was recorded
+    /// with the environments stepped on worker threads, so it pins the
+    /// one-thread rollout as bit-identical to that.
     #[test]
-    fn update_workers_knob_is_bit_exact() {
-        let opts = |workers| TrainOpts {
-            total_timesteps: 2_000,
-            n_envs: 2,
-            seed: 19,
-            n_update_workers: workers,
-        };
-        let a = train_allocation_policy_opts(GymConfig::default(), opts(1));
-        let b = train_allocation_policy_opts(GymConfig::default(), opts(3));
-        assert_eq!(
-            a.policy_json(),
-            b.policy_json(),
-            "update workers changed the trained policy"
-        );
+    fn trained_parameters_match_golden() {
+        let out = train_allocation_policy(4_096, 4, 42, false);
+        assert_eq!(param_hash(&out.ppo), 0x80f6_1321_d848_3ce4);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Parallel execution of independent simulations.
 //!
 //! Discrete-event simulations are inherently sequential *inside* one run,
-//! but parameter sweeps and Monte-Carlo replications are embarrassingly
-//! parallel *across* runs. This module provides a small scoped-thread
-//! work-distribution helper (no `unsafe`, no global pool, data-race freedom
+//! but independent runs (such as one simulation per strategy) are
+//! embarrassingly parallel *across* runs. [`par_map`] spreads them over
+//! scoped threads (no `unsafe`, no global pool, data-race freedom
 //! guaranteed by `std::thread::scope`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,69 +58,6 @@ where
         .collect()
 }
 
-/// Applies `f(index, &mut item)` to every slot of `items`, striping the
-/// slots statically over up to `threads` scoped OS threads (slot `i` runs
-/// on thread `i % threads`).
-///
-/// This is the fork-join primitive behind the multi-worker PPO update
-/// phase: each slot is a preallocated per-shard scratch + gradient slab, so
-/// unlike [`par_map`] nothing is moved, boxed or locked — the only
-/// per-call costs are the thread spawns and one small `Vec` per thread.
-/// With `threads <= 1` (or a single item) everything runs inline on the
-/// caller's thread — no spawns, byte-identical scheduling to a plain loop.
-///
-/// Striping is static, so *which* thread runs a slot is deterministic too;
-/// but callers must not rely on cross-slot ordering — correctness (and the
-/// determinism contract of the update phase) comes from each slot writing
-/// only to its own item, with any reduction done by the caller afterwards
-/// in slot order.
-pub fn par_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = threads.max(1).min(n);
-    if threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let mut buckets: Vec<Vec<(usize, &mut T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        buckets[i % threads].push((i, item));
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        for bucket in buckets {
-            scope.spawn(move || {
-                for (i, item) in bucket {
-                    f(i, item);
-                }
-            });
-        }
-    });
-}
-
-/// Runs `n` seeded replications of `f` in parallel and collects results in
-/// replication order. `f` receives the replication index; derive seeds from
-/// it for reproducibility.
-pub fn par_replicate<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map((0..n).collect(), threads, f)
-}
-
-/// A reasonable default parallelism level: available cores, at least 1.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,41 +86,6 @@ mod tests {
     fn par_map_more_threads_than_items() {
         let ys = par_map(vec![5], 64, |x| x * 2);
         assert_eq!(ys, vec![10]);
-    }
-
-    #[test]
-    fn par_replicate_deterministic_per_index() {
-        // Each replication runs a seeded simulation; results must be
-        // independent of thread interleaving.
-        let run = |threads| {
-            par_replicate(16, threads, |rep| {
-                let mut rng = crate::rng::Xoshiro256StarStar::new(1000 + rep as u64);
-                (0..100).map(|_| rng.next_u64() & 0xFF).sum::<u64>()
-            })
-        };
-        assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn par_for_each_mut_touches_every_slot_once() {
-        for threads in [1, 2, 3, 8, 64] {
-            let mut slots: Vec<u64> = (0..37).collect();
-            par_for_each_mut(&mut slots, threads, |i, v| {
-                assert_eq!(*v, i as u64);
-                *v = *v * 2 + 1;
-            });
-            let expected: Vec<u64> = (0..37).map(|x| x * 2 + 1).collect();
-            assert_eq!(slots, expected, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_empty_and_single() {
-        let mut empty: Vec<u32> = Vec::new();
-        par_for_each_mut(&mut empty, 4, |_, _| unreachable!());
-        let mut one = vec![7u32];
-        par_for_each_mut(&mut one, 4, |_, v| *v += 1);
-        assert_eq!(one, vec![8]);
     }
 
     #[test]

@@ -5,12 +5,9 @@
 //! * **State** (dim `1 + 3k`, `k = 5` devices → 16): normalised job qubit
 //!   count `q/q_max`, then per device the normalised free-qubit level
 //!   `Cᵢ/150`, the error score `Eᵢ`, and normalised CLOPS `Kᵢ/10⁶`
-//!   (zero-padded when fewer than `k` devices). With
-//!   [`GymConfig::queue_aware`] (default **off**, for paper parity) three
-//!   queue features are appended — normalised queue length, total queued
-//!   qubit demand, and head-of-queue waiting time — matching the
-//!   queue-aware scheduler redesign ([`crate::sched`]), so a policy can
-//!   learn congestion-sensitive allocation.
+//!   (zero-padded when fewer than `k` devices). Queue-aware RL, which sees
+//!   the pending queue, is the scheduling environment in
+//!   [`crate::rlsched`].
 //! * **Action** (dim `k`): unnormalised allocation weights; the environment
 //!   normalises (`âᵢ = aᵢ/(Σa+ε)·q`), rounds, and adjusts so `Σâᵢ = q`.
 //! * **Reward**: the mean per-device circuit fidelity `R = (1/k')Σ Fᵢ`
@@ -54,24 +51,6 @@ pub struct GymConfig {
     /// Probability that a device appears partially busy at episode start
     /// (teaches availability awareness).
     pub busy_device_prob: f64,
-    /// Append the three queue features to the observation (default off:
-    /// the paper's 16-dim state). See [`QueueFeatures`].
-    #[serde(default)]
-    pub queue_aware: bool,
-    /// Queue-length normaliser for the queue features.
-    #[serde(default = "default_queue_len_norm")]
-    pub queue_len_norm: f64,
-    /// Head-wait normaliser (seconds) for the queue features.
-    #[serde(default = "default_queue_wait_norm")]
-    pub queue_wait_norm: f64,
-}
-
-fn default_queue_len_norm() -> f64 {
-    32.0
-}
-
-fn default_queue_wait_norm() -> f64 {
-    3_600.0
 }
 
 impl Default for GymConfig {
@@ -83,43 +62,24 @@ impl Default for GymConfig {
             clops_norm: 1e6,
             comm_aware_reward: false,
             busy_device_prob: 0.5,
-            queue_aware: false,
-            queue_len_norm: default_queue_len_norm(),
-            queue_wait_norm: default_queue_wait_norm(),
         }
     }
 }
 
 impl GymConfig {
-    /// Observation dimensionality: `1 + 3k`, plus 3 when
-    /// [`GymConfig::queue_aware`] is set.
+    /// Observation dimensionality: `1 + 3k`.
     pub fn obs_dim(&self) -> usize {
-        1 + 3 * self.max_devices + if self.queue_aware { 3 } else { 0 }
+        1 + 3 * self.max_devices
     }
-}
-
-/// Aggregate pending-queue signals for queue-aware observations: what the
-/// scheduler loop knows beyond the head job. All zeros ≙ an empty queue.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QueueFeatures {
-    /// Jobs pending behind the one being placed.
-    pub backlog: usize,
-    /// Total qubit demand of the backlog.
-    pub backlog_qubits: u64,
-    /// How long the job being placed has already waited (s).
-    pub head_wait: f64,
 }
 
 /// Encodes the §4.1 state vector from a job's qubit demand and a fleet
 /// view into `out` (length [`GymConfig::obs_dim`]). Shared by the training
-/// env and the deployed [`crate::policies::RlBroker`]. `queue` is ignored
-/// unless [`GymConfig::queue_aware`] is set; the deployed broker has no
-/// queue context and passes [`QueueFeatures::default`] (an empty queue).
+/// env and the deployed [`crate::policies::RlBroker`].
 pub fn encode_observation_into(
     out: &mut [f32],
     job_qubits: u64,
     view: &CloudView,
-    queue: &QueueFeatures,
     cfg: &GymConfig,
 ) {
     assert_eq!(out.len(), cfg.obs_dim(), "observation buffer mismatch");
@@ -135,19 +95,6 @@ pub fn encode_observation_into(
             out[base + 1] = 0.0;
             out[base + 2] = 0.0;
         }
-    }
-    if cfg.queue_aware {
-        // The raw signals are unbounded (queue depth and head wait grow
-        // without limit on a backlogged trace), so clamp to [0, 1] after
-        // normalising — consistent with the device features, which are
-        // bounded by construction. Past the normaliser, "very congested"
-        // carries no more signal than "congested", and an unclamped value
-        // would drift the feature scale out from under a trained policy.
-        let base = 1 + 3 * cfg.max_devices;
-        out[base] = (queue.backlog as f64 / cfg.queue_len_norm).min(1.0) as f32;
-        out[base + 1] =
-            (queue.backlog_qubits as f64 / (cfg.q_max_norm * cfg.queue_len_norm)).min(1.0) as f32;
-        out[base + 2] = (queue.head_wait / cfg.queue_wait_norm).min(1.0) as f32;
     }
 }
 
@@ -171,7 +118,6 @@ pub struct QCloudGymEnv {
     // Current episode state.
     job: QJob,
     frees: Vec<u64>,
-    queue: QueueFeatures,
     episode: u64,
     // Reusable buffers (allocation-free stepping).
     view: CloudView,
@@ -238,7 +184,6 @@ impl QCloudGymEnv {
                 arrival_time: 0.0,
             },
             frees,
-            queue: QueueFeatures::default(),
             episode: 0,
             view,
             scratch: PartitionScratch::default(),
@@ -251,8 +196,8 @@ impl QCloudGymEnv {
         &self.cfg
     }
 
-    /// Draws the next episode (job, availability, queue context) and
-    /// refreshes the internal view. No allocation.
+    /// Draws the next episode (job and availability) and refreshes the
+    /// internal view. No allocation.
     fn sample_episode(&mut self) {
         self.episode += 1;
         self.job = self.dist.sample(JobId(self.episode), 0.0, &mut self.rng);
@@ -271,27 +216,11 @@ impl QCloudGymEnv {
             v.busy_fraction = busy;
             v.mean_utilization = busy;
         }
-        if self.cfg.queue_aware {
-            // Synthesise congestion: a geometric-ish backlog with demand
-            // drawn from the job distribution's qubit range and a head wait
-            // up to the normaliser.
-            let backlog = self.rng.range_u64(0, self.cfg.queue_len_norm as u64) as usize;
-            let (qlo, qhi) = self.dist.qubits;
-            let mut backlog_qubits = 0u64;
-            for _ in 0..backlog {
-                backlog_qubits += self.rng.range_u64(qlo, qhi);
-            }
-            self.queue = QueueFeatures {
-                backlog,
-                backlog_qubits,
-                head_wait: self.rng.range_f64(0.0, self.cfg.queue_wait_norm),
-            };
-        }
     }
 
     /// Writes the current episode's observation into `out`.
     fn observe_into(&self, out: &mut [f32]) {
-        encode_observation_into(out, self.job.num_qubits, &self.view, &self.queue, &self.cfg);
+        encode_observation_into(out, self.job.num_qubits, &self.view, &self.cfg);
     }
 
     /// The reward for allocating `parts` of the current job — mean device
@@ -370,7 +299,6 @@ impl Env for QCloudGymEnv {
     fn reset_into(&mut self, seed: u64, obs_out: &mut [f32]) {
         self.rng = Xoshiro256StarStar::new(seed);
         self.episode = 0;
-        self.queue = QueueFeatures::default();
         self.sample_episode();
         self.observe_into(obs_out);
     }
@@ -401,15 +329,6 @@ mod tests {
         )
     }
 
-    fn env_with(cfg: GymConfig) -> QCloudGymEnv {
-        QCloudGymEnv::new(
-            &ibm_fleet(1),
-            JobDistribution::default(),
-            SimParams::default(),
-            cfg,
-        )
-    }
-
     #[test]
     fn observation_shape_matches_paper() {
         let mut e = env();
@@ -426,92 +345,6 @@ mod tests {
             assert!((0.0..=127.0 / 150.0 + 1e-6).contains(&free));
             assert!(err > 0.0 && err < 0.05);
             assert!(clops > 0.0 && clops <= 0.22 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn queue_aware_observation_appends_three_features() {
-        let cfg = GymConfig {
-            queue_aware: true,
-            ..GymConfig::default()
-        };
-        let mut e = env_with(cfg.clone());
-        assert_eq!(e.obs_dim(), 19, "16 + 3 queue features");
-        let obs = e.reset(2);
-        assert_eq!(obs.len(), 19);
-        for f in &obs[16..] {
-            assert!((0.0..=1.0 + 1e-6).contains(f), "queue feature {f}");
-        }
-        // Across episodes the synthetic backlog must actually vary.
-        let mut seen_nonzero = false;
-        for _ in 0..20 {
-            let r = e.step(&[1.0; 5]);
-            seen_nonzero |= r.obs[16] > 0.0;
-        }
-        assert!(seen_nonzero, "queue features never non-zero");
-    }
-
-    #[test]
-    fn queue_features_clamp_to_unit_interval() {
-        // Backlogged traces produce raw queue signals far past the
-        // normalisers; the encoded features must saturate at 1, matching
-        // the bounded device features.
-        let cfg = GymConfig {
-            queue_aware: true,
-            ..GymConfig::default()
-        };
-        let view = CloudView {
-            devices: vec![crate::broker::DeviceView {
-                id: DeviceId(0),
-                free: 100,
-                capacity: 127,
-                busy_fraction: 0.2,
-                mean_utilization: 0.2,
-                error_score: 0.01,
-                clops: 220_000.0,
-                qv_layers: 7.0,
-            }],
-        };
-        let oversized = QueueFeatures {
-            backlog: 10_000,
-            backlog_qubits: 2_000_000,
-            head_wait: 500_000.0,
-        };
-        let mut obs = vec![0.0f32; cfg.obs_dim()];
-        encode_observation_into(&mut obs, 190, &view, &oversized, &cfg);
-        let base = 1 + 3 * cfg.max_devices;
-        assert_eq!(obs[base], 1.0, "queue length saturates");
-        assert_eq!(obs[base + 1], 1.0, "queued demand saturates");
-        assert_eq!(obs[base + 2], 1.0, "head wait saturates");
-        // In-range signals still scale linearly below the clamp.
-        let small = QueueFeatures {
-            backlog: 16,
-            backlog_qubits: 4_000,
-            head_wait: 1_800.0,
-        };
-        encode_observation_into(&mut obs, 190, &view, &small, &cfg);
-        assert_eq!(obs[base], 0.5);
-        assert_eq!(obs[base + 1], 0.5);
-        assert_eq!(obs[base + 2], 0.5);
-    }
-
-    #[test]
-    fn queue_aware_flag_off_is_paper_parity() {
-        // Default-off must leave both the shape and the RNG stream exactly
-        // as the paper env: the flag draws extra random numbers only when
-        // enabled, so rewards and observations match the 16-dim env.
-        let mut plain = env();
-        let mut explicit = env_with(GymConfig {
-            queue_aware: false,
-            ..GymConfig::default()
-        });
-        let a = plain.reset(7);
-        let b = explicit.reset(7);
-        assert_eq!(a, b);
-        for _ in 0..50 {
-            let ra = plain.step(&[0.4, 0.8, 0.1, 0.0, 1.0]);
-            let rb = explicit.step(&[0.4, 0.8, 0.1, 0.0, 1.0]);
-            assert_eq!(ra, rb);
         }
     }
 
@@ -663,7 +496,7 @@ mod tests {
             }],
         };
         let mut obs = vec![f32::NAN; cfg.obs_dim()];
-        encode_observation_into(&mut obs, 190, &view, &QueueFeatures::default(), &cfg);
+        encode_observation_into(&mut obs, 190, &view, &cfg);
         assert_eq!(obs.len(), 16);
         assert!(obs[4..].iter().all(|&x| x == 0.0), "slots 2–5 zero-padded");
     }
@@ -671,11 +504,18 @@ mod tests {
     #[test]
     fn gym_config_tolerates_pre_queue_aware_json() {
         // Checkpoint configs serialised before the queue-aware fields were
-        // added must still load (serde defaults).
+        // added load, and so do configs that still hold them: the fields
+        // are ignored.
         let old = r#"{"max_devices":5,"q_max_norm":250.0,"capacity_norm":150.0,"clops_norm":1000000.0,"comm_aware_reward":false,"busy_device_prob":0.5}"#;
         let cfg: GymConfig = serde_json::from_str(old).unwrap();
-        assert!(!cfg.queue_aware);
+        assert_eq!(cfg, GymConfig::default());
         assert_eq!(cfg.obs_dim(), 16);
+        let with_queue_fields = old.replace(
+            "}",
+            r#","queue_aware":true,"queue_len_norm":32.0,"queue_wait_norm":3600.0}"#,
+        );
+        let cfg: GymConfig = serde_json::from_str(&with_queue_fields).unwrap();
+        assert_eq!(cfg, GymConfig::default());
         let json = serde_json::to_string(&GymConfig::default()).unwrap();
         let back: GymConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, GymConfig::default());

@@ -3,7 +3,7 @@
 //! normalised and rounded into a qubit partition (§4.1).
 
 use crate::broker::{AllocationPlan, Broker, CloudView, Parts};
-use crate::gym::{encode_observation_into, GymConfig, QueueFeatures};
+use crate::gym::{encode_observation_into, GymConfig};
 use crate::job::QJob;
 use crate::partition::{weights_to_parts_into, PartitionScratch};
 use qcs_rl::policy::{ActScratch, ActorCritic};
@@ -79,9 +79,7 @@ impl Broker for RlBroker {
         if job.num_qubits > view.total_free() {
             return AllocationPlan::Wait;
         }
-        // The deployed broker has no queue context: an empty queue.
-        let queue = QueueFeatures::default();
-        encode_observation_into(&mut self.obs, job.num_qubits, view, &queue, &self.cfg);
+        encode_observation_into(&mut self.obs, job.num_qubits, view, &self.cfg);
         self.policy
             .act_deterministic_into(&self.obs, &mut self.scratch, &mut self.weights);
         self.limits.clear();
@@ -215,8 +213,7 @@ mod tests {
                 broker.obs.fill(f32::NAN);
                 let got = broker.select(&job, &view);
 
-                let queue = QueueFeatures::default();
-                encode_observation_into(&mut obs, job.num_qubits, &view, &queue, &cfg);
+                encode_observation_into(&mut obs, job.num_qubits, &view, &cfg);
                 policy.act_deterministic_into(&obs, &mut scratch, &mut weights);
                 let mut parts = Parts::new();
                 let want = if weights_to_parts_into(

@@ -45,13 +45,6 @@ pub struct A2cConfig {
     pub normalize_advantage: bool,
     /// Master seed.
     pub seed: u64,
-    /// Threads for the gradient pass. `0` and `1` (the default) both run
-    /// single-threaded (`0` is the pre-knob serde default). Every worker
-    /// count produces bit-identical training — see [`crate::update`] (and
-    /// the note on [`crate::PpoConfig::n_update_workers`] about pre-shard
-    /// builds).
-    #[serde(default)]
-    pub n_update_workers: usize,
 }
 
 impl Default for A2cConfig {
@@ -66,7 +59,6 @@ impl Default for A2cConfig {
             learning_rate: 7e-4,
             normalize_advantage: false,
             seed: 0,
-            n_update_workers: 1,
         }
     }
 }
@@ -102,7 +94,7 @@ impl A2c {
             timesteps: 0,
             ep_returns: VecDeque::with_capacity(100),
             scratch: ActScratch::new(),
-            exec: MinibatchExecutor::new(config.n_update_workers),
+            exec: MinibatchExecutor::new(),
             rollout_indices: Vec::new(),
             config,
         }
@@ -195,9 +187,8 @@ impl A2c {
 
     /// One gradient step over the whole rollout (no epochs, no minibatches,
     /// no clipping — the defining differences from PPO). The single
-    /// whole-rollout "minibatch" runs through the same shard-parallel
-    /// [`MinibatchExecutor`] as PPO's, so `n_update_workers` applies here
-    /// too, with the same bit-reproducibility guarantee.
+    /// whole-rollout "minibatch" runs through the same sharded
+    /// [`MinibatchExecutor`] as PPO's.
     fn update(&mut self, buffer: &RolloutBuffer) -> A2cDiagnostics {
         let n = buffer.len();
         let cfg = self.config.clone();
@@ -310,28 +301,6 @@ mod tests {
             a2c.log().to_csv()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn multi_worker_update_bit_identical() {
-        let run = |workers: usize| {
-            let mut a2c = A2c::new(
-                1,
-                2,
-                A2cConfig {
-                    seed: 11,
-                    n_update_workers: workers,
-                    ..A2cConfig::default()
-                },
-            );
-            let mut envs = bandit_vecenv(2);
-            a2c.learn(&mut envs, 1_000);
-            (a2c.ac.to_json(), a2c.log().to_csv())
-        };
-        let reference = run(1);
-        for workers in [3, 7] {
-            assert_eq!(reference, run(workers), "{workers} workers diverged");
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl StepInfo {
 ///
 /// Environments must be deterministic given the seed passed to
 /// [`Env::reset`]: all stochasticity flows from that seed.
-pub trait Env: Send {
+pub trait Env {
     /// Observation dimensionality.
     fn obs_dim(&self) -> usize;
 

@@ -13,10 +13,12 @@
 //!   estimation;
 //! * [`ppo::Ppo`] — Proximal Policy Optimization with the clipped surrogate
 //!   objective and Stable-Baselines3 default hyper-parameters;
-//! * [`vecenv::VecEnv`] — sequential or chunked-worker-parallel vectorised
-//!   environments (std::mpsc buffer round-tripping, deterministic per-env
-//!   streams, batched `step_into` writing straight into the shared
-//!   observation matrix).
+//! * [`vecenv::VecEnv`] — vectorised environments stepped in lock-step on
+//!   the calling thread (deterministic per-env seed streams, batched
+//!   `step_into` writing straight into the shared observation matrix);
+//! * [`update::MinibatchExecutor`] — the sharded minibatch update PPO and
+//!   A2C share, whose fixed shard partition and reduction order define
+//!   every parameter bit.
 //!
 //! Gradient correctness is property-tested against finite differences (see
 //! `tests/grad_check.rs`), and the PPO implementation is validated on the

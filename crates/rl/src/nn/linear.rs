@@ -6,7 +6,7 @@ use qcs_desim::Xoshiro256StarStar;
 use serde::{Deserialize, Serialize};
 
 /// Externally owned gradient slab for one [`Linear`] layer — the unit the
-/// multi-worker update phase accumulates into ([`Linear::backward_into`]),
+/// sharded update phase accumulates into ([`Linear::backward_into`]),
 /// one slab per minibatch shard, reduced in a fixed order afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct LayerGrads {

@@ -39,15 +39,6 @@ pub struct PpoConfig {
     pub learning_rate: f32,
     /// Master seed for policy init and action sampling.
     pub seed: u64,
-    /// Threads for the optimisation phase. `0` and `1` (the default) both
-    /// run single-threaded (`0` is what configs serialised before this
-    /// knob existed deserialise to). Every worker count produces
-    /// bit-identical training — see [`crate::update`]. Note the
-    /// shard-structured gradient accumulation itself makes training
-    /// numerically distinct from pre-shard builds of this crate (a
-    /// different, equally valid floating-point summation order).
-    #[serde(default)]
-    pub n_update_workers: usize,
 }
 
 impl Default for PpoConfig {
@@ -64,7 +55,6 @@ impl Default for PpoConfig {
             max_grad_norm: 0.5,
             learning_rate: 3e-4,
             seed: 0,
-            n_update_workers: 1,
         }
     }
 }
@@ -158,7 +148,7 @@ impl Ppo {
             timesteps: 0,
             ep_returns: VecDeque::with_capacity(100),
             scratch: ActScratch::new(),
-            exec: MinibatchExecutor::new(config.n_update_workers),
+            exec: MinibatchExecutor::new(),
             indices: Vec::new(),
             config,
         }
@@ -258,11 +248,10 @@ impl Ppo {
     }
 
     /// One optimisation pass over a collected rollout: `n_epochs` epochs of
-    /// shuffled minibatches, each minibatch executed by the shard-parallel
-    /// [`MinibatchExecutor`] (`n_update_workers` threads, bit-identical
-    /// results at any worker count — see [`crate::update`]), followed by
-    /// gradient clipping and one Adam step per minibatch. After the first
-    /// call on a buffer of this size it allocates nothing.
+    /// shuffled minibatches, each minibatch executed by the sharded
+    /// [`MinibatchExecutor`] (see [`crate::update`]), followed by gradient
+    /// clipping and one Adam step per minibatch. After the first call on a
+    /// buffer of this size it allocates nothing.
     ///
     /// Public so the update phase can be driven (and timed) in isolation on
     /// a prepared buffer; [`Ppo::learn`] is the normal entry point.
@@ -289,8 +278,7 @@ impl Ppo {
 
         // The clipped-surrogate loss for one sample: reads the forward
         // results from the shard context, writes the mean/value gradient
-        // rows and shard-local diagnostics. Runs on the executor's worker
-        // threads; everything captured is read-only.
+        // rows and shard-local diagnostics.
         let per_sample = |ctx: &mut SampleCtx| {
             let b = ctx.minibatch as f64;
             let action = buffer.action_row(ctx.buffer_index);
@@ -444,42 +432,19 @@ mod tests {
     }
 
     #[test]
-    fn multi_worker_update_bit_identical_params_and_log() {
-        let run = |workers: usize| {
-            let cfg = PpoConfig {
-                n_steps: 64,
-                batch_size: 32,
-                n_epochs: 2,
-                seed: 5,
-                n_update_workers: workers,
-                ..PpoConfig::default()
-            };
-            let mut ppo = Ppo::new(1, 2, cfg);
-            let mut envs = bandit_vecenv(2);
-            ppo.learn(&mut envs, 1_000);
-            (ppo.ac.to_json(), ppo.log().to_csv())
+    fn config_naming_the_removed_worker_knob_still_loads() {
+        // Configs serialised while `n_update_workers` existed still load:
+        // the field is ignored, and every other value is kept.
+        let cfg = PpoConfig {
+            seed: 9,
+            ..PpoConfig::default()
         };
-        let reference = run(1);
-        for workers in [2, 7] {
-            assert_eq!(reference, run(workers), "{workers} workers diverged");
-        }
-    }
-
-    #[test]
-    fn config_without_worker_knob_deserialises_single_threaded() {
-        // Configs serialised before `n_update_workers` existed must load
-        // and resolve to the single-threaded executor.
-        let cfg = PpoConfig::default();
-        let mut json = serde_json::to_string(&cfg).unwrap();
-        json = json.replace("\"n_update_workers\":1,", "");
-        json = json.replace(",\"n_update_workers\":1", "");
+        let json = serde_json::to_string(&cfg).unwrap();
         assert!(!json.contains("n_update_workers"));
-        let back: PpoConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_update_workers, 0);
-        assert_eq!(
-            crate::update::MinibatchExecutor::new(back.n_update_workers).workers(),
-            1
-        );
+        let old = json.replace("\"seed\":9", "\"seed\":9,\"n_update_workers\":4");
+        assert!(old.contains("\"n_update_workers\":4"), "{old}");
+        let back: PpoConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -1,37 +1,31 @@
-//! Deterministic multi-worker minibatch updates.
+//! Deterministic sharded minibatch updates.
 //!
-//! The optimisation phase of PPO/A2C is data-parallel over minibatch rows:
-//! every row's forward pass, loss gradient and backward contribution is
-//! independent, and only the *parameter-gradient accumulation* couples
-//! rows. [`MinibatchExecutor`] exploits that while keeping training
-//! bit-reproducible at any worker count:
+//! The optimisation phase of PPO/A2C runs each minibatch in fixed shards
+//! of rows. [`MinibatchExecutor`] keeps the parameter-gradient summation
+//! tree a pure function of the minibatch size:
 //!
 //! 1. each minibatch is partitioned into fixed shards of [`SHARD_ROWS`]
-//!    rows — the partition depends only on the minibatch size, never on
-//!    the worker count;
-//! 2. every shard runs forward → per-sample loss → backward against its
-//!    own scratch caches and its own gradient slab
-//!    ([`crate::nn::LayerGrads`]), so the shared network is only read
-//!    (workers are striped over shards via
-//!    [`qcs_desim::parallel::par_for_each_mut`]);
+//!    rows;
+//! 2. shard by shard, forward → per-sample loss → backward runs against
+//!    the shard's own scratch caches and gradient slab
+//!    ([`crate::nn::LayerGrads`]), leaving the model's own gradient
+//!    buffers untouched;
 //! 3. the shard slabs are then reduced into the model's gradient buffers
-//!    on the calling thread, in the fixed tensor-registration order
-//!    (policy layers, value layers, `log_std`) and ascending shard order.
-//!    Each buffer starts as shard 0's slab instead of being zeroed first:
-//!    a slab starts at `+0.0` and only accumulates, so it never holds
-//!    `-0.0`, the one value `0 + s` would change, and `s₀` is bit for bit
-//!    the `0 + s₀` a zeroed buffer would hold.
+//!    in the fixed tensor-registration order (policy layers, value layers,
+//!    `log_std`) and ascending shard order. Each buffer starts as shard
+//!    0's slab instead of being zeroed first: a slab starts at `+0.0` and
+//!    only accumulates, so it never holds `-0.0`, the one value `0 + s`
+//!    would change, and `s₀` is bit for bit the `0 + s₀` a zeroed buffer
+//!    would hold.
 //!
 //! The policy's Gaussian terms that depend on `log_std` alone (`σ` and the
 //! entropy) are computed once per minibatch ([`StdTerms`]); each sample's
 //! loss reads them instead of taking an `exp` per action dimension.
 //!
-//! Because both the partition and the reduction order are fixed, the
-//! floating-point accumulation tree is identical whether the shards ran on
-//! one thread or eight — `n_update_workers = 1/2/3/7` produce bit-identical
-//! parameter trajectories (pinned by `tests/update_parity.rs`). Scalar
-//! diagnostics (losses, KL, clip counts) are reduced the same way and are
-//! equally reproducible.
+//! The partition and the reduction order define the floating-point
+//! accumulation tree, and so every parameter bit
+//! (`tests/update_parity.rs` pins them against goldens). Scalar
+//! diagnostics (losses, KL, clip counts) are reduced the same way.
 
 use crate::buffer::RolloutBuffer;
 use crate::dist::StdTerms;
@@ -40,11 +34,9 @@ use crate::policy::ActorCritic;
 
 /// Rows per minibatch shard. A compile-time constant so the shard
 /// partition — and therefore the gradient summation tree — is a pure
-/// function of the minibatch size, independent of worker count. 16 rows
-/// fill whole register blocks and exactly one rows-in-lanes head block of
-/// the AVX-512 GEMM, which `nn::matrix::select_kernel` picks from 16 rows
-/// up, while giving a default 64-row minibatch four shards to spread over
-/// workers.
+/// function of the minibatch size. 16 rows fill whole register blocks and
+/// exactly one rows-in-lanes head block of the AVX-512 GEMM, which
+/// `nn::matrix::select_kernel` picks from 16 rows up.
 pub const SHARD_ROWS: usize = 16;
 
 /// Scalar training diagnostics summed across the samples of one shard (and
@@ -120,31 +112,18 @@ struct ShardScratch {
     diag: ShardDiag,
 }
 
-/// The shard-parallel minibatch engine shared by [`crate::Ppo`] and
+/// The sharded minibatch engine shared by [`crate::Ppo`] and
 /// [`crate::A2c`]. See the module docs for the determinism contract.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MinibatchExecutor {
-    workers: usize,
     shards: Vec<ShardScratch>,
     gauss: StdTerms,
 }
 
 impl MinibatchExecutor {
-    /// Creates an executor running on `workers` threads. `0` and `1` (the
-    /// defaults) run all shards inline on the calling thread — no threads
-    /// are ever spawned. Callers wanting one worker per core pass
-    /// [`qcs_desim::parallel::default_threads`] explicitly.
-    pub fn new(workers: usize) -> Self {
-        MinibatchExecutor {
-            workers: workers.max(1),
-            shards: Vec::new(),
-            gauss: StdTerms::new(),
-        }
-    }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
+    /// Creates an executor; the first run allocates the shard scratch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Runs one minibatch (the buffer rows selected by `chunk`): refreshes
@@ -154,8 +133,8 @@ impl MinibatchExecutor {
     /// `ac`'s gradient buffers, overwriting what they held. Returns the
     /// summed diagnostics.
     ///
-    /// The caller is left with exactly what the historical single-threaded
-    /// code produced after zeroing and its backward passes: accumulated
+    /// The caller is left with exactly what zeroing the gradients and
+    /// running every sample's backward pass would produce: accumulated
     /// gradients on `ac`, ready for clipping and the optimiser step. An
     /// empty `chunk` leaves zero gradients.
     pub fn run(
@@ -163,7 +142,7 @@ impl MinibatchExecutor {
         ac: &mut ActorCritic,
         buffer: &RolloutBuffer,
         chunk: &[usize],
-        per_sample: &(dyn Fn(&mut SampleCtx) + Sync),
+        per_sample: &dyn Fn(&mut SampleCtx),
     ) -> ShardDiag {
         let b = chunk.len();
         if b == 0 {
@@ -180,70 +159,64 @@ impl MinibatchExecutor {
         ac.refresh_backward_packs();
         self.gauss.set(&ac.log_std);
 
-        {
-            // Parallel phase: the model is only *read* from here on.
-            let ac: &ActorCritic = ac;
-            let gauss = &self.gauss;
-            let shards = &mut self.shards[..n_shards];
-            qcs_desim::parallel::par_for_each_mut(shards, self.workers, |s_idx, scratch| {
-                let start = s_idx * SHARD_ROWS;
-                let end = (start + SHARD_ROWS).min(b);
-                let rows = end - start;
+        let gauss = &self.gauss;
+        for (s_idx, scratch) in self.shards[..n_shards].iter_mut().enumerate() {
+            let start = s_idx * SHARD_ROWS;
+            let end = (start + SHARD_ROWS).min(b);
+            let rows = end - start;
 
-                scratch.obs.reshape_for_overwrite(rows, obs_dim);
-                for (row, &i) in chunk[start..end].iter().enumerate() {
-                    scratch.obs.row_mut(row).copy_from_slice(buffer.obs_row(i));
-                }
+            scratch.obs.reshape_for_overwrite(rows, obs_dim);
+            for (row, &i) in chunk[start..end].iter().enumerate() {
+                scratch.obs.row_mut(row).copy_from_slice(buffer.obs_row(i));
+            }
 
-                scratch
-                    .pi_grads
-                    .resize_with(ac.pi.layers().len(), LayerGrads::default);
-                for (slab, layer) in scratch.pi_grads.iter_mut().zip(ac.pi.layers()) {
-                    slab.zero_for(layer);
-                }
-                scratch
-                    .vf_grads
-                    .resize_with(ac.vf.layers().len(), LayerGrads::default);
-                for (slab, layer) in scratch.vf_grads.iter_mut().zip(ac.vf.layers()) {
-                    slab.zero_for(layer);
-                }
-                scratch.log_std_grad.clear();
-                scratch.log_std_grad.resize(action_dim, 0.0);
-                scratch.z.resize(action_dim, 0.0);
-                scratch.diag = ShardDiag::default();
-                scratch.dmean.reshape_zeroed(rows, action_dim);
-                scratch.dv.reshape_zeroed(rows, 1);
+            scratch
+                .pi_grads
+                .resize_with(ac.pi.layers().len(), LayerGrads::default);
+            for (slab, layer) in scratch.pi_grads.iter_mut().zip(ac.pi.layers()) {
+                slab.zero_for(layer);
+            }
+            scratch
+                .vf_grads
+                .resize_with(ac.vf.layers().len(), LayerGrads::default);
+            for (slab, layer) in scratch.vf_grads.iter_mut().zip(ac.vf.layers()) {
+                slab.zero_for(layer);
+            }
+            scratch.log_std_grad.clear();
+            scratch.log_std_grad.resize(action_dim, 0.0);
+            scratch.z.resize(action_dim, 0.0);
+            scratch.diag = ShardDiag::default();
+            scratch.dmean.reshape_zeroed(rows, action_dim);
+            scratch.dv.reshape_zeroed(rows, 1);
 
-                let means = ac.pi.forward(&scratch.obs, &mut scratch.pi_cache);
-                let values = ac.vf.forward(&scratch.obs, &mut scratch.vf_cache);
-                for row in 0..rows {
-                    let dmean_row = scratch.dmean.row_mut(row);
-                    let mut ctx = SampleCtx {
-                        buffer_index: chunk[start + row],
-                        minibatch: b,
-                        mean: means.row(row),
-                        gauss,
-                        value: values.get(row, 0),
-                        d_mean: dmean_row,
-                        d_value: &mut scratch.dv.row_mut(row)[0],
-                        grad_log_std: &mut scratch.log_std_grad,
-                        diag: &mut scratch.diag,
-                        z: &mut scratch.z,
-                    };
-                    per_sample(&mut ctx);
-                }
+            let means = ac.pi.forward(&scratch.obs, &mut scratch.pi_cache);
+            let values = ac.vf.forward(&scratch.obs, &mut scratch.vf_cache);
+            for row in 0..rows {
+                let dmean_row = scratch.dmean.row_mut(row);
+                let mut ctx = SampleCtx {
+                    buffer_index: chunk[start + row],
+                    minibatch: b,
+                    mean: means.row(row),
+                    gauss,
+                    value: values.get(row, 0),
+                    d_mean: dmean_row,
+                    d_value: &mut scratch.dv.row_mut(row)[0],
+                    grad_log_std: &mut scratch.log_std_grad,
+                    diag: &mut scratch.diag,
+                    z: &mut scratch.z,
+                };
+                per_sample(&mut ctx);
+            }
 
-                ac.pi
-                    .backward_into(&mut scratch.pi_cache, &scratch.dmean, &mut scratch.pi_grads);
-                ac.vf
-                    .backward_into(&mut scratch.vf_cache, &scratch.dv, &mut scratch.vf_grads);
-            });
+            ac.pi
+                .backward_into(&mut scratch.pi_cache, &scratch.dmean, &mut scratch.pi_grads);
+            ac.vf
+                .backward_into(&mut scratch.vf_cache, &scratch.dv, &mut scratch.vf_grads);
         }
 
         // Reduction: fixed tensor-registration order (policy layers, value
-        // layers, log_std), ascending shard order per tensor — the same
-        // summation tree at every worker count. Each tensor starts as shard
-        // 0's slab (see the module docs).
+        // layers, log_std), ascending shard order per tensor. Each tensor
+        // starts as shard 0's slab (see the module docs).
         let shards = &self.shards[..n_shards];
         for (li, layer) in ac.pi.layers_mut().iter_mut().enumerate() {
             reduce_layer(layer, shards.iter().map(|s| &s.pi_grads[li]));
@@ -327,7 +300,7 @@ mod tests {
     }
 
     /// An A2C-flavoured loss closure for exercising the executor directly.
-    fn toy_loss(buffer: &RolloutBuffer) -> impl Fn(&mut SampleCtx) + Sync + '_ {
+    fn toy_loss(buffer: &RolloutBuffer) -> impl Fn(&mut SampleCtx) + '_ {
         move |ctx: &mut SampleCtx| {
             let action = buffer.action_row(ctx.buffer_index);
             let adv = buffer.advantages[ctx.buffer_index];
@@ -370,25 +343,6 @@ mod tests {
         }
     }
 
-    /// Gradients and diagnostics must be bit-identical at every worker
-    /// count — the core determinism contract.
-    #[test]
-    fn worker_count_is_unobservable() {
-        let buffer = toy_buffer(50, 4, 3);
-        let chunk: Vec<usize> = (0..50).collect();
-        let grads_at = |workers: usize| {
-            let mut rng = Xoshiro256StarStar::new(7);
-            let mut ac = ActorCritic::new(4, 3, &mut rng);
-            let mut exec = MinibatchExecutor::new(workers);
-            let diag = exec.run(&mut ac, &buffer, &chunk, &toy_loss(&buffer));
-            (grad_bits(&ac), diag.value_loss, diag.entropy_sum)
-        };
-        let reference = grads_at(1);
-        for workers in [2, 3, 7, 16] {
-            assert_eq!(reference, grads_at(workers), "{workers} workers diverged");
-        }
-    }
-
     /// The shard partition must depend on the minibatch size only: chunks
     /// shorter than one shard still work, as do non-multiple sizes.
     #[test]
@@ -398,7 +352,7 @@ mod tests {
             let chunk: Vec<usize> = (0..size).collect();
             let mut rng = Xoshiro256StarStar::new(3);
             let mut ac = ActorCritic::new(2, 2, &mut rng);
-            let mut exec = MinibatchExecutor::new(4);
+            let mut exec = MinibatchExecutor::new();
             let diag = exec.run(&mut ac, &buffer, &chunk, &toy_loss(&buffer));
             assert!(diag.value_loss.is_finite(), "chunk {size}");
             assert!(ac.grad_norm() > 0.0, "chunk {size} produced no gradient");
@@ -428,7 +382,7 @@ mod tests {
             let mut rng = Xoshiro256StarStar::new(size as u64);
             let mut ac = ActorCritic::new(60, 9, &mut rng);
             poison_grads(&mut ac);
-            let mut exec = MinibatchExecutor::new(1);
+            let mut exec = MinibatchExecutor::new();
             exec.run(&mut ac, &buffer, &chunk, &toy_loss(&buffer));
 
             let shards = &exec.shards[..size.div_ceil(SHARD_ROWS)];
@@ -464,7 +418,7 @@ mod tests {
         let mut ac = ActorCritic::new(60, 9, &mut rng);
         let shapes = grad_bits(&ac).len();
         poison_grads(&mut ac);
-        let diag = MinibatchExecutor::new(1).run(&mut ac, &buffer, &[], &toy_loss(&buffer));
+        let diag = MinibatchExecutor::new().run(&mut ac, &buffer, &[], &toy_loss(&buffer));
         assert_eq!(grad_bits(&ac), vec![0u32; shapes], "empty chunk");
         assert_eq!(diag.clipped, 0);
     }
@@ -505,7 +459,7 @@ mod tests {
                 poison_pack(&mut ac.vf.layers_mut()[0]);
             }
             let mut opt = crate::opt::Adam::new(3e-4);
-            let mut exec = MinibatchExecutor::new(1);
+            let mut exec = MinibatchExecutor::new();
             let mut seen = Vec::new();
             for chunk in [&[3usize, 7, 1, 40][..], &(0..33).collect::<Vec<_>>(), &[5]] {
                 exec.run(&mut ac, &buffer, chunk, &toy_loss(&buffer));
@@ -518,11 +472,5 @@ mod tests {
             seen
         };
         assert_eq!(grads_after_updates(true), grads_after_updates(false));
-    }
-
-    #[test]
-    fn zero_workers_means_single_threaded() {
-        assert_eq!(MinibatchExecutor::new(0).workers(), 1);
-        assert_eq!(MinibatchExecutor::new(5).workers(), 5);
     }
 }

@@ -1,5 +1,5 @@
-//! Vectorised environments: step many environments per policy query,
-//! sequentially or on a pool of chunked worker threads.
+//! Vectorised environments: step many environments per policy query, in
+//! environment order on the calling thread.
 //!
 //! The hot-path API is [`VecEnv::step_into`]/[`VecEnv::reset_into`]: actions
 //! arrive as a `[n_envs, action_dim]` matrix and next observations are
@@ -7,21 +7,10 @@
 //! rollout step performs no heap allocation. The Vec-of-Vec
 //! [`VecEnv::step`]/[`VecEnv::reset_all`] wrappers remain for convenience
 //! and tests.
-//!
-//! The parallel backend groups environments into contiguous chunks, one
-//! worker thread per chunk (instead of the former one-OS-thread-per-env
-//! ping-pong, whose per-step wakeup cost grew linearly and stopped scaling
-//! past ~16 envs). Message buffers round-trip between the trainer and the
-//! workers, so steady-state parallel stepping allocates nothing either.
-//! Determinism is preserved because (a) action sampling happens in the
-//! trainer's single RNG stream, (b) each environment evolves only from its
-//! own seed, and (c) chunk boundaries and reply order are fixed — thread
-//! scheduling cannot reorder anything observable, for any worker count.
 
 use crate::env::{Env, StepInfo, StepResult};
 use crate::nn::Matrix;
 use qcs_desim::SplitMix64;
-use std::sync::mpsc;
 
 /// Wraps an env with Gym-style auto-reset: when an episode ends, the env is
 /// reset immediately and the *initial observation of the next episode* is
@@ -65,43 +54,9 @@ impl AutoReset {
     }
 }
 
-/// A chunk-sized message round-tripped between the trainer thread and one
-/// worker: the trainer fills `actions`, the worker fills `obs` and `infos`.
-/// Ownership transfer through the channel means neither side allocates
-/// after the first step.
-struct ChunkMsg {
-    actions: Vec<f32>,
-    obs: Vec<f32>,
-    infos: Vec<StepInfo>,
-}
-
-enum Cmd {
-    Reset { seeds: Vec<u64>, msg: ChunkMsg },
-    Step(ChunkMsg),
-    Stop,
-}
-
-struct WorkerHandle {
-    cmd_tx: mpsc::Sender<Cmd>,
-    reply_rx: mpsc::Receiver<ChunkMsg>,
-    join: Option<std::thread::JoinHandle<()>>,
-    /// Index of this chunk's first environment.
-    start: usize,
-    /// Environments in this chunk.
-    len: usize,
-    /// Parked message buffer between steps.
-    msg: Option<ChunkMsg>,
-}
-
-enum Inner {
-    Sequential(Vec<AutoReset>),
-    Parallel(Vec<WorkerHandle>),
-}
-
 /// A fixed set of environments stepped in lock-step.
 pub struct VecEnv {
-    inner: Inner,
-    n_envs: usize,
+    envs: Vec<AutoReset>,
     obs_dim: usize,
     action_dim: usize,
 }
@@ -116,121 +71,8 @@ impl VecEnv {
             assert_eq!(e.obs_dim(), obs_dim, "heterogeneous obs dims");
             assert_eq!(e.action_dim(), action_dim, "heterogeneous action dims");
         }
-        let n_envs = envs.len();
         VecEnv {
-            inner: Inner::Sequential(envs.into_iter().map(AutoReset::new).collect()),
-            n_envs,
-            obs_dim,
-            action_dim,
-        }
-    }
-
-    /// Runs the environments on worker threads, one per available core (at
-    /// most one per environment). `factories` build the environments inside
-    /// their worker threads (so `Env` need not be `Sync`).
-    pub fn parallel(factories: Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>>) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::parallel_chunked(factories, threads)
-    }
-
-    /// Runs the environments on at most `num_workers` worker threads, each
-    /// owning a contiguous chunk of environments. Results are identical to
-    /// [`VecEnv::sequential`] for every worker count.
-    pub fn parallel_chunked(
-        factories: Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>>,
-        num_workers: usize,
-    ) -> Self {
-        let n_envs = factories.len();
-        assert!(n_envs > 0, "need at least one environment");
-        let num_workers = num_workers.clamp(1, n_envs);
-
-        // Split factories into contiguous chunks of near-equal size.
-        let base = n_envs / num_workers;
-        let extra = n_envs % num_workers;
-        let mut factories = factories;
-        let mut workers = Vec::with_capacity(num_workers);
-        let (dims_tx, dims_rx) = mpsc::channel::<(usize, usize)>();
-        let mut start = 0usize;
-        for w in 0..num_workers {
-            let len = base + usize::from(w < extra);
-            let chunk: Vec<_> = factories.drain(..len).collect();
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-            let (reply_tx, reply_rx) = mpsc::channel::<ChunkMsg>();
-            let dims_tx = dims_tx.clone();
-            let join = std::thread::spawn(move || {
-                let mut envs: Vec<AutoReset> = chunk
-                    .into_iter()
-                    .map(|factory| AutoReset::new(factory()))
-                    .collect();
-                let obs_dim = envs[0].env.obs_dim();
-                let action_dim = envs[0].env.action_dim();
-                for ar in &envs {
-                    let _ = dims_tx.send((ar.env.obs_dim(), ar.env.action_dim()));
-                }
-                while let Ok(cmd) = cmd_rx.recv() {
-                    match cmd {
-                        Cmd::Reset { seeds, mut msg } => {
-                            for (i, ar) in envs.iter_mut().enumerate() {
-                                ar.reset_initial_into(
-                                    seeds[i],
-                                    &mut msg.obs[i * obs_dim..(i + 1) * obs_dim],
-                                );
-                            }
-                            if reply_tx.send(msg).is_err() {
-                                break;
-                            }
-                        }
-                        Cmd::Step(mut msg) => {
-                            for (i, ar) in envs.iter_mut().enumerate() {
-                                msg.infos[i] = ar.step_into(
-                                    &msg.actions[i * action_dim..(i + 1) * action_dim],
-                                    &mut msg.obs[i * obs_dim..(i + 1) * obs_dim],
-                                );
-                            }
-                            if reply_tx.send(msg).is_err() {
-                                break;
-                            }
-                        }
-                        Cmd::Stop => break,
-                    }
-                }
-            });
-            workers.push(WorkerHandle {
-                cmd_tx,
-                reply_rx,
-                join: Some(join),
-                start,
-                len,
-                msg: None,
-            });
-            start += len;
-        }
-        drop(dims_tx);
-
-        let mut dims: Vec<(usize, usize)> = Vec::with_capacity(n_envs);
-        for _ in 0..n_envs {
-            dims.push(dims_rx.recv().expect("worker died during construction"));
-        }
-        let (obs_dim, action_dim) = dims[0];
-        for &(o, a) in &dims {
-            assert_eq!(o, obs_dim, "heterogeneous obs dims");
-            assert_eq!(a, action_dim, "heterogeneous action dims");
-        }
-
-        // Allocate the round-trip message buffers once.
-        for w in &mut workers {
-            w.msg = Some(ChunkMsg {
-                actions: vec![0.0; w.len * action_dim],
-                obs: vec![0.0; w.len * obs_dim],
-                infos: vec![StepInfo::default(); w.len],
-            });
-        }
-
-        VecEnv {
-            inner: Inner::Parallel(workers),
-            n_envs,
+            envs: envs.into_iter().map(AutoReset::new).collect(),
             obs_dim,
             action_dim,
         }
@@ -238,15 +80,7 @@ impl VecEnv {
 
     /// Number of environments.
     pub fn num_envs(&self) -> usize {
-        self.n_envs
-    }
-
-    /// Number of worker threads (1 for the sequential backend).
-    pub fn num_workers(&self) -> usize {
-        match &self.inner {
-            Inner::Sequential(_) => 1,
-            Inner::Parallel(ws) => ws.len(),
-        }
+        self.envs.len()
     }
 
     /// Observation dimensionality.
@@ -263,33 +97,10 @@ impl VecEnv {
     /// writing initial observations into `obs_out` (reshaped to
     /// `[n_envs, obs_dim]`).
     pub fn reset_into(&mut self, base_seed: u64, obs_out: &mut Matrix) {
-        obs_out.reshape_for_overwrite(self.n_envs, self.obs_dim);
+        obs_out.reshape_for_overwrite(self.envs.len(), self.obs_dim);
         let mut sm = SplitMix64::new(base_seed);
-        match &mut self.inner {
-            Inner::Sequential(envs) => {
-                for (e, ar) in envs.iter_mut().enumerate() {
-                    ar.reset_initial_into(sm.next_u64(), obs_out.row_mut(e));
-                }
-            }
-            Inner::Parallel(workers) => {
-                for w in workers.iter_mut() {
-                    let msg = w.msg.take().expect("message buffer in flight");
-                    // Resets happen once per `learn`; allocating the seed
-                    // list here keeps the per-step path the lean one.
-                    let seeds: Vec<u64> = (0..w.len).map(|_| sm.next_u64()).collect();
-                    w.cmd_tx
-                        .send(Cmd::Reset { seeds, msg })
-                        .expect("worker gone");
-                }
-                let obs_dim = self.obs_dim;
-                for w in workers.iter_mut() {
-                    let msg = w.reply_rx.recv().expect("worker gone");
-                    let dst =
-                        &mut obs_out.data_mut()[w.start * obs_dim..(w.start + w.len) * obs_dim];
-                    dst.copy_from_slice(&msg.obs);
-                    w.msg = Some(msg);
-                }
-            }
+        for (e, ar) in self.envs.iter_mut().enumerate() {
+            ar.reset_initial_into(sm.next_u64(), obs_out.row_mut(e));
         }
     }
 
@@ -300,33 +111,13 @@ impl VecEnv {
     /// written observation is the next episode's initial state). Performs
     /// no heap allocation.
     pub fn step_into(&mut self, actions: &Matrix, obs_out: &mut Matrix, infos: &mut [StepInfo]) {
-        assert_eq!(actions.rows(), self.n_envs, "one action row per env");
+        let n_envs = self.envs.len();
+        assert_eq!(actions.rows(), n_envs, "one action row per env");
         assert_eq!(actions.cols(), self.action_dim, "action dim mismatch");
-        assert_eq!(infos.len(), self.n_envs, "one StepInfo slot per env");
-        obs_out.reshape_for_overwrite(self.n_envs, self.obs_dim);
-        match &mut self.inner {
-            Inner::Sequential(envs) => {
-                for (e, ar) in envs.iter_mut().enumerate() {
-                    infos[e] = ar.step_into(actions.row(e), obs_out.row_mut(e));
-                }
-            }
-            Inner::Parallel(workers) => {
-                let (obs_dim, action_dim) = (self.obs_dim, self.action_dim);
-                for w in workers.iter_mut() {
-                    let mut msg = w.msg.take().expect("message buffer in flight");
-                    let src = &actions.data()[w.start * action_dim..(w.start + w.len) * action_dim];
-                    msg.actions.copy_from_slice(src);
-                    w.cmd_tx.send(Cmd::Step(msg)).expect("worker gone");
-                }
-                for w in workers.iter_mut() {
-                    let msg = w.reply_rx.recv().expect("worker gone");
-                    let dst =
-                        &mut obs_out.data_mut()[w.start * obs_dim..(w.start + w.len) * obs_dim];
-                    dst.copy_from_slice(&msg.obs);
-                    infos[w.start..w.start + w.len].copy_from_slice(&msg.infos);
-                    w.msg = Some(msg);
-                }
-            }
+        assert_eq!(infos.len(), n_envs, "one StepInfo slot per env");
+        obs_out.reshape_for_overwrite(n_envs, self.obs_dim);
+        for (e, ar) in self.envs.iter_mut().enumerate() {
+            infos[e] = ar.step_into(actions.row(e), obs_out.row_mut(e));
         }
     }
 
@@ -335,22 +126,23 @@ impl VecEnv {
     pub fn reset_all(&mut self, base_seed: u64) -> Vec<Vec<f32>> {
         let mut obs = Matrix::zeros(0, 0);
         self.reset_into(base_seed, &mut obs);
-        (0..self.n_envs).map(|e| obs.row(e).to_vec()).collect()
+        (0..self.envs.len()).map(|e| obs.row(e).to_vec()).collect()
     }
 
     /// Steps every environment with its action; results in env order.
     /// Convenience wrapper over [`VecEnv::step_into`] (allocates).
     pub fn step(&mut self, actions: &[Vec<f32>]) -> Vec<StepResult> {
-        assert_eq!(actions.len(), self.n_envs, "one action per env");
-        let mut act_mat = Matrix::zeros(self.n_envs, self.action_dim);
+        let n_envs = self.envs.len();
+        assert_eq!(actions.len(), n_envs, "one action per env");
+        let mut act_mat = Matrix::zeros(n_envs, self.action_dim);
         for (e, a) in actions.iter().enumerate() {
             assert_eq!(a.len(), self.action_dim, "action dim mismatch");
             act_mat.row_mut(e).copy_from_slice(a);
         }
         let mut obs = Matrix::zeros(0, 0);
-        let mut infos = vec![StepInfo::default(); self.n_envs];
+        let mut infos = vec![StepInfo::default(); n_envs];
         self.step_into(&act_mat, &mut obs, &mut infos);
-        (0..self.n_envs)
+        (0..n_envs)
             .map(|e| StepResult {
                 obs: obs.row(e).to_vec(),
                 reward: infos[e].reward,
@@ -361,43 +153,14 @@ impl VecEnv {
     }
 }
 
-impl Drop for VecEnv {
-    fn drop(&mut self) {
-        if let Inner::Parallel(workers) = &mut self.inner {
-            for w in workers.iter() {
-                let _ = w.cmd_tx.send(Cmd::Stop);
-            }
-            for w in workers.iter_mut() {
-                if let Some(j) = w.join.take() {
-                    let _ = j.join();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::envs::bandit::ContinuousBandit;
-    use crate::envs::pointmass::PointMass;
 
     fn bandits(n: usize) -> Vec<Box<dyn Env>> {
         (0..n)
             .map(|_| Box::new(ContinuousBandit::new(vec![0.0])) as Box<dyn Env>)
-            .collect()
-    }
-
-    fn pointmass_factories(
-        n: usize,
-        horizon: usize,
-    ) -> Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>> {
-        (0..n)
-            .map(|s| {
-                Box::new(move || {
-                    Box::new(PointMass::new(horizon).with_tag(s as u64)) as Box<dyn Env>
-                }) as Box<dyn FnOnce() -> Box<dyn Env> + Send>
-            })
             .collect()
     }
 
@@ -415,77 +178,6 @@ mod tests {
         for r in &results {
             assert!(r.done());
             assert!((r.reward - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let mk = |s: u64| -> Box<dyn Env> { Box::new(PointMass::new(32).with_tag(s)) };
-        let mut seq = VecEnv::sequential(vec![mk(0), mk(1)]);
-        let factories: Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>> =
-            vec![Box::new(move || mk(0)), Box::new(move || mk(1))];
-        let mut par = VecEnv::parallel(factories);
-
-        let o1 = seq.reset_all(99);
-        let o2 = par.reset_all(99);
-        assert_eq!(o1, o2);
-        // Drive both with the same fixed action sequence through several
-        // auto-resets.
-        for t in 0..100 {
-            let a = vec![vec![0.1, -0.05], vec![-0.1, 0.02 * (t as f32 % 3.0)]];
-            let r1 = seq.step(&a);
-            let r2 = par.step(&a);
-            assert_eq!(r1, r2, "divergence at step {t}");
-        }
-    }
-
-    #[test]
-    fn chunked_worker_counts_are_equivalent() {
-        // 7 envs across 1, 2, 3 and 7 workers must produce identical
-        // trajectories to the sequential backend, step for step.
-        let n = 7;
-        let mk_seq = || {
-            VecEnv::sequential(
-                (0..n)
-                    .map(|s| Box::new(PointMass::new(16).with_tag(s as u64)) as Box<dyn Env>)
-                    .collect(),
-            )
-        };
-        let mut seq = mk_seq();
-        let mut obs_ref = Matrix::zeros(0, 0);
-        seq.reset_into(7, &mut obs_ref);
-
-        for workers in [1usize, 2, 3, 7] {
-            let mut par = VecEnv::parallel_chunked(pointmass_factories(n, 16), workers);
-            assert_eq!(par.num_workers(), workers);
-            let mut obs = Matrix::zeros(0, 0);
-            par.reset_into(7, &mut obs);
-            assert_eq!(
-                obs_ref.data(),
-                obs.data(),
-                "{workers} workers: reset differs"
-            );
-
-            let mut seq2 = mk_seq();
-            let mut obs_s = Matrix::zeros(0, 0);
-            seq2.reset_into(7, &mut obs_s);
-            let mut actions = Matrix::zeros(n, 2);
-            let mut infos_p = vec![StepInfo::default(); n];
-            let mut infos_s = vec![StepInfo::default(); n];
-            let mut next_p = Matrix::zeros(0, 0);
-            let mut next_s = Matrix::zeros(0, 0);
-            for t in 0..50 {
-                for e in 0..n {
-                    actions.row_mut(e).copy_from_slice(&[
-                        0.05 * ((t + e) as f32).sin(),
-                        -0.03 * ((t * e) as f32).cos(),
-                    ]);
-                }
-                par.step_into(&actions, &mut next_p, &mut infos_p);
-                seq2.step_into(&actions, &mut next_s, &mut infos_s);
-                assert_eq!(next_p.data(), next_s.data(), "{workers} workers, step {t}");
-                assert_eq!(infos_p, infos_s, "{workers} workers, step {t}");
-            }
         }
     }
 

@@ -1,17 +1,16 @@
 //! Bit-identity guarantees of the batched inference and rollout paths.
 //!
-//! The batched `act_batch`/`value_batch` paths and the chunked-worker
-//! `VecEnv` exist purely for throughput: they must reproduce the per-env
+//! The batched `act_batch`/`value_batch` paths and the batched `VecEnv`
+//! stepping exist purely for throughput: they must reproduce the per-env
 //! reference computation *bit for bit* (same actions, log-probs, values and
 //! trajectories for a fixed seed). These tests pin that contract.
 
 use qcs_desim::Xoshiro256StarStar;
 use qcs_rl::env::{Env, StepInfo};
-use qcs_rl::envs::bandit::ContinuousBandit;
 use qcs_rl::envs::pointmass::PointMass;
 use qcs_rl::nn::Matrix;
 use qcs_rl::policy::{ActScratch, ActorCritic};
-use qcs_rl::{Ppo, PpoConfig, RolloutBuffer, VecEnv};
+use qcs_rl::{RolloutBuffer, VecEnv};
 
 /// Fills a `[n, dim]` observation matrix with deterministic pseudo-random
 /// values in `[-1, 1]`.
@@ -221,45 +220,5 @@ fn batched_rollout_matches_per_env_rollout() {
     // Final observations agree too.
     for (e, row) in obs_ref.iter().enumerate() {
         assert_eq!(obs.row(e), &row[..], "final obs of env {e}");
-    }
-}
-
-/// End-to-end: PPO training on sequential vs chunked-parallel `VecEnv`s
-/// produces identical logs for a fixed seed (the worker topology must be
-/// unobservable).
-#[test]
-fn ppo_training_identical_across_backends() {
-    let run = |workers: Option<usize>| {
-        let cfg = PpoConfig {
-            n_steps: 32,
-            batch_size: 32,
-            n_epochs: 2,
-            seed: 17,
-            ..PpoConfig::default()
-        };
-        let mut ppo = Ppo::new(1, 2, cfg);
-        let mut envs = match workers {
-            None => VecEnv::sequential(
-                (0..4)
-                    .map(|_| Box::new(ContinuousBandit::new(vec![0.5, -0.25])) as Box<dyn Env>)
-                    .collect(),
-            ),
-            Some(w) => VecEnv::parallel_chunked(
-                (0..4)
-                    .map(|_| {
-                        Box::new(|| {
-                            Box::new(ContinuousBandit::new(vec![0.5, -0.25])) as Box<dyn Env>
-                        }) as Box<dyn FnOnce() -> Box<dyn Env> + Send>
-                    })
-                    .collect(),
-                w,
-            ),
-        };
-        ppo.learn(&mut envs, 512);
-        ppo.log().to_csv()
-    };
-    let reference = run(None);
-    for workers in [1, 2, 4] {
-        assert_eq!(reference, run(Some(workers)), "{workers} workers diverged");
     }
 }

@@ -3,17 +3,16 @@
 //! with SB3 defaults; A2C is the classic cheaper alternative).
 //!
 //! ```text
-//! cargo run --release --example a2c_vs_ppo [-- --update-workers N]
+//! cargo run --release --example a2c_vs_ppo
 //! ```
 //!
-//! `--update-workers N` parallelises both trainers' optimisation phases
-//! (`0` = one per core); results are bit-identical at any `N`.
+//! Takes no flags; both trainers run on one thread.
 
 use qcs::prelude::*;
 use qcs::qcloud::QCloudGymEnv;
 use qcs::rl::env::Env;
 use qcs::rl::Schedule;
-use qcs_bench::cli::{reject_unread, update_workers_arg};
+use qcs_bench::cli::reject_unread;
 
 fn make_envs(n: usize, seed: u64) -> VecEnv {
     let envs: Vec<Box<dyn Env>> = (0..n)
@@ -31,7 +30,6 @@ fn make_envs(n: usize, seed: u64) -> VecEnv {
 
 fn main() {
     let timesteps = 30_000u64;
-    let update_workers = update_workers_arg();
     reject_unread();
     let gym = GymConfig::default();
     let obs_dim = gym.obs_dim();
@@ -44,7 +42,6 @@ fn main() {
         PpoConfig {
             n_steps: 512,
             seed: 7,
-            n_update_workers: update_workers,
             ..PpoConfig::default()
         },
     );
@@ -68,7 +65,6 @@ fn main() {
         action_dim,
         A2cConfig {
             seed: 7,
-            n_update_workers: update_workers,
             ..A2cConfig::default()
         },
     );

@@ -2,7 +2,7 @@
 //! spec surface, and deploy it on a fresh workload.
 //!
 //! ```text
-//! cargo run --release --example train_rl_scheduler [-- --env gym|sched] [--smoke] [--update-workers N]
+//! cargo run --release --example train_rl_scheduler [-- --env gym|sched] [--smoke]
 //! ```
 //!
 //! * `--env gym` (default): the paper's single-step *placement* gym
@@ -17,25 +17,23 @@
 //!   path.
 //! * A flag the chosen run does not read (a typo, or `--smoke` with
 //!   `--env gym`) exits with status 2 and lists the flags it reads.
-//! * `--update-workers N` spreads the PPO optimisation phase over `N`
-//!   threads (`0` = one per core). Training results are bit-identical at
-//!   any worker count — the knob only changes wall-clock time.
+//!
+//! Both runs train on one thread.
 
 use qcs::prelude::*;
 use qcs::qcloud::policies::{scheduler_by_name, RlBroker};
 use qcs::qcloud::rlsched::{SchedCheckpoint, SchedEnvConfig, SchedulerEnv};
 use qcs::rl::env::Env;
-use qcs_bench::cli::{arg, flag, reject_unread, update_workers_arg};
+use qcs_bench::cli::{arg, flag, reject_unread};
 
 fn main() {
     let env = arg("--env", "gym".to_string());
-    let update_workers = update_workers_arg();
     // Only the scheduler training has a smoke mode.
     let smoke = env == "sched" && flag("--smoke");
     reject_unread();
     match env.as_str() {
-        "sched" => train_sched(smoke, update_workers),
-        "gym" => train_gym(update_workers),
+        "sched" => train_sched(smoke),
+        "gym" => train_gym(),
         other => {
             eprintln!("error: --env {other:?} is neither 'gym' nor 'sched'");
             std::process::exit(2)
@@ -45,37 +43,30 @@ fn main() {
 
 /// The queue-deep scheduler loop: train, checkpoint, reload through
 /// `rl:<path>`, and race the static disciplines on a bimodal trace.
-fn train_sched(smoke: bool, update_workers: usize) {
+fn train_sched(smoke: bool) {
     let seed = 7;
     let env_cfg = SchedEnvConfig::default();
     let obs_cfg = env_cfg.obs.clone();
 
-    let factories: Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>> = (0..4)
+    let envs: Vec<Box<dyn Env>> = (0..4)
         .map(|_| {
-            let cfg = env_cfg.clone();
-            Box::new(move || {
-                Box::new(SchedulerEnv::new(
-                    &qcs::calibration::ibm_fleet(seed),
-                    SimParams::default(),
-                    cfg,
-                )) as Box<dyn Env>
-            }) as Box<dyn FnOnce() -> Box<dyn Env> + Send>
+            Box::new(SchedulerEnv::new(
+                &qcs::calibration::ibm_fleet(seed),
+                SimParams::default(),
+                env_cfg.clone(),
+            )) as Box<dyn Env>
         })
         .collect();
-    let mut envs = VecEnv::parallel(factories);
+    let mut envs = VecEnv::sequential(envs);
 
     let timesteps: u64 = if smoke { 2_048 } else { 24_576 };
     let cfg = PpoConfig {
         n_steps: 256,
         seed,
-        n_update_workers: update_workers,
         ..PpoConfig::default()
     };
     let mut ppo = Ppo::new(obs_cfg.obs_dim(), obs_cfg.action_dim(), cfg);
-    println!(
-        "training PPO on the scheduler loop for {timesteps} timesteps \
-         ({update_workers} update workers)..."
-    );
+    println!("training PPO on the scheduler loop for {timesteps} timesteps...");
     ppo.learn(&mut envs, timesteps);
     for e in ppo.log().entries.iter().step_by(4) {
         println!(
@@ -143,36 +134,32 @@ fn train_sched(smoke: bool, update_workers: usize) {
 }
 
 /// The paper's single-step placement gym (the original example).
-fn train_gym(update_workers: usize) {
+fn train_gym() {
     let seed = 7;
     let gym_cfg = GymConfig::default();
 
-    // --- 1. Build the vectorised training environment (4 worker threads).
-    let factories: Vec<Box<dyn FnOnce() -> Box<dyn Env> + Send>> = (0..4)
+    // --- 1. Build the vectorised training environment (4 envs).
+    let envs: Vec<Box<dyn Env>> = (0..4)
         .map(|_| {
-            let cfg = gym_cfg.clone();
-            Box::new(move || {
-                Box::new(QCloudGymEnv::new(
-                    &qcs::calibration::ibm_fleet(seed),
-                    JobDistribution::default(),
-                    SimParams::default(),
-                    cfg,
-                )) as Box<dyn Env>
-            }) as Box<dyn FnOnce() -> Box<dyn Env> + Send>
+            Box::new(QCloudGymEnv::new(
+                &qcs::calibration::ibm_fleet(seed),
+                JobDistribution::default(),
+                SimParams::default(),
+                gym_cfg.clone(),
+            )) as Box<dyn Env>
         })
         .collect();
-    let mut envs = VecEnv::parallel(factories);
+    let mut envs = VecEnv::sequential(envs);
 
     // --- 2. Train PPO (short budget for the example; the fig5 harness
     //        runs the paper's full 100k timesteps).
     let cfg = PpoConfig {
         n_steps: 512,
         seed,
-        n_update_workers: update_workers,
         ..PpoConfig::default()
     };
     let mut ppo = Ppo::new(gym_cfg.obs_dim(), gym_cfg.max_devices, cfg);
-    println!("training PPO for 20'000 timesteps ({update_workers} update workers)...");
+    println!("training PPO for 20'000 timesteps...");
     ppo.learn(&mut envs, 20_000);
     for e in ppo.log().entries.iter().step_by(2) {
         println!(
