@@ -33,8 +33,8 @@
 //! allocation count from the bench binary's counting global allocator,
 //! ceiling-guarded so the slab/incremental paths stay allocation-lean),
 //! and a 10k-deep backlogged queue where conservative's per-decide cost —
-//! once a full availability rebuild per consult — must stay within 5× of
-//! EASY (ratio floor in `bench_guard`).
+//! once a full availability rebuild per consult — is floored in jobs/s by
+//! `bench_guard`, its ratio to EASY's recorded alongside.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -559,10 +559,10 @@ fn write_sched_json() {
     // bimodal stream over a 120-device fleet measures sustained
     // scheduler-loop throughput and allocator pressure (allocations per
     // job, counted by this binary's global allocator); a 10k-deep
-    // backlogged queue on the same fleet compares conservative's decide
-    // throughput against EASY's — the ratio the incremental
-    // profile/timeline split exists to defend (a full availability
-    // rebuild per consult held it around 0.03×).
+    // backlogged queue on the same fleet measures conservative's decide
+    // throughput — what the incremental profile/timeline split exists to
+    // defend (a full availability rebuild per consult held it around 0.03×
+    // EASY's) — and records its ratio to EASY's.
     let fleet = fleet_120();
     let stream_100k = bimodal_arrivals(100_000, 0.25, 4, SEED);
     let timed = |spec: &str, jobs: &[QJob]| -> (f64, f64, RunResult) {

@@ -37,10 +37,11 @@
 //!   speedup at 4 worker threads ≥ 1.5× — only enforced when the
 //!   recording machine had ≥ 4 cores (`sharded_4x.host_cores`);
 //! * fleet-scale section (`fleet_scale`: a 100k-job bimodal stream over
-//!   120 devices plus a 10k-deep backlogged queue): conservative/EASY
-//!   decide-throughput ratio at 10k depth ≥ 0.2× (the incremental
-//!   profile/ledger must keep per-job reservations within 5× of EASY;
-//!   recorded ≈ 0.24× vs ≈ 0.03× before the incremental split),
+//!   120 devices plus a 10k-deep backlogged queue): conservative's own
+//!   decide throughput at 10k depth ≥ 873 jobs/s (the incremental
+//!   profile/ledger must keep per-job reservations fast; recorded 911),
+//!   with the conservative/EASY ratio recorded but not floored (an EASY
+//!   speed-up alone would lower it),
 //!   100k-stream EASY throughput ≥ 10k jobs/s, and an
 //!   allocations-per-job ceiling of 12 on both measured disciplines
 //!   (recorded 9.2);
@@ -94,13 +95,15 @@ const SHARDED_DECIDE_SCALING_FLOOR: f64 = 1.5;
 const WALL_CLOCK_SPEEDUP_FLOOR: f64 = 1.5;
 /// Cores the recording machine needs before the wall-clock floor applies.
 const WALL_CLOCK_FLOOR_MIN_CORES: u64 = 4;
-/// Floor for `fleet_scale.deep_10k.conservative_vs_easy`: conservative's
-/// decide throughput over EASY's on a 10k-deep backlogged queue across a
-/// 120-device fleet. The incremental availability profile + persistent
-/// booking ledger must keep per-job reservations within 5× of EASY's
-/// head-only protection (the per-consult full rebuild held this near
-/// 0.03×).
-const FLEET_DEEP_RATIO_FLOOR: f64 = 0.2;
+/// Floor for `fleet_scale.deep_10k.conservative_jobs_per_sec`:
+/// conservative's decide throughput on a 10k-deep backlogged queue across
+/// a 120-device fleet. The incremental availability profile + persistent
+/// booking ledger must keep per-job reservations fast (recorded 911
+/// jobs/s). The floor is 0.2× the recorded EASY rate (4,367), which is
+/// what the conservative/EASY ratio floor of 0.2 that it replaces demanded
+/// of the same file; that ratio is still recorded, but an EASY speed-up
+/// alone would have failed it.
+const FLEET_DEEP_CONSERVATIVE_FLOOR: f64 = 873.0;
 /// Floor for `fleet_scale.backfill_speed.jobs_per_sec`: sustained
 /// scheduler-loop throughput for the 100k-job bimodal stream over 120
 /// devices must not collapse (rules out an accidental O(n²) reintroduction,
@@ -458,14 +461,24 @@ fn main() {
                     WALL_CLOCK_SPEEDUP_FLOOR,
                 ),
             }
-            // Fleet-scale section: the deep-queue conservative/EASY decide
-            // throughput ratio (the incremental-core headline number), a
-            // collapse floor on the 100k-job stream, and the
-            // allocations-per-job ceilings from the counting allocator.
+            // Fleet-scale section: conservative's deep-queue decide
+            // throughput (the incremental-core headline number) and its
+            // ratio to EASY's, which must be recorded but has no real
+            // floor, since an EASY speed-up alone lowers it; a collapse
+            // floor on the 100k-job stream; and the allocations-per-job
+            // ceilings from the counting allocator.
             guard.check(
-                "fleet-scale deep-queue conservative/EASY throughput",
+                "fleet-scale deep-queue conservative jobs/s",
+                field_f64(
+                    &sched,
+                    &["fleet_scale", "deep_10k", "conservative_jobs_per_sec"],
+                ),
+                FLEET_DEEP_CONSERVATIVE_FLOOR,
+            );
+            guard.check(
+                "fleet-scale deep-queue conservative/EASY throughput (recorded)",
                 field_f64(&sched, &["fleet_scale", "deep_10k", "conservative_vs_easy"]),
-                FLEET_DEEP_RATIO_FLOOR,
+                0.0,
             );
             guard.check(
                 "fleet-scale 100k-stream EASY jobs/s",

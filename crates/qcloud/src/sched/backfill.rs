@@ -21,13 +21,44 @@
 //! scheduled future window is a capacity drop the shadow sees coming. For
 //! every-queued-job protection (not just the head), see
 //! [`super::ConservativeBackfillScheduler`].
+//!
+//! **Cost.** The broker sees the head and only the candidates that fit the
+//! free qubits and could return by the shadow. A candidate passes the
+//! second test unless `now + bound > shadow`, where `bound` is the
+//! [`PlacementBound`] of its demand on the scratch view. *Lemma:* order the
+//! devices with free qubits fastest first (`qv_layers / clops` ascending),
+//! let `T` be the longest prefix whose free qubits sum to less than the
+//! demand, and evaluate Eq. 3 at the smallest `qv_layers` and the largest
+//! `clops` among the devices after `T`; then every plan that passes
+//! [`AllocationPlan::validate_parts`] has a part on a device after `T` (its
+//! parts inside `T` hold fewer qubits than the demand), and that part
+//! executes for at least `bound`, because Eq. 3's float operations are
+//! monotone in both columns. The part's return time adds the `AtJobEnd`
+//! hold (a non-negative communication delay) and
+//! [`MaintenanceCalendar::next_online_from`], which never moves a time
+//! earlier, so `now + bound > shadow` implies the `done > shadow` that
+//! planning the candidate would have found. The rule is exact for every
+//! broker. Only the stateful ones notice it: `random`'s RNG stream and
+//! `roundrobin`'s rotation cursor no longer advance on a candidate it rules
+//! out. A ruled-out candidate still counts toward the 64-candidate window.
+//!
+//! The rest of a decision is sized to what it reads. The undispatched queue
+//! slots are materialised lazily, so a decision reads the head, at most 64
+//! candidates and the slots dispatched jobs vacate, whatever the queue
+//! depth; the free-qubit total is a running count; the head's shadow is
+//! taken when a candidate first needs it (at once when a guarantee log is
+//! attached); and the bound's table is built on first need and rebuilt
+//! after each backfilled dispatch.
+//!
+//! [`MaintenanceCalendar::next_online_from`]:
+//! crate::maintenance::MaintenanceCalendar::next_online_from
 
 use std::sync::{Arc, Mutex};
 
 use super::fifo::{apply_parts, blocked_reason, validate_plan};
 use super::timeline::{project_dispatch_releases, CapacityTimeline};
 use super::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
-use crate::broker::{AllocationPlan, Broker, CloudView};
+use crate::broker::{AllocationPlan, Broker, CloudView, DeviceView};
 use crate::job::{JobId, QJob};
 
 /// One head-protection guarantee issued while the head was blocked: the
@@ -52,17 +83,100 @@ pub type GuaranteeLog = Arc<Mutex<Vec<HeadGuarantee>>>;
 /// How many queued jobs behind the head are considered per decision.
 const CANDIDATE_LIMIT: usize = 64;
 
+/// A lower bound on the slowest part's Eq. 3 execution time of every valid
+/// placement on a view (the lemma in the module docs).
+///
+/// [`PlacementBound::build`] tabulates a view; [`PlacementBound::exec_seconds`]
+/// then answers per job in `O(log devices)`. The fastest-first device order
+/// reads only the static `qv_layers` and `clops` columns, so it is sorted
+/// once per fleet, as [`crate::broker::StaticOrder`] sorts the policies'
+/// orders.
+#[derive(Debug, Clone, Default)]
+pub struct PlacementBound {
+    /// Device positions by `qv_layers / clops` ascending (fastest first),
+    /// ties by position.
+    order: Vec<u32>,
+    /// The `(qv_layers, clops)` bits of the fleet `order` was sorted on.
+    sorted_on: Vec<(u64, u64)>,
+    /// Per device with free qubits, in `order`: the free qubits of it and
+    /// of every device before it.
+    reach: Vec<u64>,
+    /// Per device with free qubits, in `order`: the smallest `qv_layers`
+    /// and the largest `clops` of it and of every device after it.
+    fastest_after: Vec<(f64, f64)>,
+}
+
+impl PlacementBound {
+    /// An empty bound; [`PlacementBound::build`] it before asking.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Tabulates `view`'s free qubits, re-sorting the device order only
+    /// when its static columns changed since the last build.
+    pub fn build(&mut self, view: &CloudView) {
+        let columns = |d: &DeviceView| (d.qv_layers.to_bits(), d.clops.to_bits());
+        let unchanged = self.sorted_on.len() == view.devices.len()
+            && self
+                .sorted_on
+                .iter()
+                .zip(&view.devices)
+                .all(|(&seen, d)| seen == columns(d));
+        if !unchanged {
+            self.sorted_on.clear();
+            self.sorted_on.extend(view.devices.iter().map(columns));
+            let key = |p: &u32| {
+                let d = &view.devices[*p as usize];
+                d.qv_layers / d.clops
+            };
+            self.order.clear();
+            self.order.extend(0..view.devices.len() as u32);
+            // Stable, so ties stay in position order.
+            self.order.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        }
+        self.reach.clear();
+        self.fastest_after.clear();
+        let mut reach = 0;
+        for &p in &self.order {
+            let d = &view.devices[p as usize];
+            if d.free > 0 {
+                reach += d.free;
+                self.reach.push(reach);
+                self.fastest_after.push((d.qv_layers, d.clops));
+            }
+        }
+        let mut fastest = (f64::INFINITY, 0.0f64);
+        for c in self.fastest_after.iter_mut().rev() {
+            fastest = (fastest.0.min(c.0), fastest.1.max(c.1));
+            *c = fastest;
+        }
+    }
+
+    /// The bound for `job` on the last built view: no plan that passes
+    /// [`AllocationPlan::validate_parts`] there has a slowest part faster
+    /// than this. `None` when the view's free qubits cannot hold the job
+    /// (no plan is valid).
+    pub fn exec_seconds(&self, state: &CloudState, job: &QJob) -> Option<f64> {
+        let after = self.reach.partition_point(|&r| r < job.num_qubits);
+        let &(qv_layers, clops) = self.fastest_after.get(after)?;
+        Some(state.exec_seconds_at(job, qv_layers, clops))
+    }
+}
+
 /// EASY backfilling over any [`Broker`] policy; see the module docs.
 pub struct BackfillScheduler {
     broker: Box<dyn Broker>,
     name: String,
     view: CloudView,
-    /// Scratch: queue slots not yet dispatched in the current batch.
+    /// Scratch: the first queue slots not yet dispatched in the current
+    /// batch, in queue order, materialised only as the scan reaches them.
     alive: Vec<u32>,
     /// Persistent timeline over the state's incrementally maintained
     /// availability profile; EASY keeps no standing bookings, so only the
     /// per-decision overlay is used.
     timeline: CapacityTimeline,
+    /// Rules out candidates that cannot return by the shadow.
+    bound: PlacementBound,
     guarantees: Option<GuaranteeLog>,
 }
 
@@ -79,6 +193,7 @@ impl BackfillScheduler {
             },
             alive: Vec::new(),
             timeline: CapacityTimeline::new(),
+            bound: PlacementBound::new(),
             guarantees: None,
         }
     }
@@ -94,8 +209,10 @@ impl Scheduler for BackfillScheduler {
     fn decide(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
         let now = state.now();
         state.copy_view_into(&mut self.view);
+        // `alive[i]` is the queue slot at residual position `i`; every slot
+        // from `next_fresh` on is undispatched and not yet materialised.
         self.alive.clear();
-        self.alive.extend(0..queue.len() as u32);
+        let mut next_fresh = 0u32;
         // The maintenance-aware availability profile: lease returns pushed
         // past offline windows, scheduled capacity drops included. The
         // state maintains it incrementally; the timeline only layers this
@@ -108,11 +225,15 @@ impl Scheduler for BackfillScheduler {
         let mut backfilled = false;
 
         loop {
-            if self.alive.is_empty() {
+            if dispatches.len() == queue.len() {
                 return SchedulingDecision {
                     dispatches,
                     wait: Some(WaitReason::QueueDrained),
                 };
+            }
+            if self.alive.is_empty() {
+                self.alive.push(next_fresh);
+                next_fresh += 1;
             }
             let head = &queue[self.alive[0] as usize];
             let plan = self.broker.select(head, &self.view);
@@ -130,24 +251,52 @@ impl Scheduler for BackfillScheduler {
             }
 
             // Head blocked: compute its reservation and backfill behind it.
-            let shadow = self.timeline.earliest_fit(profile, head.num_qubits);
+            // The shadow waits for the first candidate that needs it, unless
+            // a guarantee log wants it now.
+            let mut shadow = None;
             if let Some(log) = &self.guarantees {
-                log.lock().unwrap().push(HeadGuarantee {
-                    head: head.id,
-                    decided_at: now,
-                    shadow,
-                });
+                let at = self.timeline.earliest_fit(profile, head.num_qubits);
+                shadow = Some(at);
+                log.lock()
+                    .expect("a guarantee-log writer panicked")
+                    .push(HeadGuarantee {
+                        head: head.id,
+                        decided_at: now,
+                        shadow: at,
+                    });
             }
+            let mut free = self.view.total_free();
+            let mut bound_built = false;
             let mut vi = 1;
             let mut examined = 0usize;
-            while vi < self.alive.len() && examined < CANDIDATE_LIMIT {
+            while vi < queue.len() - dispatches.len() && examined < CANDIDATE_LIMIT {
                 examined += 1;
+                if vi == self.alive.len() {
+                    self.alive.push(next_fresh);
+                    next_fresh += 1;
+                }
                 let cand = &queue[self.alive[vi] as usize];
                 // No broker can place a job the fleet lacks free qubits
                 // for; skipping the consult keeps stateful policies (the
                 // `random` RNG) in lock-step with non-backfilling
                 // disciplines when no opportunity exists.
-                if self.view.total_free() < cand.num_qubits {
+                if free < cand.num_qubits {
+                    vi += 1;
+                    continue;
+                }
+                let shadow = *shadow
+                    .get_or_insert_with(|| self.timeline.earliest_fit(profile, head.num_qubits));
+                if !bound_built {
+                    self.bound.build(&self.view);
+                    bound_built = true;
+                }
+                // No plan of this candidate can return by the shadow (the
+                // lemma in the module docs): skip planning it.
+                let bound = self
+                    .bound
+                    .exec_seconds(state, cand)
+                    .expect("the free qubits hold the candidate");
+                if now + bound > shadow {
                     vi += 1;
                     continue;
                 }
@@ -186,6 +335,8 @@ impl Scheduler for BackfillScheduler {
                             queue_index: vi,
                             parts,
                         });
+                        free -= cand.num_qubits;
+                        bound_built = false;
                         self.alive.remove(vi);
                         backfilled = true;
                         // The slot at `vi` now holds the next candidate.
@@ -194,10 +345,10 @@ impl Scheduler for BackfillScheduler {
                 }
                 vi += 1;
             }
-            let wait = if self.view.total_free() >= head.num_qubits {
+            let wait = if free >= head.num_qubits {
                 // Capacity exists but the (strict) policy declined it.
                 WaitReason::PolicyHold
-            } else if backfilled || self.alive.len() > 1 {
+            } else if backfilled || queue.len() - dispatches.len() > 1 {
                 // The head holds its reservation; jobs behind it are parked
                 // under the shadow-time guard.
                 WaitReason::BackfillHold
@@ -301,6 +452,41 @@ mod tests {
         assert_eq!(d.dispatches.len(), 2);
         assert!(d.dispatches.iter().all(|x| x.queue_index == 0));
         assert_eq!(d.wait, Some(WaitReason::QueueDrained));
+    }
+
+    /// The one behaviour change of the bound: under `random`, a candidate
+    /// it rules out is no longer shuffled for, so the broker's stream stays
+    /// where it is after the head's consult.
+    #[test]
+    fn ruled_out_candidate_leaves_the_random_stream_untouched() {
+        let mut st = state(&[127, 127, 127, 127, 127]);
+        // A lease in flight blocks the head until it returns at ≈ 64 s.
+        st.reserve(&job(0, 127, 20_000), &[(DeviceId(0), 127)], 0.0);
+        let off = crate::maintenance::OfflineFlags::new(5);
+        st.refresh(0.0, &off);
+        // The candidate fits the free qubits but runs ≥ 333 s wherever it
+        // is placed.
+        let blocked = [job(1, 600, 50_000), job(2, 30, 100_000)];
+        let head = &blocked[..1];
+        let fits = [job(3, 30, 1_000)];
+        let picks = |s: &mut BackfillScheduler| -> Vec<SchedulingDecision> {
+            (0..16).map(|_| s.decide(&fits, &st)).collect()
+        };
+        let random = || Box::new(crate::policies::RandomBroker::new(5));
+        let mut asked = BackfillScheduler::new(random());
+        let d = asked.decide(&blocked, &st);
+        assert!(d.dispatches.is_empty());
+        assert_eq!(d.wait, Some(WaitReason::BackfillHold));
+        let mut head_only = BackfillScheduler::new(random());
+        head_only.decide(head, &st);
+        assert_eq!(picks(&mut asked), picks(&mut head_only));
+        // The stream does show in the picks: one shuffle more shifts them.
+        let mut shifted = BackfillScheduler::new(random());
+        shifted.decide(head, &st);
+        shifted.broker.select(&blocked[1], st.view());
+        let mut head_only = BackfillScheduler::new(random());
+        head_only.decide(head, &st);
+        assert_ne!(picks(&mut shifted), picks(&mut head_only));
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod priority;
 mod state;
 mod timeline;
 
-pub use backfill::{BackfillScheduler, GuaranteeLog, HeadGuarantee};
+pub use backfill::{BackfillScheduler, GuaranteeLog, HeadGuarantee, PlacementBound};
 pub use conservative::{ConservativeBackfillScheduler, ReservationLog, StartReservation};
 pub(crate) use fifo::first_placeable;
 pub use fifo::FifoAdapter;

@@ -323,8 +323,15 @@ impl CloudState {
     /// Execution seconds of `job` on `device` (Eq. 3).
     pub fn exec_seconds(&self, job: &QJob, device: DeviceId) -> f64 {
         let v = &self.view.devices[device.index()];
-        self.exec
-            .execution_seconds(job.num_shots, v.qv_layers, v.clops)
+        self.exec_seconds_at(job, v.qv_layers, v.clops)
+    }
+
+    /// Execution seconds of `job` on a device with these `qv_layers` and
+    /// `clops` columns (Eq. 3), with the same float operations as
+    /// [`CloudState::exec_seconds`]: non-decreasing in `qv_layers` and
+    /// non-increasing in `clops`.
+    pub fn exec_seconds_at(&self, job: &QJob, qv_layers: f64, clops: f64) -> f64 {
+        self.exec.execution_seconds(job.num_shots, qv_layers, clops)
     }
 
     /// The worst-case hold duration of `job` across the fleet: the slowest

@@ -29,25 +29,44 @@
 //!   broker reused across random views plans every job exactly as a
 //!   broker built fresh for that call, whether the view changed only its
 //!   dynamic columns or its ids, `clops` or `error_score`.
+//! * **Pruned-scan differential** — EASY, which skips planning a candidate
+//!   whose [`PlacementBound`] already misses the shadow, decides exactly as
+//!   the full scan that plans every candidate (`tests/common/full_scan.rs`)
+//!   on every consult and produces the same record stream, bit for bit,
+//!   for every stateless placement, under offline devices, maintenance
+//!   windows, fault scripts, both release policies, fleets whose
+//!   `qv_layers` and `clops` are not co-ordered and queues deeper than the
+//!   candidate window.
+//! * **Placement-bound lemma** — on random views (120-device fleets
+//!   included) the bound never exceeds the slowest part's execution time
+//!   of any plan that passes `AllocationPlan::validate_parts`, and `speed`
+//!   attains it when every device has the same `qv_layers`.
 
 mod common;
+#[path = "common/full_scan.rs"]
+mod full_scan;
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use common::SnapshotAdapter;
+use full_scan::FullScanBackfill;
 use proptest::prelude::*;
-use qcs_calibration::ibm_fleet;
+use qcs_calibration::{ibm_fleet, DeviceProfile};
 use qcs_desim::Xoshiro256StarStar;
-use qcs_qcloud::broker::{Broker, CloudView, DeviceView};
+use qcs_qcloud::broker::{AllocationPlan, Broker, CloudView, DeviceView};
 use qcs_qcloud::config::ReleasePolicy;
-use qcs_qcloud::jobgen::poisson_arrivals;
+use qcs_qcloud::jobgen::{batch_at_zero, poisson_arrivals};
+use qcs_qcloud::maintenance::OfflineFlags;
 use qcs_qcloud::policies::{by_name, scheduler_by_name};
+use qcs_qcloud::records::JobRecord;
 use qcs_qcloud::sched::{
     BackfillScheduler, CloudState, ConservativeBackfillScheduler, DeviceSpec, GuaranteeLog,
-    ReservationLog,
+    PlacementBound, ReservationLog, Scheduler, SchedulingDecision,
 };
 use qcs_qcloud::{
-    DeviceId, JobDistribution, JobId, MaintenanceWindow, QCloudSimEnv, QJob, SimParams,
+    DeviceId, FaultScript, JobDistribution, JobId, MaintenanceWindow, QCloudSimEnv, QJob,
+    RetryPolicy, SimParams,
 };
 
 const ALL_POLICIES: [&str; 8] = [
@@ -115,6 +134,126 @@ fn redraw_dynamic(view: &mut CloudView, rng: &mut Xoshiro256StarStar) {
         d.busy_fraction = 1.0 - d.free as f64 / d.capacity as f64;
         d.mean_utilization = rng.next_f64();
     }
+}
+
+/// The placements that read no state of their own across `select` calls
+/// (`random` and `roundrobin` advance an RNG or a cursor per consult).
+const STATELESS_POLICIES: [&str; 6] = [
+    "speed",
+    "fidelity",
+    "fair",
+    "minfrag",
+    "hybrid",
+    "hybrid-strict",
+];
+
+/// Counts a broker's consults and records which jobs they were for.
+struct Asked {
+    inner: Box<dyn Broker>,
+    jobs: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Asked {
+    fn new(inner: Box<dyn Broker>) -> (Self, Arc<Mutex<Vec<u64>>>) {
+        let jobs: Arc<Mutex<Vec<u64>>> = Default::default();
+        (
+            Asked {
+                inner,
+                jobs: jobs.clone(),
+            },
+            jobs,
+        )
+    }
+}
+
+impl Broker for Asked {
+    fn select(&mut self, job: &QJob, view: &CloudView) -> AllocationPlan {
+        self.jobs.lock().unwrap().push(job.id.0);
+        self.inner.select(job, view)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+/// The production EASY scheduler and the full-scan oracle consulted on the
+/// same queue and state. The production decision is applied; the first
+/// consult on which the two differ is kept.
+struct Lockstep {
+    pruned: BackfillScheduler,
+    full: FullScanBackfill,
+    consults: u64,
+    first_mismatch: Arc<Mutex<Option<String>>>,
+}
+
+impl Scheduler for Lockstep {
+    fn decide(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
+        self.consults += 1;
+        let pruned = self.pruned.decide(queue, state);
+        let full = self.full.decide(queue, state);
+        if pruned != full {
+            self.first_mismatch.lock().unwrap().get_or_insert_with(|| {
+                format!(
+                    "consult {} at t = {} over {} queued jobs: pruned {:?}, full scan {:?}",
+                    self.consults,
+                    state.now(),
+                    queue.len(),
+                    pruned,
+                    full
+                )
+            });
+        }
+        pruned
+    }
+
+    fn name(&self) -> &str {
+        self.pruned.name()
+    }
+}
+
+/// Each record printed in full. `Debug` prints every `f64` in its
+/// shortest round-trip form, so two records print alike exactly when
+/// every field has the same bits (no record holds a NaN).
+fn printed(records: &[JobRecord]) -> Vec<String> {
+    records.iter().map(|r| format!("{r:?}")).collect()
+}
+
+/// `ibm_fleet(seed)` with each device's quantum volume and CLOPS redrawn
+/// independently, so `qv_layers` and `clops` are not co-ordered.
+fn mixed_fleet(seed: u64) -> Vec<DeviceProfile> {
+    let mut rng = Xoshiro256StarStar::new(seed ^ 0x6D69_7865_6400);
+    let mut fleet = ibm_fleet(seed);
+    for d in &mut fleet {
+        d.spec.quantum_volume = [32, 64, 128, 512][rng.choose_index(4)];
+        d.spec.clops = [29_000.0, 30_000.0, 150_000.0, 220_000.0][rng.choose_index(4)];
+    }
+    fleet
+}
+
+/// A valid partition of `q` qubits over `view`'s free qubits (which must
+/// hold it): random shares on shuffled devices, topped up in the same
+/// order.
+fn random_plan(view: &CloudView, q: u64, rng: &mut Xoshiro256StarStar) -> Vec<(DeviceId, u64)> {
+    let mut order: Vec<usize> = (0..view.devices.len()).collect();
+    rng.shuffle(&mut order);
+    let mut take = vec![0u64; view.devices.len()];
+    let mut remaining = q;
+    for &i in &order {
+        let t = rng.range_u64(0, remaining.min(view.devices[i].free));
+        take[i] = t;
+        remaining -= t;
+    }
+    for &i in &order {
+        let t = remaining.min(view.devices[i].free - take[i]);
+        take[i] += t;
+        remaining -= t;
+    }
+    order
+        .into_iter()
+        .filter(|&i| take[i] > 0)
+        .map(|i| (view.devices[i].id, take[i]))
+        .collect()
 }
 
 proptest! {
@@ -481,4 +620,190 @@ proptest! {
             prop_assert_eq!(&a.records, &b.records, "{}@{} diverged", pol, seed);
         }
     }
+
+    /// Pruned-scan differential: EASY decides as the full scan on every
+    /// consult, and both runs write the same records bit for bit, for every
+    /// stateless placement — with crashes, a maintenance window, execution
+    /// failures, both release policies, fleets whose `qv_layers` and
+    /// `clops` are not co-ordered, and queues deeper than the 64-candidate
+    /// window. The pruned scan never consults its broker more often.
+    #[test]
+    fn pruned_scan_matches_the_full_scan(
+        seed in 1u64..100_000,
+        n in 66usize..130,
+        arrivals in 0u8..3,
+        mixed in 0u8..3,
+        at_job_end in 0u8..2,
+        window_sel in 0u8..3,
+        crash_sel in 0u8..3,
+    ) {
+        let dist = JobDistribution { qubits: (10, 300), ..JobDistribution::default() };
+        let jobs = match arrivals {
+            0 => batch_at_zero(n, &dist, seed),
+            1 => poisson_arrivals(n, 0.05, &dist, seed),
+            _ => poisson_arrivals(n, 0.005, &dist, seed),
+        };
+        let fleet = if mixed > 0 { mixed_fleet(seed) } else { ibm_fleet(seed) };
+        let params = SimParams {
+            release: if at_job_end == 1 { ReleasePolicy::AtJobEnd } else { ReleasePolicy::PerDevice },
+            ..SimParams::default()
+        };
+        let dev = (seed % 5) as usize;
+        let mut script = FaultScript::new(seed).with_exec_failures(0.03);
+        if crash_sel >= 1 {
+            script = script.with_crash(dev, 100.0 + (seed % 900) as f64, 1_500.0);
+        }
+        if crash_sel >= 2 {
+            script = script.with_crash((dev + 2) % 5, 2_000.0, 800.0);
+        }
+        let retry = RetryPolicy { max_attempts: 6, ..RetryPolicy::default() };
+        let run = |sched: Box<dyn Scheduler>| {
+            let mut env = QCloudSimEnv::with_scheduler(
+                fleet.clone(), sched, jobs.clone(), params.clone(), seed,
+            );
+            if window_sel > 0 {
+                env.schedule_maintenance(MaintenanceWindow {
+                    device: (dev + window_sel as usize) % 5,
+                    start: 50.0 * window_sel as f64,
+                    duration: 1_000.0 * window_sel as f64,
+                });
+            }
+            env.install_faults(&script, retry);
+            env.run()
+        };
+        for policy in STATELESS_POLICIES {
+            let (pruned_broker, pruned_asked) = Asked::new(by_name(policy, seed).unwrap());
+            let first_mismatch: Arc<Mutex<Option<String>>> = Default::default();
+            let lockstep = run(Box::new(Lockstep {
+                pruned: BackfillScheduler::new(Box::new(pruned_broker)),
+                full: FullScanBackfill::new(by_name(policy, seed).unwrap()),
+                consults: 0,
+                first_mismatch: first_mismatch.clone(),
+            }));
+            let (full_broker, full_asked) = Asked::new(by_name(policy, seed).unwrap());
+            let full = run(Box::new(FullScanBackfill::new(Box::new(full_broker))));
+            let mismatch = first_mismatch.lock().unwrap().take();
+            prop_assert!(mismatch.is_none(), "{}@{}: {}", policy, seed, mismatch.unwrap_or_default());
+            prop_assert_eq!(
+                printed(&lockstep.records), printed(&full.records),
+                "{}@{}: record streams differ", policy, seed
+            );
+            let (pruned_n, full_n) = (pruned_asked.lock().unwrap().len(), full_asked.lock().unwrap().len());
+            prop_assert!(pruned_n <= full_n, "{}@{}: {} consults against {}", policy, seed, pruned_n, full_n);
+        }
+    }
+
+    /// Placement-bound lemma: on random views, 120-device fleets included,
+    /// no plan that passes `validate_parts` — neither the eight
+    /// placements' plans nor random partitions — has a slowest part faster
+    /// than the bound, and a job the free qubits cannot hold has no bound.
+    /// When every device has the same `qv_layers`, `speed`'s plan attains
+    /// it: there the bound admits exactly the candidates that backfill.
+    #[test]
+    fn placement_bound_never_exceeds_a_valid_plans_slowest_part(
+        seed in 0u64..100_000,
+        wide in 0u8..3,
+        uniform_qv in 0u8..2,
+    ) {
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let n = if wide == 0 { 120 } else { rng.range_u64(2, 8) as usize };
+        let specs: Vec<DeviceSpec> = (0..n)
+            .map(|_| DeviceSpec {
+                capacity: rng.range_u64(5, 127),
+                error_score: random_error_score(&mut rng),
+                clops: random_clops(&mut rng),
+                qv_layers: if uniform_qv == 1 {
+                    7.0
+                } else {
+                    [5.0, 6.0, 7.0, 9.0][rng.choose_index(4)]
+                },
+            })
+            .collect();
+        let st = CloudState::new(&specs, &SimParams::default());
+        let mut view = st.view().clone();
+        redraw_dynamic(&mut view, &mut rng);
+        let free = view.total_free();
+        let mut bound = PlacementBound::new();
+        bound.build(&view);
+        prop_assert!(bound.exec_seconds(&st, &job(0, free + 1)).is_none());
+        prop_assume!(free > 0);
+        let mut brokers: Vec<Box<dyn Broker>> =
+            ALL_POLICIES.iter().map(|p| by_name(p, seed).unwrap()).collect();
+        for k in 1..=8 {
+            let j = QJob { num_shots: rng.range_u64(1_000, 100_000), ..job(k, rng.range_u64(1, free)) };
+            let b = bound.exec_seconds(&st, &j).expect("the free qubits hold the job");
+            let slowest = |parts: &[(DeviceId, u64)]| {
+                parts.iter().map(|&(d, _)| st.exec_seconds(&j, d)).fold(0.0f64, f64::max)
+            };
+            let mut plans = Vec::new();
+            for (p, broker) in ALL_POLICIES.iter().zip(&mut brokers) {
+                if let AllocationPlan::Dispatch(parts) = broker.select(&j, &view) {
+                    if *p == "speed" && uniform_qv == 1 {
+                        prop_assert_eq!(slowest(&parts).to_bits(), b.to_bits(), "speed@{}", seed);
+                    }
+                    plans.push(parts.to_vec());
+                }
+            }
+            for _ in 0..4 {
+                plans.push(random_plan(&view, j.num_qubits, &mut rng));
+            }
+            for parts in &plans {
+                prop_assert!(AllocationPlan::validate_parts(parts, &j, &view).is_ok());
+                prop_assert!(
+                    b <= slowest(parts),
+                    "bound {} above the slowest part {} of {:?} (seed {})",
+                    b, slowest(parts), parts, seed
+                );
+            }
+        }
+    }
+}
+
+/// EASY consults its broker for exactly the head and the candidates the
+/// bound admits; the full scan also plans the one it rules out, and both
+/// decide the same.
+#[test]
+fn easy_consults_the_head_and_the_admitted_candidates() {
+    let specs: Vec<DeviceSpec> = [220_000.0, 220_000.0, 30_000.0]
+        .iter()
+        .map(|&clops| DeviceSpec {
+            capacity: 127,
+            error_score: 0.01,
+            clops,
+            qv_layers: 7.0,
+        })
+        .collect();
+    let mut st = CloudState::new(&specs, &SimParams::default());
+    let sized = |id: u64, q: u64, num_shots: u64| QJob {
+        num_shots,
+        ..job(id, q)
+    };
+    // A lease on device 0 returns at ≈ 318 s: the head's shadow.
+    st.reserve(&sized(0, 127, 100_000), &[(DeviceId(0), 127)], 0.0);
+    st.refresh(0.0, &OfflineFlags::new(3));
+    let queue = [
+        // The head: 300 qubits against 254 free.
+        sized(1, 300, 50_000),
+        // ≈ 32 s on device 1: admitted, backfills.
+        sized(2, 100, 10_000),
+        // Device 1 has 27 left, so some part runs ≥ 4,667 s on device 2:
+        // ruled out.
+        sized(3, 100, 200_000),
+        // Fits device 1's 27 for ≈ 32 s: admitted, backfills.
+        sized(4, 20, 10_000),
+        // More than the 134 free qubits: never considered.
+        sized(5, 400, 1_000),
+        // 7 qubits on device 1 and 93 on device 2, ≈ 23 s: admitted,
+        // backfills.
+        sized(6, 100, 1_000),
+    ];
+    let (broker, asked) = Asked::new(by_name("speed", 1).unwrap());
+    let pruned = BackfillScheduler::new(Box::new(broker)).decide(&queue, &st);
+    assert_eq!(*asked.lock().unwrap(), vec![1, 2, 4, 6]);
+    let (broker, asked) = Asked::new(by_name("speed", 1).unwrap());
+    let full = FullScanBackfill::new(Box::new(broker)).decide(&queue, &st);
+    assert_eq!(*asked.lock().unwrap(), vec![1, 2, 3, 4, 6]);
+    assert_eq!(pruned, full);
+    let jumped: Vec<usize> = pruned.dispatches.iter().map(|d| d.queue_index).collect();
+    assert_eq!(jumped, vec![1, 2, 3]);
 }
