@@ -16,11 +16,12 @@
 //! conservative fairness wins and fault-era goodput to hard floors.
 //!
 //! Service-mode sections (`service_1k`, `sharded_4x`) run the open-system
-//! front end: decision-latency p50/p99 and sustained jobs/s through an
-//! armed intake on an overloaded diurnal trace, and the four-region
-//! sharded fleet vs a monolithic scheduler (decide-cost scaling plus the
-//! completeness/conservation flags) — guarded by a p99 ceiling and
-//! sustained-rate / scaling floors.
+//! front end: decision-latency p50/p99 (over the engine's 1-in-16 sample
+//! of decides; `decide_calls` is the exact count) and sustained jobs/s
+//! through an armed intake on an overloaded diurnal trace, and the
+//! four-region sharded fleet vs a monolithic scheduler (decide-cost
+//! scaling plus the completeness/conservation flags) — guarded by a p99
+//! ceiling and sustained-rate / scaling floors.
 //!
 //! The `rl_sched` section trains a PPO policy on the queue-deep scheduler
 //! environment (`qcs_qcloud::rlsched::SchedulerEnv`), deploys the
@@ -434,7 +435,7 @@ fn write_sched_json() {
          \"decide_p99_us\": {:.2}, \"sustained_jobs_per_sec\": {:.1}, \"accepted\": {}, \
          \"rejected\": {}, \"throttle_events\": {}, \"throttled_then_admitted\": {}, \
          \"waits_admission_throttled\": {svc_throttle_waits}, \"complete\": true }}",
-        svc.report.decision_latency.count,
+        svc.shards[0].telemetry.decisions,
         svc.report.decision_latency.p50_us,
         svc.report.decision_latency.p99_us,
         svc.report.sustained_jobs_per_sec,

@@ -45,7 +45,7 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     let out = train_allocation_policy(timesteps, n_envs, seed, comm_aware);
-    eprintln!("[fig5] done in {:.1}s", t0.elapsed().as_secs_f64());
+    eprintln!("[fig5] done in {:.3}s", t0.elapsed().as_secs_f64());
 
     let log = out.ppo.log();
     let rewards: Vec<f64> = log.entries.iter().map(|e| e.ep_rew_mean).collect();

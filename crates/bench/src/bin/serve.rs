@@ -90,7 +90,7 @@ fn main() {
     ]);
     let mut csv = String::from(
         "shard,routed,finished,rejected,mean_wait,mean_fidelity,mean_utilization,\
-         decide_p50_us,decide_p99_us,decide_count,busy_wall_s\n",
+         decide_p50_us,decide_p99_us,decide_count,decide_timed,busy_wall_s\n",
     );
     for (i, shard) in outcome.shards.iter().enumerate() {
         let lat = &report.per_shard_latency[i];
@@ -116,7 +116,7 @@ fn main() {
             busy_cell.clone(),
         ]);
         csv.push_str(&format!(
-            "r{i},{},{},{rejected},{:.3},{:.5},{:.4},{:.2},{:.2},{},{}\n",
+            "r{i},{},{},{rejected},{:.3},{:.5},{:.4},{:.2},{:.2},{},{},{}\n",
             report.routed_per_shard[i],
             shard.summary.jobs_finished,
             shard.summary.mean_wait,
@@ -124,6 +124,7 @@ fn main() {
             shard.mean_device_utilization(),
             lat.p50_us,
             lat.p99_us,
+            shard.telemetry.decisions,
             lat.count,
             busy_cell,
         ));
@@ -142,8 +143,11 @@ fn main() {
         a.throttle_events,
         a.throttled_then_admitted,
     );
+    // The engine times one decide in 16; the exact count is the shards'.
+    let decisions: u64 = outcome.shards.iter().map(|s| s.telemetry.decisions).sum();
     println!(
-        "decide: {} calls, p50 {:.1} µs, p99 {:.1} µs, mean {:.1} µs, max {:.1} µs",
+        "decide: {decisions} calls, {} timed (1 in 16), p50 {:.1} µs, p99 {:.1} µs, \
+         mean {:.1} µs, max {:.1} µs",
         report.decision_latency.count,
         report.decision_latency.p50_us,
         report.decision_latency.p99_us,
@@ -160,7 +164,7 @@ fn main() {
         report.worker_threads,
     );
     csv.push_str(&format!(
-        "service,{},{},{},{:.3},,,{:.2},{:.2},{}\n",
+        "service,{},{},{},{:.3},,,{:.2},{:.2},{decisions},{}\n",
         a.submitted,
         a.accepted,
         a.rejected(),

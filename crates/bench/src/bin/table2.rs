@@ -63,7 +63,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let out = train_allocation_policy(timesteps, 4, seed, false);
         eprintln!(
-            "[table2] training done in {:.1}s (final reward {:.4})",
+            "[table2] training done in {:.3}s (final reward {:.4})",
             t0.elapsed().as_secs_f64(),
             out.ppo.log().final_reward()
         );
@@ -92,7 +92,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let results = run_strategies_with_faults(&specs, &suite.jobs, &params, seed, faults.as_ref());
     eprintln!(
-        "[table2] simulations done in {:.1}s",
+        "[table2] simulations done in {:.3}s",
         t0.elapsed().as_secs_f64()
     );
 

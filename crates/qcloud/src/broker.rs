@@ -224,6 +224,16 @@ pub trait Broker: Send {
 
     /// Policy name for reports.
     fn name(&self) -> &str;
+
+    /// Whether [`Broker::select`] changes this broker's state even for a
+    /// job the view's free qubits cannot hold, where no valid plan exists
+    /// and the answer is [`AllocationPlan::Wait`]: `random` shuffles on
+    /// every call. A discipline may skip such a consult only when this is
+    /// `false` (the default), so a stateful policy keeps the stream the
+    /// FIFO discipline draws. A wrapping broker forwards it.
+    fn draws_when_unplaceable(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,10 @@ impl Broker for RandomBroker {
     fn name(&self) -> &str {
         "random"
     }
+
+    fn draws_when_unplaceable(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

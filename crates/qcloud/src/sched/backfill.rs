@@ -22,25 +22,33 @@
 //! every-queued-job protection (not just the head), see
 //! [`super::ConservativeBackfillScheduler`].
 //!
-//! **Cost.** The broker sees the head and only the candidates that fit the
-//! free qubits and could return by the shadow. A candidate passes the
-//! second test unless `now + bound > shadow`, where `bound` is the
-//! [`PlacementBound`] of its demand on the scratch view. *Lemma:* order the
-//! devices with free qubits fastest first (`qv_layers / clops` ascending),
-//! let `T` be the longest prefix whose free qubits sum to less than the
-//! demand, and evaluate Eq. 3 at the smallest `qv_layers` and the largest
-//! `clops` among the devices after `T`; then every plan that passes
-//! [`AllocationPlan::validate_parts`] has a part on a device after `T` (its
-//! parts inside `T` hold fewer qubits than the demand), and that part
-//! executes for at least `bound`, because Eq. 3's float operations are
-//! monotone in both columns. The part's return time adds the `AtJobEnd`
-//! hold (a non-negative communication delay) and
+//! **Cost.** The broker sees only the jobs that fit the free qubits: the
+//! head and the candidates alike, because no plan that passes
+//! [`AllocationPlan::validate_parts`] places more qubits than are free.
+//! The one exception is a head under a broker that
+//! [draws even then](Broker::draws_when_unplaceable) (`random`): the FIFO
+//! discipline consults its head whether or not it fits, so EASY does too,
+//! and the two stay on one RNG stream when no job can jump the queue. Of
+//! the candidates, the broker sees only those that could also return by
+//! the shadow. A candidate passes that test unless `now + bound > shadow`,
+//! where `bound` is the [`PlacementBound`] of its demand on the scratch
+//! view. *Lemma:* order the devices with free qubits fastest first
+//! (`qv_layers / clops` ascending), let `T` be the longest prefix whose
+//! free qubits sum to less than the demand, and evaluate Eq. 3 at the
+//! smallest `qv_layers` and the largest `clops` among the devices after
+//! `T`; then every valid plan has a part on a device after `T` (its parts
+//! inside `T` hold fewer qubits than the demand), and that part executes
+//! for at least `bound`, because Eq. 3's float operations are monotone in
+//! both columns. The part's return time adds the `AtJobEnd` hold (a
+//! non-negative communication delay) and
 //! [`MaintenanceCalendar::next_online_from`], which never moves a time
 //! earlier, so `now + bound > shadow` implies the `done > shadow` that
-//! planning the candidate would have found. The rule is exact for every
-//! broker. Only the stateful ones notice it: `random`'s RNG stream and
-//! `roundrobin`'s rotation cursor no longer advance on a candidate it rules
-//! out. A ruled-out candidate still counts toward the 64-candidate window.
+//! planning the candidate would have found. Both rules are exact for every
+//! broker. Only the stateful ones notice the bound: neither `random`'s RNG
+//! stream nor `roundrobin`'s rotation cursor advances on a candidate it
+//! rules out. The head guard changes no broker's state: `roundrobin` moves
+//! its cursor only when it plans a dispatch. A ruled-out candidate still
+//! counts toward the 64-candidate window.
 //!
 //! The rest of a decision is sized to what it reads. The undispatched queue
 //! slots are materialised lazily, so a decision reads the head, at most 64
@@ -223,6 +231,8 @@ impl Scheduler for BackfillScheduler {
         let calendar = state.maintenance();
         let mut dispatches = Vec::new();
         let mut backfilled = false;
+        // The view's free qubits, less every dispatch of this decision.
+        let mut free = self.view.total_free();
 
         loop {
             if dispatches.len() == queue.len() {
@@ -236,7 +246,14 @@ impl Scheduler for BackfillScheduler {
                 next_fresh += 1;
             }
             let head = &queue[self.alive[0] as usize];
-            let plan = self.broker.select(head, &self.view);
+            // The candidates' rule: no broker can place a head the free
+            // qubits cannot hold, so it is not asked, unless asking moves
+            // the broker's state (`random`, which FIFO asks too).
+            let plan = if free >= head.num_qubits || self.broker.draws_when_unplaceable() {
+                self.broker.select(head, &self.view)
+            } else {
+                AllocationPlan::Wait
+            };
             if let AllocationPlan::Dispatch(parts) = plan {
                 validate_plan(&*self.broker, head, &parts, &self.view);
                 self.timeline.withdraw_now(head.num_qubits);
@@ -246,6 +263,7 @@ impl Scheduler for BackfillScheduler {
                     queue_index: 0,
                     parts,
                 });
+                free -= head.num_qubits;
                 self.alive.remove(0);
                 continue;
             }
@@ -265,7 +283,6 @@ impl Scheduler for BackfillScheduler {
                         shadow: at,
                     });
             }
-            let mut free = self.view.total_free();
             let mut bound_built = false;
             let mut vi = 1;
             let mut examined = 0usize;
@@ -487,6 +504,65 @@ mod tests {
         let mut head_only = BackfillScheduler::new(random());
         head_only.decide(head, &st);
         assert_ne!(picks(&mut shifted), picks(&mut head_only));
+    }
+
+    /// A broker that must not be asked.
+    struct Unasked;
+
+    impl Broker for Unasked {
+        fn select(&mut self, job: &QJob, _: &CloudView) -> AllocationPlan {
+            panic!("asked about job {}", job.id.0)
+        }
+
+        fn name(&self) -> &str {
+            "unasked"
+        }
+    }
+
+    /// A state whose 508 free qubits cannot hold a 600-qubit head.
+    fn blocking_state() -> CloudState {
+        let mut st = state(&[127, 127, 127, 127, 127]);
+        st.reserve(&job(0, 127, 20_000), &[(DeviceId(0), 127)], 0.0);
+        let off = crate::maintenance::OfflineFlags::new(5);
+        st.refresh(0.0, &off);
+        st
+    }
+
+    /// The head guard: no broker can place a head the free qubits cannot
+    /// hold, so one that does not draw on every consult is not asked, and
+    /// the wait is the one the unplaced head always gave.
+    #[test]
+    fn blocked_head_is_not_planned() {
+        let mut s = BackfillScheduler::new(Box::new(Unasked));
+        let d = s.decide(&[job(1, 600, 50_000)], &blocking_state());
+        assert!(d.dispatches.is_empty());
+        assert_eq!(d.wait, Some(WaitReason::InsufficientCapacity));
+    }
+
+    /// `random` shuffles on every consult, so the guard leaves it alone:
+    /// after a decision that only waits for the head, its stream is one
+    /// shuffle on, as under the FIFO discipline that asks for every head.
+    #[test]
+    fn blocked_head_still_draws_from_the_random_stream() {
+        let st = blocking_state();
+        let blocked = [job(1, 600, 50_000)];
+        let fits = [job(2, 30, 1_000)];
+        let picks = |s: &mut BackfillScheduler| -> Vec<SchedulingDecision> {
+            (0..16).map(|_| s.decide(&fits, &st)).collect()
+        };
+        let random = || Box::new(crate::policies::RandomBroker::new(5));
+        let mut asked = BackfillScheduler::new(random());
+        assert!(asked.decide(&blocked, &st).dispatches.is_empty());
+        let mut shuffled_once = BackfillScheduler::new(random());
+        shuffled_once.broker.select(&blocked[0], st.view());
+        assert_eq!(picks(&mut asked), picks(&mut shuffled_once));
+        // The stream does show in the picks: a fresh one differs.
+        let mut shuffled_once = BackfillScheduler::new(random());
+        shuffled_once.broker.select(&blocked[0], st.view());
+        assert_ne!(
+            picks(&mut shuffled_once),
+            picks(&mut BackfillScheduler::new(random()))
+        );
     }
 
     #[test]

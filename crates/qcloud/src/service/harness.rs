@@ -234,9 +234,12 @@ impl Coroutine<World> for ThrottleProc {
 /// spread.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceReport {
-    /// Decision-latency order statistics pooled over every shard.
+    /// Decision-latency order statistics pooled over every shard's timed
+    /// sample (one `decide` in 16; the exact counts are the shards'
+    /// `telemetry.decisions`).
     pub decision_latency: LatencySummary,
-    /// Per-shard decision-latency summaries (region order).
+    /// Per-shard decision-latency summaries of the same sample (region
+    /// order).
     pub per_shard_latency: Vec<LatencySummary>,
     /// Intake accounting; `conserves()` holds on every completed run.
     pub admission: AdmissionTelemetry,

@@ -1,31 +1,39 @@
 //! Scheduler decision-latency summaries.
 //!
-//! The engine wall-clocks every `decide` of a service shard into that
-//! shard's [`LogHistogram`] (see `simenv::consult`); at teardown the
-//! harness summarises each shard's histogram and their merge. The
-//! *timings* are host-dependent and never feed back into the simulation,
-//! so the job-record stream of a timed run stays bit-identical to an
-//! untimed one — replay tests compare records, not latencies.
+//! The engine wall-clocks a fixed 1-in-16 sample of a service shard's
+//! `decide` calls into that shard's [`LogHistogram`]: the calls its
+//! `SchedTelemetry::decisions` count numbers 0, 16, 32, … (see
+//! `simenv::consult`), so a shard with `n` decides times `n.div_ceil(16)`
+//! of them and the first is always timed. The exact decide count stays in
+//! [`crate::sched::SchedTelemetry::decisions`]. At teardown the harness
+//! summarises each shard's histogram and their merge. The *timings* are
+//! host-dependent and never feed back into the simulation, so the
+//! job-record stream of a timed run stays bit-identical to an untimed
+//! one — replay tests compare records, not latencies.
 
 use qcs_desim::LogHistogram;
 use serde::{Deserialize, Serialize};
 
-/// Order statistics over one run's decision latencies (µs).
+/// Order statistics over one run's timed decision latencies (µs): the
+/// deterministic 1-in-16 sample of `decide` calls the engine times (see
+/// the module docs), not every call.
 ///
-/// `count`, `mean_us` and `max_us` are exact; `p50_us` and `p99_us` are
-/// histogram estimates within [`LogHistogram::RELATIVE_ERROR`] (1/64,
-/// about 1.6%) of an order statistic next to the interpolated percentile.
+/// Over that sample, `count`, `mean_us` and `max_us` are exact; `p50_us`
+/// and `p99_us` are histogram estimates within
+/// [`LogHistogram::RELATIVE_ERROR`] (1/64, about 1.6%) of an order
+/// statistic next to the interpolated percentile.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct LatencySummary {
-    /// `decide` calls measured.
+    /// `decide` calls timed: `decisions.div_ceil(16)` per shard, where
+    /// `decisions` is the shard's exact count.
     pub count: usize,
-    /// Median latency (µs).
+    /// Median timed latency (µs).
     pub p50_us: f64,
-    /// 99th-percentile latency (µs).
+    /// 99th-percentile timed latency (µs).
     pub p99_us: f64,
-    /// Mean latency (µs).
+    /// Mean timed latency (µs).
     pub mean_us: f64,
-    /// Worst call (µs).
+    /// Worst timed call (µs); an untimed call may have been slower.
     pub max_us: f64,
 }
 

@@ -23,15 +23,17 @@
 //! * **Scheduler loop** (per shard) — unchanged from the batch
 //!   environment: the same `SchedulerProc` drives any
 //!   [`crate::sched::Scheduler`] discipline over the shard's pending
-//!   queue, unwrapped. The engine itself wall-clocks every `decide` of a
-//!   service shard into a log-bucketed histogram the shard owns
+//!   queue, unwrapped. The engine itself wall-clocks a fixed 1-in-16
+//!   sample of a service shard's `decide` calls (decides 0, 16, 32, …)
+//!   into a log-bucketed histogram the shard owns
 //!   ([`qcs_desim::LogHistogram`]; no lock, no per-call allocation), and
 //!   teardown merges the shards' histograms, so a run reports
 //!   decision-latency p50/p99 ([`LatencySummary`]: count, mean and max
-//!   exact, p50/p99 within 1/64 ≈ 1.6% of an order statistic next to the
-//!   interpolated percentile) and sustained jobs/s alongside the sim-time
-//!   QoS numbers. Timings never feed back into the simulation — the record
-//!   stream remains bit-for-bit seed-replayable.
+//!   exact over the sample, p50/p99 within 1/64 ≈ 1.6% of an order
+//!   statistic next to the interpolated percentile) and sustained jobs/s
+//!   alongside the sim-time QoS numbers. The exact decide count is each
+//!   shard's `telemetry.decisions`. Timings never feed back into the
+//!   simulation — the record stream remains bit-for-bit seed-replayable.
 //!
 //! * **Router** ([`RoutingPolicy`]) — the fleet front. Devices are
 //!   partitioned into *regions*, one scheduler instance per region (each

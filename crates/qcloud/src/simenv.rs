@@ -33,7 +33,7 @@
 //!   ([`crate::rlsched::SchedulerEnv`]) calls both from outside the kernel
 //!   to answer a parked consult with the agent's pick. When a shard carries
 //!   a decide-latency histogram (service shards do) `consult` wall-clocks
-//!   each `decide` into it; otherwise it reads no clock at all.
+//!   every 16th `decide` into it; otherwise it reads no clock at all.
 //! * one **executor** per dispatched job: `apply_decision` computes the
 //!   execution time (Eq. 3, `max` over its devices) and spawns the
 //!   executor straight into it, so its first resume is the end of
@@ -150,10 +150,10 @@ pub(crate) struct SchedState {
     pub(crate) cloud_state: CloudState,
     pub(crate) records: JobRecordsManager,
     pub(crate) telemetry: SchedTelemetry,
-    /// Wall-clock durations of this shard's `decide` calls, when timed:
-    /// service shards set it, and [`consult`] reads the clock around
-    /// `decide` only then. The batch and training environments leave it
-    /// `None` and pay nothing. Timings never feed back into the run.
+    /// Wall-clock durations of the `decide` calls [`consult`] samples,
+    /// when timed: service shards set it. The batch and training
+    /// environments leave it `None` and pay nothing. Timings never feed
+    /// back into the run.
     pub(crate) decide_latency: Option<LogHistogram>,
     /// Jobs this shard must drive to a terminal state before its scheduler
     /// loop may exit. Batch runs fix it at construction; service mode
@@ -295,6 +295,9 @@ fn fail_and_requeue(cx: &mut Ctx<'_, World>, shard: usize, job_id: u64, kill_exe
 // Coroutines
 // ---------------------------------------------------------------------
 
+/// A timed shard times one `decide` in this many (see [`consult`]).
+const DECIDE_SAMPLE_STRIDE: u64 = 16;
+
 /// Drives the shard's [`Scheduler`] discipline against its queue and state.
 struct SchedulerProc {
     shard: usize,
@@ -311,9 +314,11 @@ impl Coroutine<World> for SchedulerProc {
 /// is terminal. [`SchedulerProc`] runs it on every wake; the training
 /// environment ([`crate::rlsched::SchedulerEnv`]) re-enters it after
 /// answering a consult itself, as the loop would continue inside one
-/// resume. Each `decide` is timed into the shard's `decide_latency`
-/// histogram when it has one (service shards); with `None` (batch runs,
-/// training) no clock is read.
+/// resume. When the shard has a `decide_latency` histogram (service
+/// shards), the `decide` calls that `telemetry.decisions` numbers 0, 16,
+/// 32, … are timed into it: a deterministic 1-in-16 sample, so the clock
+/// pair and the histogram record do not tax every consult. With `None`
+/// (batch runs, training) no clock is read.
 pub(crate) fn consult(kernel: &mut Kernel<World>, world: &mut World, shard: usize) -> Step {
     let now = kernel.now();
     let st = &mut world.shards[shard];
@@ -339,13 +344,13 @@ pub(crate) fn consult(kernel: &mut Kernel<World>, world: &mut World, shard: usiz
         st.cloud_state.refresh(now, &st.offline);
         let queue = st.pending.make_contiguous();
         let decision = match &mut st.decide_latency {
-            Some(latency) => {
+            Some(latency) if st.telemetry.decisions.is_multiple_of(DECIDE_SAMPLE_STRIDE) => {
                 let t0 = Instant::now();
                 let decision = st.scheduler.decide(queue, &st.cloud_state);
                 latency.record(t0.elapsed());
                 decision
             }
-            None => st.scheduler.decide(queue, &st.cloud_state),
+            _ => st.scheduler.decide(queue, &st.cloud_state),
         };
         // Nothing dispatched means nothing changed: re-consulting at
         // once would return the same decision forever.

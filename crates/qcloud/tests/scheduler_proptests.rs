@@ -759,9 +759,10 @@ proptest! {
     }
 }
 
-/// EASY consults its broker for exactly the head and the candidates the
-/// bound admits; the full scan also plans the one it rules out, and both
-/// decide the same.
+/// EASY consults its broker for exactly the candidates the bound admits,
+/// and not for a head the free qubits cannot hold; the full scan also
+/// plans the head and the candidate the bound rules out, and both decide
+/// the same.
 #[test]
 fn easy_consults_the_head_and_the_admitted_candidates() {
     let specs: Vec<DeviceSpec> = [220_000.0, 220_000.0, 30_000.0]
@@ -799,7 +800,7 @@ fn easy_consults_the_head_and_the_admitted_candidates() {
     ];
     let (broker, asked) = Asked::new(by_name("speed", 1).unwrap());
     let pruned = BackfillScheduler::new(Box::new(broker)).decide(&queue, &st);
-    assert_eq!(*asked.lock().unwrap(), vec![1, 2, 4, 6]);
+    assert_eq!(*asked.lock().unwrap(), vec![2, 4, 6]);
     let (broker, asked) = Asked::new(by_name("speed", 1).unwrap());
     let full = FullScanBackfill::new(Box::new(broker)).decide(&queue, &st);
     assert_eq!(*asked.lock().unwrap(), vec![1, 2, 3, 4, 6]);
